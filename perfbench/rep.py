@@ -65,22 +65,27 @@ def peak_rss_mb() -> float:
 def untraced(workload, seed: int, out_dir, level_cpu: float) -> dict:
     """Set-up, study, then finest-level runs of the AF scheme and of the
     floor until each used ``level_cpu`` CPU seconds (the study's own
-    finest evolve counts for the AF scheme; the floor runs at least once)."""
+    finest evolve counts for the AF scheme; the floor runs at least once).
+    Host-speed probes (``calib``) run after each timed call."""
+    import calib
     import workloads
     setup = workloads.set_up(workload, seed)
+    probes = calib.probes_after(setup.seconds)
     store: dict = {}
     problem = workloads.capture_exact(setup.problem, store)
     study = workloads.run_study(workload, problem, out_dir)
+    probes += calib.probes_after(study.study_s)
     levels = {"af": [(study.norms, study.node_steps_per_s)], "floor": []}
     for kind, spent in (("af", study.finest_cpu), ("floor", 0.0)):
         while not levels[kind] or spent < level_cpu:
             r = setup.evolve(kind, store)
+            probes += calib.probes_after(r.seconds)
             levels[kind].append((r.norms, r.node_steps_per_s))
             spent += r.seconds
     return {"setup_s": setup.seconds, "study_s": study.study_s,
             "study_wall_s": study.wall_s, "rows": study.rows,
             "wall_node_steps_per_s": study.wall_node_steps_per_s,
-            "levels": levels}
+            "levels": levels, "probe_s": probes}
 
 
 class TracedRep:
@@ -187,6 +192,7 @@ def main(argv=None) -> int:
     except Exception:
         record = {"error": traceback.format_exc(limit=4)}
     record["peak_rss_mb"] = peak_rss_mb()
+    record["minor_faults"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     print(json.dumps(record))
     return 1 if "error" in record else 0
 

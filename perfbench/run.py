@@ -8,7 +8,8 @@ in a fresh process as ``hjaf solve`` would run, until the next one would
 end after ``--seconds`` (at least three).
 
 With ``--trace 0`` a repetition times set-up, the study and finest-level
-runs, and the end-to-end metrics are medians over them.  With
+runs, and the end-to-end metrics are medians over them, scaled to the
+reference host speed (``calib.py``).  With
 ``--trace 1`` one untraced repetition is followed by traced ones, and the
 per-layer metrics come from their spans.
 
@@ -135,20 +136,30 @@ def median(values) -> float:
 
 
 def measure(run: Run, seconds: float):
-    """End-to-end metrics, untraced."""
+    """End-to-end metrics, untraced.  The CPU timings are scaled to the
+    reference host speed (``calib``); ``cpu_*`` are the unscaled ones."""
+    import calib
     reps = run.repeat(seconds, lambda k: ("--level-cpu", str(LEVEL_CPU_PER_REP)))
     if not reps:
         return {}, {}
     samples = {
-        "setup_s": [r["setup_s"] for r in reps],
-        "study_s": [r["study_s"] for r in reps],
-        "node_steps_per_s": [rate for r in reps for _, rate in r["levels"]["af"]],
-        "floor_node_steps_per_s": [rate for r in reps for _, rate in r["levels"]["floor"]],
+        "cpu_setup_s": [r["setup_s"] for r in reps],
+        "cpu_study_s": [r["study_s"] for r in reps],
+        "cpu_node_steps_per_s": [rate for r in reps for _, rate in r["levels"]["af"]],
+        "cpu_floor_node_steps_per_s": [rate for r in reps for _, rate in r["levels"]["floor"]],
         "peak_rss_mb": [r["peak_rss_mb"] for r in reps],
+        "minor_faults": [r["minor_faults"] for r in reps],
         "study_wall_s": [r["study_wall_s"] for r in reps],
         "wall_node_steps_per_s": [r["wall_node_steps_per_s"] for r in reps],
+        "probe_s": [p for r in reps for p in r["probe_s"]],
     }
     metrics = {key: median(values) for key, values in samples.items()}
+    metrics["probe_s"] = float(statistics.fmean(samples["probe_s"]))
+    slowdown = metrics["probe_s"] / calib.REFERENCE_S
+    for name in ("setup_s", "study_s"):
+        metrics[name] = metrics["cpu_" + name] / slowdown
+    for name in ("node_steps_per_s", "floor_node_steps_per_s"):
+        metrics[name] = metrics["cpu_" + name] * slowdown
     metrics["err_linf"], metrics["err_l1"] = run.first_norms["study"]
     samples["floor_norms"] = list(run.first_norms["floor"])
     return metrics, samples
@@ -220,7 +231,8 @@ def trace(run: Run, seconds: float, tag: str):
 
 def _describe(name: str) -> dict:
     """Unit and direction of a metric printed but not in BENCHMARK.json."""
-    for suffix, unit in (("_per_s", "1/s"), ("_ms", "ms"), ("_s", "s"), ("_mb", "MB")):
+    for suffix, unit in (("_per_s", "1/s"), ("_ms", "ms"), ("_s", "s"), ("_mb", "MB"),
+                         ("_faults", "count")):
         if name.endswith(suffix):
             return {"unit": unit, "better": "higher" if unit == "1/s" else "lower"}
     return {"unit": "norm", "better": "lower"}

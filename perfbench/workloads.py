@@ -22,9 +22,8 @@ from hjaf.reporting import parse_report_csv
 
 # Timings are process CPU seconds.  The solver is single-threaded, so on
 # a core of its own CPU time equals wall time; on a shared virtual machine
-# the wall clock also counts time the core was given to other guests
-# (steal time, 10-30 % of a busy core on the 2-vCPU machine this was tuned
-# on), which is not the program's.  Wall times are recorded alongside.
+# the wall clock can also count time the core was given to other guests,
+# which is not the program's.  Wall times are recorded alongside.
 
 # Relative tolerance on the stored seed-0 norms.  Tight enough to catch
 # any change of the computed field, loose enough for a reordering of
