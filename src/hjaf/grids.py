@@ -2,10 +2,12 @@
 
 Everything downstream (smoothness indicators, monotone and high-order
 schemes) reads neighbor values through the shift/ghost machinery defined
-here, so boundary handling lives in exactly one place.  Ghost values are
-produced by index mapping -- periodic wrap or clamp-to-edge -- rather than
-by materialized ghost layers, which keeps field invariants trivial and
-avoids a copy per Runge-Kutta stage.
+here, so boundary handling lives in exactly one place.  One rule, periodic
+wrap or clamp-to-edge, maps an out-of-range index back into the grid.  It
+is applied three ways: :func:`ghost_value` maps one scalar index,
+:meth:`GridField.shifted` maps whole index arrays, and :func:`pad_ghosts`
+materializes a ghost layer around an array for kernels that read many
+offsets of it as slices.  Fields themselves never store ghost nodes.
 """
 from __future__ import annotations
 
@@ -108,10 +110,19 @@ def _cached_meshes(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
-def _mapped_indices(idx: np.ndarray, n: int, bc: BoundaryCondition) -> np.ndarray:
+def _mapped_index(j: int, n: int, bc: BoundaryCondition) -> int:
     if bc is BoundaryCondition.PERIODIC:
-        return idx % n
-    return np.clip(idx, 0, n - 1)
+        return j % n
+    return min(max(j, 0), n - 1)
+
+
+def pad_ghosts(values: np.ndarray, bc: BoundaryCondition, width: int) -> np.ndarray:
+    """Copy of ``values`` with ``width`` ghost nodes on every side, filled by
+    the boundary rule: ``pad_ghosts(u, bc, w)[i + w, j + w]`` is the value
+    :meth:`GridField.shifted` and :func:`ghost_value` read at (i, j) for
+    every index within ``w`` of the grid."""
+    mode = "wrap" if bc is BoundaryCondition.PERIODIC else "edge"
+    return np.pad(values, width, mode=mode)
 
 
 class GridField:
@@ -171,7 +182,7 @@ def ghost_value(field: GridField, j: int, i: int | None = None) -> float:
         n = field.grid.n
         if j < -GHOST_REACH or j >= n + GHOST_REACH:
             raise IndexError(f"index {j} beyond ghost reach of grid with {n} nodes")
-        return float(field.values[_mapped_indices(np.int64(j), n, field.bc)])
+        return float(field.values[_mapped_index(j, n, field.bc)])
     if i is None:
         raise ValueError("2D field needs both indices")
     nx, ny = field.grid.nx, field.grid.ny
@@ -179,8 +190,8 @@ def ghost_value(field: GridField, j: int, i: int | None = None) -> float:
         raise IndexError(f"x index {j} beyond ghost reach of grid with {nx} nodes")
     if i < -GHOST_REACH or i >= ny + GHOST_REACH:
         raise IndexError(f"y index {i} beyond ghost reach of grid with {ny} nodes")
-    jj = _mapped_indices(np.int64(j), nx, field.bc)
-    ii = _mapped_indices(np.int64(i), ny, field.bc)
+    jj = _mapped_index(j, nx, field.bc)
+    ii = _mapped_index(i, ny, field.bc)
     return float(field.values[ii, jj])
 
 

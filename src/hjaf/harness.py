@@ -94,19 +94,20 @@ def run_convergence(cfg: CliConfig, problem: ProblemSpec | None = None) -> RunRe
     report = RunReport(reference_based=problem.exact is None)
     finals: list[GridField] = []
     diags: list[Diagnostics] = []
+    seconds: list[float] = []
     for level in range(cfg.refinements):
         u0 = problem.initial_field(level)
         sc = solver_config(cfg, problem, level)
         t0 = time.perf_counter()
         u, diag = af_evolve(u0, sc, problem.T_final, problem.n_steps(level))
-        cpu = time.perf_counter() - t0
+        seconds.append(time.perf_counter() - t0)
         finals.append(u)
         diags.append(diag)
         if problem.exact is not None:
             exact = problem.exact_field(problem.T_final, level).values
             linf, l1 = error_norms(u, exact)
             report.append_level(u.grid.nx - 1 if _has_edge(problem) else u.grid.nx,
-                                problem.n_steps(level), linf, l1, cpu)
+                                problem.n_steps(level), linf, l1, seconds[level])
     if problem.exact is None:
         reference = finals[-1]
         stride = 2 ** (cfg.refinements - 1)
@@ -115,7 +116,7 @@ def run_convergence(cfg: CliConfig, problem: ProblemSpec | None = None) -> RunRe
             u = finals[level]
             linf, l1 = error_norms(u, sub)
             report.append_level(u.grid.nx - 1 if _has_edge(problem) else u.grid.nx,
-                                problem.n_steps(level), linf, l1, 0.0)
+                                problem.n_steps(level), linf, l1, seconds[level])
             stride //= 2
     if cfg.out_dir is not None:
         _write_convergence_outputs(cfg, problem, report, finals[-1], diags[-1])

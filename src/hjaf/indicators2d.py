@@ -14,6 +14,15 @@ stencils whose listing order absorbs every sign flip.  With x offsets
 (z1, 0, -z1) / (0, z1, 2*z1) for the inner/outer stencil (same in y with
 z2), one formula serves the four (z1, z2) in {-1, +1}^2.
 
+The ordering also makes the outer stencil of quadrant (z1, z2) at node n
+the inner stencil of quadrant (-z1, -z2) at node n + (z1, z2), listed in
+the same order, so the two betas agree bit for bit.  The field kernel
+therefore evaluates only the four inner betas, on the grid extended by one
+node per side, and reads every outer beta as a shifted view.  All ghost
+values come from one array padded by two nodes under the field's boundary
+rule (:func:`hjaf.grids.pad_ghosts`), and the trust mask's neighbor ring
+reads one padded mask the same way.
+
 Two coefficient sets are provided: FULL keeps every derivative with total
 order >= 2 (per-axis order <= 2); PARTIAL keeps only total order exactly 2.
 A dimensional-splitting baseline built from the 1D indicators is included
@@ -27,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .grids import GridField, ghost_value
+from .grids import GridField, pad_ghosts
 from .indicators1d import Variant1D, _combine_sides, map_g
 
 # Quadrants keyed by the sign of the subcell relative to the node,
@@ -99,13 +108,6 @@ class Smoothness2D:
     untrusted: np.ndarray | None = None
 
 
-def _stencil_offsets(z1: int, z2: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Ordered (x offsets, y offsets) of stencil k for quadrant (z1, z2)."""
-    if k == 0:
-        return (z1, 0, -z1), (z2, 0, -z2)
-    return (0, z1, 2 * z1), (0, z2, 2 * z2)
-
-
 def _beta_from_diffs(u20, u02, u11, u21, u12, u22, dxdy, coeffs):
     c21, c22 = coeffs
     v = (u20 ** 2 + u02 ** 2 + u11 ** 2
@@ -116,100 +118,71 @@ def _beta_from_diffs(u20, u02, u11, u21, u12, u22, dxdy, coeffs):
     return v / dxdy
 
 
-class _ShiftCache:
-    """Memoized BC-aware whole-grid shifts of one field."""
-
-    def __init__(self, field: GridField):
-        self.field = field
-        self._cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def __call__(self, dj: int, di: int) -> np.ndarray:
-        key = (dj, di)
-        if key not in self._cache:
-            self._cache[key] = self.field.shifted(dj, di)
-        return self._cache[key]
-
-
-def _quadrant_diffs(shift: _ShiftCache, ax: tuple[int, ...], ay: tuple[int, ...]):
-    """The six order->=2 forward undivided differences along an ordered
-    stencil, as whole-grid arrays."""
-    f = {(a, b): shift(a, b) for a in ax for b in ay}
-
-    def d2x(b):
-        return f[(ax[2], b)] - 2.0 * f[(ax[1], b)] + f[(ax[0], b)]
-
-    def d2y(a):
-        return f[(a, ay[2])] - 2.0 * f[(a, ay[1])] + f[(a, ay[0])]
-
-    u20 = d2x(ay[0])
-    u02 = d2y(ax[0])
-    u11 = (f[(ax[1], ay[1])] - f[(ax[0], ay[1])]
-           - f[(ax[1], ay[0])] + f[(ax[0], ay[0])])
-    u21 = d2x(ay[1]) - d2x(ay[0])
-    u12 = d2y(ax[1]) - d2y(ax[0])
-    u22 = d2x(ay[2]) - 2.0 * d2x(ay[1]) + d2x(ay[0])
-    return u20, u02, u11, u21, u12, u22
-
-
 def quadrant_beta_fields(field: GridField, formula: Formula2D = Formula2D.FULL,
                          ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """(beta0, beta1) arrays for each quadrant, for every node at once."""
+    """(beta0, beta1) arrays for each quadrant, for every node at once.
+
+    The arrays are read-only views: each beta1 shares storage with the
+    opposite quadrant's beta0.
+    """
     if field.ndim != 2:
         raise ValueError("quadrant smoothness coefficients need a 2D field")
     coeffs = FULL_COEFFS if formula is Formula2D.FULL else PARTIAL_COEFFS
     dxdy = field.grid.dx * field.grid.dy
-    shift = _ShiftCache(field)
-    out = {}
-    for key, (z1, z2) in QUADRANTS.items():
-        betas = []
-        for k in (0, 1):
-            ax, ay = _stencil_offsets(z1, z2, k)
-            betas.append(_beta_from_diffs(*_quadrant_diffs(shift, ax, ay),
-                                          dxdy, coeffs))
-        out[key] = (betas[0], betas[1])
-    return out
+    ny, nx = field.values.shape
+    # Inner betas live on the grid extended by one node per side (nodes
+    # -1..n per axis), whose stencils reach two nodes past the grid.  Node
+    # e of the extended grid is node e + 1 of the padded array, so offset
+    # a of every extended node is the slice starting at 1 + a.
+    u = pad_ghosts(field.values, field.bc, 2)
 
+    def at(a, b):
+        return u[1 + b:ny + 3 + b, 1 + a:nx + 3 + a]
 
-def _beta_quadrant(field: GridField, i: int, j: int, zeta: str,
-                   formula: Formula2D) -> tuple[float, float]:
-    coeffs = FULL_COEFFS if formula is Formula2D.FULL else PARTIAL_COEFFS
-    z1, z2 = QUADRANTS[zeta]
-    dxdy = field.grid.dx * field.grid.dy
-    betas = []
-    for k in (0, 1):
-        ax, ay = _stencil_offsets(z1, z2, k)
-        f = {(a, b): ghost_value(field, j + a, i + b) for a in ax for b in ay}
-
-        def d2x(b):
-            return f[(ax[2], b)] - 2.0 * f[(ax[1], b)] + f[(ax[0], b)]
-
-        def d2y(a):
-            return f[(a, ay[2])] - 2.0 * f[(a, ay[1])] + f[(a, ay[0])]
-
-        u20, u02 = d2x(ay[0]), d2y(ax[0])
-        u11 = f[(ax[1], ay[1])] - f[(ax[0], ay[1])] - f[(ax[1], ay[0])] + f[(ax[0], ay[0])]
-        u21 = d2x(ay[1]) - d2x(ay[0])
-        u12 = d2y(ax[1]) - d2y(ax[0])
-        u22 = d2x(ay[2]) - 2.0 * d2x(ay[1]) + d2x(ay[0])
-        betas.append(float(_beta_from_diffs(u20, u02, u11, u21, u12, u22,
-                                            dxdy, coeffs)))
-    return betas[0], betas[1]
-
-
-def beta_quadrant_full(field: GridField, i: int, j: int, zeta: str) -> tuple[float, float]:
-    """(beta0, beta1) at node (i, j) for quadrant ``zeta``, full formula."""
-    return _beta_quadrant(field, i, j, zeta, Formula2D.FULL)
-
-
-def beta_quadrant_partial(field: GridField, i: int, j: int, zeta: str) -> tuple[float, float]:
-    """Same with the total-order-2 restriction of the derivative sum."""
-    return _beta_quadrant(field, i, j, zeta, Formula2D.PARTIAL)
+    # Second differences along a stencil listed (z, 0, -z): the listing
+    # fixes the rounding, so each sign has its own array.  d2x keeps every
+    # padded row and d2y every padded column, for the offsets read below.
+    d2x = {z: u[:, 1 - z:nx + 3 - z] - 2.0 * u[:, 1:nx + 3] + u[:, 1 + z:nx + 3 + z]
+           for z in (-1, 1)}
+    d2y = {z: u[1 - z:ny + 3 - z, :] - 2.0 * u[1:ny + 3, :] + u[1 + z:ny + 3 + z, :]
+           for z in (-1, 1)}
+    inner = {}
+    for z1, z2 in QUADRANTS.values():
+        # Inner stencil listed (z1, 0, -z1) in x and (z2, 0, -z2) in y.
+        dxx = [d2x[z1][1 + b:ny + 3 + b] for b in (z2, 0, -z2)]
+        dyy = [d2y[z2][:, 1 + a:nx + 3 + a] for a in (z1, 0)]
+        u11 = at(0, 0) - at(z1, 0) - at(0, z2) + at(z1, z2)
+        beta = _beta_from_diffs(dxx[0], dyy[0], u11, dxx[1] - dxx[0],
+                                dyy[1] - dyy[0], dxx[2] - 2.0 * dxx[1] + dxx[0],
+                                dxdy, coeffs)
+        beta.flags.writeable = False
+        inner[z1, z2] = beta
+    # The outer stencil of (z1, z2) at node n, listed (0, z1, 2*z1), is the
+    # inner stencil of (-z1, -z2) at node n + (z1, z2), listed the same way.
+    return {key: (inner[z1, z2][1:ny + 1, 1:nx + 1],
+                  inner[-z1, -z2][1 + z2:ny + 1 + z2, 1 + z1:nx + 1 + z1])
+            for key, (z1, z2) in QUADRANTS.items()}
 
 
 def quadrant_betas(field: GridField, i: int, j: int,
                    formula: Formula2D = Formula2D.FULL) -> QuadrantBetas:
-    return QuadrantBetas(*(_beta_quadrant(field, i, j, z, formula)
-                           for z in ("--", "+-", "-+", "++")))
+    """Per-quadrant (beta0, beta1) at node (i, j) = (y index, x index)."""
+    ny, nx = field.values.shape
+    if not (0 <= i < ny and 0 <= j < nx):
+        raise IndexError(f"node ({i}, {j}) outside the {ny}x{nx} grid")
+    fields = quadrant_beta_fields(field, formula)
+    pairs = [fields[z] for z in ("--", "+-", "-+", "++")]
+    return QuadrantBetas(*((float(b0[i, j]), float(b1[i, j])) for b0, b1 in pairs))
+
+
+def beta_quadrant_full(field: GridField, i: int, j: int, zeta: str) -> tuple[float, float]:
+    """(beta0, beta1) at node (i, j) for quadrant ``zeta``, full formula."""
+    return quadrant_betas(field, i, j, Formula2D.FULL).pair(zeta)
+
+
+def beta_quadrant_partial(field: GridField, i: int, j: int, zeta: str) -> tuple[float, float]:
+    """Same with the total-order-2 restriction of the derivative sum."""
+    return quadrant_betas(field, i, j, Formula2D.PARTIAL).pair(zeta)
 
 
 def _quadrant_omega(b0, b1, sigma_h, postmap: PostMap):
@@ -241,13 +214,8 @@ def omega_field_2d(field: GridField, cfg: Indicator2DConfig) -> np.ndarray:
 
 
 def omega_2d(field: GridField, i: int, j: int, cfg: Indicator2DConfig) -> float:
-    if cfg.variant is Formula2D.SPLIT:
-        return float(omega_split_field(field, cfg)[i, j])
-    sigma_h = cfg.sigma * field.grid.delta ** 2
-    qb = quadrant_betas(field, i, j, cfg.variant)
-    vals = [_quadrant_omega(np.float64(b0), np.float64(b1), sigma_h, cfg.postmap)
-            for b0, b1 in (qb.mm, qb.pm, qb.mp, qb.pp)]
-    return float(min(vals))
+    """Combined weight at node (i, j) = (y index, x index)."""
+    return float(omega_field_2d(field, cfg)[i, j])
 
 
 def _axis_omega(field: GridField, axis: str, sigma_h: float,
@@ -292,15 +260,17 @@ def phi_2d(omega: np.ndarray, field: GridField, cfg: Indicator2DConfig,
     (conservative: the blend falls back to the monotone scheme) and the node
     is reported in the untrusted mask.
     """
-    phi = (np.asarray(omega) >= cfg.M).astype(np.int8)
+    trusted = np.asarray(omega) >= cfg.M
+    phi = trusted.astype(np.int8)
     if not cfg.crossing_fix:
         return phi, np.zeros_like(phi, dtype=bool)
-    pf = field.like(phi.astype(np.float64))
-    ring = [pf.shifted(dj, di) > 0.5 for dj, di in _RING]
+    ny, nx = trusted.shape
+    t = pad_ghosts(trusted, field.bc, 1)
+    ring = [t[1 + di:ny + 1 + di, 1 + dj:nx + 1 + dj] for dj, di in _RING]
     consec = np.zeros(phi.shape, dtype=bool)
     for k in range(len(ring)):
         consec |= ring[k] & ring[(k + 1) % len(ring)]
-    untrusted = (phi == 0) & ~consec
+    untrusted = ~trusted & ~consec
     return phi, untrusted
 
 

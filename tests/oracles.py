@@ -6,6 +6,11 @@ Gauss quadrature of the defining integral, divided differences via the
 textbook recursion, and the switching scale via a scalar node-by-node
 transcription.  None of them import the vectorized production kernels they
 are checking.
+
+The take-based quadrant kernel and trust-mask ring below are the earlier
+production forms, kept as bitwise references: they evaluate all eight
+betas per node from whole-grid ``GridField.shifted`` copies, with the same
+floating-point operations in the same order.
 """
 from __future__ import annotations
 
@@ -150,3 +155,75 @@ def recursive_divided_2d(xs, ys, block):
     then recursion in y of the results."""
     row = [divided_difference(xs, block[:, m]) for m in range(len(ys))]
     return divided_difference(ys, np.array(row))
+
+
+# Closed-form coefficients (c21, c22), FULL and PARTIAL.
+_BETA_COEFFS = {True: (17.0 / 12.0, 857.0 / 720.0),
+                False: (5.0 / 12.0, 17.0 / 720.0)}
+
+
+def _beta_from_diffs(u20, u02, u11, u21, u12, u22, dxdy, coeffs):
+    c21, c22 = coeffs
+    v = (u20 ** 2 + u02 ** 2 + u11 ** 2
+         + c21 * (u21 ** 2 + u12 ** 2) + c22 * u22 ** 2
+         + u20 * u21 + u02 * u12
+         - (u20 + u02) * u22 / 6.0
+         - (u21 + u12) * u22 / 12.0)
+    return v / dxdy
+
+
+def take_quadrant_beta_fields(field: GridField, full: bool = True,
+                              ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """(beta0, beta1) arrays per quadrant: both stencils of every quadrant
+    evaluated on the grid itself, from memoized ``shifted`` copies."""
+    coeffs = _BETA_COEFFS[full]
+    dxdy = field.grid.dx * field.grid.dy
+    cache: dict[tuple[int, int], np.ndarray] = {}
+
+    def shift(dj, di):
+        if (dj, di) not in cache:
+            cache[dj, di] = field.shifted(dj, di)
+        return cache[dj, di]
+
+    out = {}
+    for key, (z1, z2) in QUADRANT_SIGNS.items():
+        betas = []
+        for k in (0, 1):
+            ax, ay = _stencil_offsets(z1, z2, k)
+            f = {(a, b): shift(a, b) for a in ax for b in ay}
+
+            def d2x(b):
+                return f[(ax[2], b)] - 2.0 * f[(ax[1], b)] + f[(ax[0], b)]
+
+            def d2y(a):
+                return f[(a, ay[2])] - 2.0 * f[(a, ay[1])] + f[(a, ay[0])]
+
+            u20 = d2x(ay[0])
+            u02 = d2y(ax[0])
+            u11 = (f[(ax[1], ay[1])] - f[(ax[0], ay[1])]
+                   - f[(ax[1], ay[0])] + f[(ax[0], ay[0])])
+            u21 = d2x(ay[1]) - d2x(ay[0])
+            u12 = d2y(ax[1]) - d2y(ax[0])
+            u22 = d2x(ay[2]) - 2.0 * d2x(ay[1]) + d2x(ay[0])
+            betas.append(_beta_from_diffs(u20, u02, u11, u21, u12, u22,
+                                          dxdy, coeffs))
+        out[key] = (betas[0], betas[1])
+    return out
+
+
+RING = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
+
+
+def shifted_phi_2d(omega: np.ndarray, field: GridField, M: float,
+                   crossing_fix: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Trust mask and untrusted diagnostic, reading the eight ring
+    neighbors as float ``shifted`` copies of the mask."""
+    phi = (np.asarray(omega) >= M).astype(np.int8)
+    if not crossing_fix:
+        return phi, np.zeros_like(phi, dtype=bool)
+    pf = field.like(phi.astype(np.float64))
+    ring = [pf.shifted(dj, di) > 0.5 for dj, di in RING]
+    consec = np.zeros(phi.shape, dtype=bool)
+    for k in range(len(ring)):
+        consec |= ring[k] & ring[(k + 1) % len(ring)]
+    return phi, (phi == 0) & ~consec

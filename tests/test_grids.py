@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from hjaf.grids import (BoundaryCondition, GHOST_REACH, Grid1D, Grid2D,
-                        GridField, ghost_value, undiv_diff_1d, undiv_diff_2d,
-                        write_field_csv)
+                        GridField, ghost_value, pad_ghosts, undiv_diff_1d,
+                        undiv_diff_2d, write_field_csv)
 
 from oracles import divided_difference, recursive_divided_2d
 
@@ -75,6 +75,20 @@ class TestShifted:
                 for i in range(4):
                     for j in range(5):
                         assert s[i, j] == ghost_value(f, j + dj, i + di)
+
+    def test_padding_matches_ghost_value(self):
+        # widths past the node count wrap more than once
+        rng = np.random.default_rng(1)
+        g = Grid2D(0, 0, 1.0, 1.0, 4, 3)
+        vals = rng.normal(size=(3, 4))
+        for bc in (PER, NEU):
+            f = GridField(g, vals, bc)
+            for w in (0, 1, 2, GHOST_REACH):
+                p = pad_ghosts(vals, bc, w)
+                assert p.shape == (3 + 2 * w, 4 + 2 * w)
+                for i in range(-w, 3 + w):
+                    for j in range(-w, 4 + w):
+                        assert p[i + w, j + w] == ghost_value(f, j, i)
 
     def test_reach_limit(self):
         f = field_1d(np.zeros(12), PER)

@@ -157,6 +157,8 @@ class TestRunConvergence:
         assert len(rep.rows) == 2
         assert rep.rows[1].ord_linf is not None
         assert 0.5 <= rep.rows[1].ord_linf <= 1.5  # first-order scheme
+        # each row carries its own level's measured evolve time
+        assert all(row.cpu_seconds > 0 for row in rep.rows)
 
 
 class TestRunIndicators:

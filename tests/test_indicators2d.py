@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+import hjaf.indicators2d as indicators2d
 from hjaf.grids import BoundaryCondition, Grid2D, GridField
 from hjaf.indicators2d import (Formula2D, Indicator2DConfig, PostMap,
                                beta_quadrant_full, beta_quadrant_partial,
@@ -9,7 +14,7 @@ from hjaf.indicators2d import (Formula2D, Indicator2DConfig, PostMap,
                                quadrant_beta_fields, smooth_phi, smoothness_2d)
 from hjaf.problems import make_test
 
-from oracles import beta_quadrature
+from oracles import beta_quadrature, shifted_phi_2d, take_quadrant_beta_fields
 
 PER = BoundaryCondition.PERIODIC
 NEU = BoundaryCondition.NEUMANN_ZERO
@@ -81,16 +86,16 @@ class TestQuadrantBetas:
                 assert part[0] <= full[0] + 1e-12
                 assert part[1] <= full[1] + 1e-12
 
-    def test_field_evaluation_matches_pointwise(self):
+    def test_field_evaluation_matches_quadrature_through_ghosts(self):
+        # corner nodes read wrapped ghosts on both axes
         rng = np.random.default_rng(10)
         f = patch_field(rng.normal(size=(7, 8)), bc=PER)
         fields = quadrant_beta_fields(f, Formula2D.FULL)
         for z in ZETAS:
-            b0, b1 = fields[z]
             for i, j in ((0, 0), (3, 4), (6, 7)):
-                p0, p1 = beta_quadrant_full(f, i, j, z)
-                assert b0[i, j] == pytest.approx(p0, rel=1e-14)
-                assert b1[i, j] == pytest.approx(p1, rel=1e-14)
+                for k in (0, 1):
+                    assert fields[z][k][i, j] == pytest.approx(
+                        beta_quadrature(f, i, j, z, k), rel=1e-11)
 
     def test_reflection_symmetry(self):
         # mirroring the data in x swaps the quadrant pairs across the x sign
@@ -124,6 +129,63 @@ class TestQuadrantBetas:
         f = patch_field(rng.normal(size=(5, 5)))
         qb = quadrant_betas(f, 2, 2, Formula2D.FULL)
         assert qb.pair("+-") == beta_quadrant_full(f, 2, 2, "+-")
+
+
+@st.composite
+def small_fields(draw):
+    """Random fields from 3x3 to 12x12 with unequal spacings: raw random
+    values, or a smooth or kinked surface plus 1e-6 times those values."""
+    ny, nx = draw(st.integers(3, 12)), draw(st.integers(3, 12))
+    dx, dy = (draw(st.floats(0.01, 2.0)) for _ in range(2))
+    bc = draw(st.sampled_from([PER, NEU]))
+    kind = draw(st.sampled_from(["raw", "smooth", "kink"]))
+    noise = draw(arrays(np.float64, (ny, nx),
+                        elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+    g = Grid2D(-0.5 * nx * dx, -0.5 * ny * dy, dx, dy, nx, ny)
+    X, Y = g.meshes()
+    if kind == "smooth":
+        values = np.sin(X) * np.cos(2 * Y) + 1e-6 * noise
+    elif kind == "kink":
+        values = np.abs(X) + np.abs(Y - 0.1 * dy) + 1e-6 * noise
+    else:
+        values = noise
+    return GridField(g, values, bc)
+
+
+def _take_kernel(field, formula):
+    return take_quadrant_beta_fields(field, formula is Formula2D.FULL)
+
+
+class TestBitwiseAgainstTakeKernel:
+    """The padded 4-evaluation kernel against the take-based 8-evaluation
+    one it replaced: equal arrays, not merely close ones."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_fields(), st.sampled_from([Formula2D.FULL, Formula2D.PARTIAL]))
+    def test_quadrant_betas(self, f, formula):
+        got = quadrant_beta_fields(f, formula)
+        want = _take_kernel(f, formula)
+        assert got.keys() == want.keys()
+        for z in ZETAS:
+            for k in (0, 1):
+                assert np.array_equal(got[z][k], want[z][k])
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_fields(), st.sampled_from([Formula2D.FULL, Formula2D.PARTIAL]),
+           st.sampled_from(list(PostMap)), st.floats(0.01, 0.49),
+           st.booleans())
+    def test_omega_and_phi(self, f, formula, postmap, M, crossing_fix):
+        cfg = Indicator2DConfig(M=M, variant=formula, postmap=postmap,
+                                crossing_fix=crossing_fix)
+        omega = omega_field_2d(f, cfg)
+        with mock.patch.object(indicators2d, "quadrant_beta_fields", _take_kernel):
+            want = omega_field_2d(f, cfg)
+        assert np.array_equal(omega, want)
+        phi, untrusted = phi_2d(omega, f, cfg)
+        ref_phi, ref_untrusted = shifted_phi_2d(omega, f, M, crossing_fix)
+        assert phi.dtype == ref_phi.dtype
+        assert np.array_equal(phi, ref_phi)
+        assert np.array_equal(untrusted, ref_untrusted)
 
 
 class TestOmega2D:
