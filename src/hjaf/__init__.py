@@ -16,14 +16,13 @@ from .indicators1d import (Indicator1DConfig, Smoothness1D, Variant1D,
 from .indicators2d import (Formula2D, Indicator2DConfig, PostMap,
                            QuadrantBetas, Smoothness2D, beta_quadrant_full,
                            beta_quadrant_partial, omega_2d, omega_field_2d,
-                           omega_split, omega_split_field, phi_2d, smooth_phi,
-                           quadrant_betas, quadrant_beta_fields, smoothness_2d)
+                           omega_split, omega_split_field, phi_2d, quadrant_betas, quadrant_beta_fields, smoothness_2d)
 from .monotone import (CflReport, CflViolation, MonotoneKind, MonotoneScheme,
                        cfl_check, h_eikonal, h_llf, monotone_step)
 from .highorder import (SCHEME_ORDERS, hc_step, high_order_step, lw2_step,
                         lw_step, richtmyer_step, rkc4_step)
-from .filtering import (Diagnostics, EpsVariant, EvolutionError, FilterState,
-                        SolverConfig, af_evolve, af_step, epsilon_n, filter_F)
+from .filtering import (Diagnostics, EvolutionError, SolverConfig, af_evolve,
+                        af_step, epsilon_n, filter_F)
 from .problems import (ALL_TEST_IDS, IndicatorCase, ProblemSpec, disc_min,
                        hopf_lax_min_1d, level_set_error, make_test)
 from .reporting import (RunReport, RunRow, error_norms, observed_order,

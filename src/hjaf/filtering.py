@@ -19,36 +19,20 @@ at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from enum import Enum
 
 import numpy as np
 
 from .grids import GridField
 from .hamiltonians import Hamiltonian
-from .highorder import (centered_slopes, cross_diff, high_order_step,
-                        second_diffs, _staggered_secants)
+from .highorder import centered_slopes, cross_diff, high_order_step, second_diffs
 from .indicators2d import Indicator2DConfig, smoothness_2d
 from .monotone import (CflViolation, MonotoneScheme, cfl_check,
                        monotone_hamiltonian, monotone_step, one_sided_slopes)
 
 
-class EpsVariant(Enum):
-    DERIVATIVE = "derivative"     # needs H_p, H_q (and H_x, H_y if present)
-    HAMILTONIAN = "hamiltonian"   # secant form, H independent of (x, y)
-
-
-@dataclass(frozen=True)
-class FilterState:
-    epsilon_n: float
-    region_mask: np.ndarray
-    K: float = 1.0
-    eps_floor: float = 1e-14
-
-    def __post_init__(self) -> None:
-        if self.epsilon_n < 0:
-            raise ValueError("switching scale must be nonnegative")
-        if not self.K > 0.5:
-            raise ValueError(f"safety factor K must exceed 1/2, got {self.K}")
+# Switching scales at or below this count as zero: the step keeps the
+# monotone update rather than divide by eps*dt in the filter argument.
+EPS_FLOOR = 1e-14
 
 
 def filter_F(rho):
@@ -79,63 +63,48 @@ def _htilde_differences(field: GridField, scheme: MonotoneScheme,
 
 
 def epsilon_field(field: GridField, H: Hamiltonian, scheme: MonotoneScheme,
-                  dt: float, K: float, variant: EpsVariant = EpsVariant.DERIVATIVE,
-                  corrected: bool = False) -> np.ndarray:
+                  dt: float, K: float) -> np.ndarray:
     """Switching-scale integrand K * |...| at every node (before the
     region maximum)."""
     x, y = field.grid.meshes()
     dp_term, dq_term = _htilde_differences(field, scheme, H)
     dxu, dyu = centered_slopes(field)
-    if variant is EpsVariant.DERIVATIVE:
-        d2x, d2y = second_diffs(field)
-        dxy = cross_diff(field)
-        hp = H.dp(x, y, dxu, dyu)
-        hq = H.dq(x, y, dxu, dyu)
-        hx = H.dx_(x, y, dxu, dyu)
-        hy = H.dy_(x, y, dxu, dyu)
-        bracket = (hp * (hx + hp * d2x) + hq * (hy + hq * d2y)
-                   + 2.0 * hp * hq * dxy)
-        core = 0.5 * dt * bracket
-    else:
-        if H.space_dependent:
-            raise ValueError("secant switching scale requires H independent of (x, y)")
-        lam_x = dt / field.grid.dx
-        lam_y = dt / field.grid.dy
-        hx_star, hy_star = _staggered_secants(field, H, corrected)
-        core = (H.eval(x, y, dxu, dyu)
-                - H.eval(x, y, dxu - 0.5 * lam_x * hx_star,
-                         dyu - 0.5 * lam_y * hy_star))
-    return K * np.abs(core + dp_term + dq_term)
+    d2x, d2y = second_diffs(field)
+    dxy = cross_diff(field)
+    hp = H.dp(x, y, dxu, dyu)
+    hq = H.dq(x, y, dxu, dyu)
+    hx = H.dx_(x, y, dxu, dyu)
+    hy = H.dy_(x, y, dxu, dyu)
+    bracket = (hp * (hx + hp * d2x) + hq * (hy + hq * d2y)
+               + 2.0 * hp * hq * dxy)
+    return K * np.abs(0.5 * dt * bracket + dp_term + dq_term)
 
 
 def epsilon_n(field: GridField, H: Hamiltonian, scheme: MonotoneScheme,
-              dt: float, mask: np.ndarray, K: float = 1.0,
-              variant: EpsVariant = EpsVariant.DERIVATIVE,
-              corrected: bool = False) -> float:
+              dt: float, mask: np.ndarray, K: float = 1.0) -> float:
     """Maximum of the switching-scale integrand over the trusted region;
     0 when the region is empty."""
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         return 0.0
-    vals = epsilon_field(field, H, scheme, dt, K, variant, corrected)
+    vals = epsilon_field(field, H, scheme, dt, K)
     return float(vals[mask].max())
 
 
 def af_step(field: GridField, scheme: MonotoneScheme, highorder, H: Hamiltonian,
-            dt: float, phi_mask: np.ndarray, eps: float,
-            eps_floor: float = 1e-14) -> GridField:
+            dt: float, phi_mask: np.ndarray, eps: float) -> GridField:
     """One blended step.
 
     Implemented as a selection: with the hard-cutoff filter the blend
     formula reduces node-wise to 'high-order where trusted and within
     eps*dt of the monotone value, monotone everywhere else', and the
     selection keeps the chosen branch bit-exact.  When eps is at or below
-    the floor the two schemes agree on the trusted data anyway, so the
+    ``EPS_FLOOR`` the two schemes agree on the trusted data anyway, so the
     step falls back to the monotone update (avoids 0/0 in the filter
     argument).
     """
     u_m = monotone_step(field, scheme, H, dt)
-    if eps <= eps_floor:
+    if eps <= EPS_FLOOR:
         return u_m
     u_a = highorder(field, H, dt)
     trusted = np.asarray(phi_mask, dtype=bool)
@@ -161,9 +130,7 @@ class SolverConfig:
     mode: str = "af"
     indicator: Indicator2DConfig = dc_field(default_factory=Indicator2DConfig)
     K: float = 1.0
-    eps_variant: EpsVariant = EpsVariant.DERIVATIVE
     eps_fixed: float | None = None
-    eps_floor: float = 1e-14
     lw2_corrected: bool = False
 
     def __post_init__(self) -> None:
@@ -224,15 +191,12 @@ def af_evolve(initial: GridField, config: SolverConfig, T: float,
             eps, phi = 0.0, ones
         elif config.mode == "fixed":
             eps, phi = config.eps_fixed, ones
-            u_next = af_step(u, config.monotone, step_fn, H, dt, phi == 1,
-                             eps, config.eps_floor)
+            u_next = af_step(u, config.monotone, step_fn, H, dt, phi == 1, eps)
         else:
             sm = smoothness_2d(u, config.indicator)
             phi = sm.phi
-            eps = epsilon_n(u, H, config.monotone, dt, phi == 1, config.K,
-                            config.eps_variant, config.lw2_corrected)
-            u_next = af_step(u, config.monotone, step_fn, H, dt, phi == 1,
-                             eps, config.eps_floor)
+            eps = epsilon_n(u, H, config.monotone, dt, phi == 1, config.K)
+            u_next = af_step(u, config.monotone, step_fn, H, dt, phi == 1, eps)
         if not np.all(np.isfinite(u_next.values)):
             raise EvolutionError(f"non-finite values at step {step} (t = {step * dt:.6g})")
         u = u_next

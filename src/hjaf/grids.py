@@ -1,13 +1,14 @@
 """Uniform grids and gridded scalar fields with boundary-aware indexing.
 
 Everything downstream (smoothness indicators, monotone and high-order
-schemes) reads neighbor values through the shift/ghost machinery defined
-here, so boundary handling lives in exactly one place.  One rule, periodic
-wrap or clamp-to-edge, maps an out-of-range index back into the grid.  It
-is applied three ways: :func:`ghost_value` maps one scalar index,
-:meth:`GridField.shifted` maps whole index arrays, and :func:`pad_ghosts`
-materializes a ghost layer around an array for kernels that read many
-offsets of it as slices.  Fields themselves never store ghost nodes.
+schemes) reads neighbor values through the ghost machinery defined here,
+so boundary handling lives in exactly one place.  One rule, periodic wrap
+or clamp-to-edge, maps an out-of-range index back into the grid.  It is
+applied in two places: :func:`ghost_value` maps one scalar index (the
+reference the tests check against), and :func:`pad_ghosts` materializes a
+ghost layer around an array.  Whole-grid stencils read offsets of one
+padded copy as views through :meth:`GridField.neighbors`.  Fields
+themselves never store ghost nodes.
 """
 from __future__ import annotations
 
@@ -19,9 +20,10 @@ from typing import TextIO, Union
 
 import numpy as np
 
-# Maximum supported ghost reach per side.  The widest consumer is the
-# fourth-order Runge-Kutta scheme: four composed applications of a
-# radius-2 stencil.  Narrower stencils simply use less.
+# Largest offset per side that ghost_value and GridField.shifted accept.
+# The widest stencil reaches 2 nodes (fourth-order slopes, quadrant
+# betas).  No stencil composes across Runge-Kutta stages: each stage pads
+# its own input again.
 GHOST_REACH = 8
 
 
@@ -119,8 +121,8 @@ def _mapped_index(j: int, n: int, bc: BoundaryCondition) -> int:
 def pad_ghosts(values: np.ndarray, bc: BoundaryCondition, width: int) -> np.ndarray:
     """Copy of ``values`` with ``width`` ghost nodes on every side, filled by
     the boundary rule: ``pad_ghosts(u, bc, w)[i + w, j + w]`` is the value
-    :meth:`GridField.shifted` and :func:`ghost_value` read at (i, j) for
-    every index within ``w`` of the grid."""
+    :func:`ghost_value` reads at (i, j) for every index within ``w`` of
+    the grid."""
     mode = "wrap" if bc is BoundaryCondition.PERIODIC else "edge"
     return np.pad(values, width, mode=mode)
 
@@ -151,24 +153,32 @@ class GridField:
         steppers validate once per step instead of once per stage."""
         return GridField(self.grid, values, self.bc, validate=False)
 
+    def neighbors(self, width: int):
+        """Pad the field once by ``width`` ghost nodes and return
+        ``at(dj, di)``: the whole-grid array of ``u[i + di, j + dj]`` with
+        the boundary rule applied, as a read-only view into that copy, for
+        ``|dj|, |di| <= width``."""
+        padded = pad_ghosts(self.values, self.bc, width)
+        padded.flags.writeable = False
+        shape = self.values.shape
+
+        def at(dj: int = 0, di: int = 0) -> np.ndarray:
+            if abs(dj) > width or abs(di) > width:
+                raise IndexError(f"shift ({dj}, {di}) exceeds padding {width}")
+            if len(shape) == 1:
+                if di != 0:
+                    raise ValueError("di shift on a 1D field")
+                return padded[width + dj:width + dj + shape[0]]
+            return padded[width + di:width + di + shape[0],
+                          width + dj:width + dj + shape[1]]
+        return at
+
     def shifted(self, dj: int = 0, di: int = 0) -> np.ndarray:
         """Whole-grid array of ``u[i + di, j + dj]`` with the boundary rule
         applied, i.e. the vectorized form of :func:`ghost_value`."""
         if abs(dj) > GHOST_REACH or abs(di) > GHOST_REACH:
             raise IndexError(f"shift ({dj}, {di}) exceeds ghost reach {GHOST_REACH}")
-        mode = "wrap" if self.bc is BoundaryCondition.PERIODIC else "clip"
-        out = self.values
-        if self.ndim == 1:
-            if di != 0:
-                raise ValueError("di shift on a 1D field")
-            if dj != 0:
-                out = np.take(out, np.arange(self.grid.n) + dj, mode=mode)
-            return out
-        if di != 0:
-            out = np.take(out, np.arange(self.grid.ny) + di, axis=0, mode=mode)
-        if dj != 0:
-            out = np.take(out, np.arange(self.grid.nx) + dj, axis=1, mode=mode)
-        return out
+        return self.neighbors(max(abs(dj), abs(di)))(dj, di)
 
 
 def ghost_value(field: GridField, j: int, i: int | None = None) -> float:

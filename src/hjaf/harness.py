@@ -138,8 +138,7 @@ def _write_convergence_outputs(cfg: CliConfig, problem: ProblemSpec,
         report.write_csv(f)
     with open(out / "field_final.csv", "w") as f:
         write_field_csv(final, f)
-    ind = Indicator2DConfig(sigma=cfg.sigma, M=cfg.M,
-                            variant=_FORMULAS[cfg.indicator])
+    ind = solver_config(cfg, problem, cfg.refinements - 1).indicator
     sm = smoothness_2d(final, ind)
     _write_map_csv(out / "omega.csv", final, sm.omega, "omega")
     _write_map_csv(out / "phi.csv", final, sm.phi, "phi")

@@ -29,30 +29,31 @@ SCHEME_ORDERS = {"hc": 2, "lw": 2, "lw2": 2, "richtmyer": 2, "rkc4": 4}
 
 def centered_slopes(field: GridField):
     dx, dy = field.grid.dx, field.grid.dy
-    dxu = (field.shifted(1, 0) - field.shifted(-1, 0)) / (2.0 * dx)
-    dyu = (field.shifted(0, 1) - field.shifted(0, -1)) / (2.0 * dy)
+    at = field.neighbors(1)
+    dxu = (at(1, 0) - at(-1, 0)) / (2.0 * dx)
+    dyu = (at(0, 1) - at(0, -1)) / (2.0 * dy)
     return dxu, dyu
 
 
 def second_diffs(field: GridField):
     dx, dy = field.grid.dx, field.grid.dy
-    d2x = (field.shifted(1, 0) - 2.0 * field.values + field.shifted(-1, 0)) / dx ** 2
-    d2y = (field.shifted(0, 1) - 2.0 * field.values + field.shifted(0, -1)) / dy ** 2
+    at = field.neighbors(1)
+    d2x = (at(1, 0) - 2.0 * field.values + at(-1, 0)) / dx ** 2
+    d2y = (at(0, 1) - 2.0 * field.values + at(0, -1)) / dy ** 2
     return d2x, d2y
 
 
 def cross_diff(field: GridField):
     dx, dy = field.grid.dx, field.grid.dy
-    return (field.shifted(1, 1) - field.shifted(-1, 1)
-            - field.shifted(1, -1) + field.shifted(-1, -1)) / (4.0 * dx * dy)
+    at = field.neighbors(1)
+    return (at(1, 1) - at(-1, 1) - at(1, -1) + at(-1, -1)) / (4.0 * dx * dy)
 
 
 def fourth_order_slopes(field: GridField):
     dx, dy = field.grid.dx, field.grid.dy
-    dxu = (field.shifted(-2, 0) - 8.0 * field.shifted(-1, 0)
-           + 8.0 * field.shifted(1, 0) - field.shifted(2, 0)) / (12.0 * dx)
-    dyu = (field.shifted(0, -2) - 8.0 * field.shifted(0, -1)
-           + 8.0 * field.shifted(0, 1) - field.shifted(0, 2)) / (12.0 * dy)
+    at = field.neighbors(2)
+    dxu = (at(-2, 0) - 8.0 * at(-1, 0) + 8.0 * at(1, 0) - at(2, 0)) / (12.0 * dx)
+    dyu = (at(0, -2) - 8.0 * at(0, -1) + 8.0 * at(0, 1) - at(0, 2)) / (12.0 * dy)
     return dxu, dyu
 
 
@@ -94,28 +95,27 @@ def _staggered_secants(field: GridField, H: Hamiltonian, corrected: bool):
     x, y = field.grid.meshes()
     args = (x, y)
 
-    up = {(dj, di): field.shifted(dj, di)
-          for dj in (-1, 0, 1) for di in (-1, 0, 1)}
+    up = field.neighbors(1)
 
-    p_fwd = (up[(1, 0)] - u) / dx
-    p_bwd = (u - up[(-1, 0)]) / dx
-    q_at_fwd = (up[(1, 1)] - up[(1, -1)] + up[(0, 1)] - up[(0, -1)]) / (4.0 * dy)
+    p_fwd = (up(1, 0) - u) / dx
+    p_bwd = (u - up(-1, 0)) / dx
+    q_at_fwd = (up(1, 1) - up(1, -1) + up(0, 1) - up(0, -1)) / (4.0 * dy)
     if corrected:
-        q_at_bwd = (up[(0, 1)] - up[(0, -1)] + up[(-1, 1)] - up[(-1, -1)]) / (4.0 * dy)
+        q_at_bwd = (up(0, 1) - up(0, -1) + up(-1, 1) - up(-1, -1)) / (4.0 * dy)
     else:
         # legacy pattern: the first staggered pair cancels identically
-        q_at_bwd = (up[(-1, 1)] - up[(-1, -1)]) / (4.0 * dy)
+        q_at_bwd = (up(-1, 1) - up(-1, -1)) / (4.0 * dy)
     hx_star = (H.eval(*args, p_fwd, q_at_fwd)
                - H.eval(*args, p_bwd, q_at_bwd)) / dx
 
-    q_fwd = (up[(0, 1)] - u) / dy
-    p_at_fwd = (up[(1, 1)] - up[(-1, 1)] + up[(1, 0)] - up[(-1, 0)]) / (4.0 * dx)
-    p_at_bwd = (up[(1, 0)] - up[(-1, 0)] + up[(1, -1)] - up[(-1, -1)]) / (4.0 * dx)
+    q_fwd = (up(0, 1) - u) / dy
+    p_at_fwd = (up(1, 1) - up(-1, 1) + up(1, 0) - up(-1, 0)) / (4.0 * dx)
+    p_at_bwd = (up(1, 0) - up(-1, 0) + up(1, -1) - up(-1, -1)) / (4.0 * dx)
     if corrected:
-        q_bwd = (u - up[(0, -1)]) / dy
+        q_bwd = (u - up(0, -1)) / dy
     else:
         # legacy pattern: backward secant carries the opposite sign
-        q_bwd = (up[(0, -1)] - u) / dy
+        q_bwd = (up(0, -1) - u) / dy
     hy_star = (H.eval(*args, p_at_fwd, q_fwd)
                - H.eval(*args, p_at_bwd, q_bwd)) / dy
     return hx_star, hy_star
@@ -155,8 +155,8 @@ def rkc4_step(field: GridField, H: Hamiltonian, dt: float) -> GridField:
     """Classical four-stage RK over fourth-order central slopes.
 
     The time discretization is deliberately not TVD; stability is the
-    filter's job.  Every stage re-applies the boundary rule through ghost
-    indexing.
+    filter's job.  Every stage re-applies the boundary rule by padding its
+    own input.
     """
     x, y = field.grid.meshes()
 

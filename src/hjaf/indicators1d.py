@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .grids import GridField, ghost_value
+from .grids import GridField
 
 
 class Variant1D(Enum):
@@ -71,38 +71,35 @@ def map_g(omega):
 
 def curvature_sq(field: GridField) -> np.ndarray:
     """Array of s_c = ((f_{c+1} - 2 f_c + f_{c-1}) / dx)^2 for every node."""
-    d2 = field.shifted(1) - 2.0 * field.values + field.shifted(-1)
+    at = field.neighbors(1)
+    d2 = at(1) - 2.0 * field.values + at(-1)
     return (d2 / field.grid.dx) ** 2
 
 
-def beta_pm_1d(field: GridField, j: int) -> tuple[float, float, float, float]:
-    """(beta0-, beta1-, beta0+, beta1+) at node j.
+def beta_fields_1d(field: GridField) -> tuple[np.ndarray, ...]:
+    """(beta0-, beta1-, beta0+, beta1+) arrays for every node.
 
     beta-_k is the squared rescaled second difference on the stencil
     centered at node j-1+k; beta+_k the one centered at node j+k, so
     beta+ at j coincides with beta- at j+1 and the center stencil is
-    shared between the two sides.
+    shared between the two sides.  The neighbor stencils are read from
+    the curvature array with the boundary rule applied to it.
     """
-    dx = field.grid.dx
-
-    def s(c: int) -> float:
-        d2 = ghost_value(field, c + 1) - 2.0 * ghost_value(field, c) \
-            + ghost_value(field, c - 1)
-        return (d2 / dx) ** 2
-
-    return s(j - 1), s(j), s(j), s(j + 1)
-
-
-def _omega_sides(field: GridField, cfg: Indicator1DConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays (omega_minus, omega_plus) for every node, before the min."""
     s = curvature_sq(field)
-    sigma_h = cfg.sigma * field.grid.dx ** 2
-    sf = field.like(s)
-    b0m = sf.shifted(-1)      # stencil centered one node left
-    b1m = s                   # center stencil, shared with the + side
-    b0p = s
-    b1p = sf.shifted(1)
-    return _combine_sides(b0m, b1m, b0p, b1p, sigma_h, cfg.variant)
+    at = field.like(s).neighbors(1)
+    return at(-1), s, s, at(1)
+
+
+def _node(field: GridField, j: int) -> int:
+    if not 0 <= j < field.grid.n:
+        raise IndexError(f"node {j} outside the grid of {field.grid.n} nodes")
+    return j
+
+
+def beta_pm_1d(field: GridField, j: int) -> tuple[float, float, float, float]:
+    """(beta0-, beta1-, beta0+, beta1+) at node j of :func:`beta_fields_1d`."""
+    j = _node(field, j)
+    return tuple(float(b[j]) for b in beta_fields_1d(field))
 
 
 def _combine_sides(b0m, b1m, b0p, b1p, sigma_h, variant):
@@ -130,17 +127,14 @@ def _combine_sides(b0m, b1m, b0p, b1p, sigma_h, variant):
 
 def omega_field_1d(field: GridField, cfg: Indicator1DConfig) -> np.ndarray:
     """Smoothness weight omega at every node (min of the two sides)."""
-    wm, wp = _omega_sides(field, cfg)
+    sigma_h = cfg.sigma * field.grid.dx ** 2
+    wm, wp = _combine_sides(*beta_fields_1d(field), sigma_h, cfg.variant)
     return np.minimum(wm, wp)
 
 
 def omega_1d(field: GridField, j: int, cfg: Indicator1DConfig) -> float:
-    b0m, b1m, b0p, b1p = beta_pm_1d(field, j)
-    sigma_h = cfg.sigma * field.grid.dx ** 2
-    wm, wp = _combine_sides(np.float64(b0m), np.float64(b1m),
-                            np.float64(b0p), np.float64(b1p),
-                            sigma_h, cfg.variant)
-    return float(min(wm, wp))
+    """Smoothness weight at node j of :func:`omega_field_1d`."""
+    return float(omega_field_1d(field, cfg)[_node(field, j)])
 
 
 def phi_1d(omega: np.ndarray, cfg: Indicator1DConfig) -> np.ndarray:

@@ -223,12 +223,10 @@ def _axis_omega(field: GridField, axis: str, sigma_h: float,
     """1D indicator applied along one axis with the other frozen."""
     dj, di = (1, 0) if axis == "x" else (0, 1)
     h = field.grid.dx if axis == "x" else field.grid.dy
-    d2 = (field.shifted(dj, di) - 2.0 * field.values + field.shifted(-dj, -di))
-    s = (d2 / h) ** 2
-    sf = field.like(s)
-    b0m, b1m = sf.shifted(-dj, -di), s
-    b0p, b1p = s, sf.shifted(dj, di)
-    wm, wp = _combine_sides(b0m, b1m, b0p, b1p, sigma_h, variant)
+    at = field.neighbors(1)
+    s = ((at(dj, di) - 2.0 * field.values + at(-dj, -di)) / h) ** 2
+    s_at = field.like(s).neighbors(1)
+    wm, wp = _combine_sides(s_at(-dj, -di), s, s, s_at(dj, di), sigma_h, variant)
     return np.minimum(wm, wp)
 
 
@@ -272,13 +270,6 @@ def phi_2d(omega: np.ndarray, field: GridField, cfg: Indicator2DConfig,
         consec |= ring[k] & ring[(k + 1) % len(ring)]
     untrusted = ~trusted & ~consec
     return phi, untrusted
-
-
-def smooth_phi(omega, M: float):
-    """Smooth alternative mask (exp(-M*w) - 1)/(exp(-M) - 1); rises
-    monotonically from 0 at w=0 to 1 at w=1, steep near 0 for large M."""
-    w = np.asarray(omega, dtype=np.float64)
-    return np.expm1(-M * w) / np.expm1(-M)
 
 
 def smoothness_2d(field: GridField, cfg: Indicator2DConfig) -> Smoothness2D:

@@ -97,10 +97,11 @@ def one_sided_slopes(field: GridField):
     """(Dx-, Dx+, Dy-, Dy+) arrays of one-sided difference quotients."""
     u = field.values
     dx, dy = field.grid.dx, field.grid.dy
-    dxm = (u - field.shifted(-1, 0)) / dx
-    dxp = (field.shifted(1, 0) - u) / dx
-    dym = (u - field.shifted(0, -1)) / dy
-    dyp = (field.shifted(0, 1) - u) / dy
+    at = field.neighbors(1)
+    dxm = (u - at(-1, 0)) / dx
+    dxp = (at(1, 0) - u) / dx
+    dym = (u - at(0, -1)) / dy
+    dyp = (at(0, 1) - u) / dy
     return dxm, dxp, dym, dyp
 
 

@@ -9,15 +9,17 @@ are checking.
 
 The take-based quadrant kernel and trust-mask ring below are the earlier
 production forms, kept as bitwise references: they evaluate all eight
-betas per node from whole-grid ``GridField.shifted`` copies, with the same
-floating-point operations in the same order.
+betas per node from whole-grid ``np.take`` shifted copies, with the same
+floating-point operations in the same order.  The shift applies the
+boundary rule through index arrays, a path of its own next to the
+library's ghost padding.
 """
 from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from hjaf.grids import GridField, ghost_value
+from hjaf.grids import BoundaryCondition, GridField, ghost_value
 
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(3)
 
@@ -172,17 +174,51 @@ def _beta_from_diffs(u20, u02, u11, u21, u12, u22, dxdy, coeffs):
     return v / dxdy
 
 
+def take_shift(field: GridField, dj: int = 0, di: int = 0) -> np.ndarray:
+    """Whole-grid copy of ``u[i + di, j + dj]`` for a 2D field: out-of-range
+    indices wrap (periodic) or clip to the edge (Neumann) in ``np.take``."""
+    mode = "wrap" if field.bc is BoundaryCondition.PERIODIC else "clip"
+    ny, nx = field.values.shape
+    out = field.values
+    if di != 0:
+        out = np.take(out, np.arange(ny) + di, axis=0, mode=mode)
+    if dj != 0:
+        out = np.take(out, np.arange(nx) + dj, axis=1, mode=mode)
+    return out
+
+
+def take_stencils(field: GridField) -> dict[str, tuple[np.ndarray, ...]]:
+    """The whole-grid difference stencils of the monotone and high-order
+    schemes, over ``take_shift`` copies and in the library's operand
+    order."""
+    u = field.values
+    dx, dy = field.grid.dx, field.grid.dy
+    s = {(dj, di): take_shift(field, dj, di)
+         for dj in range(-2, 3) for di in range(-2, 3)}
+    return {
+        "one_sided": ((u - s[-1, 0]) / dx, (s[1, 0] - u) / dx,
+                      (u - s[0, -1]) / dy, (s[0, 1] - u) / dy),
+        "centered": ((s[1, 0] - s[-1, 0]) / (2.0 * dx),
+                     (s[0, 1] - s[0, -1]) / (2.0 * dy)),
+        "second": ((s[1, 0] - 2.0 * u + s[-1, 0]) / dx ** 2,
+                   (s[0, 1] - 2.0 * u + s[0, -1]) / dy ** 2),
+        "cross": ((s[1, 1] - s[-1, 1] - s[1, -1] + s[-1, -1]) / (4.0 * dx * dy),),
+        "fourth": ((s[-2, 0] - 8.0 * s[-1, 0] + 8.0 * s[1, 0] - s[2, 0]) / (12.0 * dx),
+                   (s[0, -2] - 8.0 * s[0, -1] + 8.0 * s[0, 1] - s[0, 2]) / (12.0 * dy)),
+    }
+
+
 def take_quadrant_beta_fields(field: GridField, full: bool = True,
                               ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """(beta0, beta1) arrays per quadrant: both stencils of every quadrant
-    evaluated on the grid itself, from memoized ``shifted`` copies."""
+    evaluated on the grid itself, from memoized ``take_shift`` copies."""
     coeffs = _BETA_COEFFS[full]
     dxdy = field.grid.dx * field.grid.dy
     cache: dict[tuple[int, int], np.ndarray] = {}
 
     def shift(dj, di):
         if (dj, di) not in cache:
-            cache[dj, di] = field.shifted(dj, di)
+            cache[dj, di] = take_shift(field, dj, di)
         return cache[dj, di]
 
     out = {}
@@ -217,12 +253,12 @@ RING = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 def shifted_phi_2d(omega: np.ndarray, field: GridField, M: float,
                    crossing_fix: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Trust mask and untrusted diagnostic, reading the eight ring
-    neighbors as float ``shifted`` copies of the mask."""
+    neighbors as float ``take_shift`` copies of the mask."""
     phi = (np.asarray(omega) >= M).astype(np.int8)
     if not crossing_fix:
         return phi, np.zeros_like(phi, dtype=bool)
     pf = field.like(phi.astype(np.float64))
-    ring = [pf.shifted(dj, di) > 0.5 for dj, di in RING]
+    ring = [take_shift(pf, dj, di) > 0.5 for dj, di in RING]
     consec = np.zeros(phi.shape, dtype=bool)
     for k in range(len(ring)):
         consec |= ring[k] & ring[(k + 1) % len(ring)]

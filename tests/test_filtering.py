@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from hjaf.filtering import (Diagnostics, EpsVariant, EvolutionError,
-                            FilterState, SolverConfig, af_evolve, af_step,
-                            epsilon_n, filter_F)
+from hjaf.filtering import (Diagnostics, EvolutionError, SolverConfig,
+                            af_evolve, af_step, epsilon_n, filter_F)
 from hjaf.grids import BoundaryCondition, Grid2D, GridField
 from hjaf.hamiltonians import transport_hamiltonian
 from hjaf.highorder import hc_step
@@ -35,16 +34,6 @@ class TestFilterFunction:
         out = filter_F(rho)
         assert (np.abs(out) <= 1.0).all()
         assert filter_F(0.0) == 0.0
-
-
-class TestFilterState:
-    def test_validation(self):
-        mask = np.ones((3, 3), dtype=bool)
-        with pytest.raises(ValueError):
-            FilterState(epsilon_n=-1.0, region_mask=mask)
-        with pytest.raises(ValueError):
-            FilterState(epsilon_n=0.0, region_mask=mask, K=0.5)
-        FilterState(epsilon_n=0.0, region_mask=mask, K=0.6)
 
 
 class TestSwitchingScale:
@@ -110,23 +99,6 @@ class TestSwitchingScale:
         a = epsilon_n(GridField(g, u, PER), H, LLF, 0.02, mask)
         b = epsilon_n(GridField(g, u + 9.0, PER), H, LLF, 0.02, mask)
         assert b == pytest.approx(a, rel=1e-10)
-
-    def test_secant_variant_requires_space_independence(self):
-        from hjaf.hamiltonians import rotation_hamiltonian
-        g = Grid2D(0, 0, 0.1, 0.1, 10, 10)
-        f = GridField(g, np.zeros((10, 10)), NEU)
-        with pytest.raises(ValueError):
-            epsilon_n(f, rotation_hamiltonian(2.5), LLF, 0.001,
-                      np.ones((10, 10), dtype=bool),
-                      variant=EpsVariant.HAMILTONIAN)
-
-    def test_secant_variant_zero_on_constants(self):
-        g = Grid2D(0, 0, 0.1, 0.1, 10, 10)
-        f = GridField(g, np.full((10, 10), 1.0), NEU)
-        eps = epsilon_n(f, transport_hamiltonian(), LLF, 0.02,
-                        np.ones((10, 10), dtype=bool),
-                        variant=EpsVariant.HAMILTONIAN)
-        assert eps == 0.0
 
 
 class TestBlendedStep:

@@ -63,18 +63,45 @@ class TestGhostValue:
         assert ghost_value(f, 4) - ghost_value(f, 3) == 0.0
 
 
+def ghost_array(f, dj, di):
+    """``u[i + di, j + dj]`` over the whole grid, one ghost_value per node."""
+    if f.ndim == 1:
+        return np.array([ghost_value(f, j + dj) for j in range(f.grid.n)])
+    ny, nx = f.values.shape
+    return np.array([[ghost_value(f, j + dj, i + di) for j in range(nx)]
+                     for i in range(ny)])
+
+
 class TestShifted:
     def test_matches_ghost_value(self):
+        # widths past the node count read ghosts that wrap more than once
         rng = np.random.default_rng(0)
         g = Grid2D(0, 0, 1.0, 1.0, 5, 4)
         vals = rng.normal(size=(4, 5))
+        line = rng.normal(size=5)
         for bc in (PER, NEU):
+            for f in (field_1d(line, bc), GridField(g, vals, bc)):
+                for w in (0, 1, 2, GHOST_REACH):
+                    at = f.neighbors(w)
+                    for di in (range(-w, w + 1) if f.ndim == 2 else (0,)):
+                        for dj in range(-w, w + 1):
+                            view = at(dj, di)
+                            assert not view.flags.writeable
+                            assert np.array_equal(view, ghost_array(f, dj, di))
+                    with pytest.raises(IndexError):
+                        at(w + 1, 0)
             f = GridField(g, vals, bc)
             for dj, di in ((1, 0), (-2, 1), (0, -2), (2, 2)):
                 s = f.shifted(dj, di)
-                for i in range(4):
-                    for j in range(5):
-                        assert s[i, j] == ghost_value(f, j + dj, i + di)
+                assert not s.flags.writeable
+                assert np.array_equal(s, ghost_array(f, dj, di))
+
+    def test_1d_rejects_di(self):
+        f = field_1d(np.zeros(6), NEU)
+        with pytest.raises(ValueError):
+            f.neighbors(1)(0, 1)
+        with pytest.raises(ValueError):
+            f.shifted(0, 1)
 
     def test_padding_matches_ghost_value(self):
         # widths past the node count wrap more than once

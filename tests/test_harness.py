@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+import hjaf.harness as harness
 from hjaf.cli import main as cli_main
 from hjaf.grids import BoundaryCondition, Grid2D, GridField
 from hjaf.harness import (CliConfig, IndicatorRunConfig, run_convergence,
@@ -121,6 +122,26 @@ class TestRunConvergence:
         eps_lines = (out / "epsilon.csv").read_text().splitlines()
         assert eps_lines[0] == "step,t,epsilon_n,phi_zero_count"
         assert len(eps_lines) == 1 + 20  # one row per step
+
+    def test_final_maps_use_solver_indicator(self, tmp_path, monkeypatch):
+        # the omega/phi dump reuses the indicator config the solver ran with
+        seen = {}
+        evolve, smooth = harness.af_evolve, harness.smoothness_2d
+
+        def spy_evolve(u0, config, *args):
+            seen["solver"] = config.indicator
+            return evolve(u0, config, *args)
+
+        def spy_smooth(field, cfg):
+            seen["maps"] = cfg
+            return smooth(field, cfg)
+
+        monkeypatch.setattr(harness, "af_evolve", spy_evolve)
+        monkeypatch.setattr(harness, "smoothness_2d", spy_smooth)
+        run_convergence(CliConfig(test_id="8", scheme="af-hc", refinements=1,
+                                  indicator="partial", sigma=1.5, M=0.3,
+                                  out_dir=str(tmp_path)))
+        assert seen["maps"] == seen["solver"]
 
     def test_fixed_filter_default_scale(self):
         rep = run_convergence(CliConfig(test_id="5", scheme="f-hc-fixed",

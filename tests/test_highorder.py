@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hjaf.grids import BoundaryCondition, Grid2D, GridField
 from hjaf.hamiltonians import (eikonal_hamiltonian, rotation_hamiltonian,
                                transport_hamiltonian)
-from hjaf.highorder import (SCHEME_ORDERS, fourth_order_slopes, hc_step,
-                            high_order_step, lw2_step, lw_step,
-                            richtmyer_step, rkc4_step, _staggered_secants)
+from hjaf.highorder import (SCHEME_ORDERS, centered_slopes, cross_diff,
+                            fourth_order_slopes, hc_step, high_order_step,
+                            lw2_step, lw_step, richtmyer_step, rkc4_step,
+                            second_diffs, _staggered_secants)
+from hjaf.monotone import one_sided_slopes
+
+from oracles import take_stencils
 
 PER = BoundaryCondition.PERIODIC
 NEU = BoundaryCondition.NEUMANN_ZERO
@@ -24,6 +30,32 @@ def periodic_field(fn, n=32, L=2 * np.pi):
     g = Grid2D(0.0, 0.0, L / n, L / n, n, n)
     X, Y = g.meshes()
     return GridField(g, fn(X, Y), PER)
+
+
+@st.composite
+def random_fields(draw):
+    ny, nx = draw(st.integers(3, 10)), draw(st.integers(3, 10))
+    dx, dy = (draw(st.floats(0.01, 2.0)) for _ in range(2))
+    values = draw(arrays(np.float64, (ny, nx),
+                         elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+    return GridField(Grid2D(0.0, 0.0, dx, dy, nx, ny), values,
+                     draw(st.sampled_from([PER, NEU])))
+
+
+class TestStencilsBitwise:
+    """Stencils reading views of one padded copy against the same formulas
+    over index-array shifted copies: equal arrays, not merely close ones."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_fields())
+    def test_match_take_shifts(self, f):
+        want = take_stencils(f)
+        got = {"one_sided": one_sided_slopes(f), "centered": centered_slopes(f),
+               "second": second_diffs(f), "cross": (cross_diff(f),),
+               "fourth": fourth_order_slopes(f)}
+        for name, arrays_want in want.items():
+            for a, b in zip(got[name], arrays_want, strict=True):
+                assert np.array_equal(a, b), name
 
 
 class TestFixedPoints:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from hjaf.grids import BoundaryCondition, Grid1D, GridField
-from hjaf.indicators1d import (Indicator1DConfig, Variant1D, beta_pm_1d,
-                               flagged_cells_1d, map_g, omega_1d,
+from hjaf.grids import BoundaryCondition, Grid1D, GridField, ghost_value
+from hjaf.indicators1d import (Indicator1DConfig, Variant1D, beta_fields_1d,
+                               beta_pm_1d, flagged_cells_1d, map_g, omega_1d,
                                omega_field_1d, phi_1d, smoothness_1d)
 from hjaf.problems import make_test
+
+from oracles import divided_difference
 
 PER = BoundaryCondition.PERIODIC
 
@@ -42,6 +44,32 @@ class TestBetaPairs:
             right = beta_pm_1d(f, j + 1)
             assert here[2] == right[0]
             assert here[3] == right[1]
+
+
+    def test_fields_match_divided_differences(self):
+        # beta at center c is (2 dx f[x_{c-1}, x_c, x_{c+1}])^2 from ghost
+        # samples; the neighbor stencils' centers follow the boundary rule
+        rng = np.random.default_rng(6)
+        dx, n = 0.3, 14
+        for bc in (PER, BoundaryCondition.NEUMANN_ZERO):
+            f = sampled(lambda x: rng.normal(size=x.shape), 0.0, dx, n, bc)
+            centers = GridField(f.grid, np.arange(n, dtype=float), bc)
+            fields = beta_fields_1d(f)
+            for j in range(n):
+                for beta, k in zip(fields, (-1, 0, 0, 1)):
+                    c = int(ghost_value(centers, j + k))
+                    dd = divided_difference([(c + m) * dx for m in (-1, 0, 1)],
+                                            [ghost_value(f, c + m) for m in (-1, 0, 1)])
+                    assert beta[j] == pytest.approx((2.0 * dx * dd) ** 2,
+                                                    rel=1e-12, abs=1e-12)
+
+    def test_scalar_wrappers_reject_nodes_off_grid(self):
+        f = sampled(np.sin, 0.0, 0.1, 12)
+        for j in (-1, 12):
+            with pytest.raises(IndexError):
+                beta_pm_1d(f, j)
+            with pytest.raises(IndexError):
+                omega_1d(f, j, Indicator1DConfig())
 
 
 class TestMapping:
@@ -113,15 +141,6 @@ class TestOmega:
         w1, w2 = omega_at_kink(0.1), omega_at_kink(0.05)
         assert w1 < 0.2
         assert w1 / w2 >= 12.0  # O(dx^4) collapse
-
-    def test_scalar_matches_field(self):
-        rng = np.random.default_rng(6)
-        f = sampled(lambda x: rng.normal(size=x.shape), 0.0, 0.3, 14)
-        for variant in Variant1D:
-            cfg = Indicator1DConfig(variant=variant)
-            om = omega_field_1d(f, cfg)
-            for j in (0, 5, 13):
-                assert omega_1d(f, j, cfg) == pytest.approx(om[j], rel=1e-14)
 
     def test_omega_in_unit_interval(self):
         rng = np.random.default_rng(7)

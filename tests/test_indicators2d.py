@@ -11,7 +11,7 @@ from hjaf.indicators2d import (Formula2D, Indicator2DConfig, PostMap,
                                beta_quadrant_full, beta_quadrant_partial,
                                omega_2d, omega_field_2d, omega_split,
                                omega_split_field, phi_2d, quadrant_betas,
-                               quadrant_beta_fields, smooth_phi, smoothness_2d)
+                               quadrant_beta_fields, smoothness_2d)
 from hjaf.problems import make_test
 
 from oracles import beta_quadrature, shifted_phi_2d, take_quadrant_beta_fields
@@ -383,21 +383,6 @@ class TestPhi2D:
         assert (sm.phi[plateau] == 1).all()
         # crossing cores exist where the diagonal kinks intersect
         assert sm.untrusted.sum() > 0
-
-
-class TestSmoothPhi:
-    def test_endpoints(self):
-        assert smooth_phi(0.0, 20.0) == 0.0
-        assert smooth_phi(1.0, 20.0) == pytest.approx(1.0)
-
-    def test_midpoint_value(self):
-        assert smooth_phi(0.5, 20.0) == pytest.approx(
-            np.expm1(-10.0) / np.expm1(-20.0), rel=1e-14)
-        assert smooth_phi(0.5, 20.0) == pytest.approx(0.99995, abs=1e-5)
-
-    def test_monotone(self):
-        w = np.linspace(0, 1, 101)
-        assert (np.diff(smooth_phi(w, 15.0)) > 0).all()
 
 
 class TestConfig:
