@@ -11,12 +11,11 @@ from .hamiltonians import (Hamiltonian, eikonal_hamiltonian, make_hamiltonian,
                            rotation_hamiltonian, shifted_quadratic_hamiltonian,
                            transport_hamiltonian)
 from .indicators1d import (Indicator1DConfig, Smoothness1D, Variant1D,
-                           beta_pm_1d, flagged_cells_1d, map_g, omega_1d,
+                           beta_fields_1d, flagged_cells_1d, map_g,
                            omega_field_1d, phi_1d, smoothness_1d)
-from .indicators2d import (Formula2D, Indicator2DConfig, PostMap,
-                           QuadrantBetas, Smoothness2D, beta_quadrant_full,
-                           beta_quadrant_partial, omega_2d, omega_field_2d,
-                           omega_split, omega_split_field, phi_2d, quadrant_betas, quadrant_beta_fields, smoothness_2d)
+from .indicators2d import (Formula2D, Indicator2DConfig, Smoothness2D,
+                           omega_field_2d, omega_split_field, phi_2d,
+                           quadrant_beta_fields, smoothness_2d)
 from .monotone import (CflReport, CflViolation, MonotoneKind, MonotoneScheme,
                        cfl_check, h_eikonal, h_llf, monotone_step)
 from .highorder import (SCHEME_ORDERS, hc_step, high_order_step, lw2_step,

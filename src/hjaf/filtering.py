@@ -24,7 +24,7 @@ import numpy as np
 
 from .grids import GridField
 from .hamiltonians import Hamiltonian
-from .highorder import centered_slopes, cross_diff, high_order_step, second_diffs
+from .highorder import centered_slopes, high_order_step, time_curvature
 from .indicators2d import Indicator2DConfig, smoothness_2d
 from .monotone import (CflViolation, MonotoneScheme, cfl_check,
                        monotone_hamiltonian, monotone_step, one_sided_slopes)
@@ -66,17 +66,8 @@ def epsilon_field(field: GridField, H: Hamiltonian, scheme: MonotoneScheme,
                   dt: float, K: float) -> np.ndarray:
     """Switching-scale integrand K * |...| at every node (before the
     region maximum)."""
-    x, y = field.grid.meshes()
     dp_term, dq_term = _htilde_differences(field, scheme, H)
-    dxu, dyu = centered_slopes(field)
-    d2x, d2y = second_diffs(field)
-    dxy = cross_diff(field)
-    hp = H.dp(x, y, dxu, dyu)
-    hq = H.dq(x, y, dxu, dyu)
-    hx = H.dx_(x, y, dxu, dyu)
-    hy = H.dy_(x, y, dxu, dyu)
-    bracket = (hp * (hx + hp * d2x) + hq * (hy + hq * d2y)
-               + 2.0 * hp * hq * dxy)
+    bracket = time_curvature(field, H, *centered_slopes(field))
     return K * np.abs(0.5 * dt * bracket + dp_term + dq_term)
 
 
@@ -138,6 +129,10 @@ class SolverConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "fixed" and self.eps_fixed is None:
             raise ValueError("fixed mode needs eps_fixed")
+        if self.mode == "fixed" and not (np.isfinite(self.eps_fixed)
+                                         and self.eps_fixed > 0):
+            raise ValueError("fixed switching scale must be finite and "
+                             f"positive, got {self.eps_fixed}")
         if not self.K > 0.5:
             raise ValueError(f"safety factor K must exceed 1/2, got {self.K}")
 

@@ -235,16 +235,18 @@ def undiv_diff_2d(block, t: int, s: int) -> float:
     return undiv_diff_1d(rows, s)
 
 
-def write_field_csv(field: GridField, out: TextIO) -> None:
-    """Plain-text dump, one row per node, row-major, 17 significant digits."""
+def write_field_csv(field: GridField, out: TextIO, column: str = "value") -> None:
+    """Plain-text dump, one row per node, row-major, 17 significant digits;
+    ``column`` names the value column in the header."""
+    # Python floats from tolist() format about twice as fast as numpy
+    # scalars, to the same digits; one row at a time keeps few alive.
     if field.ndim == 1:
-        out.write("x,value\n")
-        for x, v in zip(field.grid.nodes(), field.values):
+        out.write(f"x,{column}\n")
+        for x, v in zip(field.grid.nodes().tolist(), field.values.tolist()):
             out.write(f"{x:.17g},{v:.17g}\n")
         return
-    out.write("x,y,value\n")
-    xs = field.grid.xnodes()
-    ys = field.grid.ynodes()
-    for i, y in enumerate(ys):
-        for j, x in enumerate(xs):
-            out.write(f"{x:.17g},{y:.17g},{field.values[i, j]:.17g}\n")
+    out.write(f"x,y,{column}\n")
+    xs = field.grid.xnodes().tolist()
+    for y, row in zip(field.grid.ynodes().tolist(), field.values):
+        for x, v in zip(xs, row.tolist()):
+            out.write(f"{x:.17g},{y:.17g},{v:.17g}\n")

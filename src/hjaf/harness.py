@@ -18,8 +18,8 @@ import numpy as np
 from .filtering import Diagnostics, SolverConfig, af_evolve
 from .grids import GridField, write_field_csv
 from .highorder import SCHEME_ORDERS
-from .indicators2d import (Formula2D, Indicator2DConfig, PostMap,
-                           omega_field_2d, phi_2d, smoothness_2d)
+from .indicators2d import (Formula2D, Indicator2DConfig, omega_field_2d,
+                           phi_2d, smoothness_2d)
 from .indicators1d import Indicator1DConfig, Variant1D, phi_1d, omega_field_1d
 from .problems import IndicatorCase, ProblemSpec, make_test
 from .reporting import RunReport, error_norms
@@ -58,8 +58,7 @@ class CliConfig:
 
 def solver_config(cfg: CliConfig, problem: ProblemSpec, level: int) -> SolverConfig:
     ind = Indicator2DConfig(sigma=cfg.sigma, M=cfg.M,
-                            variant=_FORMULAS[cfg.indicator],
-                            postmap=PostMap.MAPPED_G)
+                            variant=_FORMULAS[cfg.indicator])
     if cfg.scheme == "monotone":
         mode, name, eps_fixed = "monotone", "hc", None
     elif cfg.scheme in SCHEME_ORDERS:
@@ -152,16 +151,7 @@ def _write_convergence_outputs(cfg: CliConfig, problem: ProblemSpec,
 def _write_map_csv(path: Path, field: GridField, values: np.ndarray,
                    column: str) -> None:
     with open(path, "w") as f:
-        if field.ndim == 1:
-            f.write(f"x,{column}\n")
-            for x, v in zip(field.grid.nodes(), values):
-                f.write(f"{x:.17g},{v:.17g}\n")
-            return
-        f.write(f"x,y,{column}\n")
-        xs, ys = field.grid.xnodes(), field.grid.ynodes()
-        for i, yv in enumerate(ys):
-            for j, xv in enumerate(xs):
-                f.write(f"{xv:.17g},{yv:.17g},{values[i, j]:.17g}\n")
+        write_field_csv(field.like(values), f, column)
 
 
 def _write_meta(f, cfg: CliConfig, **extra) -> None:
@@ -217,8 +207,7 @@ def run_indicators(cfg: IndicatorRunConfig) -> IndicatorRunResult:
         if variant not in _FORMULAS:
             raise ValueError(f"2D variant must be one of {sorted(_FORMULAS)}")
         icfg = Indicator2DConfig(sigma=cfg.sigma if cfg.sigma is not None else 2.0,
-                                 M=cfg.M, variant=_FORMULAS[variant],
-                                 postmap=PostMap.MAPPED_G)
+                                 M=cfg.M, variant=_FORMULAS[variant])
         omega = omega_field_2d(field, icfg)
         phi, _ = phi_2d(omega, field, icfg)
     if cfg.out_dir is not None:

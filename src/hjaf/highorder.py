@@ -70,21 +70,28 @@ def hc_step(field: GridField, H: Hamiltonian, dt: float) -> GridField:
     return field.like(out)
 
 
-def lw_step(field: GridField, H: Hamiltonian, dt: float) -> GridField:
-    """One-shot second-order step: centered hamiltonian corrected by the
-    discrete expansion of the time curvature
-    Hp (Hp uxx + Hx) + Hq (Hq uyy + Hy) + 2 Hp Hq uxy."""
+def time_curvature(field: GridField, H: Hamiltonian, dxu, dyu):
+    """Discrete time curvature Hp (Hp uxx + Hx) + Hq (Hq uyy + Hy)
+    + 2 Hp Hq uxy, with H's derivatives taken at the centered slopes
+    (dxu, dyu) and second and cross differences of the field."""
     x, y = field.grid.meshes()
-    dxu, dyu = centered_slopes(field)
     d2x, d2y = second_diffs(field)
     dxy = cross_diff(field)
     hp = H.dp(x, y, dxu, dyu)
     hq = H.dq(x, y, dxu, dyu)
     hx = H.dx_(x, y, dxu, dyu)
     hy = H.dy_(x, y, dxu, dyu)
+    return (hp * (hp * d2x + hx) + hq * (hq * d2y + hy)
+            + 2.0 * hp * hq * dxy)
+
+
+def lw_step(field: GridField, H: Hamiltonian, dt: float) -> GridField:
+    """One-shot second-order step: centered hamiltonian corrected by the
+    discrete expansion of the time curvature (:func:`time_curvature`)."""
+    x, y = field.grid.meshes()
+    dxu, dyu = centered_slopes(field)
     h = (H.eval(x, y, dxu, dyu)
-         - 0.5 * dt * (hp * (hp * d2x + hx) + hq * (hq * d2y + hy)
-                       + 2.0 * hp * hq * dxy))
+         - 0.5 * dt * time_curvature(field, H, dxu, dyu))
     return field.like(field.values - dt * h)
 
 

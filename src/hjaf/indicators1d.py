@@ -6,11 +6,13 @@ The building block is the squared, once-rescaled second difference
 
 which is O(dx^2) where the data is C^2 with nonzero curvature and O(1)
 across a kink in the first derivative.  Left/right pairs of these feed a
-WENO-style normalized weight ``omega`` that sits near 1/2 on smooth data
-and collapses to O(dx^4) when a kink lies strictly inside the 3-node hull.
-Several accuracy-boosting post-processings of the raw weight are provided:
-a polynomial remapping and two tau-based reweightings (the second of which
-uses the full 5-point stencil).
+WENO-style normalized weight ``omega`` (:func:`weno_weight`, shared with
+the 2D quadrant weights) that sits near 1/2 on smooth data and collapses
+to O(dx^4) when a kink lies strictly inside the 3-node hull.  Every
+quantity is a whole-field array: one beta kernel, :func:`beta_fields_1d`,
+feeds :func:`omega_field_1d`.  Several accuracy-boosting post-processings
+of the raw weight are provided: a polynomial remapping and two tau-based
+reweightings (the second of which uses the full 5-point stencil).
 """
 from __future__ import annotations
 
@@ -90,26 +92,18 @@ def beta_fields_1d(field: GridField) -> tuple[np.ndarray, ...]:
     return at(-1), s, s, at(1)
 
 
-def _node(field: GridField, j: int) -> int:
-    if not 0 <= j < field.grid.n:
-        raise IndexError(f"node {j} outside the grid of {field.grid.n} nodes")
-    return j
-
-
-def beta_pm_1d(field: GridField, j: int) -> tuple[float, float, float, float]:
-    """(beta0-, beta1-, beta0+, beta1+) at node j of :func:`beta_fields_1d`."""
-    j = _node(field, j)
-    return tuple(float(b[j]) for b in beta_fields_1d(field))
+def weno_weight(b, b_other, sigma_h):
+    """Normalized WENO weight a / (a + a_other) of the stencil with
+    smoothness coefficient ``b``, where a = 1 / (b + sigma_h)**2."""
+    a = 1.0 / (b + sigma_h) ** 2
+    a_other = 1.0 / (b_other + sigma_h) ** 2
+    return a / (a + a_other)
 
 
 def _combine_sides(b0m, b1m, b0p, b1p, sigma_h, variant):
     if variant in (Variant1D.RAW, Variant1D.MAPPED_G):
-        a0m = 1.0 / (b0m + sigma_h) ** 2
-        a1m = 1.0 / (b1m + sigma_h) ** 2
-        a0p = 1.0 / (b0p + sigma_h) ** 2
-        a1p = 1.0 / (b1p + sigma_h) ** 2
-        wm = a1m / (a0m + a1m)
-        wp = a0p / (a0p + a1p)
+        wm = weno_weight(b1m, b0m, sigma_h)
+        wp = weno_weight(b0p, b1p, sigma_h)
         if variant is Variant1D.MAPPED_G:
             wm, wp = map_g(wm), map_g(wp)
         return wm, wp
@@ -130,11 +124,6 @@ def omega_field_1d(field: GridField, cfg: Indicator1DConfig) -> np.ndarray:
     sigma_h = cfg.sigma * field.grid.dx ** 2
     wm, wp = _combine_sides(*beta_fields_1d(field), sigma_h, cfg.variant)
     return np.minimum(wm, wp)
-
-
-def omega_1d(field: GridField, j: int, cfg: Indicator1DConfig) -> float:
-    """Smoothness weight at node j of :func:`omega_field_1d`."""
-    return float(omega_field_1d(field, cfg)[_node(field, j)])
 
 
 def phi_1d(omega: np.ndarray, cfg: Indicator1DConfig) -> np.ndarray:

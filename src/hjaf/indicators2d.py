@@ -25,9 +25,13 @@ reads one padded mask the same way.
 
 Two coefficient sets are provided: FULL keeps every derivative with total
 order >= 2 (per-axis order <= 2); PARTIAL keeps only total order exactly 2.
-A dimensional-splitting baseline built from the 1D indicators is included
-for comparison; it is blind to singularities whose axis restrictions look
-smooth (e.g. a non-differentiable point with vanishing axis slopes).
+Each quadrant's pair gives the 1D WENO weight
+(:func:`hjaf.indicators1d.weno_weight`) remapped by g, and the combined
+weight is the minimum over the quadrants, thresholded at M.
+A dimensional-splitting baseline built from the remapped 1D indicator is
+included for comparison; it is blind to singularities whose axis
+restrictions look smooth (e.g. a non-differentiable point with vanishing
+axis slopes).
 """
 from __future__ import annotations
 
@@ -37,7 +41,7 @@ from enum import Enum
 import numpy as np
 
 from .grids import GridField, pad_ghosts
-from .indicators1d import Variant1D, _combine_sides, map_g
+from .indicators1d import Variant1D, _combine_sides, map_g, weno_weight
 
 # Quadrants keyed by the sign of the subcell relative to the node,
 # (z1, z2) = (x side, y side).
@@ -63,23 +67,14 @@ class Formula2D(Enum):
     SPLIT = "split"
 
 
-class PostMap(Enum):
-    NONE = "none"
-    MAPPED_G = "mapped-g"
-    WENO_Z = "weno-z"
-
-
 @dataclass(frozen=True)
 class Indicator2DConfig:
     """sigma scales sigma_h = sigma * delta**2 with delta = max(dx, dy);
-    M thresholds the combined weight; crossing_fix controls the
-    untrusted-node diagnostic where singularity curves intersect."""
+    M thresholds the combined weight."""
 
     sigma: float = 2.0
     M: float = 0.2
     variant: Formula2D = Formula2D.FULL
-    postmap: PostMap = PostMap.MAPPED_G
-    crossing_fix: bool = True
 
     def __post_init__(self) -> None:
         if not self.sigma > 0:
@@ -89,23 +84,10 @@ class Indicator2DConfig:
 
 
 @dataclass(frozen=True)
-class QuadrantBetas:
-    """Per-quadrant (beta0, beta1) pairs at one node."""
-
-    mm: tuple[float, float]
-    pm: tuple[float, float]
-    mp: tuple[float, float]
-    pp: tuple[float, float]
-
-    def pair(self, key: str) -> tuple[float, float]:
-        return {"--": self.mm, "+-": self.pm, "-+": self.mp, "++": self.pp}[key]
-
-
-@dataclass(frozen=True)
 class Smoothness2D:
     omega: np.ndarray
     phi: np.ndarray
-    untrusted: np.ndarray | None = None
+    untrusted: np.ndarray
 
 
 def _beta_from_diffs(u20, u02, u11, u21, u12, u22, dxdy, coeffs):
@@ -164,83 +146,38 @@ def quadrant_beta_fields(field: GridField, formula: Formula2D = Formula2D.FULL,
             for key, (z1, z2) in QUADRANTS.items()}
 
 
-def quadrant_betas(field: GridField, i: int, j: int,
-                   formula: Formula2D = Formula2D.FULL) -> QuadrantBetas:
-    """Per-quadrant (beta0, beta1) at node (i, j) = (y index, x index)."""
-    ny, nx = field.values.shape
-    if not (0 <= i < ny and 0 <= j < nx):
-        raise IndexError(f"node ({i}, {j}) outside the {ny}x{nx} grid")
-    fields = quadrant_beta_fields(field, formula)
-    pairs = [fields[z] for z in ("--", "+-", "-+", "++")]
-    return QuadrantBetas(*((float(b0[i, j]), float(b1[i, j])) for b0, b1 in pairs))
-
-
-def beta_quadrant_full(field: GridField, i: int, j: int, zeta: str) -> tuple[float, float]:
-    """(beta0, beta1) at node (i, j) for quadrant ``zeta``, full formula."""
-    return quadrant_betas(field, i, j, Formula2D.FULL).pair(zeta)
-
-
-def beta_quadrant_partial(field: GridField, i: int, j: int, zeta: str) -> tuple[float, float]:
-    """Same with the total-order-2 restriction of the derivative sum."""
-    return quadrant_betas(field, i, j, Formula2D.PARTIAL).pair(zeta)
-
-
-def _quadrant_omega(b0, b1, sigma_h, postmap: PostMap):
-    if postmap is PostMap.WENO_Z:
-        tau = np.abs(b0 - b1)
-        z0 = 0.5 * (1.0 + (tau / (b0 + sigma_h)) ** 2)
-        z1 = 0.5 * (1.0 + (tau / (b1 + sigma_h)) ** 2)
-        return z0 / (z0 + z1)
-    a0 = 1.0 / (b0 + sigma_h) ** 2
-    a1 = 1.0 / (b1 + sigma_h) ** 2
-    w = a0 / (a0 + a1)
-    if postmap is PostMap.MAPPED_G:
-        w = map_g(w)
-    return w
-
-
 def omega_field_2d(field: GridField, cfg: Indicator2DConfig) -> np.ndarray:
     """Combined smoothness weight at every node: min over the four
-    quadrant weights (splitting baseline when so configured)."""
+    remapped quadrant weights g(w(beta0, beta1)) (splitting baseline when
+    so configured)."""
     if cfg.variant is Formula2D.SPLIT:
         return omega_split_field(field, cfg)
     sigma_h = cfg.sigma * field.grid.delta ** 2
     betas = quadrant_beta_fields(field, cfg.variant)
     omega = None
     for key in QUADRANTS:
-        w = _quadrant_omega(*betas[key], sigma_h, cfg.postmap)
+        w = map_g(weno_weight(*betas[key], sigma_h))
         omega = w if omega is None else np.minimum(omega, w)
     return omega
 
 
-def omega_2d(field: GridField, i: int, j: int, cfg: Indicator2DConfig) -> float:
-    """Combined weight at node (i, j) = (y index, x index)."""
-    return float(omega_field_2d(field, cfg)[i, j])
-
-
-def _axis_omega(field: GridField, axis: str, sigma_h: float,
-                variant: Variant1D) -> np.ndarray:
-    """1D indicator applied along one axis with the other frozen."""
+def _axis_omega(field: GridField, axis: str, sigma_h: float) -> np.ndarray:
+    """Remapped 1D indicator applied along one axis with the other frozen."""
     dj, di = (1, 0) if axis == "x" else (0, 1)
     h = field.grid.dx if axis == "x" else field.grid.dy
     at = field.neighbors(1)
     s = ((at(dj, di) - 2.0 * field.values + at(-dj, -di)) / h) ** 2
     s_at = field.like(s).neighbors(1)
-    wm, wp = _combine_sides(s_at(-dj, -di), s, s, s_at(dj, di), sigma_h, variant)
+    wm, wp = _combine_sides(s_at(-dj, -di), s, s, s_at(dj, di), sigma_h,
+                            Variant1D.MAPPED_G)
     return np.minimum(wm, wp)
 
 
 def omega_split_field(field: GridField, cfg: Indicator2DConfig) -> np.ndarray:
     """Dimensional-splitting baseline: min of the two axis-wise 1D weights."""
-    variant = Variant1D.MAPPED_G if cfg.postmap is PostMap.MAPPED_G else (
-        Variant1D.WENO_Z if cfg.postmap is PostMap.WENO_Z else Variant1D.RAW)
-    wx = _axis_omega(field, "x", cfg.sigma * field.grid.dx ** 2, variant)
-    wy = _axis_omega(field, "y", cfg.sigma * field.grid.dy ** 2, variant)
+    wx = _axis_omega(field, "x", cfg.sigma * field.grid.dx ** 2)
+    wy = _axis_omega(field, "y", cfg.sigma * field.grid.dy ** 2)
     return np.minimum(wx, wy)
-
-
-def omega_split(field: GridField, i: int, j: int, cfg: Indicator2DConfig) -> float:
-    return float(omega_split_field(field, cfg)[i, j])
 
 
 # Cyclic walk around a node's eight neighbors, as (dj, di) steps.
@@ -260,8 +197,6 @@ def phi_2d(omega: np.ndarray, field: GridField, cfg: Indicator2DConfig,
     """
     trusted = np.asarray(omega) >= cfg.M
     phi = trusted.astype(np.int8)
-    if not cfg.crossing_fix:
-        return phi, np.zeros_like(phi, dtype=bool)
     ny, nx = trusted.shape
     t = pad_ghosts(trusted, field.bc, 1)
     ring = [t[1 + di:ny + 1 + di, 1 + dj:nx + 1 + dj] for dj, di in _RING]

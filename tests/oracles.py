@@ -7,12 +7,12 @@ textbook recursion, and the switching scale via a scalar node-by-node
 transcription.  None of them import the vectorized production kernels they
 are checking.
 
-The take-based quadrant kernel and trust-mask ring below are the earlier
-production forms, kept as bitwise references: they evaluate all eight
-betas per node from whole-grid ``np.take`` shifted copies, with the same
-floating-point operations in the same order.  The shift applies the
-boundary rule through index arrays, a path of its own next to the
-library's ghost padding.
+The take-based quadrant kernel, quadrant weight and trust-mask ring below
+are the earlier production forms, kept as bitwise references: they
+evaluate all eight betas per node from whole-grid ``np.take`` shifted
+copies, with the same floating-point operations in the same order.  The
+shift applies the boundary rule through index arrays, a path of its own
+next to the library's ghost padding.
 """
 from __future__ import annotations
 
@@ -250,13 +250,26 @@ def take_quadrant_beta_fields(field: GridField, full: bool = True,
 RING = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 
 
-def shifted_phi_2d(omega: np.ndarray, field: GridField, M: float,
-                   crossing_fix: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def quadrant_min_weight(betas: dict[str, tuple[np.ndarray, np.ndarray]],
+                        sigma_h: float) -> np.ndarray:
+    """Minimum over the quadrants of the remapped WENO weight
+    g(a0 / (a0 + a1)), a_k = 1 / (beta_k + sigma_h)**2, with
+    g(w) = 4 w (3/4 - 3/2 w + w^2) on w clamped to [0, 1]."""
+    omega = None
+    for b0, b1 in betas.values():
+        a0 = 1.0 / (b0 + sigma_h) ** 2
+        a1 = 1.0 / (b1 + sigma_h) ** 2
+        w = np.clip(a0 / (a0 + a1), 0.0, 1.0)
+        w = 4.0 * w * (0.75 - 1.5 * w + w * w)
+        omega = w if omega is None else np.minimum(omega, w)
+    return omega
+
+
+def shifted_phi_2d(omega: np.ndarray, field: GridField,
+                   M: float) -> tuple[np.ndarray, np.ndarray]:
     """Trust mask and untrusted diagnostic, reading the eight ring
     neighbors as float ``take_shift`` copies of the mask."""
     phi = (np.asarray(omega) >= M).astype(np.int8)
-    if not crossing_fix:
-        return phi, np.zeros_like(phi, dtype=bool)
     pf = field.like(phi.astype(np.float64))
     ring = [take_shift(pf, dj, di) > 0.5 for dj, di in RING]
     consec = np.zeros(phi.shape, dtype=bool)

@@ -18,10 +18,8 @@ from hjaf.grids import BoundaryCondition, Grid2D, GridField
 from hjaf.hamiltonians import eikonal_hamiltonian, transport_hamiltonian
 from hjaf.highorder import high_order_step
 from hjaf.indicators1d import Indicator1DConfig, Variant1D, omega_field_1d, phi_1d, flagged_cells_1d
-from hjaf.indicators2d import (Formula2D, Indicator2DConfig,
-                               beta_quadrant_full, beta_quadrant_partial,
-                               omega_2d, omega_field_2d, omega_split,
-                               phi_2d, quadrant_beta_fields, quadrant_betas)
+from hjaf.indicators2d import (Formula2D, Indicator2DConfig, omega_field_2d,
+                               omega_split_field, phi_2d, quadrant_beta_fields)
 from hjaf.monotone import MonotoneKind, MonotoneScheme, monotone_step
 from hjaf.problems import make_test
 from hjaf.reporting import error_norms, observed_order
@@ -45,13 +43,13 @@ def test_criterion_1_closed_forms_match_quadrature():
     worst_full = worst_part = 0.0
     for _ in range(500):
         f = GridField(g, rng.normal(size=(5, 5)), NEU)
+        full = quadrant_beta_fields(f, Formula2D.FULL)
+        part = quadrant_beta_fields(f, Formula2D.PARTIAL)
         for z in ZETAS:
-            got_f = beta_quadrant_full(f, 2, 2, z)
-            got_p = beta_quadrant_partial(f, 2, 2, z)
             for k in (0, 1):
                 qf, qp = beta_quadrature_both(f, 2, 2, z, k)
-                worst_full = max(worst_full, abs(got_f[k] - qf) / abs(qf))
-                worst_part = max(worst_part, abs(got_p[k] - qp) / abs(qp))
+                worst_full = max(worst_full, abs(full[z][k][2, 2] - qf) / abs(qf))
+                worst_part = max(worst_part, abs(part[z][k][2, 2] - qp) / abs(qp))
     elapsed = time.perf_counter() - t0
     ok = worst_full <= 1e-11 and worst_part <= 1e-11 and elapsed < 5.0
     report(1, ok, f"full rel err {worst_full:.2e}, partial {worst_part:.2e} "
@@ -65,8 +63,8 @@ def test_criterion_2_beta_scaling_laws():
         g = Grid2D(0.7 - 5 * h, 0.55 - 5 * h, h, h, 11, 11)
         X, Y = g.meshes()
         f = GridField(g, np.sin(X) * np.sin(Y), NEU)
-        qb = quadrant_betas(f, 5, 5, Formula2D.FULL)
-        return max(max(p) for p in (qb.mm, qb.pm, qb.mp, qb.pp))
+        return max(max(b0[5, 5], b1[5, 5])
+                   for b0, b1 in quadrant_beta_fields(f, Formula2D.FULL).values())
 
     def kink_beta(h):
         f = make_test("2").build_field(h)
@@ -160,10 +158,10 @@ def test_criterion_4_detection_maps():
 
     f4 = make_test("4").build_field(0.05)
     i0, j0 = _origin_node(f4)
-    w_split = omega_split(f4, i0, j0, Indicator2DConfig(variant=Formula2D.SPLIT))
+    w_split = omega_split_field(f4, Indicator2DConfig(variant=Formula2D.SPLIT))[i0, j0]
     split_phi, _ = phi_2d(omega_field_2d(f4, Indicator2DConfig(variant=Formula2D.SPLIT)),
                           f4, cfg)
-    w_full = omega_2d(f4, i0, j0, cfg)
+    w_full = omega_field_2d(f4, cfg)[i0, j0]
     full_phi, _ = phi_2d(omega_field_2d(f4, cfg), f4, cfg)
     origin_cell_flagged = (full_phi[i0 - 1:i0 + 2, j0 - 1:j0 + 2] == 0).any()
 

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from hjaf.filtering import (Diagnostics, EvolutionError, SolverConfig,
-                            af_evolve, af_step, epsilon_n, filter_F)
+from hjaf.filtering import (EPS_FLOOR, Diagnostics, EvolutionError,
+                            SolverConfig, af_evolve, af_step, epsilon_n,
+                            filter_F)
 from hjaf.grids import BoundaryCondition, Grid2D, GridField
-from hjaf.hamiltonians import transport_hamiltonian
-from hjaf.highorder import hc_step
+from hjaf.hamiltonians import (eikonal_hamiltonian, rotation_hamiltonian,
+                               transport_hamiltonian)
+from hjaf.highorder import SCHEME_ORDERS, hc_step, high_order_step
 from hjaf.monotone import (CflViolation, MonotoneKind, MonotoneScheme,
                            h_llf, monotone_step)
 from hjaf.problems import make_test
@@ -159,6 +163,75 @@ class TestBlendedStep:
         assert matches.all()
 
 
+@st.composite
+def blend_cases(draw, constant=False):
+    """(field, monotone scheme, high-order step, H, dt, trust mask, eps) on
+    a random 3x3..12x12 grid under either boundary rule.  Every H has
+    H(., ., 0, 0) = 0 and dt keeps the monotone step restriction.  eps lies
+    near EPS_FLOOR, on either side, or is a multiple of the largest
+    |S_A - S_M| / dt, so that both branches of the filter occur."""
+    ny, nx = draw(st.integers(3, 12)), draw(st.integers(3, 12))
+    dx, dy = (draw(st.floats(0.05, 2.0)) for _ in range(2))
+    bc = draw(st.sampled_from([PER, NEU]))
+    g = Grid2D(-0.5 * nx * dx, -0.5 * ny * dy, dx, dy, nx, ny)
+    kind = draw(st.sampled_from(["transport", "eikonal", "rotation"]))
+    if kind == "transport":
+        H, scheme = transport_hamiltonian(), LLF
+    elif kind == "eikonal":
+        H, scheme = eikonal_hamiltonian(), MonotoneScheme(MonotoneKind.EIKONAL)
+    else:
+        H, scheme = rotation_hamiltonian(max(nx * dx, ny * dy)), LLF
+    name = draw(st.sampled_from(sorted(SCHEME_ORDERS)))
+    assume(not (name == "richtmyer" and H.space_dependent))
+    dt = draw(st.floats(0.05, 0.5)) * min(dx / H.vmax_p, dy / H.vmax_q)
+    if constant:
+        values = np.full((ny, nx), draw(st.floats(-1e3, 1e3)))
+    else:
+        values = draw(arrays(np.float64, (ny, nx), elements=st.floats(-10, 10),
+                             fill=st.nothing()))
+    mask = draw(arrays(np.bool_, (ny, nx)))
+    f, highorder = GridField(g, values, bc), high_order_step(name)
+    if draw(st.booleans()):
+        eps = draw(st.floats(0.0, 2 * EPS_FLOOR))
+    else:
+        gap = np.abs(highorder(f, H, dt).values - monotone_step(f, scheme, H, dt).values)
+        eps = draw(st.floats(0.0, 1.5)) * float(gap.max()) / dt
+    return f, scheme, highorder, H, dt, mask, eps
+
+
+class TestBlendedStepProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(blend_cases())
+    def test_selection_sandwich_and_blend_formula(self, case):
+        f, scheme, highorder, H, dt, mask, eps = case
+        out = af_step(f, scheme, highorder, H, dt, mask, eps).values
+        u_m = monotone_step(f, scheme, H, dt).values
+        u_a = highorder(f, H, dt).values
+        # sandwich around the monotone update
+        assert (np.abs(out - u_m) <= eps * dt).all()
+        if eps <= EPS_FLOOR:
+            assert np.array_equal(out, u_m)
+            return
+        # selection: bitwise one of the two schemes
+        take = mask & (np.abs(u_a - u_m) <= eps * dt)
+        assert np.array_equal(out, np.where(take, u_a, u_m))
+        # the filtered blend formula, to rounding; nodes whose filter
+        # argument lies within rounding of the cutoff may go either way
+        scale = eps * dt
+        rho = (u_a - u_m) / scale
+        blend = u_m + mask * scale * filter_F(rho)
+        tol = 4.0 * np.finfo(np.float64).eps * (np.abs(u_a) + np.abs(u_m))
+        edge = np.abs(np.abs(rho) - 1.0) <= 1e-12
+        assert (np.abs(out - blend) <= tol)[~edge].all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(blend_cases(constant=True))
+    def test_constants_are_fixed_points(self, case):
+        f, scheme, highorder, H, dt, mask, eps = case
+        out = af_step(f, scheme, highorder, H, dt, mask, eps)
+        assert np.array_equal(out.values, f.values)
+
+
 class TestEvolve:
     def _config(self, **kw):
         return SolverConfig(hamiltonian=transport_hamiltonian(),
@@ -232,6 +305,12 @@ class TestEvolve:
     def test_fixed_mode_needs_eps(self):
         with pytest.raises(ValueError):
             self._config(mode="fixed")
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
+    def test_fixed_mode_rejects_nonpositive_or_nonfinite_eps(self, eps):
+        # af_step would fall back to the monotone update without a word
+        with pytest.raises(ValueError, match="finite and positive"):
+            self._config(mode="fixed", eps_fixed=eps)
 
     def test_k_must_exceed_half(self):
         with pytest.raises(ValueError):

@@ -240,6 +240,15 @@ class TestCsvDump:
         assert lines[1].split(",")[:2] == ["0", "0"]
         assert lines[2].split(",")[:2] == ["1", "0"]
 
+    def test_column_header(self):
+        buf = io.StringIO()
+        write_field_csv(field_1d([1.0, 2.0, 3.0], NEU), buf, "omega")
+        assert buf.getvalue().splitlines()[0] == "x,omega"
+        buf = io.StringIO()
+        write_field_csv(GridField(Grid2D(0, 0, 1.0, 1.0, 3, 3), np.zeros((3, 3)), NEU),
+                        buf, "phi")
+        assert buf.getvalue().splitlines()[0] == "x,y,phi"
+
     def test_17_digit_round_trip(self):
         v = 1.0 / 3.0 + 1e-13
         f = field_1d([v, v, v], NEU)

@@ -204,6 +204,7 @@ class TestRunIndicators:
         assert len(om) == 1 + res.omega.size
         ph = (out / "phi.csv").read_text().splitlines()
         assert ph[0] == "x,y,phi"
+        assert [ln.split(",")[2] for ln in ph[1:]] == [str(p) for p in res.phi.ravel()]
 
     def test_damped_radial_origin_detected(self):
         res = run_indicators(IndicatorRunConfig(test_id="3", dx=0.05))
@@ -257,6 +258,13 @@ class TestCli:
                          "--refinements", "1", "--K", "0.3"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["-1", "0", "nan"])
+    def test_invalid_fixed_scale_fails_cleanly(self, eps, capsys):
+        code = cli_main(["solve", "--test", "5", "--scheme", "f-hc-fixed",
+                         "--epsilon-fixed", eps, "--refinements", "1"])
+        assert code == 1
+        assert "finite and positive" in capsys.readouterr().err
 
     def test_lambda_metadata(self):
         # the transport benchmark's nominal time-to-space ratio disagrees

@@ -3,13 +3,18 @@ import pytest
 
 from hjaf.grids import BoundaryCondition, Grid1D, GridField, ghost_value
 from hjaf.indicators1d import (Indicator1DConfig, Variant1D, beta_fields_1d,
-                               beta_pm_1d, flagged_cells_1d, map_g, omega_1d,
-                               omega_field_1d, phi_1d, smoothness_1d)
+                               flagged_cells_1d, map_g, omega_field_1d, phi_1d,
+                               smoothness_1d, weno_weight)
 from hjaf.problems import make_test
 
 from oracles import divided_difference
 
 PER = BoundaryCondition.PERIODIC
+
+
+def betas_at(field, j):
+    """(beta0-, beta1-, beta0+, beta1+) at node j of the field kernel."""
+    return tuple(b[j] for b in beta_fields_1d(field))
 
 
 def sampled(fn, x0, dx, n, bc=PER):
@@ -20,17 +25,17 @@ def sampled(fn, x0, dx, n, bc=PER):
 class TestBetaPairs:
     def test_constant_field(self):
         f = sampled(lambda x: np.full_like(x, 2.5), 0.0, 0.1, 12)
-        assert beta_pm_1d(f, 6) == (0.0, 0.0, 0.0, 0.0)
+        assert betas_at(f, 6) == (0.0, 0.0, 0.0, 0.0)
 
     def test_parabola_all_equal(self):
         h = 0.05
         f = sampled(lambda x: x ** 2, -1.0, h, 41, BoundaryCondition.NEUMANN_ZERO)
-        b = beta_pm_1d(f, 20)
+        b = betas_at(f, 20)
         assert b == pytest.approx((4 * h * h,) * 4, rel=1e-10)
 
     def test_kink_at_node(self):
         f = sampled(np.abs, -1.0, 0.1, 21, BoundaryCondition.NEUMANN_ZERO)
-        b0m, b1m, b0p, b1p = beta_pm_1d(f, 10)  # node exactly at x = 0
+        b0m, b1m, b0p, b1p = betas_at(f, 10)  # node exactly at x = 0
         assert (b0m, b1p) == (0.0, 0.0)
         assert b1m == pytest.approx(4.0)
         assert b0p == pytest.approx(4.0)
@@ -40,11 +45,10 @@ class TestBetaPairs:
         rng = np.random.default_rng(5)
         f = sampled(lambda x: rng.normal(size=x.shape), 0.0, 0.2, 16)
         for j in range(3, 12):
-            here = beta_pm_1d(f, j)
-            right = beta_pm_1d(f, j + 1)
+            here = betas_at(f, j)
+            right = betas_at(f, j + 1)
             assert here[2] == right[0]
             assert here[3] == right[1]
-
 
     def test_fields_match_divided_differences(self):
         # beta at center c is (2 dx f[x_{c-1}, x_c, x_{c+1}])^2 from ghost
@@ -62,14 +66,6 @@ class TestBetaPairs:
                                             [ghost_value(f, c + m) for m in (-1, 0, 1)])
                     assert beta[j] == pytest.approx((2.0 * dx * dd) ** 2,
                                                     rel=1e-12, abs=1e-12)
-
-    def test_scalar_wrappers_reject_nodes_off_grid(self):
-        f = sampled(np.sin, 0.0, 0.1, 12)
-        for j in (-1, 12):
-            with pytest.raises(IndexError):
-                beta_pm_1d(f, j)
-            with pytest.raises(IndexError):
-                omega_1d(f, j, Indicator1DConfig())
 
 
 class TestMapping:
@@ -103,15 +99,25 @@ class TestOmega:
         om = omega_field_1d(f, cfg)
         assert (om == 0.5).all()
 
+    def test_weno_weight_closed_form(self):
+        # a / (a + a') with a = 1/(b + s)^2 is (b' + s)^2 / ((b + s)^2 + (b' + s)^2)
+        rng = np.random.default_rng(4)
+        b, c = rng.exponential(size=(2, 50))
+        w = weno_weight(b, c, 0.01)
+        assert w == pytest.approx((c + 0.01) ** 2
+                                  / ((b + 0.01) ** 2 + (c + 0.01) ** 2), rel=1e-13)
+        assert weno_weight(c, b, 0.01) == pytest.approx(1.0 - w, abs=1e-15)
+        assert (weno_weight(b, b, 0.01) == 0.5).all()
+
     def test_equal_betas_give_half(self):
         # exactly representable parabola samples: betas bitwise equal,
         # so both side weights are exactly 1/2
         g = Grid1D(x0=0.0, dx=0.5, n=7)
         f = GridField(g, np.array([9.0, 4.0, 1.0, 0.0, 1.0, 4.0, 9.0]),
                       BoundaryCondition.NEUMANN_ZERO)
-        b = beta_pm_1d(f, 3)
+        b = betas_at(f, 3)
         assert b[0] == b[1] == b[2] == b[3]
-        assert omega_1d(f, 3, Indicator1DConfig()) == 0.5
+        assert omega_field_1d(f, Indicator1DConfig())[3] == 0.5
 
     def test_smooth_deviation_orders(self):
         # on a smooth segment with nonzero curvature: raw O(dx),
@@ -159,7 +165,7 @@ class TestScalingLaw:
             f = sampled(np.exp, -0.5, dx, int(round(1.0 / dx)) + 1,
                         BoundaryCondition.NEUMANN_ZERO)
             j = int(round(0.5 / dx))
-            return beta_pm_1d(f, j)[1]
+            return betas_at(f, j)[1]
 
         for h in (0.02, 0.01):
             ratio = beta_at(h) / beta_at(h / 2)
@@ -171,7 +177,7 @@ class TestScalingLaw:
             f = sampled(lambda x: np.abs(x - 0.35 * dx), -1.0, dx,
                         int(round(2.0 / dx)) + 1, BoundaryCondition.NEUMANN_ZERO)
             j = int(round(1.0 / dx))
-            return beta_pm_1d(f, j)[1]
+            return betas_at(f, j)[1]
 
         for h in (0.02, 0.01):
             ratio = beta_at(h) / beta_at(h / 2)

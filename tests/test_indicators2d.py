@@ -7,14 +7,14 @@ from hypothesis.extra.numpy import arrays
 
 import hjaf.indicators2d as indicators2d
 from hjaf.grids import BoundaryCondition, Grid2D, GridField
-from hjaf.indicators2d import (Formula2D, Indicator2DConfig, PostMap,
-                               beta_quadrant_full, beta_quadrant_partial,
-                               omega_2d, omega_field_2d, omega_split,
-                               omega_split_field, phi_2d, quadrant_betas,
-                               quadrant_beta_fields, smoothness_2d)
+from hjaf.indicators1d import map_g, weno_weight
+from hjaf.indicators2d import (Formula2D, Indicator2DConfig, omega_field_2d,
+                               omega_split_field, phi_2d, quadrant_beta_fields,
+                               smoothness_2d)
 from hjaf.problems import make_test
 
-from oracles import beta_quadrature, shifted_phi_2d, take_quadrant_beta_fields
+from oracles import (beta_quadrature, quadrant_min_weight, shifted_phi_2d,
+                     take_quadrant_beta_fields)
 
 PER = BoundaryCondition.PERIODIC
 NEU = BoundaryCondition.NEUMANN_ZERO
@@ -28,6 +28,18 @@ def patch_field(values, dx=0.13, dy=0.09, bc=NEU):
     return GridField(g, values, bc)
 
 
+def betas_at(field, i, j, formula=Formula2D.FULL):
+    """{quadrant: (beta0, beta1)} at node (i, j) of the field kernel."""
+    return {z: (b0[i, j], b1[i, j])
+            for z, (b0, b1) in quadrant_beta_fields(field, formula).items()}
+
+
+def origin_node(field):
+    j0 = int(round((0 - field.grid.x0) / field.grid.dx))
+    i0 = int(round((0 - field.grid.y0) / field.grid.dy))
+    return i0, j0
+
+
 def sampled(fn, dx, half_extent, bc=NEU, center=(0.0, 0.0)):
     n = 2 * int(round(half_extent / dx)) + 1
     g = Grid2D(center[0] - half_extent, center[1] - half_extent, dx, dx, n, n)
@@ -38,39 +50,36 @@ def sampled(fn, dx, half_extent, bc=NEU, center=(0.0, 0.0)):
 class TestQuadrantBetas:
     def test_constant_field_vanishes(self):
         f = patch_field(np.full((5, 5), 7.0))
-        for z in ZETAS:
-            assert beta_quadrant_full(f, 2, 2, z) == (0.0, 0.0)
-            assert beta_quadrant_partial(f, 2, 2, z) == (0.0, 0.0)
+        for formula in (Formula2D.FULL, Formula2D.PARTIAL):
+            for b0, b1 in quadrant_beta_fields(f, formula).values():
+                assert (b0 == 0.0).all() and (b1 == 0.0).all()
 
     def test_bilinear_surface(self):
         # f = x*y with equal spacings: only the mixed first difference
         # survives, beta = h^2 for every quadrant and both stencils
         h = 0.1
         f = sampled(lambda X, Y: X * Y, h, 3 * h)
-        for z in ZETAS:
-            b0, b1 = beta_quadrant_full(f, 3, 3, z)
-            assert b0 == pytest.approx(h * h, rel=1e-12)
-            assert b1 == pytest.approx(h * h, rel=1e-12)
-            p0, p1 = beta_quadrant_partial(f, 3, 3, z)
-            assert p0 == pytest.approx(h * h, rel=1e-12)
-            assert p1 == pytest.approx(h * h, rel=1e-12)
+        for formula in (Formula2D.FULL, Formula2D.PARTIAL):
+            for b0, b1 in betas_at(f, 3, 3, formula).values():
+                assert b0 == pytest.approx(h * h, rel=1e-12)
+                assert b1 == pytest.approx(h * h, rel=1e-12)
 
     def test_parabola_surface(self):
         h = 0.1
         f = sampled(lambda X, Y: X ** 2, h, 3 * h)
-        for z in ZETAS:
-            b0, b1 = beta_quadrant_full(f, 3, 3, z)
+        for b0, b1 in betas_at(f, 3, 3).values():
             assert b0 == pytest.approx(4 * h * h, rel=1e-12)
             assert b1 == pytest.approx(4 * h * h, rel=1e-12)
 
     @pytest.mark.parametrize("full", [True, False])
     def test_matches_quadrature_oracle(self, full):
         rng = np.random.default_rng(8)
-        evaluate = beta_quadrant_full if full else beta_quadrant_partial
+        formula = Formula2D.FULL if full else Formula2D.PARTIAL
         for _ in range(60):
             f = patch_field(rng.normal(size=(5, 5)))
+            betas = betas_at(f, 2, 2, formula)
             for z in ZETAS:
-                got = evaluate(f, 2, 2, z)
+                got = betas[z]
                 for k in (0, 1):
                     want = beta_quadrature(f, 2, 2, z, k, full=full)
                     assert got[k] == pytest.approx(want, rel=1e-11)
@@ -80,11 +89,11 @@ class TestQuadrantBetas:
         rng = np.random.default_rng(9)
         for _ in range(1000):
             f = patch_field(rng.normal(size=(5, 5)))
+            full = betas_at(f, 2, 2, Formula2D.FULL)
+            part = betas_at(f, 2, 2, Formula2D.PARTIAL)
             for z in ZETAS:
-                full = beta_quadrant_full(f, 2, 2, z)
-                part = beta_quadrant_partial(f, 2, 2, z)
-                assert part[0] <= full[0] + 1e-12
-                assert part[1] <= full[1] + 1e-12
+                assert part[z][0] <= full[z][0] + 1e-12
+                assert part[z][1] <= full[z][1] + 1e-12
 
     def test_field_evaluation_matches_quadrature_through_ghosts(self):
         # corner nodes read wrapped ghosts on both axes
@@ -120,15 +129,9 @@ class TestQuadrantBetas:
         f = patch_field(base)
         X, Y = f.grid.meshes()
         g = patch_field(base + 3.0 - 1.7 * X + 0.4 * Y)
+        got, want = betas_at(g, 2, 2), betas_at(f, 2, 2)
         for z in ZETAS:
-            assert beta_quadrant_full(g, 2, 2, z) == pytest.approx(
-                beta_quadrant_full(f, 2, 2, z), rel=1e-9, abs=1e-12)
-
-    def test_quadrant_betas_container(self):
-        rng = np.random.default_rng(13)
-        f = patch_field(rng.normal(size=(5, 5)))
-        qb = quadrant_betas(f, 2, 2, Formula2D.FULL)
-        assert qb.pair("+-") == beta_quadrant_full(f, 2, 2, "+-")
+            assert got[z] == pytest.approx(want[z], rel=1e-9, abs=1e-12)
 
 
 @st.composite
@@ -172,17 +175,18 @@ class TestBitwiseAgainstTakeKernel:
 
     @settings(max_examples=150, deadline=None)
     @given(small_fields(), st.sampled_from([Formula2D.FULL, Formula2D.PARTIAL]),
-           st.sampled_from(list(PostMap)), st.floats(0.01, 0.49),
-           st.booleans())
-    def test_omega_and_phi(self, f, formula, postmap, M, crossing_fix):
-        cfg = Indicator2DConfig(M=M, variant=formula, postmap=postmap,
-                                crossing_fix=crossing_fix)
+           st.floats(0.01, 0.49))
+    def test_omega_and_phi(self, f, formula, M):
+        cfg = Indicator2DConfig(M=M, variant=formula)
         omega = omega_field_2d(f, cfg)
         with mock.patch.object(indicators2d, "quadrant_beta_fields", _take_kernel):
             want = omega_field_2d(f, cfg)
         assert np.array_equal(omega, want)
+        sigma_h = cfg.sigma * f.grid.delta ** 2
+        assert np.array_equal(want, quadrant_min_weight(_take_kernel(f, formula),
+                                                        sigma_h))
         phi, untrusted = phi_2d(omega, f, cfg)
-        ref_phi, ref_untrusted = shifted_phi_2d(omega, f, M, crossing_fix)
+        ref_phi, ref_untrusted = shifted_phi_2d(omega, f, M)
         assert phi.dtype == ref_phi.dtype
         assert np.array_equal(phi, ref_phi)
         assert np.array_equal(untrusted, ref_untrusted)
@@ -192,18 +196,19 @@ class TestOmega2D:
     def test_constant_exactly_half(self):
         f = patch_field(np.zeros((6, 6)))
         for variant in (Formula2D.FULL, Formula2D.PARTIAL, Formula2D.SPLIT):
-            for postmap in PostMap:
-                cfg = Indicator2DConfig(variant=variant, postmap=postmap)
-                om = omega_field_2d(f, cfg)
-                assert (om == 0.5).all()
+            om = omega_field_2d(f, Indicator2DConfig(variant=variant))
+            assert (om == 0.5).all()
 
     def test_smooth_deviation_first_order(self):
+        # the quadrant weight before the remapping g
         def dev(h):
             f = sampled(lambda X, Y: np.sin(X) * np.sin(Y), h, 0.5,
                         center=(0.8, 0.7))
-            cfg = Indicator2DConfig(postmap=PostMap.NONE)
+            sigma_h = Indicator2DConfig().sigma * f.grid.delta ** 2
             c = f.grid.nx // 2
-            return abs(omega_2d(f, c, c, cfg) - 0.5)
+            w = min(weno_weight(b0, b1, sigma_h)
+                    for b0, b1 in betas_at(f, c, c).values())
+            return abs(w - 0.5)
 
         d1, d2 = dev(0.05), dev(0.025)
         assert d1 / d2 >= 1.6  # O(delta)
@@ -211,10 +216,7 @@ class TestOmega2D:
     def test_cone_apex_flagged(self):
         case = make_test("2")
         f = case.build_field(0.05)
-        cfg = Indicator2DConfig()
-        j0 = int(round((0 - f.grid.x0) / f.grid.dx))
-        i0 = int(round((0 - f.grid.y0) / f.grid.dy))
-        w = omega_2d(f, i0, j0, cfg)
+        w = omega_field_2d(f, Indicator2DConfig())[origin_node(f)]
         assert w < 0.2
 
     def test_scale_invariance_without_floor(self):
@@ -223,9 +225,9 @@ class TestOmega2D:
         base = rng.normal(size=(5, 5))
         for c in (2.0, -0.5, 10.0):
             f, fc = patch_field(base), patch_field(c * base)
+            betas, betas_c = betas_at(f, 2, 2), betas_at(fc, 2, 2)
             for z in ZETAS:
-                b = beta_quadrant_full(f, 2, 2, z)
-                bc_ = beta_quadrant_full(fc, 2, 2, z)
+                b, bc_ = betas[z], betas_c[z]
                 w = b[0] ** -2 / (b[0] ** -2 + b[1] ** -2)
                 wc = bc_[0] ** -2 / (bc_[0] ** -2 + bc_[1] ** -2)
                 assert wc == pytest.approx(w, rel=1e-9)
@@ -265,31 +267,35 @@ class TestOmega2D:
                 omega_field_2d(f, cfg)[inner], rel=1e-8, abs=1e-10)
 
     def test_postmaps_agree_on_strong_kinks(self):
-        # the remapped and tau-reweighted variants both flag the cone's
-        # base circle and keep the smooth far field clean; the raw weight
-        # oscillates more around 1/2 but stays above threshold when smooth
+        # the remapped weight and the weight before the remapping g both
+        # flag the cone's base circle and keep the smooth far field clean;
+        # the unmapped weight oscillates more around 1/2
         case = make_test("2")
         f = case.build_field(0.05)
         X, Y = f.grid.meshes()
         R = np.hypot(X, Y)
         near = np.abs(R - 1.0) < 0.05
         far = (np.abs(R - 1.0) > 0.15) & (R > 0.15)
+        cfg = Indicator2DConfig()
+        sigma_h = cfg.sigma * f.grid.delta ** 2
+        weights = [weno_weight(b0, b1, sigma_h)
+                   for b0, b1 in quadrant_beta_fields(f).values()]
         devs = {}
-        for pm in (PostMap.MAPPED_G, PostMap.WENO_Z, PostMap.NONE):
-            cfg = Indicator2DConfig(postmap=pm)
-            om = omega_field_2d(f, cfg)
+        for mapped in (True, False):
+            om = np.minimum.reduce([map_g(w) if mapped else w for w in weights])
             phi, _ = phi_2d(om, f, cfg)
             assert (phi[near] == 0).mean() > 0.9
             assert (phi[far] == 1).all()
-            devs[pm] = np.abs(om[far] - 0.5).max()
-        assert devs[PostMap.MAPPED_G] < devs[PostMap.NONE]
-        assert devs[PostMap.WENO_Z] < devs[PostMap.NONE]
+            devs[mapped] = np.abs(om[far] - 0.5).max()
+        assert np.array_equal(np.minimum.reduce([map_g(w) for w in weights]),
+                              omega_field_2d(f, cfg))
+        assert devs[True] < devs[False]
 
     def test_omega_bounds(self):
         rng = np.random.default_rng(15)
         for variant in (Formula2D.FULL, Formula2D.PARTIAL, Formula2D.SPLIT):
-            for postmap in PostMap:
-                cfg = Indicator2DConfig(variant=variant, postmap=postmap)
+            cfg = Indicator2DConfig(variant=variant)
+            for _ in range(3):
                 f = patch_field(rng.normal(size=(8, 8)), bc=PER)
                 om = omega_field_2d(f, cfg)
                 assert (om >= 0).all() and (om <= 1).all()
@@ -300,10 +306,8 @@ class TestSplit:
         case = make_test("4")
         f = case.build_field(0.05)
         cfg = Indicator2DConfig(variant=Formula2D.SPLIT)
-        j0 = int(round((0 - f.grid.x0) / f.grid.dx))
-        i0 = int(round((0 - f.grid.y0) / f.grid.dy))
         # both axis restrictions vanish identically at the origin
-        assert omega_split(f, i0, j0, cfg) == 0.5
+        assert omega_split_field(f, cfg)[origin_node(f)] == 0.5
 
     def test_axis_kink_detected(self):
         # |x| ridge along the y axis: the x-direction weight collapses
@@ -316,10 +320,9 @@ class TestSplit:
     def test_full_sees_what_split_misses(self):
         case = make_test("4")
         f = case.build_field(0.05)
-        j0 = int(round((0 - f.grid.x0) / f.grid.dx))
-        i0 = int(round((0 - f.grid.y0) / f.grid.dy))
-        w_split = omega_split(f, i0, j0, Indicator2DConfig(variant=Formula2D.SPLIT))
-        w_full = omega_2d(f, i0, j0, Indicator2DConfig())
+        node = origin_node(f)
+        w_split = omega_split_field(f, Indicator2DConfig(variant=Formula2D.SPLIT))[node]
+        w_full = omega_field_2d(f, Indicator2DConfig())[node]
         assert w_split == 0.5
         assert w_full < w_split
 
@@ -352,12 +355,6 @@ class TestPhi2D:
         phi, untrusted = phi_2d(om, f, cfg)
         assert phi[3, 3] == 0          # decision is conservative
         assert untrusted[3, 3]
-
-    def test_fix_disabled(self):
-        f = patch_field(np.zeros((7, 7)), bc=PER)
-        cfg = Indicator2DConfig(crossing_fix=False)
-        phi, untrusted = phi_2d(np.zeros((7, 7)), f, cfg)
-        assert (phi == 0).all() and not untrusted.any()
 
     def test_pyramid_kinks_flagged_faces_trusted(self):
         # the square-front pyramid is kinked along its diagonals, at its
