@@ -14,7 +14,12 @@ The switching scale compares the leading difference between the two
 numerical hamiltonians: the one-shot time-curvature correction of the
 high-order family plus the antidiffusion content of the monotone
 hamiltonian, probed by swapping one-sided slopes into one argument slot
-at a time.
+at a time (:func:`hjaf.monotone.htilde_differences`; for the local
+Lax-Friedrichs form, four evaluations of H in closed form instead of
+eight calls).  Within one adaptive step the switching scale and the
+monotone update read one padded copy of the field and the one-sided
+slopes taken from it; the centered, second and cross differences of the
+switching scale come from the same copy.
 """
 from __future__ import annotations
 
@@ -26,8 +31,11 @@ from .grids import GridField
 from .hamiltonians import Hamiltonian
 from .highorder import centered_slopes, high_order_step, time_curvature
 from .indicators2d import Indicator2DConfig, smoothness_2d
-from .monotone import (CflViolation, MonotoneScheme, cfl_check,
-                       monotone_hamiltonian, monotone_step, one_sided_slopes)
+# monotone_hamiltonian is unused here; the benchmark's tracer
+# (perfbench/tracer.py) wraps this module's name for it.
+from .monotone import (CflViolation, MonotoneScheme, cfl_check,  # noqa: F401
+                       htilde_differences, monotone_hamiltonian, monotone_step,
+                       one_sided_slopes)
 
 
 # Switching scales at or below this count as zero: the step keeps the
@@ -43,47 +51,39 @@ def filter_F(rho):
     return out if out.ndim else float(out)
 
 
-def _htilde_differences(field: GridField, scheme: MonotoneScheme,
-                        H: Hamiltonian):
-    """(p-slot difference, q-slot difference) of the monotone hamiltonian:
-    each slot in turn is swapped between the forward and backward slope
-    while every other slot holds the centered slope."""
-    x, y = field.grid.meshes()
-    pm, pp, qm, qp = one_sided_slopes(field)
-    pc, qc = 0.5 * (pm + pp), 0.5 * (qm + qp)
-
-    def h(a, b, c, d):
-        return monotone_hamiltonian(scheme, H, x, y, a, b, c, d)
-
-    hp_plus = h(pc, pp, qc, qc) - h(pc, pm, qc, qc)
-    hp_minus = h(pp, pc, qc, qc) - h(pm, pc, qc, qc)
-    hq_plus = h(pc, pc, qc, qp) - h(pc, pc, qc, qm)
-    hq_minus = h(pc, pc, qp, qc) - h(pc, pc, qm, qc)
-    return hp_plus - hp_minus, hq_plus - hq_minus
-
-
 def epsilon_field(field: GridField, H: Hamiltonian, scheme: MonotoneScheme,
-                  dt: float, K: float) -> np.ndarray:
+                  dt: float, K: float, at=None, slopes=None) -> np.ndarray:
     """Switching-scale integrand K * |...| at every node (before the
-    region maximum)."""
-    dp_term, dq_term = _htilde_differences(field, scheme, H)
-    bracket = time_curvature(field, H, *centered_slopes(field))
+    region maximum).  ``at`` (``field.neighbors(1)``) and ``slopes`` (the
+    one-sided slopes read from it) are the step's shared stencil data when
+    the caller has them; the one-sided, centered, second and cross
+    differences all come from that one padded copy."""
+    if at is None:
+        at = field.neighbors(1)
+    if slopes is None:
+        slopes = one_sided_slopes(field, at)
+    x, y = field.grid.meshes()
+    dp_term, dq_term = htilde_differences(scheme, H, x, y, *slopes)
+    bracket = time_curvature(field, H, *centered_slopes(field, at), at)
     return K * np.abs(0.5 * dt * bracket + dp_term + dq_term)
 
 
 def epsilon_n(field: GridField, H: Hamiltonian, scheme: MonotoneScheme,
-              dt: float, mask: np.ndarray, K: float = 1.0) -> float:
+              dt: float, mask: np.ndarray, K: float = 1.0, *, at=None,
+              slopes=None) -> float:
     """Maximum of the switching-scale integrand over the trusted region;
-    0 when the region is empty."""
+    0 when the region is empty.  ``at`` and ``slopes`` as in
+    :func:`epsilon_field`."""
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         return 0.0
-    vals = epsilon_field(field, H, scheme, dt, K)
+    vals = epsilon_field(field, H, scheme, dt, K, at, slopes)
     return float(vals[mask].max())
 
 
 def af_step(field: GridField, scheme: MonotoneScheme, highorder, H: Hamiltonian,
-            dt: float, phi_mask: np.ndarray, eps: float) -> GridField:
+            dt: float, phi_mask: np.ndarray, eps: float, *,
+            slopes=None) -> GridField:
     """One blended step.
 
     Implemented as a selection: with the hard-cutoff filter the blend
@@ -92,9 +92,10 @@ def af_step(field: GridField, scheme: MonotoneScheme, highorder, H: Hamiltonian,
     selection keeps the chosen branch bit-exact.  When eps is at or below
     ``EPS_FLOOR`` the two schemes agree on the trusted data anyway, so the
     step falls back to the monotone update (avoids 0/0 in the filter
-    argument).
+    argument).  ``slopes`` are the field's one-sided slopes when the
+    caller already has them.
     """
-    u_m = monotone_step(field, scheme, H, dt)
+    u_m = monotone_step(field, scheme, H, dt, slopes=slopes)
     if eps <= EPS_FLOOR:
         return u_m
     u_a = highorder(field, H, dt)
@@ -150,6 +151,23 @@ class Diagnostics:
             out.write(f"{step},{t:.17g},{eps:.17g},{nz}\n")
 
 
+def _adaptive_step(u: GridField, config: SolverConfig, step_fn, dt: float):
+    """(u_next, eps, phi) of one adaptive step.  The switching scale and
+    the monotone update share one padded copy of u and its one-sided
+    slopes; they are dropped when the step returns."""
+    H = config.hamiltonian
+    phi = smoothness_2d(u, config.indicator).phi
+    trusted = phi == 1
+    at = u.neighbors(1)
+    slopes = one_sided_slopes(u, at)
+    eps = epsilon_n(u, H, config.monotone, dt, trusted, config.K,
+                    at=at, slopes=slopes)
+    del at
+    u_next = af_step(u, config.monotone, step_fn, H, dt, trusted, eps,
+                     slopes=slopes)
+    return u_next, eps, phi
+
+
 def af_evolve(initial: GridField, config: SolverConfig, T: float,
               n_steps: int) -> tuple[GridField, Diagnostics]:
     """March the blended scheme to time T in n_steps equal steps.
@@ -178,20 +196,20 @@ def af_evolve(initial: GridField, config: SolverConfig, T: float,
     diag = Diagnostics()
     ones = np.ones(initial.grid.shape, dtype=np.int8)
     for step in range(1, n_steps + 1):
-        if config.mode == "monotone":
-            u_next = monotone_step(u, config.monotone, H, dt)
-            eps, phi = 0.0, ones
-        elif config.mode == "raw":
-            u_next = step_fn(u, H, dt)
-            eps, phi = 0.0, ones
-        elif config.mode == "fixed":
-            eps, phi = config.eps_fixed, ones
-            u_next = af_step(u, config.monotone, step_fn, H, dt, phi == 1, eps)
-        else:
-            sm = smoothness_2d(u, config.indicator)
-            phi = sm.phi
-            eps = epsilon_n(u, H, config.monotone, dt, phi == 1, config.K)
-            u_next = af_step(u, config.monotone, step_fn, H, dt, phi == 1, eps)
+        try:
+            if config.mode == "monotone":
+                u_next = monotone_step(u, config.monotone, H, dt)
+                eps, phi = 0.0, ones
+            elif config.mode == "raw":
+                u_next = step_fn(u, H, dt)
+                eps, phi = 0.0, ones
+            elif config.mode == "fixed":
+                eps, phi = config.eps_fixed, ones
+                u_next = af_step(u, config.monotone, step_fn, H, dt, phi == 1, eps)
+            else:
+                u_next, eps, phi = _adaptive_step(u, config, step_fn, dt)
+        except CflViolation as exc:
+            raise CflViolation(f"step {step} (t = {step * dt:.6g}): {exc}") from exc
         if not np.all(np.isfinite(u_next.values)):
             raise EvolutionError(f"non-finite values at step {step} (t = {step * dt:.6g})")
         u = u_next

@@ -27,25 +27,28 @@ from .hamiltonians import Hamiltonian
 SCHEME_ORDERS = {"hc": 2, "lw": 2, "lw2": 2, "richtmyer": 2, "rkc4": 4}
 
 
-def centered_slopes(field: GridField):
+def centered_slopes(field: GridField, at=None):
     dx, dy = field.grid.dx, field.grid.dy
-    at = field.neighbors(1)
+    if at is None:
+        at = field.neighbors(1)
     dxu = (at(1, 0) - at(-1, 0)) / (2.0 * dx)
     dyu = (at(0, 1) - at(0, -1)) / (2.0 * dy)
     return dxu, dyu
 
 
-def second_diffs(field: GridField):
+def second_diffs(field: GridField, at=None):
     dx, dy = field.grid.dx, field.grid.dy
-    at = field.neighbors(1)
+    if at is None:
+        at = field.neighbors(1)
     d2x = (at(1, 0) - 2.0 * field.values + at(-1, 0)) / dx ** 2
     d2y = (at(0, 1) - 2.0 * field.values + at(0, -1)) / dy ** 2
     return d2x, d2y
 
 
-def cross_diff(field: GridField):
+def cross_diff(field: GridField, at=None):
     dx, dy = field.grid.dx, field.grid.dy
-    at = field.neighbors(1)
+    if at is None:
+        at = field.neighbors(1)
     return (at(1, 1) - at(-1, 1) - at(1, -1) + at(-1, -1)) / (4.0 * dx * dy)
 
 
@@ -70,13 +73,17 @@ def hc_step(field: GridField, H: Hamiltonian, dt: float) -> GridField:
     return field.like(out)
 
 
-def time_curvature(field: GridField, H: Hamiltonian, dxu, dyu):
+def time_curvature(field: GridField, H: Hamiltonian, dxu, dyu, at=None):
     """Discrete time curvature Hp (Hp uxx + Hx) + Hq (Hq uyy + Hy)
     + 2 Hp Hq uxy, with H's derivatives taken at the centered slopes
-    (dxu, dyu) and second and cross differences of the field."""
+    (dxu, dyu) and second and cross differences of the field.  ``at`` is
+    ``field.neighbors(w)`` (w >= 1) when the caller has already padded
+    the field; otherwise one padded copy serves both differences."""
     x, y = field.grid.meshes()
-    d2x, d2y = second_diffs(field)
-    dxy = cross_diff(field)
+    if at is None:
+        at = field.neighbors(1)
+    d2x, d2y = second_diffs(field, at)
+    dxy = cross_diff(field, at)
     hp = H.dp(x, y, dxu, dyu)
     hq = H.dq(x, y, dxu, dyu)
     hx = H.dx_(x, y, dxu, dyu)
@@ -89,9 +96,10 @@ def lw_step(field: GridField, H: Hamiltonian, dt: float) -> GridField:
     """One-shot second-order step: centered hamiltonian corrected by the
     discrete expansion of the time curvature (:func:`time_curvature`)."""
     x, y = field.grid.meshes()
-    dxu, dyu = centered_slopes(field)
+    at = field.neighbors(1)
+    dxu, dyu = centered_slopes(field, at)
     h = (H.eval(x, y, dxu, dyu)
-         - 0.5 * dt * time_curvature(field, H, dxu, dyu))
+         - 0.5 * dt * time_curvature(field, H, dxu, dyu, at))
     return field.like(field.values - dt * h)
 
 

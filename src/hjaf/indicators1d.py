@@ -6,8 +6,9 @@ The building block is the squared, once-rescaled second difference
 
 which is O(dx^2) where the data is C^2 with nonzero curvature and O(1)
 across a kink in the first derivative.  Left/right pairs of these feed a
-WENO-style normalized weight ``omega`` (:func:`weno_weight`, shared with
-the 2D quadrant weights) that sits near 1/2 on smooth data and collapses
+WENO-style normalized weight ``omega`` (:func:`weno_weight`, built from
+:func:`weno_term` and :func:`normalized_weight`, which the 2D quadrant
+weights share) that sits near 1/2 on smooth data and collapses
 to O(dx^4) when a kink lies strictly inside the 3-node hull.  Every
 quantity is a whole-field array: one beta kernel, :func:`beta_fields_1d`,
 feeds :func:`omega_field_1d`.  Several accuracy-boosting post-processings
@@ -92,12 +93,21 @@ def beta_fields_1d(field: GridField) -> tuple[np.ndarray, ...]:
     return at(-1), s, s, at(1)
 
 
+def weno_term(b, sigma_h):
+    """Unnormalized WENO weight a = 1 / (b + sigma_h)**2 of a stencil with
+    smoothness coefficient ``b``."""
+    return 1.0 / (b + sigma_h) ** 2
+
+
+def normalized_weight(a, a_other):
+    """a / (a + a_other) for two unnormalized weights (:func:`weno_term`)."""
+    return a / (a + a_other)
+
+
 def weno_weight(b, b_other, sigma_h):
     """Normalized WENO weight a / (a + a_other) of the stencil with
     smoothness coefficient ``b``, where a = 1 / (b + sigma_h)**2."""
-    a = 1.0 / (b + sigma_h) ** 2
-    a_other = 1.0 / (b_other + sigma_h) ** 2
-    return a / (a + a_other)
+    return normalized_weight(weno_term(b, sigma_h), weno_term(b_other, sigma_h))
 
 
 def _combine_sides(b0m, b1m, b0p, b1p, sigma_h, variant):

@@ -27,7 +27,9 @@ Two coefficient sets are provided: FULL keeps every derivative with total
 order >= 2 (per-axis order <= 2); PARTIAL keeps only total order exactly 2.
 Each quadrant's pair gives the 1D WENO weight
 (:func:`hjaf.indicators1d.weno_weight`) remapped by g, and the combined
-weight is the minimum over the quadrants, thresholded at M.
+weight is the minimum over the quadrants, thresholded at M.  The WENO
+term 1 / (beta + sigma_h)**2 is evaluated once on each of the four inner
+beta arrays, and both terms of every quadrant are read as views.
 A dimensional-splitting baseline built from the remapped 1D indicator is
 included for comparison; it is blind to singularities whose axis
 restrictions look smooth (e.g. a non-differentiable point with vanishing
@@ -41,7 +43,8 @@ from enum import Enum
 import numpy as np
 
 from .grids import GridField, pad_ghosts
-from .indicators1d import Variant1D, _combine_sides, map_g, weno_weight
+from .indicators1d import (Variant1D, _combine_sides, map_g, normalized_weight,
+                           weno_term)
 
 # Quadrants keyed by the sign of the subcell relative to the node,
 # (z1, z2) = (x side, y side).
@@ -104,8 +107,9 @@ def quadrant_beta_fields(field: GridField, formula: Formula2D = Formula2D.FULL,
                          ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """(beta0, beta1) arrays for each quadrant, for every node at once.
 
-    The arrays are read-only views: each beta1 shares storage with the
-    opposite quadrant's beta0.
+    The arrays are read-only views.  Each beta0 views its quadrant's inner
+    beta on the grid extended by one node per side (the view's ``base``),
+    and each beta1 shares that storage with the opposite quadrant's beta0.
     """
     if field.ndim != 2:
         raise ValueError("quadrant smoothness coefficients need a 2D field")
@@ -139,8 +143,14 @@ def quadrant_beta_fields(field: GridField, formula: Formula2D = Formula2D.FULL,
                                 dxdy, coeffs)
         beta.flags.writeable = False
         inner[z1, z2] = beta
-    # The outer stencil of (z1, z2) at node n, listed (0, z1, 2*z1), is the
-    # inner stencil of (-z1, -z2) at node n + (z1, z2), listed the same way.
+    return _quadrant_pairs(inner, ny, nx)
+
+
+def _quadrant_pairs(inner, ny, nx):
+    """Per quadrant, the (beta0, beta1)-placed views of four arrays keyed
+    by (z1, z2) on the grid extended by one node per side.  The outer
+    stencil of (z1, z2) at node n, listed (0, z1, 2*z1), is the inner
+    stencil of (-z1, -z2) at node n + (z1, z2), listed the same way."""
     return {key: (inner[z1, z2][1:ny + 1, 1:nx + 1],
                   inner[-z1, -z2][1 + z2:ny + 1 + z2, 1 + z1:nx + 1 + z1])
             for key, (z1, z2) in QUADRANTS.items()}
@@ -154,9 +164,13 @@ def omega_field_2d(field: GridField, cfg: Indicator2DConfig) -> np.ndarray:
         return omega_split_field(field, cfg)
     sigma_h = cfg.sigma * field.grid.delta ** 2
     betas = quadrant_beta_fields(field, cfg.variant)
+    # Every beta0 is a view of its quadrant's inner beta array, which the
+    # opposite quadrant's beta1 shares: one WENO term per inner array.
+    terms = {z: weno_term(betas[key][0].base, sigma_h)
+             for key, z in QUADRANTS.items()}
     omega = None
-    for key in QUADRANTS:
-        w = map_g(weno_weight(*betas[key], sigma_h))
+    for a0, a1 in _quadrant_pairs(terms, *field.values.shape).values():
+        w = map_g(normalized_weight(a0, a1))
         omega = w if omega is None else np.minimum(omega, w)
     return omega
 

@@ -12,7 +12,9 @@ are the earlier production forms, kept as bitwise references: they
 evaluate all eight betas per node from whole-grid ``np.take`` shifted
 copies, with the same floating-point operations in the same order.  The
 shift applies the boundary rule through index arrays, a path of its own
-next to the library's ghost padding.
+next to the library's ghost padding.  ``swapped_slot_differences`` is the
+eight-call form of the switching scale's slot differences, the bitwise
+reference for the library's closed form.
 """
 from __future__ import annotations
 
@@ -150,6 +152,19 @@ def scalar_switching_integrand(field: GridField, H, h_mono, dt: float,
 
     return K * abs(0.5 * dt * bracket + (hp_plus - hp_minus)
                    + (hq_plus - hq_minus))
+
+
+def swapped_slot_differences(h, pm, pp, qm, qp):
+    """(p-slot, q-slot) differences of a monotone hamiltonian
+    ``h(pm, pp, qm, qp)`` by eight calls: each slot in turn swapped
+    between the forward and the backward slope, every other slot at the
+    centered slope."""
+    pc, qc = 0.5 * (pm + pp), 0.5 * (qm + qp)
+    hp_plus = h(pc, pp, qc, qc) - h(pc, pm, qc, qc)
+    hp_minus = h(pp, pc, qc, qc) - h(pm, pc, qc, qc)
+    hq_plus = h(pc, pc, qc, qp) - h(pc, pc, qc, qm)
+    hq_minus = h(pc, pc, qp, qc) - h(pc, pc, qm, qc)
+    return hp_plus - hp_minus, hq_plus - hq_minus
 
 
 def recursive_divided_2d(xs, ys, block):

@@ -1,13 +1,19 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import hjaf.monotone as monotone
 from hjaf.filtering import (EPS_FLOOR, Diagnostics, EvolutionError,
                             SolverConfig, af_evolve, af_step, epsilon_n,
                             filter_F)
 from hjaf.grids import BoundaryCondition, Grid2D, GridField
-from hjaf.hamiltonians import (eikonal_hamiltonian, rotation_hamiltonian,
+from hjaf.hamiltonians import (eikonal_hamiltonian, make_hamiltonian,
+                               rotation_hamiltonian,
+                               shifted_quadratic_hamiltonian,
                                transport_hamiltonian)
 from hjaf.highorder import SCHEME_ORDERS, hc_step, high_order_step
 from hjaf.monotone import (CflViolation, MonotoneKind, MonotoneScheme,
@@ -93,6 +99,32 @@ class TestSwitchingScale:
             vals = [scalar_switching_integrand(f, H, h_mono, 0.01, 1.3, i, j)
                     for i in range(8) for j in range(8) if mask[i, j]]
             assert got == pytest.approx(max(vals), rel=1e-12)
+
+    @pytest.mark.parametrize("interval_bounds", [True, False])
+    def test_llf_evaluation_count(self, interval_bounds, monkeypatch):
+        # one switching-scale evaluation: four evaluations of H and four
+        # speed bounds, from the closure or from the sampled scan
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        if interval_bounds:
+            H = transport_hamiltonian()
+            H = dataclasses.replace(H, alpha_p=counted("bound", H.alpha_p),
+                                    alpha_q=counted("bound", H.alpha_q))
+        else:
+            H = make_hamiltonian(lambda x, y, p, q: p + q, vmax_p=1.0, vmax_q=1.0)
+            monkeypatch.setattr(monotone, "_scan_max_abs",
+                                counted("bound", monotone._scan_max_abs))
+        H = dataclasses.replace(H, eval=counted("eval", H.eval))
+        g = Grid2D(0, 0, 0.1, 0.1, 10, 10)
+        f = GridField(g, np.random.default_rng(36).normal(size=(10, 10)), PER)
+        epsilon_n(f, H, LLF, 0.02, np.ones((10, 10), dtype=bool))
+        assert calls == {"eval": 4, "bound": 4}
 
     def test_invariant_under_constant_shift(self):
         rng = np.random.default_rng(32)
@@ -262,6 +294,18 @@ class TestEvolve:
         f = GridField(g, np.zeros((10, 10)), NEU)
         with pytest.raises(CflViolation):
             af_evolve(f, self._config(), 1.0, 2)  # dt/dx = 5
+
+    @pytest.mark.parametrize("mode", ["monotone", "af"])
+    def test_realized_speed_violation_names_step(self, mode):
+        # declared bounds 2*(1 + 0.1) pass at lam = 0.2, the data's LLF
+        # coefficients 2*(3 + 1) do not
+        g = Grid2D(0, 0, 0.1, 0.1, 10, 10)
+        X, Y = g.meshes()
+        f = GridField(g, 3.0 * (X + Y), NEU)
+        cfg = SolverConfig(hamiltonian=shifted_quadratic_hamiltonian(0.1),
+                           monotone=LLF, mode=mode)
+        with pytest.raises(CflViolation, match=r"^step 1 \(t = 0.02\): .*node"):
+            af_evolve(f, cfg, 0.04, 2)
 
     def test_nonfinite_aborts_with_step_number(self):
         # the bare fourth-order scheme on a kinked profile blows up

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hjaf.grids import BoundaryCondition, Grid2D, GridField
 from hjaf.hamiltonians import (eikonal_hamiltonian, make_hamiltonian,
@@ -7,8 +9,11 @@ from hjaf.hamiltonians import (eikonal_hamiltonian, make_hamiltonian,
                                shifted_quadratic_hamiltonian,
                                transport_hamiltonian)
 from hjaf.monotone import (CflViolation, MonotoneKind, MonotoneScheme,
-                           cfl_check, h_eikonal, h_llf, monotone_step,
-                           _scan_max_abs)
+                           cfl_check, h_eikonal, h_llf, htilde_differences,
+                           monotone_hamiltonian, monotone_step,
+                           one_sided_slopes, _scan_max_abs)
+
+from oracles import swapped_slot_differences
 
 PER = BoundaryCondition.PERIODIC
 NEU = BoundaryCondition.NEUMANN_ZERO
@@ -18,6 +23,40 @@ LLF = MonotoneScheme(MonotoneKind.LOCAL_LAX_FRIEDRICHS)
 
 def grid(n=12, dx=0.1):
     return Grid2D(0.0, 0.0, dx, dx, n, n)
+
+
+def scanned_hamiltonian():
+    """H = sin p + q^2/2 + x q with no interval bounds: the LLF speed
+    bounds take the sampled scan."""
+    return make_hamiltonian(
+        lambda x, y, p, q: np.sin(p) + 0.5 * q * q + x * q,
+        dp=lambda x, y, p, q: np.cos(p) * np.ones(np.broadcast(x, y, p, q).shape),
+        dq=lambda x, y, p, q: q + x * np.ones(np.broadcast(x, y, p, q).shape),
+        vmax_p=1.0, vmax_q=1.0, space_dependent=True)
+
+
+@st.composite
+def grid_fields(draw):
+    """Random field on a 3x3..12x12 grid centered on the origin, under
+    either boundary rule, with a flat patch (zero slopes) where a random
+    mask holds one constant."""
+    ny, nx = draw(st.integers(3, 12)), draw(st.integers(3, 12))
+    dx, dy = (draw(st.floats(0.05, 2.0)) for _ in range(2))
+    g = Grid2D(-0.5 * nx * dx, -0.5 * ny * dy, dx, dy, nx, ny)
+    values = draw(arrays(np.float64, (ny, nx), elements=st.floats(-10, 10),
+                         fill=st.nothing()))
+    flat = draw(arrays(np.bool_, (ny, nx)))
+    values = np.where(flat, draw(st.floats(-10, 10)), values)
+    return GridField(g, values, draw(st.sampled_from([PER, NEU])))
+
+
+def scheme_and_hamiltonian(kind: str, g: Grid2D):
+    radius = max(abs(g.x0), abs(g.y0)) + max(g.dx, g.dy)
+    return {"transport": (LLF, transport_hamiltonian()),
+            "quadratic": (LLF, shifted_quadratic_hamiltonian(2.0)),
+            "rotation": (LLF, rotation_hamiltonian(radius)),
+            "scanned": (LLF, scanned_hamiltonian()),
+            "eikonal": (EIK, eikonal_hamiltonian())}[kind]
 
 
 class TestEikonalHamiltonian:
@@ -79,6 +118,26 @@ class TestLlfHamiltonian:
             assert np.array_equal(H.alpha_q(x, y, lo, hi, other), scan_q)
 
 
+class TestSlotDifferences:
+    @settings(max_examples=200, deadline=None)
+    @given(grid_fields(), st.sampled_from(["transport", "quadratic", "rotation",
+                                           "scanned", "eikonal"]))
+    def test_closed_form_matches_eight_calls(self, f, kind):
+        scheme, H = scheme_and_hamiltonian(kind, f.grid)
+        x, y = f.grid.meshes()
+        slopes = one_sided_slopes(f)
+
+        def h(pm, pp, qm, qp):
+            if scheme is EIK:
+                return h_eikonal(pm, pp, qm, qp)
+            return h_llf(H, x, y, pm, pp, qm, qp)
+
+        got = htilde_differences(scheme, H, x, y, *slopes)
+        want = swapped_slot_differences(h, *slopes)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
 class TestMonotoneStep:
     def test_constant_fixed_point(self):
         g = grid()
@@ -97,18 +156,36 @@ class TestMonotoneStep:
         assert out.values[interior] == pytest.approx((X + Y - 2 * dt)[interior],
                                                      abs=1e-14)
 
-    def test_monotonicity_randomized(self):
-        rng = np.random.default_rng(23)
-        g = grid()
-        dt = 0.25 * g.dx
-        for scheme, H, bc in ((EIK, eikonal_hamiltonian(), NEU),
-                              (LLF, transport_hamiltonian(), PER)):
-            for _ in range(100):
-                u = rng.normal(size=(12, 12))
-                v = u + np.abs(rng.normal(size=(12, 12)))
-                su = monotone_step(GridField(g, u, bc), scheme, H, dt)
-                sv = monotone_step(GridField(g, v, bc), scheme, H, dt)
-                assert (su.values <= sv.values + 1e-12).all()
+    @settings(max_examples=200, deadline=None)
+    @given(grid_fields(), st.sampled_from(["transport", "quadratic", "rotation",
+                                           "eikonal"]),
+           st.data())
+    def test_monotonicity_randomized(self, f, kind, data):
+        # u <= v implies S_M(u) <= S_M(v), with dt inside the realized
+        # speeds of both.  The LLF coefficient of the shifted quadratic
+        # grows with the slopes: at a sonic rarefaction its step is
+        # monotone only while lam_x*ax + lam_y*ay <= 1/2, so that H draws
+        # dt under the sum; slope-independent bounds use the max.
+        scheme, H = scheme_and_hamiltonian(kind, f.grid)
+        g, u = f.grid, f.values
+        bump = data.draw(arrays(np.float64, u.shape,
+                                elements=st.floats(0.0, 5.0), fill=st.nothing()))
+        v = GridField(g, u + bump, f.bc)
+        rates = [H.vmax_p / g.dx, H.vmax_q / g.dy]
+        if scheme is LLF:
+            x, y = g.meshes()
+            speeds = [monotone_hamiltonian(scheme, H, x, y, *one_sided_slopes(w))[1]
+                      for w in (f, v)]
+            rates = [max(float(np.max(s[k])) for s in speeds) / d
+                     for k, d in ((0, g.dx), (1, g.dy))]
+        limit = 0.5 / (sum(rates) if kind == "quadratic" else max(rates))
+        dt = data.draw(st.floats(0.01, 1.0)) * min(
+            limit, 0.5 * g.dx / H.vmax_p, 0.5 * g.dy / H.vmax_q)
+        su = monotone_step(f, scheme, H, dt).values
+        sv = monotone_step(v, scheme, H, dt).values
+        scale = 1.0 + np.abs(u).max() + np.abs(v.values).max() + (
+            np.abs(su - u).max() + np.abs(sv - v.values).max())
+        assert (su <= sv + 64 * np.finfo(np.float64).eps * scale).all()
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(24)
@@ -139,6 +216,18 @@ class TestMonotoneStep:
                   one_step_error(80) / one_step_error(160)]
         for r in ratios:
             assert 1.7 <= r <= 2.3
+
+    def test_realized_speed_violation_refuses(self):
+        # declared bounds 2*(1 + 0.1) pass at lam = 0.2; the data's slopes
+        # of 3 need LLF coefficients 2*(3 + 1) = 8, so lam*8 = 1.6
+        g = grid()
+        X, Y = g.meshes()
+        f = GridField(g, 3.0 * (X + Y), NEU)
+        H = shifted_quadratic_hamiltonian(0.1)
+        assert cfl_check(LLF, H, 0.02, g).passed
+        with pytest.raises(CflViolation, match=r"node \(i, j\) = \(\d+, \d+\)"):
+            monotone_step(f, LLF, H, 0.02)
+        monotone_step(f, LLF, H, 0.005)  # lam*8 = 0.4 passes
 
     def test_cfl_violation_refuses(self):
         g = grid()
