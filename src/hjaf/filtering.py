@@ -33,7 +33,7 @@ from .highorder import centered_slopes, high_order_step, time_curvature
 from .indicators2d import Indicator2DConfig, smoothness_2d
 # monotone_hamiltonian is unused here; the benchmark's tracer
 # (perfbench/tracer.py) wraps this module's name for it.
-from .monotone import (CflViolation, MonotoneScheme, cfl_check,  # noqa: F401
+from .monotone import (CflViolation, MonotoneScheme,  # noqa: F401
                        htilde_differences, monotone_hamiltonian, monotone_step,
                        one_sided_slopes)
 
@@ -174,7 +174,9 @@ def af_evolve(initial: GridField, config: SolverConfig, T: float,
 
     The smoothness mask and the switching scale are recomputed once per
     time step (never per Runge-Kutta stage).  Aborts with the offending
-    step number if the solution leaves the finite range.
+    step number if the solution leaves the finite range or a monotone
+    step violates its stability bound (at step 1, before ``u`` changes,
+    when the declared bounds already fail).
     """
     if T <= 0:
         raise ValueError(f"final time must be positive, got {T}")
@@ -182,12 +184,6 @@ def af_evolve(initial: GridField, config: SolverConfig, T: float,
         raise ValueError(f"need at least one step, got {n_steps}")
     dt = T / n_steps
     H = config.hamiltonian
-    if config.mode in ("af", "fixed", "monotone"):
-        report = cfl_check(config.monotone, H, dt, initial.grid)
-        if not report.passed:
-            raise CflViolation(
-                f"time step violates the stability bound before stepping: "
-                f"max(lam*vmax) = {report.value:.4g} > 0.5")
     step_fn = None
     if config.mode != "monotone":
         step_fn = high_order_step(config.highorder, config.lw2_corrected)

@@ -13,7 +13,6 @@ themselves never store ghost nodes.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import TextIO, Union
@@ -205,48 +204,24 @@ def ghost_value(field: GridField, j: int, i: int | None = None) -> float:
     return float(field.values[ii, jj])
 
 
-def undiv_diff_1d(samples, k: int) -> float:
-    """Order-k undivided difference of k+1 samples at consecutive nodes.
-
-    Equals the k-th forward finite difference, i.e. the classical divided
-    difference rescaled by ``k! * dx**k``.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.size == 0:
-        raise ValueError("empty sample sequence")
-    if k < 0:
-        raise ValueError(f"order must be nonnegative, got {k}")
-    if samples.size != k + 1:
-        raise ValueError(f"order {k} needs {k + 1} samples, got {samples.size}")
-    coeffs = np.array([math.comb(k, m) * (-1) ** (k - m) for m in range(k + 1)],
-                      dtype=np.float64)
-    return float(coeffs @ samples)
-
-
-def undiv_diff_2d(block, t: int, s: int) -> float:
-    """Mixed undivided difference of order t along axis 0 and s along axis 1.
-
-    The two directional applications commute.
-    """
-    block = np.asarray(block, dtype=np.float64)
-    if block.shape != (t + 1, s + 1):
-        raise ValueError(f"expected block of shape {(t + 1, s + 1)}, got {block.shape}")
-    rows = np.array([undiv_diff_1d(block[:, c], t) for c in range(s + 1)])
-    return undiv_diff_1d(rows, s)
-
-
-def write_field_csv(field: GridField, out: TextIO, column: str = "value") -> None:
-    """Plain-text dump, one row per node, row-major, 17 significant digits;
-    ``column`` names the value column in the header."""
-    # Python floats from tolist() format about twice as fast as numpy
-    # scalars, to the same digits; one row at a time keeps few alive.
+def write_field_csv(field: GridField, out: TextIO, column: str = "value",
+                    **columns: np.ndarray) -> None:
+    """Plain-text dump, one row per node, row-major, 17 significant digits.
+    The field's values fill the value column named ``column``; each keyword
+    adds a value column of that name, an array of the grid's shape."""
+    names = (column, *columns)
+    cols = (field.values, *columns.values())
     if field.ndim == 1:
-        out.write(f"x,{column}\n")
-        for x, v in zip(field.grid.nodes().tolist(), field.values.tolist()):
-            out.write(f"{x:.17g},{v:.17g}\n")
+        out.write(",".join(("x", *names)) + "\n")
+        fmt = ",".join(["%.17g"] * (1 + len(cols))) + "\n"
+        out.writelines([fmt % t for t in zip(field.grid.nodes().tolist(),
+                                             *(c.tolist() for c in cols))])
         return
-    out.write(f"x,y,{column}\n")
+    out.write(",".join(("x", "y", *names)) + "\n")
+    # Python numbers from tolist() format about twice as fast as numpy
+    # scalars, to the same digits; one grid row at a time keeps few alive,
+    # and each row's y is formatted once.
     xs = field.grid.xnodes().tolist()
-    for y, row in zip(field.grid.ynodes().tolist(), field.values):
-        for x, v in zip(xs, row.tolist()):
-            out.write(f"{x:.17g},{y:.17g},{v:.17g}\n")
+    for y, *rows in zip(field.grid.ynodes().tolist(), *cols):
+        fmt = f"%.17g,{y:.17g}" + ",%.17g" * len(rows) + "\n"
+        out.writelines([fmt % t for t in zip(xs, *(r.tolist() for r in rows))])

@@ -1,9 +1,10 @@
 """Hamiltonian evaluation interface H(x, y, p, q) with derivative closures.
 
-Partial derivatives default to analytic closures supplied per problem;
-when a closure is missing, a centered finite-difference fallback with a
-relative step is wired in, good to second order for smooth H.  The global
-velocity bounds vmax_p >= max|H_p| and vmax_q >= max|H_q| (over the
+Every hamiltonian brings the closures the solver calls: analytic partial
+derivatives (H_x and H_y may be left out only when H does not depend on
+(x, y), and are then exact zeros) and, for the local Lax-Friedrichs
+scheme, the interval bounds max|H_p| and max|H_q| in closed form.  The
+global velocity bounds vmax_p >= max|H_p| and vmax_q >= max|H_q| (over the
 relevant state range) feed the time-step restriction check.
 """
 from __future__ import annotations
@@ -27,58 +28,30 @@ class Hamiltonian:
     vmax_q: float
     space_dependent: bool = False
     is_eikonal: bool = False
-    # Optional fast interval bounds max|H_p| over p in [lo, hi] at frozen q
-    # (and the q analog).  Must equal the generic sampled scan; supply them
-    # only when |H_p| is monotone/affine in p so the endpoint maximum is
-    # exact.  Signature (x, y, lo, hi, frozen_other) -> array.
+    # Interval bounds: the exact maximum of |H_p| over p in [lo, hi] at
+    # frozen q (and the q analog), in closed form.  The local Lax-Friedrichs
+    # scheme needs both; the eikonal scheme reads neither.  The tests check
+    # them bitwise against the sampled scan ``oracles.scan_max_abs``.
+    # Signature (x, y, lo, hi, frozen_other) -> array.
     alpha_p: ArrayFn | None = None
     alpha_q: ArrayFn | None = None
 
 
-def _fd_p(h):
-    def dp(x, y, p, q):
-        step = 1e-6 * np.maximum(1.0, np.abs(p))
-        return (h(x, y, p + step, q) - h(x, y, p - step, q)) / (2.0 * step)
-    return dp
-
-
-def _fd_q(h):
-    def dq(x, y, p, q):
-        step = 1e-6 * np.maximum(1.0, np.abs(q))
-        return (h(x, y, p, q + step) - h(x, y, p, q - step)) / (2.0 * step)
-    return dq
-
-
-def _fd_x(h):
-    def dx_(x, y, p, q):
-        step = 1e-6 * np.maximum(1.0, np.abs(x))
-        return (h(x + step, y, p, q) - h(x - step, y, p, q)) / (2.0 * step)
-    return dx_
-
-
-def _fd_y(h):
-    def dy_(x, y, p, q):
-        step = 1e-6 * np.maximum(1.0, np.abs(y))
-        return (h(x, y + step, p, q) - h(x, y - step, p, q)) / (2.0 * step)
-    return dy_
-
-
-def make_hamiltonian(eval_fn: ArrayFn, *, dp: ArrayFn | None = None,
-                     dq: ArrayFn | None = None, dx_: ArrayFn | None = None,
-                     dy_: ArrayFn | None = None, vmax_p: float, vmax_q: float,
+def make_hamiltonian(eval_fn: ArrayFn, *, dp: ArrayFn, dq: ArrayFn,
+                     dx_: ArrayFn | None = None, dy_: ArrayFn | None = None,
+                     vmax_p: float, vmax_q: float,
                      space_dependent: bool = False, is_eikonal: bool = False,
                      alpha_p: ArrayFn | None = None,
                      alpha_q: ArrayFn | None = None) -> Hamiltonian:
-    """Assemble a Hamiltonian, filling missing derivatives with centered
-    finite differences."""
+    """Assemble a Hamiltonian.  A space-dependent H must supply dx_ and
+    dy_; otherwise both default to exact zeros."""
     if vmax_p <= 0 or vmax_q <= 0:
         raise ValueError("velocity bounds must be positive")
+    if space_dependent and (dx_ is None or dy_ is None):
+        raise ValueError("a space-dependent hamiltonian needs dx_ and dy_")
     return Hamiltonian(
-        eval=eval_fn,
-        dp=dp if dp is not None else _fd_p(eval_fn),
-        dq=dq if dq is not None else _fd_q(eval_fn),
-        dx_=dx_ if dx_ is not None else (_zero if not space_dependent else _fd_x(eval_fn)),
-        dy_=dy_ if dy_ is not None else (_zero if not space_dependent else _fd_y(eval_fn)),
+        eval=eval_fn, dp=dp, dq=dq,
+        dx_=_zero if dx_ is None else dx_, dy_=_zero if dy_ is None else dy_,
         vmax_p=vmax_p, vmax_q=vmax_q,
         space_dependent=space_dependent, is_eikonal=is_eikonal,
         alpha_p=alpha_p, alpha_q=alpha_q,

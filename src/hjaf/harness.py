@@ -18,9 +18,8 @@ import numpy as np
 from .filtering import Diagnostics, SolverConfig, af_evolve
 from .grids import GridField, write_field_csv
 from .highorder import SCHEME_ORDERS
-from .indicators2d import (Formula2D, Indicator2DConfig, omega_field_2d,
-                           phi_2d, smoothness_2d)
-from .indicators1d import Indicator1DConfig, Variant1D, phi_1d, omega_field_1d
+from .indicators2d import Formula2D, Indicator2DConfig, smoothness_2d
+from .indicators1d import Indicator1DConfig, Variant1D, smoothness_1d
 from .problems import IndicatorCase, ProblemSpec, make_test
 from .reporting import RunReport, error_norms
 
@@ -139,19 +138,14 @@ def _write_convergence_outputs(cfg: CliConfig, problem: ProblemSpec,
         write_field_csv(final, f)
     ind = solver_config(cfg, problem, cfg.refinements - 1).indicator
     sm = smoothness_2d(final, ind)
-    _write_map_csv(out / "omega.csv", final, sm.omega, "omega")
-    _write_map_csv(out / "phi.csv", final, sm.phi, "phi")
+    for name, values in (("omega", sm.omega), ("phi", sm.phi)):
+        with open(out / f"{name}.csv", "w") as f:
+            write_field_csv(final.like(values), f, name)
     with open(out / "epsilon.csv", "w") as f:
         diag.write_csv(f)
     with open(out / "meta", "w") as f:
         _write_meta(f, cfg, problem=problem.name,
                     reference_based=report.reference_based)
-
-
-def _write_map_csv(path: Path, field: GridField, values: np.ndarray,
-                   column: str) -> None:
-    with open(path, "w") as f:
-        write_field_csv(field.like(values), f, column)
 
 
 def _write_meta(f, cfg: CliConfig, **extra) -> None:
@@ -198,30 +192,27 @@ def run_indicators(cfg: IndicatorRunConfig) -> IndicatorRunResult:
         variant = cfg.variant if cfg.variant is not None else "mapped-g"
         if variant not in _VARIANTS_1D:
             raise ValueError(f"1D variant must be one of {sorted(_VARIANTS_1D)}")
-        icfg = Indicator1DConfig(sigma=cfg.sigma if cfg.sigma is not None else 1.0,
-                                 M=cfg.M, variant=_VARIANTS_1D[variant])
-        omega = omega_field_1d(field, icfg)
-        phi = phi_1d(omega, icfg)
+        sm = smoothness_1d(field, Indicator1DConfig(
+            sigma=cfg.sigma if cfg.sigma is not None else 1.0, M=cfg.M,
+            variant=_VARIANTS_1D[variant]))
     else:
         variant = cfg.variant if cfg.variant is not None else "full"
         if variant not in _FORMULAS:
             raise ValueError(f"2D variant must be one of {sorted(_FORMULAS)}")
-        icfg = Indicator2DConfig(sigma=cfg.sigma if cfg.sigma is not None else 2.0,
-                                 M=cfg.M, variant=_FORMULAS[variant])
-        omega = omega_field_2d(field, icfg)
-        phi, _ = phi_2d(omega, field, icfg)
+        sm = smoothness_2d(field, Indicator2DConfig(
+            sigma=cfg.sigma if cfg.sigma is not None else 2.0, M=cfg.M,
+            variant=_FORMULAS[variant]))
     if cfg.out_dir is not None:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         if case.dims == 1:
             with open(out / "indicators.csv", "w") as f:
-                f.write("x,omega,phi\n")
-                for x, w, p in zip(field.grid.nodes(), omega, phi):
-                    f.write(f"{x:.17g},{w:.17g},{int(p)}\n")
+                write_field_csv(field.like(sm.omega), f, "omega", phi=sm.phi)
         else:
-            _write_map_csv(out / "omega.csv", field, omega, "omega")
-            _write_map_csv(out / "phi.csv", field, phi, "phi")
+            for name, values in (("omega", sm.omega), ("phi", sm.phi)):
+                with open(out / f"{name}.csv", "w") as f:
+                    write_field_csv(field.like(values), f, name)
         with open(out / "meta", "w") as f:
             for key in ("test_id", "dx", "placement", "variant", "M", "sigma"):
                 f.write(f"{key} = {getattr(cfg, key)!r}\n")
-    return IndicatorRunResult(field=field, omega=omega, phi=phi)
+    return IndicatorRunResult(field=field, omega=sm.omega, phi=sm.phi)

@@ -11,7 +11,8 @@ WENO-style normalized weight ``omega`` (:func:`weno_weight`, built from
 weights share) that sits near 1/2 on smooth data and collapses
 to O(dx^4) when a kink lies strictly inside the 3-node hull.  Every
 quantity is a whole-field array: one beta kernel, :func:`beta_fields_1d`,
-feeds :func:`omega_field_1d`.  Several accuracy-boosting post-processings
+feeds :func:`omega_field_1d`, along either axis of a 2D field for the
+dimensional-splitting baseline.  Several accuracy-boosting post-processings
 of the raw weight are provided: a polynomial remapping and two tau-based
 reweightings (the second of which uses the full 5-point stencil).
 """
@@ -72,15 +73,22 @@ def map_g(omega):
     return 4.0 * w * (0.75 - 1.5 * w + w * w)
 
 
-def curvature_sq(field: GridField) -> np.ndarray:
-    """Array of s_c = ((f_{c+1} - 2 f_c + f_{c-1}) / dx)^2 for every node."""
+def _axis_step(field: GridField, axis: str):
+    """((dj, di), h): the unit node offset and the spacing along ``axis``."""
+    return ((1, 0), field.grid.dx) if axis == "x" else ((0, 1), field.grid.dy)
+
+
+def curvature_sq(field: GridField, axis: str = "x") -> np.ndarray:
+    """Array of s_c = ((f_{c+1} - 2 f_c + f_{c-1}) / h)^2 for every node,
+    along ``axis`` ("x", or "y" on a 2D field)."""
+    (dj, di), h = _axis_step(field, axis)
     at = field.neighbors(1)
-    d2 = at(1) - 2.0 * field.values + at(-1)
-    return (d2 / field.grid.dx) ** 2
+    d2 = at(dj, di) - 2.0 * field.values + at(-dj, -di)
+    return (d2 / h) ** 2
 
 
-def beta_fields_1d(field: GridField) -> tuple[np.ndarray, ...]:
-    """(beta0-, beta1-, beta0+, beta1+) arrays for every node.
+def beta_fields_1d(field: GridField, axis: str = "x") -> tuple[np.ndarray, ...]:
+    """(beta0-, beta1-, beta0+, beta1+) arrays for every node, along ``axis``.
 
     beta-_k is the squared rescaled second difference on the stencil
     centered at node j-1+k; beta+_k the one centered at node j+k, so
@@ -88,9 +96,10 @@ def beta_fields_1d(field: GridField) -> tuple[np.ndarray, ...]:
     shared between the two sides.  The neighbor stencils are read from
     the curvature array with the boundary rule applied to it.
     """
-    s = curvature_sq(field)
+    s = curvature_sq(field, axis)
+    (dj, di), _ = _axis_step(field, axis)
     at = field.like(s).neighbors(1)
-    return at(-1), s, s, at(1)
+    return at(-dj, -di), s, s, at(dj, di)
 
 
 def weno_term(b, sigma_h):
@@ -129,10 +138,12 @@ def _combine_sides(b0m, b1m, b0p, b1p, sigma_h, variant):
     return z1m / (z0m + z1m), z0p / (z0p + z1p)
 
 
-def omega_field_1d(field: GridField, cfg: Indicator1DConfig) -> np.ndarray:
-    """Smoothness weight omega at every node (min of the two sides)."""
-    sigma_h = cfg.sigma * field.grid.dx ** 2
-    wm, wp = _combine_sides(*beta_fields_1d(field), sigma_h, cfg.variant)
+def omega_field_1d(field: GridField, cfg: Indicator1DConfig,
+                   axis: str = "x") -> np.ndarray:
+    """Smoothness weight omega at every node (min of the two sides), along
+    ``axis`` with sigma_h = sigma * h**2 for that axis's spacing h."""
+    sigma_h = cfg.sigma * _axis_step(field, axis)[1] ** 2
+    wm, wp = _combine_sides(*beta_fields_1d(field, axis), sigma_h, cfg.variant)
     return np.minimum(wm, wp)
 
 

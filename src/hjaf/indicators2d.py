@@ -43,8 +43,8 @@ from enum import Enum
 import numpy as np
 
 from .grids import GridField, pad_ghosts
-from .indicators1d import (Variant1D, _combine_sides, map_g, normalized_weight,
-                           weno_term)
+from .indicators1d import (Indicator1DConfig, Variant1D, map_g,
+                           normalized_weight, omega_field_1d, weno_term)
 
 # Quadrants keyed by the sign of the subcell relative to the node,
 # (z1, z2) = (x side, y side).
@@ -175,23 +175,13 @@ def omega_field_2d(field: GridField, cfg: Indicator2DConfig) -> np.ndarray:
     return omega
 
 
-def _axis_omega(field: GridField, axis: str, sigma_h: float) -> np.ndarray:
-    """Remapped 1D indicator applied along one axis with the other frozen."""
-    dj, di = (1, 0) if axis == "x" else (0, 1)
-    h = field.grid.dx if axis == "x" else field.grid.dy
-    at = field.neighbors(1)
-    s = ((at(dj, di) - 2.0 * field.values + at(-dj, -di)) / h) ** 2
-    s_at = field.like(s).neighbors(1)
-    wm, wp = _combine_sides(s_at(-dj, -di), s, s, s_at(dj, di), sigma_h,
-                            Variant1D.MAPPED_G)
-    return np.minimum(wm, wp)
-
-
 def omega_split_field(field: GridField, cfg: Indicator2DConfig) -> np.ndarray:
-    """Dimensional-splitting baseline: min of the two axis-wise 1D weights."""
-    wx = _axis_omega(field, "x", cfg.sigma * field.grid.dx ** 2)
-    wy = _axis_omega(field, "y", cfg.sigma * field.grid.dy ** 2)
-    return np.minimum(wx, wy)
+    """Dimensional-splitting baseline: min of the two axis-wise remapped
+    1D weights, each with the other axis frozen."""
+    axis_cfg = Indicator1DConfig(sigma=cfg.sigma, M=cfg.M,
+                                 variant=Variant1D.MAPPED_G)
+    return np.minimum(omega_field_1d(field, axis_cfg, "x"),
+                      omega_field_1d(field, axis_cfg, "y"))
 
 
 # Cyclic walk around a node's eight neighbors, as (dj, di) steps.

@@ -5,9 +5,12 @@ quotients.  Two numerical hamiltonians are provided: the upwind form for
 the eikonal equation, and the local Lax-Friedrichs form for general H.
 Both reproduce H exactly on matched slopes, and both are monotone under
 the simplified step restriction max(lam_x * vmax_p, lam_y * vmax_q) <= 1/2.
-The declared bounds vmax_p, vmax_q can be exceeded by the data a run
-reaches, so the local Lax-Friedrichs step also checks the restriction on
-the dissipation coefficients it actually used.
+The local Lax-Friedrichs dissipation on each axis is the exact maximum
+of |H_p| (|H_q|) over the slope interval, which the hamiltonian supplies
+in closed form (``alpha_p``/``alpha_q``); the scheme refuses an H without
+them.  The declared bounds vmax_p, vmax_q can be exceeded by the data a
+run reaches, so the local Lax-Friedrichs step also checks the restriction
+on the dissipation coefficients it actually used.
 
 The switching scale probes the monotone hamiltonian by swapping one
 slope slot at a time (:func:`htilde_differences`); for the local
@@ -23,14 +26,6 @@ import numpy as np
 
 from .grids import Grid2D, GridField
 from .hamiltonians import Hamiltonian
-
-# Samples per local velocity scan.  The local Lax-Friedrichs dissipation
-# coefficient needs max|H_p| over the slope interval; the defining maximum
-# is taken uniformly over the other slope, which is unbounded for general
-# H, so we freeze the other slope at its centered value and scan the
-# interval at this fixed resolution.  Exact whenever |H_p| is monotone or
-# convex in p (every hamiltonian shipped here).
-ALPHA_SAMPLES = 33
 
 CFL_LIMIT = 0.5
 
@@ -74,30 +69,15 @@ def h_eikonal(pm, pp, qm, qp):
     return np.sqrt(a * a + b * b)
 
 
-def _scan_max_abs(deriv, x, y, lo, hi, other, other_is_q: bool) -> np.ndarray:
-    """max over the interval [lo, hi] (sampled) of |deriv| with the other
-    slope frozen."""
-    t = np.linspace(0.0, 1.0, ALPHA_SAMPLES)
-    t = t.reshape((-1,) + (1,) * np.ndim(lo))
-    samples = lo + t * (hi - lo)
-    if other_is_q:
-        vals = np.abs(deriv(x, y, samples, other))
-    else:
-        vals = np.abs(deriv(x, y, other, samples))
-    return vals.max(axis=0)
-
-
 def _speed_bound(H: Hamiltonian, x, y, lo, hi, other, along_p: bool):
     """max|H_p| over p in [lo, hi] with q frozen at ``other`` (``along_p``),
-    else the q analog: H's interval closure when it has one, otherwise
-    the sampled scan."""
-    if along_p:
-        if H.alpha_p is not None:
-            return H.alpha_p(x, y, lo, hi, other)
-        return _scan_max_abs(H.dp, x, y, lo, hi, other, other_is_q=True)
-    if H.alpha_q is not None:
-        return H.alpha_q(x, y, lo, hi, other)
-    return _scan_max_abs(H.dq, x, y, lo, hi, other, other_is_q=False)
+    else the q analog, from H's interval closure."""
+    name = "alpha_p" if along_p else "alpha_q"
+    bound = getattr(H, name)
+    if bound is None:
+        raise ValueError(f"the local Lax-Friedrichs scheme needs H.{name}, "
+                         "the interval bound of its speed")
+    return bound(x, y, lo, hi, other)
 
 
 def _llf(H: Hamiltonian, x, y, pm, pp, qm, qp):
@@ -116,7 +96,7 @@ def _llf(H: Hamiltonian, x, y, pm, pp, qm, qp):
 
 def h_llf(H: Hamiltonian, x, y, pm, pp, qm, qp):
     """Local Lax-Friedrichs hamiltonian: H at slope averages minus the
-    scanned-velocity dissipation on each axis."""
+    dissipation on each axis, scaled by H's interval speed bound."""
     return _llf(H, x, y, pm, pp, qm, qp)[0]
 
 

@@ -14,9 +14,13 @@ copies, with the same floating-point operations in the same order.  The
 shift applies the boundary rule through index arrays, a path of its own
 next to the library's ghost padding.  ``swapped_slot_differences`` is the
 eight-call form of the switching scale's slot differences, the bitwise
-reference for the library's closed form.
+reference for the library's closed form.  ``scan_max_abs`` is the
+sampled interval maximum that every hamiltonian's closed-form speed
+bounds (``alpha_p``/``alpha_q``) must reproduce bitwise.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -165,6 +169,55 @@ def swapped_slot_differences(h, pm, pp, qm, qp):
     hq_plus = h(pc, pc, qc, qp) - h(pc, pc, qc, qm)
     hq_minus = h(pc, pc, qp, qc) - h(pc, pc, qm, qc)
     return hp_plus - hp_minus, hq_plus - hq_minus
+
+
+def scan_max_abs(deriv, x, y, lo, hi, other, other_is_q: bool) -> np.ndarray:
+    """max of |deriv| over 33 equispaced points of the interval [lo, hi] of
+    one slope, the other slope frozen at ``other``.  The interval maximum
+    whenever |deriv| is monotone or convex on it, up to the rounding of
+    the sample points."""
+    t = np.linspace(0.0, 1.0, 33)
+    t = t.reshape((-1,) + (1,) * np.ndim(lo))
+    points = lo + t * (hi - lo)
+    if other_is_q:
+        vals = np.abs(deriv(x, y, points, other))
+    else:
+        vals = np.abs(deriv(x, y, other, points))
+    return vals.max(axis=0)
+
+
+def scan_bounds(H):
+    """(alpha_p, alpha_q) interval-bound closures of H by the sampled scan."""
+    return (lambda x, y, lo, hi, other:
+            scan_max_abs(H.dp, x, y, lo, hi, other, other_is_q=True),
+            lambda x, y, lo, hi, other:
+            scan_max_abs(H.dq, x, y, lo, hi, other, other_is_q=False))
+
+
+def undiv_diff_1d(samples, k: int) -> float:
+    """Order-k undivided difference of k+1 samples at consecutive nodes:
+    the k-th forward difference, i.e. the divided difference rescaled by
+    ``k! * dx**k``, the form the closed-form betas are written in."""
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.size == 0:
+        raise ValueError("empty sample sequence")
+    if k < 0:
+        raise ValueError(f"order must be nonnegative, got {k}")
+    if samples.size != k + 1:
+        raise ValueError(f"order {k} needs {k + 1} samples, got {samples.size}")
+    coeffs = np.array([math.comb(k, m) * (-1) ** (k - m) for m in range(k + 1)],
+                      dtype=np.float64)
+    return float(coeffs @ samples)
+
+
+def undiv_diff_2d(block, t: int, s: int) -> float:
+    """Mixed undivided difference of order t along axis 0 and s along
+    axis 1."""
+    block = np.asarray(block, dtype=np.float64)
+    if block.shape != (t + 1, s + 1):
+        raise ValueError(f"expected block of shape {(t + 1, s + 1)}, got {block.shape}")
+    rows = np.array([undiv_diff_1d(block[:, c], t) for c in range(s + 1)])
+    return undiv_diff_1d(rows, s)
 
 
 def recursive_divided_2d(xs, ys, block):

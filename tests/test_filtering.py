@@ -6,13 +6,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-import hjaf.monotone as monotone
 from hjaf.filtering import (EPS_FLOOR, Diagnostics, EvolutionError,
                             SolverConfig, af_evolve, af_step, epsilon_n,
                             filter_F)
 from hjaf.grids import BoundaryCondition, Grid2D, GridField
-from hjaf.hamiltonians import (eikonal_hamiltonian, make_hamiltonian,
-                               rotation_hamiltonian,
+from hjaf.hamiltonians import (eikonal_hamiltonian, rotation_hamiltonian,
                                shifted_quadratic_hamiltonian,
                                transport_hamiltonian)
 from hjaf.highorder import SCHEME_ORDERS, hc_step, high_order_step
@@ -20,7 +18,7 @@ from hjaf.monotone import (CflViolation, MonotoneKind, MonotoneScheme,
                            h_llf, monotone_step)
 from hjaf.problems import make_test
 
-from oracles import scalar_switching_integrand
+from oracles import scalar_switching_integrand, scan_bounds
 
 PER = BoundaryCondition.PERIODIC
 NEU = BoundaryCondition.NEUMANN_ZERO
@@ -100,10 +98,10 @@ class TestSwitchingScale:
                     for i in range(8) for j in range(8) if mask[i, j]]
             assert got == pytest.approx(max(vals), rel=1e-12)
 
-    @pytest.mark.parametrize("interval_bounds", [True, False])
-    def test_llf_evaluation_count(self, interval_bounds, monkeypatch):
+    @pytest.mark.parametrize("closed_form", [True, False])
+    def test_llf_evaluation_count(self, closed_form):
         # one switching-scale evaluation: four evaluations of H and four
-        # speed bounds, from the closure or from the sampled scan
+        # speed bounds, whether the bounds are closed forms or the scan
         calls = Counter()
 
         def counted(name, fn):
@@ -112,15 +110,11 @@ class TestSwitchingScale:
                 return fn(*args, **kwargs)
             return wrapper
 
-        if interval_bounds:
-            H = transport_hamiltonian()
-            H = dataclasses.replace(H, alpha_p=counted("bound", H.alpha_p),
-                                    alpha_q=counted("bound", H.alpha_q))
-        else:
-            H = make_hamiltonian(lambda x, y, p, q: p + q, vmax_p=1.0, vmax_q=1.0)
-            monkeypatch.setattr(monotone, "_scan_max_abs",
-                                counted("bound", monotone._scan_max_abs))
-        H = dataclasses.replace(H, eval=counted("eval", H.eval))
+        H = transport_hamiltonian()
+        alpha_p, alpha_q = (H.alpha_p, H.alpha_q) if closed_form else scan_bounds(H)
+        H = dataclasses.replace(H, eval=counted("eval", H.eval),
+                                alpha_p=counted("bound", alpha_p),
+                                alpha_q=counted("bound", alpha_q))
         g = Grid2D(0, 0, 0.1, 0.1, 10, 10)
         f = GridField(g, np.random.default_rng(36).normal(size=(10, 10)), PER)
         epsilon_n(f, H, LLF, 0.02, np.ones((10, 10), dtype=bool))
@@ -292,8 +286,11 @@ class TestEvolve:
     def test_cfl_rejected_before_stepping(self):
         g = Grid2D(0, 0, 0.1, 0.1, 10, 10)
         f = GridField(g, np.zeros((10, 10)), NEU)
-        with pytest.raises(CflViolation):
-            af_evolve(f, self._config(), 1.0, 2)  # dt/dx = 5
+        # every mode with a monotone step refuses at step 1, before u moves
+        for kw in ({}, {"mode": "monotone"}, {"mode": "fixed", "eps_fixed": 1.0}):
+            with pytest.raises(CflViolation, match=r"^step 1 \(t = 0.5\): "
+                               r".*max\(lam\*vmax\) = 5 > 0.5"):
+                af_evolve(f, self._config(**kw), 1.0, 2)  # dt/dx = 5
 
     @pytest.mark.parametrize("mode", ["monotone", "af"])
     def test_realized_speed_violation_names_step(self, mode):

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from hjaf.grids import (BoundaryCondition, GHOST_REACH, Grid1D, Grid2D,
-                        GridField, ghost_value, pad_ghosts, undiv_diff_1d,
-                        undiv_diff_2d, write_field_csv)
+                        GridField, ghost_value, pad_ghosts, write_field_csv)
 
-from oracles import divided_difference, recursive_divided_2d
+from oracles import (divided_difference, recursive_divided_2d, undiv_diff_1d,
+                     undiv_diff_2d)
 
 PER = BoundaryCondition.PERIODIC
 NEU = BoundaryCondition.NEUMANN_ZERO
@@ -124,6 +124,9 @@ class TestShifted:
 
 
 class TestUndividedDifferences:
+    # The oracles' undivided differences against the textbook recursion:
+    # pins the identity (undivided = k! h^k * divided difference) that the
+    # closed-form betas are written in.
     def test_constant_vanishes(self):
         assert undiv_diff_1d([1.0, 1.0, 1.0], 2) == 0.0
 
@@ -248,6 +251,21 @@ class TestCsvDump:
         write_field_csv(GridField(Grid2D(0, 0, 1.0, 1.0, 3, 3), np.zeros((3, 3)), NEU),
                         buf, "phi")
         assert buf.getvalue().splitlines()[0] == "x,y,phi"
+
+    def test_named_columns(self):
+        buf = io.StringIO()
+        write_field_csv(field_1d([0.25, 2.0, 3.0], NEU), buf, "omega",
+                        phi=np.array([0, 1, 1], dtype=np.int8))
+        assert buf.getvalue().splitlines() == [
+            "x,omega,phi", "0,0.25,0", "0.5,2,1", "1,3,1"]
+        buf = io.StringIO()
+        g = Grid2D(0, 0, 1.0, 2.0, 3, 3)
+        b = np.arange(9.0).reshape(3, 3) / 3.0 + 1e-13
+        write_field_csv(GridField(g, np.zeros((3, 3)), NEU), buf, "a", b=b)
+        lines = buf.getvalue().splitlines()
+        assert lines[0] == "x,y,a,b"
+        assert lines[4].split(",")[:3] == ["0", "2", "0"]
+        assert [float(ln.split(",")[3]) for ln in lines[1:]] == b.ravel().tolist()
 
     def test_17_digit_round_trip(self):
         v = 1.0 / 3.0 + 1e-13

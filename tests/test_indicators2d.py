@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hjaf.grids import BoundaryCondition, Grid2D, GridField
-from hjaf.indicators1d import map_g, weno_weight
+from hjaf.grids import BoundaryCondition, Grid1D, Grid2D, GridField
+from hjaf.indicators1d import (Indicator1DConfig, Variant1D, map_g,
+                               omega_field_1d, weno_weight)
 from hjaf.indicators2d import (Formula2D, Indicator2DConfig, omega_field_2d,
                                omega_split_field, phi_2d, quadrant_beta_fields,
                                smoothness_2d)
@@ -314,6 +315,23 @@ class TestSplit:
         om = omega_split_field(f, cfg)
         c = f.grid.nx // 2
         assert (om[:, c] < 0.2).all()
+
+    @pytest.mark.parametrize("bc", [PER, NEU])
+    def test_axis_weights_are_the_1d_indicator_per_line(self, bc):
+        # each axis weight is the remapped 1D indicator of every grid row
+        # (x) or column (y) as a 1D field, bitwise
+        rng = np.random.default_rng(7)
+        f = patch_field(rng.normal(size=(7, 9)), bc=bc)
+        cfg = Indicator2DConfig(variant=Formula2D.SPLIT, sigma=0.7)
+        cfg1 = Indicator1DConfig(sigma=0.7, variant=Variant1D.MAPPED_G)
+
+        def line(values, h):
+            return omega_field_1d(GridField(Grid1D(0.0, h, values.size), values, bc),
+                                  cfg1)
+
+        wx = np.array([line(row, f.grid.dx) for row in f.values])
+        wy = np.array([line(col, f.grid.dy) for col in f.values.T]).T
+        assert np.array_equal(omega_split_field(f, cfg), np.minimum(wx, wy))
 
     def test_full_sees_what_split_misses(self):
         case = make_test("4")

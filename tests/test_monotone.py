@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +13,10 @@ from hjaf.hamiltonians import (eikonal_hamiltonian, make_hamiltonian,
 from hjaf.monotone import (CflViolation, MonotoneKind, MonotoneScheme,
                            cfl_check, h_eikonal, h_llf, htilde_differences,
                            monotone_hamiltonian, monotone_step,
-                           one_sided_slopes, _scan_max_abs)
+                           one_sided_slopes)
+from hjaf.problems import ALL_TEST_IDS, ProblemSpec, make_test
 
-from oracles import swapped_slot_differences
+from oracles import scan_bounds, scan_max_abs, swapped_slot_differences
 
 PER = BoundaryCondition.PERIODIC
 NEU = BoundaryCondition.NEUMANN_ZERO
@@ -26,13 +29,17 @@ def grid(n=12, dx=0.1):
 
 
 def scanned_hamiltonian():
-    """H = sin p + q^2/2 + x q with no interval bounds: the LLF speed
-    bounds take the sampled scan."""
-    return make_hamiltonian(
+    """H = sin p + q^2/2 + x q, non-affine in p and space-dependent, whose
+    interval bounds are the sampled scan of the oracles."""
+    H = make_hamiltonian(
         lambda x, y, p, q: np.sin(p) + 0.5 * q * q + x * q,
         dp=lambda x, y, p, q: np.cos(p) * np.ones(np.broadcast(x, y, p, q).shape),
         dq=lambda x, y, p, q: q + x * np.ones(np.broadcast(x, y, p, q).shape),
+        dx_=lambda x, y, p, q: q * np.ones(np.broadcast(x, y, p, q).shape),
+        dy_=lambda x, y, p, q: np.zeros(np.broadcast(x, y, p, q).shape),
         vmax_p=1.0, vmax_q=1.0, space_dependent=True)
+    alpha_p, alpha_q = scan_bounds(H)
+    return dataclasses.replace(H, alpha_p=alpha_p, alpha_q=alpha_q)
 
 
 @st.composite
@@ -93,29 +100,44 @@ class TestLlfHamiltonian:
             assert got == pytest.approx(H.eval(x, y, p, q), rel=1e-13, abs=1e-14)
 
     def test_quadratic_hand_value(self):
+        def bound(x, y, lo, hi, other):
+            return np.maximum(np.abs(2 * lo), np.abs(2 * hi))
+
         H = make_hamiltonian(
             lambda x, y, p, q: p * p + q * q,
             dp=lambda x, y, p, q: 2 * p * np.ones(np.broadcast(x, y, p, q).shape),
             dq=lambda x, y, p, q: 2 * q * np.ones(np.broadcast(x, y, p, q).shape),
-            vmax_p=4.0, vmax_q=4.0)
+            vmax_p=4.0, vmax_q=4.0, alpha_p=bound, alpha_q=bound)
         v = h_llf(H, 0.0, 0.0, np.float64(0.0), np.float64(2.0),
                   np.float64(0.0), np.float64(0.0))
         # H(1, 0) - (4/2)*(2-0) = 1 - 4
         assert float(v) == pytest.approx(-3.0)
 
     def test_interval_bound_overrides_match_scan(self):
+        # every registry problem stepped by LLF: the closed-form interval
+        # bounds equal the sampled scan, bitwise
         rng = np.random.default_rng(22)
-        for H in (transport_hamiltonian(), rotation_hamiltonian(2.5),
-                  shifted_quadratic_hamiltonian(np.pi / 2)):
+        problems = [p for p in map(make_test, ALL_TEST_IDS)
+                    if isinstance(p, ProblemSpec) and p.monotone == LLF]
+        assert {p.id for p in problems} >= {"5", "6", "8"}
+        for problem in problems:
+            H = problem.hamiltonian
             x = rng.uniform(-2, 2, (9, 9))
             y = rng.uniform(-2, 2, (9, 9))
             lo = rng.normal(size=(9, 9))
             hi = lo + np.abs(rng.normal(size=(9, 9)))
             other = rng.normal(size=(9, 9))
-            scan = _scan_max_abs(H.dp, x, y, lo, hi, other, other_is_q=True)
+            scan = scan_max_abs(H.dp, x, y, lo, hi, other, other_is_q=True)
             assert np.array_equal(H.alpha_p(x, y, lo, hi, other), scan)
-            scan_q = _scan_max_abs(H.dq, x, y, lo, hi, other, other_is_q=False)
+            scan_q = scan_max_abs(H.dq, x, y, lo, hi, other, other_is_q=False)
             assert np.array_equal(H.alpha_q(x, y, lo, hi, other), scan_q)
+
+    @pytest.mark.parametrize("missing", ["alpha_p", "alpha_q"])
+    def test_missing_interval_bound_refused(self, missing):
+        H = dataclasses.replace(transport_hamiltonian(), **{missing: None})
+        f = GridField(grid(), np.zeros((12, 12)), NEU)
+        with pytest.raises(ValueError, match=f"H.{missing}"):
+            monotone_step(f, LLF, H, 0.02)
 
 
 class TestSlotDifferences:
@@ -242,31 +264,21 @@ class TestMonotoneStep:
             monotone_step(f, EIK, transport_hamiltonian(), 0.01)
 
 
-class TestDerivativeFallbacks:
-    def test_finite_difference_closures_track_analytic(self):
-        # same hamiltonian assembled with and without analytic derivatives
-        analytic = make_hamiltonian(
-            lambda x, y, p, q: p * p + q * q,
-            dp=lambda x, y, p, q: 2 * p * np.ones(np.broadcast(x, y, p, q).shape),
-            dq=lambda x, y, p, q: 2 * q * np.ones(np.broadcast(x, y, p, q).shape),
-            vmax_p=4.0, vmax_q=4.0)
-        numeric = make_hamiltonian(lambda x, y, p, q: p * p + q * q,
-                                   vmax_p=4.0, vmax_q=4.0)
-        rng = np.random.default_rng(25)
-        p, q = rng.normal(size=30), rng.normal(size=30)
-        assert numeric.dp(0.0, 0.0, p, q) == pytest.approx(
-            analytic.dp(0.0, 0.0, p, q), rel=1e-8, abs=1e-8)
-        assert numeric.dq(0.0, 0.0, p, q) == pytest.approx(
-            analytic.dq(0.0, 0.0, p, q), rel=1e-8, abs=1e-8)
-        # space-independent assembly wires exact-zero space derivatives
-        assert (numeric.dx_(0.3, 0.4, p, q) == 0.0).all()
+class TestMakeHamiltonian:
+    def test_space_dependent_needs_space_derivatives(self):
+        closures = {name: (lambda x, y, p, q: x * p)
+                    for name in ("dp", "dq", "dx_", "dy_")}
+        for missing in ("dx_", "dy_"):
+            kwargs = {k: v for k, v in closures.items() if k != missing}
+            with pytest.raises(ValueError, match="dx_ and dy_"):
+                make_hamiltonian(lambda x, y, p, q: x * p, vmax_p=1.0,
+                                 vmax_q=1.0, space_dependent=True, **kwargs)
 
-    def test_llf_with_fallback_derivatives(self):
-        numeric = make_hamiltonian(lambda x, y, p, q: p * p + q * q,
-                                   vmax_p=4.0, vmax_q=4.0)
-        v = h_llf(numeric, 0.0, 0.0, np.float64(0.0), np.float64(2.0),
-                  np.float64(0.0), np.float64(0.0))
-        assert float(v) == pytest.approx(-3.0, rel=1e-7)
+    def test_space_independent_derivatives_are_exact_zeros(self):
+        H = transport_hamiltonian()
+        p = np.linspace(-3.0, 3.0, 7)
+        assert np.array_equal(H.dx_(0.3, 0.4, p, p), np.zeros(7))
+        assert np.array_equal(H.dy_(0.3, 0.4, p, p), np.zeros(7))
 
 
 class TestCflCheck:
