@@ -7,7 +7,7 @@ tuned switching scale.
 """
 from .grids import (BoundaryCondition, GHOST_REACH, Grid1D, Grid2D, GridField,
                     ghost_value, write_field_csv)
-from .hamiltonians import (Hamiltonian, eikonal_hamiltonian, make_hamiltonian,
+from .hamiltonians import (Hamiltonian, eikonal_hamiltonian,
                            rotation_hamiltonian, shifted_quadratic_hamiltonian,
                            transport_hamiltonian)
 from .indicators1d import (Indicator1DConfig, Smoothness1D, Variant1D,
@@ -16,14 +16,14 @@ from .indicators1d import (Indicator1DConfig, Smoothness1D, Variant1D,
 from .indicators2d import (Formula2D, Indicator2DConfig, Smoothness2D,
                            omega_field_2d, omega_split_field, phi_2d,
                            quadrant_beta_fields, smoothness_2d)
-from .monotone import (CflReport, CflViolation, MonotoneKind, MonotoneScheme,
-                       cfl_check, h_eikonal, h_llf, monotone_step)
+from .monotone import (CflReport, CflViolation, MonotoneKind, cfl_check,
+                       h_eikonal, monotone_hamiltonian, monotone_step)
 from .highorder import (SCHEME_ORDERS, hc_step, high_order_step, lw2_step,
                         lw_step, richtmyer_step, rkc4_step)
 from .filtering import (Diagnostics, EvolutionError, SolverConfig, af_evolve,
                         af_step, epsilon_n, filter_F)
 from .problems import (ALL_TEST_IDS, IndicatorCase, ProblemSpec, disc_min,
-                       hopf_lax_min_1d, level_set_error, make_test)
+                       hopf_lax_min_1d, make_test)
 from .reporting import (RunReport, RunRow, error_norms, observed_order,
                         parse_report_csv)
 from .harness import (CliConfig, IndicatorRunConfig, run_convergence,

@@ -4,6 +4,10 @@
 dumps detection maps for one of the fixed singular functions.  Exit code 0
 on success, nonzero with a message on configuration, stability or oracle
 failures.  Every CSV uses '.' decimals, comma separators and a header row.
+
+Each option's destination is a field of the run config (``CliConfig``,
+``IndicatorRunConfig``) and an option left out is not set, so every
+default lives in the config dataclass alone.
 """
 from __future__ import annotations
 
@@ -13,8 +17,9 @@ import sys
 from .filtering import EvolutionError
 from .harness import (CliConfig, IndicatorRunConfig, SCHEME_NAMES,
                       run_convergence, run_indicators)
+from .indicators2d import Formula2D
 from .monotone import CflViolation
-from .problems import ALL_TEST_IDS
+from .problems import INDICATOR_IDS, PROBLEM_IDS
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -24,60 +29,53 @@ def _build_parser() -> argparse.ArgumentParser:
                     "smoothness-indicator benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="refinement study of an evolution problem")
-    solve.add_argument("--test", required=True, choices=[t for t in ALL_TEST_IDS
-                                                         if t not in "1234"],
-                       help="problem id")
-    solve.add_argument("--scheme", default="af-hc", choices=SCHEME_NAMES)
-    solve.add_argument("--refinements", type=int, default=4)
-    solve.add_argument("--K", type=float, default=1.0,
+    solve = sub.add_parser("solve", help="refinement study of an evolution problem",
+                           argument_default=argparse.SUPPRESS)
+    solve.add_argument("--test", dest="test_id", required=True,
+                       choices=PROBLEM_IDS, help="problem id")
+    solve.add_argument("--scheme", choices=SCHEME_NAMES)
+    solve.add_argument("--refinements", type=int)
+    solve.add_argument("--K", type=float,
                        help="safety factor on the switching scale (> 1/2)")
-    solve.add_argument("--M", type=float, default=0.2,
+    solve.add_argument("--M", type=float,
                        help="smoothness threshold in (0, 1/2)")
-    solve.add_argument("--sigma", type=float, default=2.0,
+    solve.add_argument("--sigma", type=float,
                        help="desingularization constant")
-    solve.add_argument("--indicator", default="full",
-                       choices=("full", "partial", "split"))
-    solve.add_argument("--epsilon-fixed", type=float, default=None,
+    solve.add_argument("--indicator", choices=[f.value for f in Formula2D])
+    solve.add_argument("--epsilon-fixed", type=float,
                        help="fixed switching scale for f-hc-fixed "
                             "(default 20*dx per level)")
     solve.add_argument("--lw2-corrected", action="store_true",
                        help="use the symmetric staggered secants in the "
                             "lw2/richtmyer schemes instead of the legacy "
                             "index pattern")
-    solve.add_argument("--out", default=None, help="output directory")
+    solve.add_argument("--out", dest="out_dir", metavar="OUT",
+                       help="output directory")
 
-    ind = sub.add_parser("indicators", help="detection maps for a fixed function")
-    ind.add_argument("--test", required=True, choices=("1", "2", "3", "4"))
-    ind.add_argument("--dx", type=float, default=0.05)
-    ind.add_argument("--placement", default="node", choices=("node", "cell"))
-    ind.add_argument("--variant", default=None,
+    ind = sub.add_parser("indicators", help="detection maps for a fixed function",
+                         argument_default=argparse.SUPPRESS)
+    ind.add_argument("--test", dest="test_id", required=True,
+                     choices=INDICATOR_IDS)
+    ind.add_argument("--dx", type=float)
+    ind.add_argument("--placement", choices=("node", "cell"))
+    ind.add_argument("--variant",
                      help="full|partial|split in 2D; raw|mapped-g|weno-z|"
                           "weno-z-new in 1D (default: full / mapped-g)")
-    ind.add_argument("--M", type=float, default=0.2)
-    ind.add_argument("--sigma", type=float, default=None)
-    ind.add_argument("--out", default=None, help="output directory")
+    ind.add_argument("--M", type=float)
+    ind.add_argument("--sigma", type=float)
+    ind.add_argument("--out", dest="out_dir", metavar="OUT",
+                     help="output directory")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    options = vars(_build_parser().parse_args(argv))
+    command = options.pop("command")
     try:
-        if args.command == "solve":
-            cfg = CliConfig(test_id=args.test, scheme=args.scheme,
-                            indicator=args.indicator,
-                            refinements=args.refinements, out_dir=args.out,
-                            K=args.K, M=args.M, sigma=args.sigma,
-                            epsilon_fixed=args.epsilon_fixed,
-                            lw2_corrected=args.lw2_corrected)
-            report = run_convergence(cfg)
-            report.write_csv(sys.stdout)
+        if command == "solve":
+            run_convergence(CliConfig(**options)).write_csv(sys.stdout)
         else:
-            cfg = IndicatorRunConfig(test_id=args.test, dx=args.dx,
-                                     placement=args.placement,
-                                     variant=args.variant, M=args.M,
-                                     sigma=args.sigma, out_dir=args.out)
-            result = run_indicators(cfg)
+            result = run_indicators(IndicatorRunConfig(**options))
             flagged = int((result.phi == 0).sum())
             print(f"nodes={result.phi.size} flagged={flagged}")
         return 0

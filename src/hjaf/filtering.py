@@ -5,10 +5,11 @@ One step writes
     u_next = S_M(u) + phi * eps * dt * F((S_A(u) - S_M(u)) / (eps * dt)),
 
 with F the hard-cutoff filter (identity on [-1, 1], zero outside), phi the
-binary smoothness mask, and eps a switching scale recomputed once per time
-step from the detected region of regularity.  The output therefore never
-strays more than eps * dt from the monotone update, and on every node it
-equals either the high-order or the monotone result exactly.
+binary smoothness mask, and eps a switching scale (:func:`epsilon_n`)
+recomputed once per time step over the detected region of regularity.
+The output therefore never strays more than eps * dt from the monotone
+update, and on every node it equals either the high-order or the
+monotone result exactly.
 
 The switching scale compares the leading difference between the two
 numerical hamiltonians: the one-shot time-curvature correction of the
@@ -33,7 +34,7 @@ from .highorder import centered_slopes, high_order_step, time_curvature
 from .indicators2d import Indicator2DConfig, smoothness_2d
 # monotone_hamiltonian is unused here; the benchmark's tracer
 # (perfbench/tracer.py) wraps this module's name for it.
-from .monotone import (CflViolation, MonotoneScheme,  # noqa: F401
+from .monotone import (CflViolation, MonotoneKind,  # noqa: F401
                        htilde_differences, monotone_hamiltonian, monotone_step,
                        one_sided_slopes)
 
@@ -51,37 +52,30 @@ def filter_F(rho):
     return out if out.ndim else float(out)
 
 
-def epsilon_field(field: GridField, H: Hamiltonian, scheme: MonotoneScheme,
-                  dt: float, K: float, at=None, slopes=None) -> np.ndarray:
-    """Switching-scale integrand K * |...| at every node (before the
-    region maximum).  ``at`` (``field.neighbors(1)``) and ``slopes`` (the
-    one-sided slopes read from it) are the step's shared stencil data when
-    the caller has them; the one-sided, centered, second and cross
-    differences all come from that one padded copy."""
+def epsilon_n(field: GridField, H: Hamiltonian, kind: MonotoneKind,
+              dt: float, mask: np.ndarray, K: float = 1.0, *, at=None,
+              slopes=None) -> float:
+    """Switching scale: the maximum of the integrand K * |...| over the
+    trusted region; 0 when the region is empty.  ``at``
+    (``field.neighbors(1)``) and ``slopes`` (the one-sided slopes read
+    from it) are the step's shared stencil data when the caller has them;
+    the one-sided, centered, second and cross differences all come from
+    that one padded copy."""
+    mask = np.asarray(mask, dtype=bool)
+    if not mask.any():
+        return 0.0
     if at is None:
         at = field.neighbors(1)
     if slopes is None:
         slopes = one_sided_slopes(field, at)
     x, y = field.grid.meshes()
-    dp_term, dq_term = htilde_differences(scheme, H, x, y, *slopes)
+    dp_term, dq_term = htilde_differences(kind, H, x, y, *slopes)
     bracket = time_curvature(field, H, *centered_slopes(field, at), at)
-    return K * np.abs(0.5 * dt * bracket + dp_term + dq_term)
-
-
-def epsilon_n(field: GridField, H: Hamiltonian, scheme: MonotoneScheme,
-              dt: float, mask: np.ndarray, K: float = 1.0, *, at=None,
-              slopes=None) -> float:
-    """Maximum of the switching-scale integrand over the trusted region;
-    0 when the region is empty.  ``at`` and ``slopes`` as in
-    :func:`epsilon_field`."""
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        return 0.0
-    vals = epsilon_field(field, H, scheme, dt, K, at, slopes)
+    vals = K * np.abs(0.5 * dt * bracket + dp_term + dq_term)
     return float(vals[mask].max())
 
 
-def af_step(field: GridField, scheme: MonotoneScheme, highorder, H: Hamiltonian,
+def af_step(field: GridField, kind: MonotoneKind, highorder, H: Hamiltonian,
             dt: float, phi_mask: np.ndarray, eps: float, *,
             slopes=None) -> GridField:
     """One blended step.
@@ -95,7 +89,7 @@ def af_step(field: GridField, scheme: MonotoneScheme, highorder, H: Hamiltonian,
     argument).  ``slopes`` are the field's one-sided slopes when the
     caller already has them.
     """
-    u_m = monotone_step(field, scheme, H, dt, slopes=slopes)
+    u_m = monotone_step(field, kind, H, dt, slopes=slopes)
     if eps <= EPS_FLOOR:
         return u_m
     u_a = highorder(field, H, dt)
@@ -117,7 +111,7 @@ class SolverConfig:
     """
 
     hamiltonian: Hamiltonian
-    monotone: MonotoneScheme
+    monotone: MonotoneKind
     highorder: str = "hc"
     mode: str = "af"
     indicator: Indicator2DConfig = dc_field(default_factory=Indicator2DConfig)

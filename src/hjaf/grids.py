@@ -51,10 +51,6 @@ class Grid1D:
     def shape(self) -> tuple[int]:
         return (self.n,)
 
-    @property
-    def delta(self) -> float:
-        return self.dx
-
     def nodes(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(self.n)
 

@@ -5,7 +5,9 @@ derivatives (H_x and H_y may be left out only when H does not depend on
 (x, y), and are then exact zeros) and, for the local Lax-Friedrichs
 scheme, the interval bounds max|H_p| and max|H_q| in closed form.  The
 global velocity bounds vmax_p >= max|H_p| and vmax_q >= max|H_q| (over the
-relevant state range) feed the time-step restriction check.
+relevant state range) feed the time-step restriction check.  A
+``Hamiltonian`` checks on construction that both velocity bounds are
+positive and that a space-dependent H brings H_x and H_y.
 """
 from __future__ import annotations
 
@@ -17,13 +19,17 @@ import numpy as np
 ArrayFn = Callable[..., np.ndarray]
 
 
-@dataclass(frozen=True)
+def _zero(x, y, p, q):
+    return np.zeros(np.broadcast(x, y, p, q).shape)
+
+
+@dataclass(frozen=True, kw_only=True)
 class Hamiltonian:
     eval: ArrayFn                 # (x, y, p, q) -> value
     dp: ArrayFn                   # dH/dp
     dq: ArrayFn                   # dH/dq
-    dx_: ArrayFn                  # dH/dx at frozen (p, q)
-    dy_: ArrayFn                  # dH/dy at frozen (p, q)
+    dx_: ArrayFn = _zero          # dH/dx at frozen (p, q)
+    dy_: ArrayFn = _zero          # dH/dy at frozen (p, q)
     vmax_p: float
     vmax_q: float
     space_dependent: bool = False
@@ -36,39 +42,20 @@ class Hamiltonian:
     alpha_p: ArrayFn | None = None
     alpha_q: ArrayFn | None = None
 
-
-def make_hamiltonian(eval_fn: ArrayFn, *, dp: ArrayFn, dq: ArrayFn,
-                     dx_: ArrayFn | None = None, dy_: ArrayFn | None = None,
-                     vmax_p: float, vmax_q: float,
-                     space_dependent: bool = False, is_eikonal: bool = False,
-                     alpha_p: ArrayFn | None = None,
-                     alpha_q: ArrayFn | None = None) -> Hamiltonian:
-    """Assemble a Hamiltonian.  A space-dependent H must supply dx_ and
-    dy_; otherwise both default to exact zeros."""
-    if vmax_p <= 0 or vmax_q <= 0:
-        raise ValueError("velocity bounds must be positive")
-    if space_dependent and (dx_ is None or dy_ is None):
-        raise ValueError("a space-dependent hamiltonian needs dx_ and dy_")
-    return Hamiltonian(
-        eval=eval_fn, dp=dp, dq=dq,
-        dx_=_zero if dx_ is None else dx_, dy_=_zero if dy_ is None else dy_,
-        vmax_p=vmax_p, vmax_q=vmax_q,
-        space_dependent=space_dependent, is_eikonal=is_eikonal,
-        alpha_p=alpha_p, alpha_q=alpha_q,
-    )
-
-
-def _zero(x, y, p, q):
-    return np.zeros(np.broadcast(x, y, p, q).shape)
+    def __post_init__(self) -> None:
+        if self.vmax_p <= 0 or self.vmax_q <= 0:
+            raise ValueError("velocity bounds must be positive")
+        if self.space_dependent and (self.dx_ is _zero or self.dy_ is _zero):
+            raise ValueError("a space-dependent hamiltonian needs dx_ and dy_")
 
 
 def transport_hamiltonian() -> Hamiltonian:
     """H = p + q: translation at unit speed along both axes."""
     one = lambda x, y, p, q: np.ones(np.broadcast(x, y, p, q).shape)
     unit_bound = lambda x, y, lo, hi, other: np.ones(np.broadcast(lo, hi).shape)
-    return make_hamiltonian(lambda x, y, p, q: p + q, dp=one, dq=one,
-                            vmax_p=1.0, vmax_q=1.0,
-                            alpha_p=unit_bound, alpha_q=unit_bound)
+    return Hamiltonian(eval=lambda x, y, p, q: p + q, dp=one, dq=one,
+                       vmax_p=1.0, vmax_q=1.0,
+                       alpha_p=unit_bound, alpha_q=unit_bound)
 
 
 def eikonal_hamiltonian() -> Hamiltonian:
@@ -89,15 +76,15 @@ def eikonal_hamiltonian() -> Hamiltonian:
         r = np.sqrt(p * p + q * q)
         return np.divide(q, r, out=np.zeros(np.broadcast(q, r).shape), where=r > 0)
 
-    return make_hamiltonian(ev, dp=dp, dq=dq, vmax_p=1.0, vmax_q=1.0,
-                            is_eikonal=True)
+    return Hamiltonian(eval=ev, dp=dp, dq=dq, vmax_p=1.0, vmax_q=1.0,
+                       is_eikonal=True)
 
 
 def rotation_hamiltonian(radius: float) -> Hamiltonian:
     """H = -y p + x q: rigid rotation about the origin; ``radius`` bounds
     |x|, |y| over the computational domain for the velocity bounds."""
-    return make_hamiltonian(
-        lambda x, y, p, q: -y * p + x * q,
+    return Hamiltonian(
+        eval=lambda x, y, p, q: -y * p + x * q,
         dp=lambda x, y, p, q: np.broadcast_to(np.asarray(-y, dtype=float),
                                               np.broadcast(x, y, p, q).shape),
         dq=lambda x, y, p, q: np.broadcast_to(np.asarray(x, dtype=float),
@@ -121,8 +108,8 @@ def shifted_quadratic_hamiltonian(slope_bound: float) -> Hamiltonian:
         # |2(p+1)| is affine in p: the interval max sits at an endpoint
         return np.maximum(np.abs(2.0 * (lo + 1.0)), np.abs(2.0 * (hi + 1.0)))
 
-    return make_hamiltonian(
-        lambda x, y, p, q: (p + 1.0) ** 2 + (q + 1.0) ** 2,
+    return Hamiltonian(
+        eval=lambda x, y, p, q: (p + 1.0) ** 2 + (q + 1.0) ** 2,
         dp=lambda x, y, p, q: 2.0 * (p + 1.0) * np.ones(np.broadcast(x, y, p, q).shape),
         dq=lambda x, y, p, q: 2.0 * (q + 1.0) * np.ones(np.broadcast(x, y, p, q).shape),
         vmax_p=2.0 * (1.0 + slope_bound), vmax_q=2.0 * (1.0 + slope_bound),

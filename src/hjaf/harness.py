@@ -10,7 +10,7 @@ evolution loop only, single-threaded, excluding setup and file output.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,14 +23,8 @@ from .indicators1d import Indicator1DConfig, Variant1D, smoothness_1d
 from .problems import IndicatorCase, ProblemSpec, make_test
 from .reporting import RunReport, error_norms
 
-SCHEME_NAMES = ("monotone", "hc", "lw", "lw2", "richtmyer", "rkc4",
-                "af-hc", "af-lw", "af-lw2", "af-richtmyer", "af-rkc4",
-                "f-hc-fixed")
-
-_FORMULAS = {"full": Formula2D.FULL, "partial": Formula2D.PARTIAL,
-             "split": Formula2D.SPLIT}
-_VARIANTS_1D = {"raw": Variant1D.RAW, "mapped-g": Variant1D.MAPPED_G,
-                "weno-z": Variant1D.WENO_Z, "weno-z-new": Variant1D.WENO_Z_NEW}
+SCHEME_NAMES = ("monotone", *SCHEME_ORDERS,
+                *(f"af-{name}" for name in SCHEME_ORDERS), "f-hc-fixed")
 
 
 @dataclass(frozen=True)
@@ -51,13 +45,13 @@ class CliConfig:
             raise ValueError("need at least one refinement level")
         if self.scheme not in SCHEME_NAMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.indicator not in _FORMULAS:
+        if self.indicator not in [f.value for f in Formula2D]:
             raise ValueError(f"unknown indicator variant {self.indicator!r}")
 
 
 def solver_config(cfg: CliConfig, problem: ProblemSpec, level: int) -> SolverConfig:
     ind = Indicator2DConfig(sigma=cfg.sigma, M=cfg.M,
-                            variant=_FORMULAS[cfg.indicator])
+                            variant=Formula2D(cfg.indicator))
     if cfg.scheme == "monotone":
         mode, name, eps_fixed = "monotone", "hc", None
     elif cfg.scheme in SCHEME_ORDERS:
@@ -104,7 +98,7 @@ def run_convergence(cfg: CliConfig, problem: ProblemSpec | None = None) -> RunRe
         if problem.exact is not None:
             exact = problem.exact_field(problem.T_final, level).values
             linf, l1 = error_norms(u, exact)
-            report.append_level(u.grid.nx - 1 if _has_edge(problem) else u.grid.nx,
+            report.append_level(problem.base_nx * 2 ** level,
                                 problem.n_steps(level), linf, l1, seconds[level])
     if problem.exact is None:
         reference = finals[-1]
@@ -113,18 +107,12 @@ def run_convergence(cfg: CliConfig, problem: ProblemSpec | None = None) -> RunRe
             sub = reference.values[::stride, ::stride]
             u = finals[level]
             linf, l1 = error_norms(u, sub)
-            report.append_level(u.grid.nx - 1 if _has_edge(problem) else u.grid.nx,
+            report.append_level(problem.base_nx * 2 ** level,
                                 problem.n_steps(level), linf, l1, seconds[level])
             stride //= 2
     if cfg.out_dir is not None:
         _write_convergence_outputs(cfg, problem, report, finals[-1], diags[-1])
     return report
-
-
-def _has_edge(problem: ProblemSpec) -> bool:
-    # Neumann grids store both endpoints, so node count is intervals + 1.
-    from .grids import BoundaryCondition
-    return problem.bc is BoundaryCondition.NEUMANN_ZERO
 
 
 def _write_convergence_outputs(cfg: CliConfig, problem: ProblemSpec,
@@ -143,17 +131,18 @@ def _write_convergence_outputs(cfg: CliConfig, problem: ProblemSpec,
             write_field_csv(final.like(values), f, name)
     with open(out / "epsilon.csv", "w") as f:
         diag.write_csv(f)
+    _write_meta(out, cfg, problem=problem.name,
+                reference_based=report.reference_based)
+
+
+def _write_meta(out: Path, cfg, **extra) -> None:
+    """``meta``: every config field but out_dir, in declaration order,
+    then ``extra``."""
+    echo = {fld.name: getattr(cfg, fld.name) for fld in fields(cfg)
+            if fld.name != "out_dir"}
     with open(out / "meta", "w") as f:
-        _write_meta(f, cfg, problem=problem.name,
-                    reference_based=report.reference_based)
-
-
-def _write_meta(f, cfg: CliConfig, **extra) -> None:
-    for key in ("test_id", "scheme", "indicator", "refinements", "K", "M",
-                "sigma", "epsilon_fixed", "lw2_corrected"):
-        f.write(f"{key} = {getattr(cfg, key)!r}\n")
-    for key, val in extra.items():
-        f.write(f"{key} = {val!r}\n")
+        for key, val in (echo | extra).items():
+            f.write(f"{key} = {val!r}\n")
 
 
 @dataclass(frozen=True)
@@ -180,6 +169,15 @@ class IndicatorRunResult:
     phi: np.ndarray
 
 
+def _member(kind, value: str | None, default: str, what: str):
+    """The member of enum ``kind`` with ``value`` (``default`` for None)."""
+    value = default if value is None else value
+    choices = sorted(member.value for member in kind)
+    if value not in choices:
+        raise ValueError(f"{what} must be one of {choices}")
+    return kind(value)
+
+
 def run_indicators(cfg: IndicatorRunConfig) -> IndicatorRunResult:
     """Evaluate the configured detection case and dump omega/phi maps."""
     case = make_test(cfg.test_id)
@@ -189,19 +187,15 @@ def run_indicators(cfg: IndicatorRunConfig) -> IndicatorRunResult:
     shift = "on_node" if cfg.placement == "node" else "in_cell"
     field = case.build_field(cfg.dx, shift)
     if case.dims == 1:
-        variant = cfg.variant if cfg.variant is not None else "mapped-g"
-        if variant not in _VARIANTS_1D:
-            raise ValueError(f"1D variant must be one of {sorted(_VARIANTS_1D)}")
+        variant = _member(Variant1D, cfg.variant, "mapped-g", "1D variant")
         sm = smoothness_1d(field, Indicator1DConfig(
             sigma=cfg.sigma if cfg.sigma is not None else 1.0, M=cfg.M,
-            variant=_VARIANTS_1D[variant]))
+            variant=variant))
     else:
-        variant = cfg.variant if cfg.variant is not None else "full"
-        if variant not in _FORMULAS:
-            raise ValueError(f"2D variant must be one of {sorted(_FORMULAS)}")
+        variant = _member(Formula2D, cfg.variant, "full", "2D variant")
         sm = smoothness_2d(field, Indicator2DConfig(
             sigma=cfg.sigma if cfg.sigma is not None else 2.0, M=cfg.M,
-            variant=_FORMULAS[variant]))
+            variant=variant))
     if cfg.out_dir is not None:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -212,7 +206,5 @@ def run_indicators(cfg: IndicatorRunConfig) -> IndicatorRunResult:
             for name, values in (("omega", sm.omega), ("phi", sm.phi)):
                 with open(out / f"{name}.csv", "w") as f:
                     write_field_csv(field.like(values), f, name)
-        with open(out / "meta", "w") as f:
-            for key in ("test_id", "dx", "placement", "variant", "M", "sigma"):
-                f.write(f"{key} = {getattr(cfg, key)!r}\n")
+        _write_meta(out, cfg)
     return IndicatorRunResult(field=field, omega=sm.omega, phi=sm.phi)

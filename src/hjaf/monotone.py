@@ -12,10 +12,11 @@ them.  The declared bounds vmax_p, vmax_q can be exceeded by the data a
 run reaches, so the local Lax-Friedrichs step also checks the restriction
 on the dissipation coefficients it actually used.
 
-The switching scale probes the monotone hamiltonian by swapping one
-slope slot at a time (:func:`htilde_differences`); for the local
-Lax-Friedrichs form those eight evaluations collapse to four in closed
-form, and both forms take their speed bounds from one helper.
+:class:`MonotoneKind` names the form, and :func:`monotone_hamiltonian`
+evaluates it.  The switching scale probes the monotone hamiltonian by
+swapping one slope slot at a time (:func:`htilde_differences`); for the
+local Lax-Friedrichs form those eight evaluations collapse to four in
+closed form, and both forms take their speed bounds from one helper.
 """
 from __future__ import annotations
 
@@ -33,11 +34,6 @@ CFL_LIMIT = 0.5
 class MonotoneKind(Enum):
     EIKONAL = "eikonal"
     LOCAL_LAX_FRIEDRICHS = "llf"
-
-
-@dataclass(frozen=True)
-class MonotoneScheme:
-    kind: MonotoneKind
 
 
 @dataclass(frozen=True)
@@ -81,8 +77,9 @@ def _speed_bound(H: Hamiltonian, x, y, lo, hi, other, along_p: bool):
 
 
 def _llf(H: Hamiltonian, x, y, pm, pp, qm, qp):
-    """(value, ax, ay): the local Lax-Friedrichs hamiltonian and the
-    dissipation coefficient it used on each axis."""
+    """(value, ax, ay): the local Lax-Friedrichs hamiltonian, H at slope
+    averages minus the dissipation on each axis scaled by H's interval
+    speed bound, and the dissipation coefficient it used on each axis."""
     pc = 0.5 * (np.asarray(pm, dtype=np.float64) + pp)
     qc = 0.5 * (np.asarray(qm, dtype=np.float64) + qp)
     ax = _speed_bound(H, x, y, np.minimum(pm, pp), np.maximum(pm, pp), qc,
@@ -94,19 +91,13 @@ def _llf(H: Hamiltonian, x, y, pm, pp, qm, qp):
     return value, ax, ay
 
 
-def h_llf(H: Hamiltonian, x, y, pm, pp, qm, qp):
-    """Local Lax-Friedrichs hamiltonian: H at slope averages minus the
-    dissipation on each axis, scaled by H's interval speed bound."""
-    return _llf(H, x, y, pm, pp, qm, qp)[0]
-
-
 def _llf_slot_difference(H: Hamiltonian, x, y, c, fwd, bwd, frozen,
                          along_p: bool):
-    """Closed form of one slot difference of h_llf (see
-    :func:`htilde_differences`).  With the swapped slot's partner held at
-    the centered slope c, h_llf(c, s) and h_llf(s, c) share E = H at
-    0.5*(c + s), the speed bound over [min(c, s), max(c, s)] and the
-    dissipation d = 0.5*bound*(s - c), which enters them as E - d and
+    """Closed form of one slot difference of the local Lax-Friedrichs
+    hamiltonian h (see :func:`htilde_differences`).  With the swapped
+    slot's partner held at the centered slope c, h(c, s) and h(s, c) share
+    E = H at 0.5*(c + s), the speed bound over [min(c, s), max(c, s)] and
+    the dissipation d = 0.5*bound*(s - c), which enters them as E - d and
     E + d.  On the frozen axis the average 0.5*(c' + c') is c' exactly and
     the dissipation 0.5*bound'*(c' - c') is +0 (bounds are finite and
     >= 0), so every value rounds exactly as in the eight calls."""
@@ -121,7 +112,7 @@ def _llf_slot_difference(H: Hamiltonian, x, y, c, fwd, bwd, frozen,
     return ((e_f - d_f) - (e_b - d_b)) - ((e_f + d_f) - (e_b + d_b))
 
 
-def htilde_differences(scheme: MonotoneScheme, H: Hamiltonian,
+def htilde_differences(kind: MonotoneKind, H: Hamiltonian,
                        x, y, pm, pp, qm, qp):
     """(p-slot difference, q-slot difference) of the monotone hamiltonian
     h: each slot in turn is swapped between the forward and the backward
@@ -136,7 +127,7 @@ def htilde_differences(scheme: MonotoneScheme, H: Hamiltonian,
     """
     pc = 0.5 * (pm + pp)
     qc = 0.5 * (qm + qp)
-    if scheme.kind is MonotoneKind.EIKONAL:
+    if kind is MonotoneKind.EIKONAL:
         _require_eikonal(H)
         h = h_eikonal
         return ((h(pc, pp, qc, qc) - h(pc, pm, qc, qc))
@@ -162,20 +153,19 @@ def one_sided_slopes(field: GridField, at=None):
     return dxm, dxp, dym, dyp
 
 
-def monotone_hamiltonian(scheme: MonotoneScheme, H: Hamiltonian,
+def monotone_hamiltonian(kind: MonotoneKind, H: Hamiltonian,
                          x, y, pm, pp, qm, qp):
-    """(h, speeds): the numerical hamiltonian of ``scheme`` and, for the
+    """(h, speeds): the numerical hamiltonian of form ``kind`` and, for the
     local Lax-Friedrichs form, the dissipation coefficients (ax, ay) it
     used; ``speeds`` is None for the upwind eikonal form."""
-    if scheme.kind is MonotoneKind.EIKONAL:
+    if kind is MonotoneKind.EIKONAL:
         _require_eikonal(H)
         return h_eikonal(pm, pp, qm, qp), None
     value, ax, ay = _llf(H, x, y, pm, pp, qm, qp)
     return value, (ax, ay)
 
 
-def cfl_check(scheme: MonotoneScheme, H: Hamiltonian, dt: float,
-              grid: Grid2D) -> CflReport:
+def cfl_check(H: Hamiltonian, dt: float, grid: Grid2D) -> CflReport:
     """Simplified step-restriction test max(lam * vmax) <= 1/2."""
     lam_x = dt / grid.dx
     lam_y = dt / grid.dy
@@ -203,21 +193,21 @@ def _check_realized_speeds(report: CflReport, speeds, grid: Grid2D) -> None:
         f"max(lam*alpha) = {value:.4g} > {CFL_LIMIT}")
 
 
-def monotone_step(field: GridField, scheme: MonotoneScheme, H: Hamiltonian,
+def monotone_step(field: GridField, kind: MonotoneKind, H: Hamiltonian,
                   dt: float, slopes=None) -> GridField:
     """One forward step of the monotone scheme.  Refuses to run when the
     step restriction fails rather than silently clipping dt: before the
     update on the declared velocity bounds, after it (local Lax-Friedrichs
     form) on the dissipation coefficients the update used.  ``slopes`` are
     the field's one-sided slopes when the caller already has them."""
-    report = cfl_check(scheme, H, dt, field.grid)
+    report = cfl_check(H, dt, field.grid)
     if not report.passed:
         raise CflViolation(
             f"time step violates the stability bound: "
             f"max(lam*vmax) = {report.value:.4g} > {CFL_LIMIT}")
     x, y = field.grid.meshes()
     pm, pp, qm, qp = one_sided_slopes(field) if slopes is None else slopes
-    h, speeds = monotone_hamiltonian(scheme, H, x, y, pm, pp, qm, qp)
+    h, speeds = monotone_hamiltonian(kind, H, x, y, pm, pp, qm, qp)
     if speeds is not None:
         _check_realized_speeds(report, speeds, field.grid)
     return field.like(field.values - dt * h)

@@ -19,7 +19,7 @@ from .grids import BoundaryCondition, Grid1D, Grid2D, GridField
 from .hamiltonians import (Hamiltonian, eikonal_hamiltonian,
                            rotation_hamiltonian, shifted_quadratic_hamiltonian,
                            transport_hamiltonian)
-from .monotone import MonotoneKind, MonotoneScheme
+from .monotone import CFL_LIMIT, MonotoneKind, cfl_check
 
 SQRT2_HALF = math.sqrt(2.0) / 2.0
 
@@ -37,24 +37,18 @@ class IndicatorCase:
     func: Callable
     xlim: tuple[float, float]
     ylim: tuple[float, float] | None  # None for 1D cases
-    shift: str = "on_node"
-
-    def __post_init__(self) -> None:
-        if self.shift not in ("on_node", "in_cell"):
-            raise ValueError(f"shift must be on_node or in_cell, got {self.shift!r}")
 
     @property
     def dims(self) -> int:
         return 1 if self.ylim is None else 2
 
-    def build_field(self, dx: float, shift: str | None = None) -> GridField:
+    def build_field(self, dx: float, shift: str = "on_node") -> GridField:
         """Sample the case function on a periodic grid of spacing dx.
 
         Periodic indexing is used for all detection studies even when the
         function itself is not periodic; spurious flags at the domain seam
         are an accepted artifact of that choice.
         """
-        shift = self.shift if shift is None else shift
         if shift not in ("on_node", "in_cell"):
             raise ValueError(f"shift must be on_node or in_cell, got {shift!r}")
         offset = -IN_CELL_SHIFT * dx if shift == "in_cell" else 0.0
@@ -80,7 +74,7 @@ class ProblemSpec:
     xlim: tuple[float, float]
     ylim: tuple[float, float]
     hamiltonian: Hamiltonian
-    monotone: MonotoneScheme
+    monotone: MonotoneKind
     initial: Callable            # (X, Y) -> values
     bc: BoundaryCondition
     T_final: float
@@ -92,11 +86,11 @@ class ProblemSpec:
     def __post_init__(self) -> None:
         if self.T_final <= 0:
             raise ValueError("final time must be positive")
-        lam = self.effective_lambda(0)
-        bound = max(lam * self.hamiltonian.vmax_p, lam * self.hamiltonian.vmax_q)
-        if bound > 0.5 + 1e-12:
+        report = cfl_check(self.hamiltonian, self.T_final / self.n_steps(0),
+                           self.grid(0))
+        if not report.passed:
             raise ValueError(f"base grid/step pairing violates the CFL bound "
-                             f"({bound:.4g} > 0.5)")
+                             f"({report.value:.4g} > {CFL_LIMIT})")
 
     def grid(self, level: int = 0) -> Grid2D:
         nx = self.base_nx * 2 ** level
@@ -340,15 +334,6 @@ def disc_min(v0: Callable, t: float, x, y, chunk: int = 2048) -> np.ndarray:
     return out.reshape(shape)
 
 
-def level_set_error(u: GridField, v0: Callable, t: float) -> tuple[float, float]:
-    """(Linf, L1) distance between a computed representation field and the
-    erosion oracle at time t."""
-    from .reporting import error_norms
-    X, Y = u.grid.meshes()
-    exact = disc_min(v0, t, X, Y)
-    return error_norms(u, exact)
-
-
 # ----------------------------------------------------------------------
 # registry
 
@@ -356,7 +341,7 @@ def _spec_transport() -> ProblemSpec:
     return ProblemSpec(
         id="5", name="transport-bump", xlim=(-2.0, 2.0), ylim=(-2.0, 2.0),
         hamiltonian=transport_hamiltonian(),
-        monotone=MonotoneScheme(MonotoneKind.LOCAL_LAX_FRIEDRICHS),
+        monotone=MonotoneKind.LOCAL_LAX_FRIEDRICHS,
         initial=bump_quintic, bc=BoundaryCondition.NEUMANN_ZERO,
         T_final=0.9, lambda_cfl=0.2, base_nx=40, base_nt=30,
         exact=exact_translation)
@@ -366,7 +351,7 @@ def _spec_rotation() -> ProblemSpec:
     return ProblemSpec(
         id="6", name="rotating-paraboloid", xlim=(-2.5, 2.5), ylim=(-2.5, 2.5),
         hamiltonian=rotation_hamiltonian(radius=2.5),
-        monotone=MonotoneScheme(MonotoneKind.LOCAL_LAX_FRIEDRICHS),
+        monotone=MonotoneKind.LOCAL_LAX_FRIEDRICHS,
         initial=steep_paraboloid, bc=BoundaryCondition.NEUMANN_ZERO,
         T_final=2.0 * math.pi, lambda_cfl=math.pi / 16.0, base_nx=20, base_nt=128,
         exact=exact_rotation)
@@ -379,7 +364,7 @@ def _spec_fronts(case: str) -> ProblemSpec:
     return ProblemSpec(
         id=f"7{case}", name=f"merging-fronts-{case}", xlim=(-3.0, 3.0),
         ylim=(-3.0, 3.0), hamiltonian=eikonal_hamiltonian(),
-        monotone=MonotoneScheme(MonotoneKind.EIKONAL),
+        monotone=MonotoneKind.EIKONAL,
         initial=v0, bc=BoundaryCondition.NEUMANN_ZERO,
         T_final=T, lambda_cfl=0.25, base_nx=30, base_nt=nt,
         exact=lambda t, x, y: disc_min(v0, t, x, y))
@@ -392,7 +377,7 @@ def _spec_burgers_like(regular_time: bool) -> ProblemSpec:
         name="burgers-like" + ("-regular" if regular_time else ""),
         xlim=(0.0, 2.0), ylim=(0.0, 2.0),
         hamiltonian=shifted_quadratic_hamiltonian(slope_bound=math.pi / 2.0),
-        monotone=MonotoneScheme(MonotoneKind.LOCAL_LAX_FRIEDRICHS),
+        monotone=MonotoneKind.LOCAL_LAX_FRIEDRICHS,
         initial=cosine_sum, bc=BoundaryCondition.PERIODIC,
         T_final=T_sing / 2.0 if regular_time else T_sing,
         lambda_cfl=3.0 / (4.0 * math.pi ** 2),
@@ -416,7 +401,9 @@ _PROBLEM_BUILDERS = {
     "8-regular": lambda: _spec_burgers_like(True),
 }
 
-ALL_TEST_IDS = tuple(_INDICATOR_CASES) + tuple(_PROBLEM_BUILDERS)
+INDICATOR_IDS = tuple(_INDICATOR_CASES)
+PROBLEM_IDS = tuple(_PROBLEM_BUILDERS)
+ALL_TEST_IDS = INDICATOR_IDS + PROBLEM_IDS
 
 
 def make_test(test_id: str):

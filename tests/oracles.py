@@ -20,8 +20,6 @@ bounds (``alpha_p``/``alpha_q``) must reproduce bitwise.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
@@ -192,39 +190,6 @@ def scan_bounds(H):
             scan_max_abs(H.dp, x, y, lo, hi, other, other_is_q=True),
             lambda x, y, lo, hi, other:
             scan_max_abs(H.dq, x, y, lo, hi, other, other_is_q=False))
-
-
-def undiv_diff_1d(samples, k: int) -> float:
-    """Order-k undivided difference of k+1 samples at consecutive nodes:
-    the k-th forward difference, i.e. the divided difference rescaled by
-    ``k! * dx**k``, the form the closed-form betas are written in."""
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.size == 0:
-        raise ValueError("empty sample sequence")
-    if k < 0:
-        raise ValueError(f"order must be nonnegative, got {k}")
-    if samples.size != k + 1:
-        raise ValueError(f"order {k} needs {k + 1} samples, got {samples.size}")
-    coeffs = np.array([math.comb(k, m) * (-1) ** (k - m) for m in range(k + 1)],
-                      dtype=np.float64)
-    return float(coeffs @ samples)
-
-
-def undiv_diff_2d(block, t: int, s: int) -> float:
-    """Mixed undivided difference of order t along axis 0 and s along
-    axis 1."""
-    block = np.asarray(block, dtype=np.float64)
-    if block.shape != (t + 1, s + 1):
-        raise ValueError(f"expected block of shape {(t + 1, s + 1)}, got {block.shape}")
-    rows = np.array([undiv_diff_1d(block[:, c], t) for c in range(s + 1)])
-    return undiv_diff_1d(rows, s)
-
-
-def recursive_divided_2d(xs, ys, block):
-    """Classical 2D divided difference: recursion in x per y-node row,
-    then recursion in y of the results."""
-    row = [divided_difference(xs, block[:, m]) for m in range(len(ys))]
-    return divided_difference(ys, np.array(row))
 
 
 # Closed-form coefficients (c21, c22), FULL and PARTIAL.

@@ -20,7 +20,7 @@ from hjaf.highorder import high_order_step
 from hjaf.indicators1d import Indicator1DConfig, Variant1D, omega_field_1d, phi_1d, flagged_cells_1d
 from hjaf.indicators2d import (Formula2D, Indicator2DConfig, omega_field_2d,
                                omega_split_field, phi_2d, quadrant_beta_fields)
-from hjaf.monotone import MonotoneKind, MonotoneScheme, monotone_step
+from hjaf.monotone import MonotoneKind, monotone_step
 from hjaf.problems import make_test
 from hjaf.reporting import error_norms, observed_order
 
@@ -325,7 +325,7 @@ def test_criterion_7_burgers_like_orders():
 def test_criterion_8_monotonicity_and_sandwich():
     rng = np.random.default_rng(101)
     g = Grid2D(0.0, 0.0, 0.1, 0.1, 12, 12)
-    eik = MonotoneScheme(MonotoneKind.EIKONAL)
+    eik = MonotoneKind.EIKONAL
     He = eikonal_hamiltonian()
     dt = 0.25 * g.dx
     violations = 0
@@ -360,8 +360,8 @@ def test_criterion_8_monotonicity_and_sandwich():
 def test_criterion_9_exactness_degeneracies():
     rng = np.random.default_rng(102)
     g = Grid2D(0.0, 0.0, 0.1, 0.1, 14, 14)
-    llf = MonotoneScheme(MonotoneKind.LOCAL_LAX_FRIEDRICHS)
-    eik = MonotoneScheme(MonotoneKind.EIKONAL)
+    llf = MonotoneKind.LOCAL_LAX_FRIEDRICHS
+    eik = MonotoneKind.EIKONAL
     Ht, He = transport_hamiltonian(), eikonal_hamiltonian()
     f = GridField(g, rng.normal(size=(14, 14)), PER)
     dt = 0.02

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hjaf.filtering import (EPS_FLOOR, Diagnostics, EvolutionError,
@@ -14,15 +14,15 @@ from hjaf.hamiltonians import (eikonal_hamiltonian, rotation_hamiltonian,
                                shifted_quadratic_hamiltonian,
                                transport_hamiltonian)
 from hjaf.highorder import SCHEME_ORDERS, hc_step, high_order_step
-from hjaf.monotone import (CflViolation, MonotoneKind, MonotoneScheme,
-                           h_llf, monotone_step)
+from hjaf.monotone import (CflViolation, MonotoneKind, monotone_hamiltonian,
+                           monotone_step)
 from hjaf.problems import make_test
 
 from oracles import scalar_switching_integrand, scan_bounds
 
 PER = BoundaryCondition.PERIODIC
 NEU = BoundaryCondition.NEUMANN_ZERO
-LLF = MonotoneScheme(MonotoneKind.LOCAL_LAX_FRIEDRICHS)
+LLF = MonotoneKind.LOCAL_LAX_FRIEDRICHS
 
 
 class TestFilterFunction:
@@ -72,8 +72,9 @@ class TestSwitchingScale:
         got = epsilon_n(f, H, LLF, dt, mask, K)
 
         def h_mono(x, y, pm, pp, qm, qp):
-            return float(h_llf(H, x, y, np.float64(pm), np.float64(pp),
-                               np.float64(qm), np.float64(qp)))
+            return float(monotone_hamiltonian(
+                LLF, H, x, y, np.float64(pm), np.float64(pp),
+                np.float64(qm), np.float64(qp))[0])
 
         expected = max(scalar_switching_integrand(f, H, h_mono, dt, K, i, j)
                        for i in range(15) for j in range(15))
@@ -91,8 +92,9 @@ class TestSwitchingScale:
             got = epsilon_n(f, H, LLF, 0.01, mask, 1.3)
 
             def h_mono(x, y, pm, pp, qm, qp):
-                return float(h_llf(H, x, y, np.float64(pm), np.float64(pp),
-                                   np.float64(qm), np.float64(qp)))
+                return float(monotone_hamiltonian(
+                    LLF, H, x, y, np.float64(pm), np.float64(pp),
+                    np.float64(qm), np.float64(qp))[0])
 
             vals = [scalar_switching_integrand(f, H, h_mono, 0.01, 1.3, i, j)
                     for i in range(8) for j in range(8) if mask[i, j]]
@@ -204,7 +206,7 @@ def blend_cases(draw, constant=False):
     if kind == "transport":
         H, scheme = transport_hamiltonian(), LLF
     elif kind == "eikonal":
-        H, scheme = eikonal_hamiltonian(), MonotoneScheme(MonotoneKind.EIKONAL)
+        H, scheme = eikonal_hamiltonian(), MonotoneKind.EIKONAL
     else:
         H, scheme = rotation_hamiltonian(max(nx * dx, ny * dy)), LLF
     name = draw(st.sampled_from(sorted(SCHEME_ORDERS)))
@@ -225,9 +227,21 @@ def blend_cases(draw, constant=False):
     return f, scheme, highorder, H, dt, mask, eps
 
 
+def _subnormal_corner_case():
+    """Transport and hc on a 3x3 Neumann grid that is zero but for one
+    subnormal corner value: the high-order update is subnormal where the
+    monotone one is 0, and the blend formula loses digits there."""
+    g = Grid2D(-1.5, -1.5, 1.0, 1.0, 3, 3)
+    values = np.zeros((3, 3))
+    values[0, 0] = 1e-309
+    return (GridField(g, values, NEU), LLF, hc_step, transport_hamiltonian(),
+            0.5, np.ones((3, 3), dtype=bool), 3.5)
+
+
 class TestBlendedStepProperties:
     @settings(max_examples=150, deadline=None)
     @given(blend_cases())
+    @example(_subnormal_corner_case())
     def test_selection_sandwich_and_blend_formula(self, case):
         f, scheme, highorder, H, dt, mask, eps = case
         out = af_step(f, scheme, highorder, H, dt, mask, eps).values
@@ -242,11 +256,19 @@ class TestBlendedStepProperties:
         take = mask & (np.abs(u_a - u_m) <= eps * dt)
         assert np.array_equal(out, np.where(take, u_a, u_m))
         # the filtered blend formula, to rounding; nodes whose filter
-        # argument lies within rounding of the cutoff may go either way
+        # argument lies within rounding of the cutoff may go either way.
+        # Each operation rounds with a relative error of at most machine
+        # epsilon or, when its result is subnormal, an absolute error of
+        # at most tiny/2 (tiny: the smallest subnormal).  A difference or
+        # sum that underflows is exact; the quotient's tiny/2 is
+        # multiplied by scale in the product, which adds its own tiny/2.
+        # So (scale + 1) * tiny covers the absolute part.
         scale = eps * dt
         rho = (u_a - u_m) / scale
         blend = u_m + mask * scale * filter_F(rho)
-        tol = 4.0 * np.finfo(np.float64).eps * (np.abs(u_a) + np.abs(u_m))
+        tiny = np.finfo(np.float64).smallest_subnormal
+        tol = (4.0 * np.finfo(np.float64).eps * (np.abs(u_a) + np.abs(u_m))
+               + (scale + 1.0) * tiny)
         edge = np.abs(np.abs(rho) - 1.0) <= 1e-12
         assert (np.abs(out - blend) <= tol)[~edge].all()
 

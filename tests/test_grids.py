@@ -1,5 +1,4 @@
 import io
-import math
 
 import numpy as np
 import pytest
@@ -7,8 +6,6 @@ import pytest
 from hjaf.grids import (BoundaryCondition, GHOST_REACH, Grid1D, Grid2D,
                         GridField, ghost_value, pad_ghosts, write_field_csv)
 
-from oracles import (divided_difference, recursive_divided_2d, undiv_diff_1d,
-                     undiv_diff_2d)
 
 PER = BoundaryCondition.PERIODIC
 NEU = BoundaryCondition.NEUMANN_ZERO
@@ -121,83 +118,6 @@ class TestShifted:
         f = field_1d(np.zeros(12), PER)
         with pytest.raises(IndexError):
             f.shifted(GHOST_REACH + 1)
-
-
-class TestUndividedDifferences:
-    # The oracles' undivided differences against the textbook recursion:
-    # pins the identity (undivided = k! h^k * divided difference) that the
-    # closed-form betas are written in.
-    def test_constant_vanishes(self):
-        assert undiv_diff_1d([1.0, 1.0, 1.0], 2) == 0.0
-
-    def test_quadratic_second_difference(self):
-        h = 0.3
-        assert undiv_diff_1d([0.0, h ** 2, 4 * h ** 2], 2) == pytest.approx(2 * h ** 2)
-
-    def test_kink_second_difference(self):
-        h = 0.25
-        assert undiv_diff_1d([h, 0.0, h], 2) == pytest.approx(2 * h)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            undiv_diff_1d([], 0)
-
-    def test_wrong_length_raises(self):
-        with pytest.raises(ValueError):
-            undiv_diff_1d([1.0, 2.0], 2)
-
-    def test_annihilates_low_degree_polynomials(self):
-        rng = np.random.default_rng(1)
-        for k in (1, 2, 3, 4):
-            for _ in range(20):
-                coeffs = rng.normal(size=k)  # degree < k
-                xs = 0.7 + 0.2 * np.arange(k + 1)
-                samples = sum(c * xs ** m for m, c in enumerate(coeffs))
-                scale = max(np.abs(samples).max(), 1.0)
-                assert abs(undiv_diff_1d(samples, k)) <= 1e-13 * scale
-
-    def test_matches_recursive_divided_difference(self):
-        rng = np.random.default_rng(2)
-        dx = 0.37
-        for k in range(5):
-            for _ in range(20):
-                vals = rng.normal(size=k + 1)
-                xs = 1.1 + dx * np.arange(k + 1)
-                dd = divided_difference(list(xs), vals)
-                expect = dd * math.factorial(k) * dx ** k
-                assert undiv_diff_1d(vals, k) == pytest.approx(expect, rel=1e-12, abs=1e-13)
-
-    def test_2d_all_ones(self):
-        assert undiv_diff_2d(np.ones((3, 1)), 2, 0) == 0.0
-
-    def test_2d_bilinear(self):
-        h = 0.2
-        block = np.array([[0.0, 0.0], [0.0, h * h]])  # f = x*y on {0,h}^2
-        assert undiv_diff_2d(block, 1, 1) == pytest.approx(h * h)
-
-    def test_2d_axis_order_commutes(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            block = rng.normal(size=(3, 3))
-            direct = undiv_diff_2d(block, 2, 2)
-            swapped = undiv_diff_2d(block.T, 2, 2)
-            assert direct == pytest.approx(swapped, rel=1e-12, abs=1e-14)
-
-    def test_2d_matches_recursive_oracle(self):
-        rng = np.random.default_rng(4)
-        dx, dy = 0.15, 0.4
-        for _ in range(50):
-            t, s = rng.integers(1, 3), rng.integers(1, 3)
-            block = rng.normal(size=(t + 1, s + 1))
-            xs = dx * np.arange(t + 1)
-            ys = dy * np.arange(s + 1)
-            dd = recursive_divided_2d(list(xs), list(ys), block)
-            expect = dd * math.factorial(t) * math.factorial(s) * dx ** t * dy ** s
-            assert undiv_diff_2d(block, t, s) == pytest.approx(expect, rel=1e-12, abs=1e-13)
-
-    def test_2d_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            undiv_diff_2d(np.ones((2, 2)), 2, 1)
 
 
 class TestGridValidation:

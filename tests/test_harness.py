@@ -1,10 +1,12 @@
 import io
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hjaf.harness as harness
-from hjaf.cli import main as cli_main
+from hjaf.cli import _build_parser as build_parser, main as cli_main
 from hjaf.grids import BoundaryCondition, Grid2D, GridField
 from hjaf.harness import (CliConfig, IndicatorRunConfig, run_convergence,
                           run_indicators)
@@ -266,6 +268,28 @@ class TestCli:
         assert code == 1
         assert "finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, run, config", [
+        (["solve", "--test", "5", "--refinements", "1"], run_convergence,
+         lambda out: CliConfig(test_id="5", refinements=1, out_dir=out)),
+        (["indicators", "--test", "2"], run_indicators,
+         lambda out: IndicatorRunConfig(test_id="2", out_dir=out)),
+    ], ids=["solve", "indicators"])
+    def test_options_left_out_take_the_config_defaults(
+            self, argv, run, config, tmp_path, capsys):
+        # meta echoes every config field, so a default the command line
+        # keeps of its own shows up as a differing line
+        assert cli_main(argv + ["--out", str(tmp_path / "cli")]) == 0
+        run(config(str(tmp_path / "lib")))
+        assert ((tmp_path / "cli" / "meta").read_text()
+                == (tmp_path / "lib" / "meta").read_text())
+
+    @pytest.mark.parametrize("argv", [["solve", "--test", "5"],
+                                      ["indicators", "--test", "2"]],
+                             ids=["solve", "indicators"])
+    def test_parser_sets_only_the_options_given(self, argv):
+        args = vars(build_parser().parse_args(argv))
+        assert args == {"command": argv[0], "test_id": argv[2]}
+
     def test_lambda_metadata(self):
         # the transport benchmark's nominal time-to-space ratio disagrees
         # with its reference grid/step pairing; the harness follows the table
@@ -273,3 +297,9 @@ class TestCli:
         prob = make_test("5")
         assert prob.lambda_cfl == 0.2
         assert prob.effective_lambda(0) == pytest.approx(0.3)
+
+
+def test_readme_library_example_runs():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = re.search(r"```python\n(.*?)```", readme.read_text(), re.S)
+    exec(compile(block.group(1), str(readme), "exec"), {})

@@ -6,22 +6,21 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hjaf.grids import BoundaryCondition, Grid2D, GridField
-from hjaf.hamiltonians import (eikonal_hamiltonian, make_hamiltonian,
+from hjaf.hamiltonians import (Hamiltonian, eikonal_hamiltonian,
                                rotation_hamiltonian,
                                shifted_quadratic_hamiltonian,
                                transport_hamiltonian)
-from hjaf.monotone import (CflViolation, MonotoneKind, MonotoneScheme,
-                           cfl_check, h_eikonal, h_llf, htilde_differences,
-                           monotone_hamiltonian, monotone_step,
-                           one_sided_slopes)
+from hjaf.monotone import (CflViolation, MonotoneKind, cfl_check, h_eikonal,
+                           htilde_differences, monotone_hamiltonian,
+                           monotone_step, one_sided_slopes)
 from hjaf.problems import ALL_TEST_IDS, ProblemSpec, make_test
 
 from oracles import scan_bounds, scan_max_abs, swapped_slot_differences
 
 PER = BoundaryCondition.PERIODIC
 NEU = BoundaryCondition.NEUMANN_ZERO
-EIK = MonotoneScheme(MonotoneKind.EIKONAL)
-LLF = MonotoneScheme(MonotoneKind.LOCAL_LAX_FRIEDRICHS)
+EIK = MonotoneKind.EIKONAL
+LLF = MonotoneKind.LOCAL_LAX_FRIEDRICHS
 
 
 def grid(n=12, dx=0.1):
@@ -31,8 +30,8 @@ def grid(n=12, dx=0.1):
 def scanned_hamiltonian():
     """H = sin p + q^2/2 + x q, non-affine in p and space-dependent, whose
     interval bounds are the sampled scan of the oracles."""
-    H = make_hamiltonian(
-        lambda x, y, p, q: np.sin(p) + 0.5 * q * q + x * q,
+    H = Hamiltonian(
+        eval=lambda x, y, p, q: np.sin(p) + 0.5 * q * q + x * q,
         dp=lambda x, y, p, q: np.cos(p) * np.ones(np.broadcast(x, y, p, q).shape),
         dq=lambda x, y, p, q: q + x * np.ones(np.broadcast(x, y, p, q).shape),
         dx_=lambda x, y, p, q: q * np.ones(np.broadcast(x, y, p, q).shape),
@@ -86,8 +85,9 @@ class TestEikonalHamiltonian:
 class TestLlfHamiltonian:
     def test_linear_upwind(self):
         H = transport_hamiltonian()
-        v = h_llf(H, 0.0, 0.0, np.float64(1.0), np.float64(3.0),
-                  np.float64(0.0), np.float64(0.0))
+        v, _ = monotone_hamiltonian(LLF, H, 0.0, 0.0, np.float64(1.0),
+                                    np.float64(3.0), np.float64(0.0),
+                                    np.float64(0.0))
         assert float(v) == pytest.approx(1.0)
 
     def test_consistency_on_matched_slopes(self):
@@ -96,20 +96,21 @@ class TestLlfHamiltonian:
                   rotation_hamiltonian(2.5)):
             x, y = rng.normal(size=20), rng.normal(size=20)
             p, q = rng.normal(size=20), rng.normal(size=20)
-            got = h_llf(H, x, y, p, p, q, q)
+            got, _ = monotone_hamiltonian(LLF, H, x, y, p, p, q, q)
             assert got == pytest.approx(H.eval(x, y, p, q), rel=1e-13, abs=1e-14)
 
     def test_quadratic_hand_value(self):
         def bound(x, y, lo, hi, other):
             return np.maximum(np.abs(2 * lo), np.abs(2 * hi))
 
-        H = make_hamiltonian(
-            lambda x, y, p, q: p * p + q * q,
+        H = Hamiltonian(
+            eval=lambda x, y, p, q: p * p + q * q,
             dp=lambda x, y, p, q: 2 * p * np.ones(np.broadcast(x, y, p, q).shape),
             dq=lambda x, y, p, q: 2 * q * np.ones(np.broadcast(x, y, p, q).shape),
             vmax_p=4.0, vmax_q=4.0, alpha_p=bound, alpha_q=bound)
-        v = h_llf(H, 0.0, 0.0, np.float64(0.0), np.float64(2.0),
-                  np.float64(0.0), np.float64(0.0))
+        v, _ = monotone_hamiltonian(LLF, H, 0.0, 0.0, np.float64(0.0),
+                                    np.float64(2.0), np.float64(0.0),
+                                    np.float64(0.0))
         # H(1, 0) - (4/2)*(2-0) = 1 - 4
         assert float(v) == pytest.approx(-3.0)
 
@@ -152,7 +153,7 @@ class TestSlotDifferences:
         def h(pm, pp, qm, qp):
             if scheme is EIK:
                 return h_eikonal(pm, pp, qm, qp)
-            return h_llf(H, x, y, pm, pp, qm, qp)
+            return monotone_hamiltonian(LLF, H, x, y, pm, pp, qm, qp)[0]
 
         got = htilde_differences(scheme, H, x, y, *slopes)
         want = swapped_slot_differences(h, *slopes)
@@ -246,7 +247,7 @@ class TestMonotoneStep:
         X, Y = g.meshes()
         f = GridField(g, 3.0 * (X + Y), NEU)
         H = shifted_quadratic_hamiltonian(0.1)
-        assert cfl_check(LLF, H, 0.02, g).passed
+        assert cfl_check(H, 0.02, g).passed
         with pytest.raises(CflViolation, match=r"node \(i, j\) = \(\d+, \d+\)"):
             monotone_step(f, LLF, H, 0.02)
         monotone_step(f, LLF, H, 0.005)  # lam*8 = 0.4 passes
@@ -271,8 +272,15 @@ class TestMakeHamiltonian:
         for missing in ("dx_", "dy_"):
             kwargs = {k: v for k, v in closures.items() if k != missing}
             with pytest.raises(ValueError, match="dx_ and dy_"):
-                make_hamiltonian(lambda x, y, p, q: x * p, vmax_p=1.0,
-                                 vmax_q=1.0, space_dependent=True, **kwargs)
+                Hamiltonian(eval=lambda x, y, p, q: x * p, vmax_p=1.0,
+                            vmax_q=1.0, space_dependent=True, **kwargs)
+
+    @pytest.mark.parametrize("bounds", [(0.0, 1.0), (1.0, -1.0)])
+    def test_velocity_bounds_must_be_positive(self, bounds):
+        one = lambda x, y, p, q: np.ones(np.broadcast(x, y, p, q).shape)
+        with pytest.raises(ValueError, match="velocity bounds"):
+            Hamiltonian(eval=lambda x, y, p, q: p + q, dp=one, dq=one,
+                        vmax_p=bounds[0], vmax_q=bounds[1])
 
     def test_space_independent_derivatives_are_exact_zeros(self):
         H = transport_hamiltonian()
@@ -284,18 +292,18 @@ class TestMakeHamiltonian:
 class TestCflCheck:
     def test_transport_pass(self):
         g = grid(dx=0.1)
-        rep = cfl_check(LLF, transport_hamiltonian(), 0.02, g)
+        rep = cfl_check(transport_hamiltonian(), 0.02, g)
         assert rep.passed and rep.value == pytest.approx(0.2)
         assert rep.margin == pytest.approx(0.3)
 
     def test_fail_above_half(self):
         g = grid(dx=0.1)
-        rep = cfl_check(LLF, transport_hamiltonian(), 0.06, g)
+        rep = cfl_check(transport_hamiltonian(), 0.06, g)
         assert not rep.passed
 
     def test_rotation_case(self):
         # dt/dx = pi/16 with velocity bound 2.5 sits just under the limit
         g = Grid2D(-2.5, -2.5, 0.25, 0.25, 21, 21)
-        rep = cfl_check(LLF, rotation_hamiltonian(2.5), (np.pi / 16) * 0.25, g)
+        rep = cfl_check(rotation_hamiltonian(2.5), (np.pi / 16) * 0.25, g)
         assert rep.passed
         assert rep.value == pytest.approx(2.5 * np.pi / 16)

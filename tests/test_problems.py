@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,9 +7,8 @@ import pytest
 from hjaf.grids import BoundaryCondition
 from hjaf.problems import (ALL_TEST_IDS, IndicatorCase, ProblemSpec, disc_min,
                            exact_burgers_like, exact_rotation,
-                           exact_translation, hopf_lax_min_1d,
-                           level_set_error, make_test, two_circles,
-                           _hopf_lax_objective)
+                           exact_translation, hopf_lax_min_1d, make_test,
+                           two_circles, _hopf_lax_objective)
 
 SQ2H = math.sqrt(2) / 2
 
@@ -193,17 +193,6 @@ class TestErosionOracle:
             got = disc_min(two_circles, t, X, Y)
             assert got == pytest.approx(closed(t, X, Y), abs=1e-6)
 
-    def test_level_set_error_zero_against_itself(self):
-        prob = make_test("7a")
-        g = prob.grid(0)
-        X, Y = g.meshes()
-        t = 0.2
-        exact_vals = disc_min(two_circles, t, X, Y)
-        from hjaf.grids import GridField
-        u = GridField(g, exact_vals, prob.bc)
-        linf, l1 = level_set_error(u, two_circles, t)
-        assert linf <= 1e-12 and l1 <= 1e-12
-
 
 class TestCflGuard:
     def test_base_pairings_satisfy_bound(self):
@@ -213,3 +202,11 @@ class TestCflGuard:
             bound = max(lam * prob.hamiltonian.vmax_p,
                         lam * prob.hamiltonian.vmax_q)
             assert bound <= 0.5 + 1e-12
+
+    @pytest.mark.parametrize("tid", ["5", "6", "8", "8-regular"])
+    def test_halved_step_count_refused(self, tid):
+        # each of these pairs sits above half the limit, so half the
+        # steps (twice dt) breaks it
+        problem = make_test(tid)
+        with pytest.raises(ValueError, match="violates the CFL bound"):
+            dataclasses.replace(problem, base_nt=problem.base_nt // 2)
