@@ -19,7 +19,7 @@ from .harness import (CliConfig, IndicatorRunConfig, SCHEME_NAMES,
                       run_convergence, run_indicators)
 from .indicators2d import Formula2D
 from .monotone import CflViolation
-from .problems import INDICATOR_IDS, PROBLEM_IDS
+from .problems import INDICATOR_IDS, PLACEMENTS, PROBLEM_IDS
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ind.add_argument("--test", dest="test_id", required=True,
                      choices=INDICATOR_IDS)
     ind.add_argument("--dx", type=float)
-    ind.add_argument("--placement", choices=("node", "cell"))
+    ind.add_argument("--placement", choices=PLACEMENTS)
     ind.add_argument("--variant",
                      help="full|partial|split in 2D; raw|mapped-g|weno-z|"
                           "weno-z-new in 1D (default: full / mapped-g)")

@@ -7,8 +7,9 @@ or clamp-to-edge, maps an out-of-range index back into the grid.  It is
 applied in two places: :func:`ghost_value` maps one scalar index (the
 reference the tests check against), and :func:`pad_ghosts` materializes a
 ghost layer around an array.  Whole-grid stencils read offsets of one
-padded copy as views through :meth:`GridField.neighbors`.  Fields
-themselves never store ghost nodes.
+padded copy as views through :meth:`GridField.neighbors`.  Ghost nodes
+always carry data values: no stencil pads a derived array (a curvature or
+a beta) instead.  Fields themselves never store ghost nodes.
 """
 from __future__ import annotations
 
@@ -20,8 +21,8 @@ from typing import TextIO, Union
 import numpy as np
 
 # Largest offset per side that ghost_value and GridField.shifted accept.
-# The widest stencil reaches 2 nodes (fourth-order slopes, quadrant
-# betas).  No stencil composes across Runge-Kutta stages: each stage pads
+# The widest stencil reaches 2 nodes (fourth-order slopes, 1D and
+# quadrant betas).  No stencil composes across Runge-Kutta stages: each stage pads
 # its own input again.
 GHOST_REACH = 8
 

@@ -1,11 +1,14 @@
 """Run drivers: refinement studies for the evolution problems and
 detection-map dumps for the indicator cases.
 
-Each run writes one directory: ``table.csv`` (errors/orders/timings),
+A study runs one loop: per level, evolve, measure against the problem's
+exact oracle, append a table row.  Each run writes one directory:
+``table.csv`` (errors/orders/timings, one row per level),
 ``field_final.csv`` (finest computed field), ``omega.csv``/``phi.csv``
-(final-state smoothness maps), ``epsilon.csv`` (per-step switching-scale
-trace) and ``meta`` (full config echo).  Wall-clock entries time the
-evolution loop only, single-threaded, excluding setup and file output.
+(its smoothness maps), ``epsilon.csv`` (the finest level's per-step
+switching-scale trace) and ``meta`` (full config echo).  Wall-clock
+entries time the evolution loop only, single-threaded, excluding setup
+and file output.
 """
 from __future__ import annotations
 
@@ -71,68 +74,48 @@ def solver_config(cfg: CliConfig, problem: ProblemSpec, level: int) -> SolverCon
 
 def run_convergence(cfg: CliConfig, problem: ProblemSpec | None = None) -> RunReport:
     """Evolve the configured problem across halved grids at fixed
-    time-to-space ratio and tabulate errors against the exact oracle.
-
-    Without an oracle, all but the finest level are measured against the
-    finest computed solution restricted to the coarser nodes (flagged
-    reference-based in the report; the finest level serves as reference
-    only).  ``problem`` overrides the registry lookup for custom setups.
+    time-to-space ratio and tabulate errors against its exact oracle, one
+    row per level, coarse to fine.  ``problem`` overrides the registry
+    lookup for custom setups.
     """
     if problem is None:
         problem = make_test(cfg.test_id)
     if not isinstance(problem, ProblemSpec):
         raise ValueError(f"test {cfg.test_id} is a detection case; "
                          "use run_indicators")
-    report = RunReport(reference_based=problem.exact is None)
-    finals: list[GridField] = []
-    diags: list[Diagnostics] = []
-    seconds: list[float] = []
+    report = RunReport()
     for level in range(cfg.refinements):
         u0 = problem.initial_field(level)
         sc = solver_config(cfg, problem, level)
         t0 = time.perf_counter()
         u, diag = af_evolve(u0, sc, problem.T_final, problem.n_steps(level))
-        seconds.append(time.perf_counter() - t0)
-        finals.append(u)
-        diags.append(diag)
-        if problem.exact is not None:
-            exact = problem.exact_field(problem.T_final, level).values
-            linf, l1 = error_norms(u, exact)
-            report.append_level(problem.base_nx * 2 ** level,
-                                problem.n_steps(level), linf, l1, seconds[level])
-    if problem.exact is None:
-        reference = finals[-1]
-        stride = 2 ** (cfg.refinements - 1)
-        for level in range(cfg.refinements - 1):
-            sub = reference.values[::stride, ::stride]
-            u = finals[level]
-            linf, l1 = error_norms(u, sub)
-            report.append_level(problem.base_nx * 2 ** level,
-                                problem.n_steps(level), linf, l1, seconds[level])
-            stride //= 2
+        seconds = time.perf_counter() - t0
+        exact = problem.exact_field(problem.T_final, level).values
+        report.append_level(problem.base_nx * 2 ** level, problem.n_steps(level),
+                            *error_norms(u, exact), seconds)
     if cfg.out_dir is not None:
-        _write_convergence_outputs(cfg, problem, report, finals[-1], diags[-1])
+        _write_convergence_outputs(cfg, problem, report, u, diag, sc.indicator)
     return report
 
 
 def _write_convergence_outputs(cfg: CliConfig, problem: ProblemSpec,
                                report: RunReport, final: GridField,
-                               diag: Diagnostics) -> None:
+                               diag: Diagnostics,
+                               indicator: Indicator2DConfig) -> None:
+    """The finest level's files; ``indicator`` is the config it ran with."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "table.csv", "w") as f:
         report.write_csv(f)
     with open(out / "field_final.csv", "w") as f:
         write_field_csv(final, f)
-    ind = solver_config(cfg, problem, cfg.refinements - 1).indicator
-    sm = smoothness_2d(final, ind)
+    sm = smoothness_2d(final, indicator)
     for name, values in (("omega", sm.omega), ("phi", sm.phi)):
         with open(out / f"{name}.csv", "w") as f:
             write_field_csv(final.like(values), f, name)
     with open(out / "epsilon.csv", "w") as f:
         diag.write_csv(f)
-    _write_meta(out, cfg, problem=problem.name,
-                reference_based=report.reference_based)
+    _write_meta(out, cfg, problem=problem.name)
 
 
 def _write_meta(out: Path, cfg, **extra) -> None:
@@ -149,17 +132,13 @@ def _write_meta(out: Path, cfg, **extra) -> None:
 class IndicatorRunConfig:
     test_id: str
     dx: float = 0.05
-    placement: str = "node"       # node | cell
+    placement: str = "node"       # one of problems.PLACEMENTS
     # 2D: full|partial|split; 1D: raw|mapped-g|weno-z|weno-z-new;
     # None picks the dimension's default (full / mapped-g)
     variant: str | None = None
     M: float = 0.2
     sigma: float | None = None    # default: 1 in 1D, 2 in 2D
     out_dir: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.placement not in ("node", "cell"):
-            raise ValueError(f"placement must be node or cell, got {self.placement!r}")
 
 
 @dataclass(frozen=True)
@@ -184,8 +163,7 @@ def run_indicators(cfg: IndicatorRunConfig) -> IndicatorRunResult:
     if not isinstance(case, IndicatorCase):
         raise ValueError(f"test {cfg.test_id} is an evolution problem; "
                          "use run_convergence")
-    shift = "on_node" if cfg.placement == "node" else "in_cell"
-    field = case.build_field(cfg.dx, shift)
+    field = case.build_field(cfg.dx, cfg.placement)
     if case.dims == 1:
         variant = _member(Variant1D, cfg.variant, "mapped-g", "1D variant")
         sm = smoothness_1d(field, Indicator1DConfig(

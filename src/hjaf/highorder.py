@@ -36,19 +36,15 @@ def centered_slopes(field: GridField, at=None):
     return dxu, dyu
 
 
-def second_diffs(field: GridField, at=None):
+def second_diffs(field: GridField, at):
     dx, dy = field.grid.dx, field.grid.dy
-    if at is None:
-        at = field.neighbors(1)
     d2x = (at(1, 0) - 2.0 * field.values + at(-1, 0)) / dx ** 2
     d2y = (at(0, 1) - 2.0 * field.values + at(0, -1)) / dy ** 2
     return d2x, d2y
 
 
-def cross_diff(field: GridField, at=None):
+def cross_diff(field: GridField, at):
     dx, dy = field.grid.dx, field.grid.dy
-    if at is None:
-        at = field.neighbors(1)
     return (at(1, 1) - at(-1, 1) - at(1, -1) + at(-1, -1)) / (4.0 * dx * dy)
 
 
@@ -73,15 +69,12 @@ def hc_step(field: GridField, H: Hamiltonian, dt: float) -> GridField:
     return field.like(out)
 
 
-def time_curvature(field: GridField, H: Hamiltonian, dxu, dyu, at=None):
+def time_curvature(field: GridField, H: Hamiltonian, dxu, dyu, at):
     """Discrete time curvature Hp (Hp uxx + Hx) + Hq (Hq uyy + Hy)
     + 2 Hp Hq uxy, with H's derivatives taken at the centered slopes
-    (dxu, dyu) and second and cross differences of the field.  ``at`` is
-    ``field.neighbors(w)`` (w >= 1) when the caller has already padded
-    the field; otherwise one padded copy serves both differences."""
+    (dxu, dyu) and second and cross differences of the field, both read
+    from the caller's padded copy ``at = field.neighbors(w)``, w >= 1."""
     x, y = field.grid.meshes()
-    if at is None:
-        at = field.neighbors(1)
     d2x, d2y = second_diffs(field, at)
     dxy = cross_diff(field, at)
     hp = H.dp(x, y, dxu, dyu)

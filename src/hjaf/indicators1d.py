@@ -5,7 +5,9 @@ The building block is the squared, once-rescaled second difference
     s_c = ((f_{c+1} - 2 f_c + f_{c-1}) / dx)**2,
 
 which is O(dx^2) where the data is C^2 with nonzero curvature and O(1)
-across a kink in the first derivative.  Left/right pairs of these feed a
+across a kink in the first derivative.  Stencils that reach past the grid
+read ghost data under the field's boundary rule, the one rule the 2D
+indicator and the schemes use too.  Left/right pairs of these feed a
 WENO-style normalized weight ``omega`` (:func:`weno_weight`, built from
 :func:`weno_term` and :func:`normalized_weight`, which the 2D quadrant
 weights share) that sits near 1/2 on smooth data and collapses
@@ -78,28 +80,22 @@ def _axis_step(field: GridField, axis: str):
     return ((1, 0), field.grid.dx) if axis == "x" else ((0, 1), field.grid.dy)
 
 
-def curvature_sq(field: GridField, axis: str = "x") -> np.ndarray:
-    """Array of s_c = ((f_{c+1} - 2 f_c + f_{c-1}) / h)^2 for every node,
-    along ``axis`` ("x", or "y" on a 2D field)."""
-    (dj, di), h = _axis_step(field, axis)
-    at = field.neighbors(1)
-    d2 = at(dj, di) - 2.0 * field.values + at(-dj, -di)
-    return (d2 / h) ** 2
-
-
 def beta_fields_1d(field: GridField, axis: str = "x") -> tuple[np.ndarray, ...]:
     """(beta0-, beta1-, beta0+, beta1+) arrays for every node, along ``axis``.
 
-    beta-_k is the squared rescaled second difference on the stencil
-    centered at node j-1+k; beta+_k the one centered at node j+k, so
-    beta+ at j coincides with beta- at j+1 and the center stencil is
-    shared between the two sides.  The neighbor stencils are read from
-    the curvature array with the boundary rule applied to it.
+    beta-_k is the squared rescaled second difference
+    ((f_{c+1} - 2 f_c + f_{c-1}) / h)**2 on the stencil centered at
+    c = j-1+k; beta+_k the one centered at c = j+k, so beta+ at j
+    coincides with beta- at j+1 and the center stencil is shared between
+    the two sides.  All three stencils read one copy of the data padded by
+    two ghost nodes under the field's boundary rule, as every other
+    stencil does.
     """
-    s = curvature_sq(field, axis)
-    (dj, di), _ = _axis_step(field, axis)
-    at = field.like(s).neighbors(1)
-    return at(-dj, -di), s, s, at(dj, di)
+    (dj, di), h = _axis_step(field, axis)
+    at = field.neighbors(2)
+    u = [at(k * dj, k * di) for k in (-2, -1, 0, 1, 2)]
+    s = [((u[c + 1] - 2.0 * u[c] + u[c - 1]) / h) ** 2 for c in (1, 2, 3)]
+    return s[0], s[1], s[1], s[2]
 
 
 def weno_term(b, sigma_h):

@@ -23,6 +23,10 @@ from .monotone import CFL_LIMIT, MonotoneKind, cfl_check
 
 SQRT2_HALF = math.sqrt(2.0) / 2.0
 
+# Where a detection field puts the singular set: on grid nodes, or
+# strictly inside cells.
+PLACEMENTS = ("node", "cell")
+
 # Fraction of a cell by which in-cell placements shift the grid origin,
 # putting the singular set left of (below) the cell midpoint.
 IN_CELL_SHIFT = 0.3
@@ -42,16 +46,17 @@ class IndicatorCase:
     def dims(self) -> int:
         return 1 if self.ylim is None else 2
 
-    def build_field(self, dx: float, shift: str = "on_node") -> GridField:
-        """Sample the case function on a periodic grid of spacing dx.
+    def build_field(self, dx: float, placement: str = "node") -> GridField:
+        """Sample the case function on a periodic grid of spacing dx, with
+        the singular set on nodes (``"node"``) or inside cells (``"cell"``).
 
         Periodic indexing is used for all detection studies even when the
         function itself is not periodic; spurious flags at the domain seam
         are an accepted artifact of that choice.
         """
-        if shift not in ("on_node", "in_cell"):
-            raise ValueError(f"shift must be on_node or in_cell, got {shift!r}")
-        offset = -IN_CELL_SHIFT * dx if shift == "in_cell" else 0.0
+        if placement not in PLACEMENTS:
+            raise ValueError(f"placement must be node or cell, got {placement!r}")
+        offset = -IN_CELL_SHIFT * dx if placement == "cell" else 0.0
         a, b = self.xlim
         n = round((b - a) / dx)
         if self.dims == 1:
@@ -78,14 +83,16 @@ class ProblemSpec:
     initial: Callable            # (X, Y) -> values
     bc: BoundaryCondition
     T_final: float
-    lambda_cfl: float            # nominal time-to-space ratio
     base_nx: int                 # intervals per axis at refinement level 0
     base_nt: int                 # time steps at refinement level 0
-    exact: Callable | None       # (t, X, Y) -> values
+    exact: Callable              # (t, X, Y) -> values
 
     def __post_init__(self) -> None:
         if self.T_final <= 0:
             raise ValueError("final time must be positive")
+        if self.exact is None:
+            raise ValueError(f"problem {self.id} ({self.name}) needs an "
+                             "exact-solution oracle")
         report = cfl_check(self.hamiltonian, self.T_final / self.n_steps(0),
                            self.grid(0))
         if not report.passed:
@@ -105,19 +112,12 @@ class ProblemSpec:
     def n_steps(self, level: int = 0) -> int:
         return self.base_nt * 2 ** level
 
-    def effective_lambda(self, level: int = 0) -> float:
-        g = self.grid(level)
-        dt = self.T_final / self.n_steps(level)
-        return max(dt / g.dx, dt / g.dy)
-
     def initial_field(self, level: int = 0) -> GridField:
         g = self.grid(level)
         X, Y = g.meshes()
         return GridField(g, self.initial(X, Y), self.bc)
 
     def exact_field(self, t: float, level: int = 0) -> GridField:
-        if self.exact is None:
-            raise ValueError(f"no exact oracle for problem {self.id}")
         g = self.grid(level)
         X, Y = g.meshes()
         return GridField(g, self.exact(t, X, Y), self.bc)
@@ -343,7 +343,7 @@ def _spec_transport() -> ProblemSpec:
         hamiltonian=transport_hamiltonian(),
         monotone=MonotoneKind.LOCAL_LAX_FRIEDRICHS,
         initial=bump_quintic, bc=BoundaryCondition.NEUMANN_ZERO,
-        T_final=0.9, lambda_cfl=0.2, base_nx=40, base_nt=30,
+        T_final=0.9, base_nx=40, base_nt=30,
         exact=exact_translation)
 
 
@@ -353,7 +353,7 @@ def _spec_rotation() -> ProblemSpec:
         hamiltonian=rotation_hamiltonian(radius=2.5),
         monotone=MonotoneKind.LOCAL_LAX_FRIEDRICHS,
         initial=steep_paraboloid, bc=BoundaryCondition.NEUMANN_ZERO,
-        T_final=2.0 * math.pi, lambda_cfl=math.pi / 16.0, base_nx=20, base_nt=128,
+        T_final=2.0 * math.pi, base_nx=20, base_nt=128,
         exact=exact_rotation)
 
 
@@ -366,7 +366,7 @@ def _spec_fronts(case: str) -> ProblemSpec:
         ylim=(-3.0, 3.0), hamiltonian=eikonal_hamiltonian(),
         monotone=MonotoneKind.EIKONAL,
         initial=v0, bc=BoundaryCondition.NEUMANN_ZERO,
-        T_final=T, lambda_cfl=0.25, base_nx=30, base_nt=nt,
+        T_final=T, base_nx=30, base_nt=nt,
         exact=lambda t, x, y: disc_min(v0, t, x, y))
 
 
@@ -380,7 +380,6 @@ def _spec_burgers_like(regular_time: bool) -> ProblemSpec:
         monotone=MonotoneKind.LOCAL_LAX_FRIEDRICHS,
         initial=cosine_sum, bc=BoundaryCondition.PERIODIC,
         T_final=T_sing / 2.0 if regular_time else T_sing,
-        lambda_cfl=3.0 / (4.0 * math.pi ** 2),
         base_nx=20, base_nt=10 if regular_time else 20,
         exact=exact_burgers_like)
 

@@ -52,7 +52,6 @@ class RunReport:
     """Refinement table; orders are defined from the second row on."""
 
     rows: list[RunRow] = dc_field(default_factory=list)
-    reference_based: bool = False   # norms vs a fine-grid reference, not exact
 
     def append_level(self, nx: int, nt: int, err_linf: float, err_l1: float,
                      cpu_seconds: float) -> RunRow:

@@ -120,7 +120,7 @@ def test_criterion_3_one_dimensional_laws():
         return out
 
     detect_ok = True
-    for shift in ("on_node", "in_cell"):
+    for shift in ("node", "cell"):
         for variant in (Variant1D.MAPPED_G, Variant1D.WENO_Z_NEW):
             detect_ok &= all(cells_flagged(variant, shift))
     shrink_ok = all(r1 >= b and r2 >= b for r1, r2, b in shrink.values())
@@ -143,7 +143,7 @@ def test_criterion_4_detection_maps():
 
     missed = {}
     spurious = {}
-    for shift in ("on_node", "in_cell"):
+    for shift in ("node", "cell"):
         f = make_test("2").build_field(0.05, shift)
         phi, _ = phi_2d(omega_field_2d(f, cfg), f, cfg)
         X, Y = f.grid.meshes()

@@ -1,5 +1,6 @@
 import io
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -169,19 +170,20 @@ class TestRunConvergence:
         assert np.isfinite(rep.rows[0].err_l1)
         assert rep.rows[0].nx == 30
 
-    def test_reference_based_fallback_without_oracle(self):
-        import dataclasses
-        from hjaf.problems import make_test
-        prob = dataclasses.replace(make_test("5"), exact=None)
-        rep = run_convergence(CliConfig(test_id="5", scheme="monotone",
-                                        refinements=3), problem=prob)
-        assert rep.reference_based
-        # the finest level is the reference, so it contributes no row
-        assert len(rep.rows) == 2
-        assert rep.rows[1].ord_linf is not None
-        assert 0.5 <= rep.rows[1].ord_linf <= 1.5  # first-order scheme
-        # each row carries its own level's measured evolve time
-        assert all(row.cpu_seconds > 0 for row in rep.rows)
+    def test_study_writes_one_row_per_level(self, tmp_path):
+        out = tmp_path / "study"
+        assert cli_main(["solve", "--test", "8", "--scheme", "monotone",
+                         "--refinements", "3", "--out", str(out)]) == 0
+        rows = parse_report_csv((out / "table.csv").read_text()).rows
+        assert [(r.nx, r.nt) for r in rows] == [(20, 20), (40, 40), (80, 80)]
+        assert all(r.cpu_seconds > 0 for r in rows)
+        # the other files describe the finest level
+        assert len((out / "field_final.csv").read_text().splitlines()) == 1 + 80 * 80
+        assert len((out / "epsilon.csv").read_text().splitlines()) == 1 + 80
+        keys = [ln.split(" = ")[0]
+                for ln in (out / "meta").read_text().splitlines()]
+        assert keys == [f.name for f in fields(CliConfig)
+                        if f.name != "out_dir"] + ["problem"]
 
 
 class TestRunIndicators:
@@ -289,14 +291,6 @@ class TestCli:
     def test_parser_sets_only_the_options_given(self, argv):
         args = vars(build_parser().parse_args(argv))
         assert args == {"command": argv[0], "test_id": argv[2]}
-
-    def test_lambda_metadata(self):
-        # the transport benchmark's nominal time-to-space ratio disagrees
-        # with its reference grid/step pairing; the harness follows the table
-        from hjaf.problems import make_test
-        prob = make_test("5")
-        assert prob.lambda_cfl == 0.2
-        assert prob.effective_lambda(0) == pytest.approx(0.3)
 
 
 def test_readme_library_example_runs():

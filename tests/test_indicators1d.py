@@ -51,21 +51,28 @@ class TestBetaPairs:
             assert here[3] == right[1]
 
     def test_fields_match_divided_differences(self):
-        # beta at center c is (2 dx f[x_{c-1}, x_c, x_{c+1}])^2 from ghost
-        # samples; the neighbor stencils' centers follow the boundary rule
+        # beta at center c = j + k is (2 dx f[x_{c-1}, x_c, x_{c+1}])^2 from
+        # ghost samples, also where c itself is a ghost node
         rng = np.random.default_rng(6)
         dx, n = 0.3, 14
         for bc in (PER, BoundaryCondition.NEUMANN_ZERO):
             f = sampled(lambda x: rng.normal(size=x.shape), 0.0, dx, n, bc)
-            centers = GridField(f.grid, np.arange(n, dtype=float), bc)
             fields = beta_fields_1d(f)
             for j in range(n):
                 for beta, k in zip(fields, (-1, 0, 0, 1)):
-                    c = int(ghost_value(centers, j + k))
+                    c = j + k
                     dd = divided_difference([(c + m) * dx for m in (-1, 0, 1)],
                                             [ghost_value(f, c + m) for m in (-1, 0, 1)])
                     assert beta[j] == pytest.approx((2.0 * dx * dd) ** 2,
                                                     rel=1e-12, abs=1e-12)
+
+    def test_neumann_edge_reads_ghost_data(self):
+        # node 0's outer left stencil is centered at ghost node -1, whose
+        # clamped data (0, 0, 0) has no curvature: weight 1/4 / (1/4 + 1)
+        f = sampled(lambda x: np.array([0, 1, 3, 2, 5, 1, 0, 2], float),
+                    0.0, 1.0, 8, BoundaryCondition.NEUMANN_ZERO)
+        assert betas_at(f, 0) == (0.0, 1.0, 1.0, 1.0)
+        assert omega_field_1d(f, Indicator1DConfig())[0] == pytest.approx(0.2)
 
 
 class TestMapping:

@@ -49,11 +49,17 @@ class TestRegistry:
 
     def test_rotation_pairing_matches_ratio(self):
         prob = make_test("6")
-        assert prob.effective_lambda(0) == pytest.approx(math.pi / 16)
+        ratio = prob.T_final / prob.n_steps(0) / prob.grid(0).dx
+        assert ratio == pytest.approx(math.pi / 16)
 
     def test_fronts_pairing(self):
         prob = make_test("7b")
-        assert prob.effective_lambda(0) == pytest.approx(0.25)
+        ratio = prob.T_final / prob.n_steps(0) / prob.grid(0).dx
+        assert ratio == pytest.approx(0.25)
+
+    def test_oracle_required(self):
+        with pytest.raises(ValueError, match="problem 5 "):
+            dataclasses.replace(make_test("5"), exact=None)
 
     def test_grid_refinement_halves_spacing(self):
         prob = make_test("5")
@@ -63,12 +69,12 @@ class TestRegistry:
 
     def test_indicator_case_shift_validation(self):
         case = make_test("2")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="placement must be node or cell"):
             case.build_field(0.1, "diagonal")
 
     def test_in_cell_placement_offsets_singularity(self):
         case = make_test("1")
-        f = case.build_field(0.05, "in_cell")
+        f = case.build_field(0.05, "cell")
         x = f.grid.nodes()
         # nearest node to the kink at 0 sits 0.3 cells away
         j = int(np.argmin(np.abs(x)))
@@ -196,12 +202,12 @@ class TestErosionOracle:
 
 class TestCflGuard:
     def test_base_pairings_satisfy_bound(self):
+        # each axis with its own spacing and velocity bound
         for tid in ("5", "6", "7a", "7b", "8", "8-regular"):
             prob = make_test(tid)
-            lam = prob.effective_lambda(0)
-            bound = max(lam * prob.hamiltonian.vmax_p,
-                        lam * prob.hamiltonian.vmax_q)
-            assert bound <= 0.5 + 1e-12
+            g, H = prob.grid(0), prob.hamiltonian
+            dt = prob.T_final / prob.n_steps(0)
+            assert max(dt / g.dx * H.vmax_p, dt / g.dy * H.vmax_q) <= 0.5 + 1e-12
 
     @pytest.mark.parametrize("tid", ["5", "6", "8", "8-regular"])
     def test_halved_step_count_refused(self, tid):
