@@ -5,11 +5,28 @@ schemes) reads neighbor values through the ghost machinery defined here,
 so boundary handling lives in exactly one place.  One rule, periodic wrap
 or clamp-to-edge, maps an out-of-range index back into the grid.  It is
 applied in two places: :func:`ghost_value` maps one scalar index (the
-reference the tests check against), and :func:`pad_ghosts` materializes a
-ghost layer around an array.  Whole-grid stencils read offsets of one
-padded copy as views through :meth:`GridField.neighbors`.  Ghost nodes
-always carry data values: no stencil pads a derived array (a curvature or
-a beta) instead.  Fields themselves never store ghost nodes.
+reference the tests check against), and :func:`pad_ghosts` fills a ghost
+layer around an array, into a fresh copy or in place into an existing
+padded buffer.  Ghost nodes always carry data values: no stencil pads a
+derived array (a curvature or a beta) instead.  Fields themselves never
+store ghost nodes.
+
+Whole-grid stencils read one padded copy in the *run layout*
+(:class:`Neighbors`).  The copy, padded by ``w`` ghost nodes, is read as
+one flat buffer whose rows are ``row = nx + 2w`` long.  Every stencil
+offset (dj, di) is then one contiguous slice of it, a run,
+
+    flat[start + di*row + dj : start + di*row + dj + length],
+    start = w*row + w,  length = (ny - 1)*row + nx,
+
+whose element ``i*row + j`` is ``u[i + di, j + dj]`` for every node
+(i, j).  Kernels do their arithmetic on runs, where numpy runs one inner
+loop over the whole grid instead of one per grid row, and cut only their
+result back to the (ny, nx) interior (:meth:`Neighbors.grid`).  The
+``row - nx`` elements a run holds between two grid rows are throw-away
+values computed from ghost columns; only the cut reaches a reduction, a
+selection or a hamiltonian.  A 1D field is one row: its runs are the
+grid-shaped arrays themselves.
 """
 from __future__ import annotations
 
@@ -22,8 +39,8 @@ import numpy as np
 
 # Largest offset per side that ghost_value and GridField.shifted accept.
 # The widest stencil reaches 2 nodes (fourth-order slopes, 1D and
-# quadrant betas).  No stencil composes across Runge-Kutta stages: each stage pads
-# its own input again.
+# quadrant betas).  No stencil composes across Runge-Kutta stages: each
+# stage refills the ghosts of its own input.
 GHOST_REACH = 8
 
 
@@ -114,13 +131,95 @@ def _mapped_index(j: int, n: int, bc: BoundaryCondition) -> int:
     return min(max(j, 0), n - 1)
 
 
-def pad_ghosts(values: np.ndarray, bc: BoundaryCondition, width: int) -> np.ndarray:
+def pad_ghosts(values: np.ndarray, bc: BoundaryCondition, width: int,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Copy of ``values`` with ``width`` ghost nodes on every side, filled by
     the boundary rule: ``pad_ghosts(u, bc, w)[i + w, j + w]`` is the value
     :func:`ghost_value` reads at (i, j) for every index within ``w`` of
-    the grid."""
-    mode = "wrap" if bc is BoundaryCondition.PERIODIC else "edge"
-    return np.pad(values, width, mode=mode)
+    the grid.  ``out``, when given, is an existing padded buffer of that
+    shape: its interior is overwritten with ``values`` and its ghosts are
+    refilled in place."""
+    shape = tuple(n + 2 * width for n in values.shape)
+    if out is None:
+        out = np.empty(shape, dtype=values.dtype)
+    elif out.shape != shape:
+        raise ValueError(f"padded buffer has shape {out.shape}, need {shape}")
+    out[tuple(slice(width, width + n) for n in values.shape)] = values
+    # Axis by axis, each ghost slab copies the slab the rule maps it to; a
+    # later axis copies whole slabs, ghosts of earlier axes included, so
+    # corners follow the rule on both axes.
+    for axis, n in enumerate(values.shape):
+        lead = (slice(None),) * axis
+
+        def copy(dst, src):
+            out[lead + (slice(*dst),)] = out[lead + (slice(*src),)]
+
+        if bc is BoundaryCondition.PERIODIC:
+            # Ghost p holds padded node p + n below the grid and p - n above
+            # it.  Copying at most n nodes at a time, nearest the grid
+            # first, reads only nodes already filled (widths past n wrap
+            # more than once).
+            for k in range(width, 0, -n):
+                a = max(k - n, 0)
+                copy((a, k), (a + n, k + n))
+            for k in range(n + width, n + 2 * width, n):
+                b = min(k + n, n + 2 * width)
+                copy((k, b), (k - n, b - n))
+        else:
+            copy((0, width), (width, width + 1))
+            copy((n + width, n + 2 * width), (n + width - 1, n + width))
+    return out
+
+
+class Neighbors:
+    """Runs of one ghost-padded copy of an array (the module's run layout).
+
+    ``at(dj, di)`` is the read-only run of offset (dj, di), for
+    ``|dj|, |di| <= width``; :meth:`grid` cuts a run, or any array laid out
+    like one, back to the grid's shape.  ``flat`` is the whole padded copy
+    as one read-only row-major buffer, ``row`` its row length.  ``out``,
+    when given, is the ``padded`` buffer of an earlier copy of the same
+    shape, whose interior and ghosts are overwritten in place.
+    """
+
+    __slots__ = ("padded", "flat", "width", "shape", "row", "start", "length")
+
+    def __init__(self, values: np.ndarray, bc: BoundaryCondition, width: int,
+                 out: np.ndarray | None = None):
+        self.padded = pad_ghosts(values, bc, width, out)
+        self.width = width
+        self.shape = values.shape
+        self.row = self.padded.shape[-1]
+        if values.ndim == 1:
+            self.start, self.length = width, values.shape[0]
+        else:
+            ny, nx = values.shape
+            self.start = width * self.row + width
+            self.length = (ny - 1) * self.row + nx
+        self.flat = self.padded.reshape(-1)
+        self.flat.flags.writeable = False
+
+    def __call__(self, dj: int = 0, di: int = 0) -> np.ndarray:
+        if abs(dj) > self.width or abs(di) > self.width:
+            raise IndexError(f"shift ({dj}, {di}) exceeds padding {self.width}")
+        if len(self.shape) == 1 and di != 0:
+            raise ValueError("di shift on a 1D field")
+        k = self.start + di * self.row + dj
+        return self.flat[k:k + self.length]
+
+    def grid(self, run: np.ndarray, dj: int = 0, di: int = 0,
+             grow: int = 0) -> np.ndarray:
+        """View of ``run`` at the grid's nodes shifted by (dj, di).  ``run``
+        is laid out like a run over the grid grown by ``grow`` nodes per
+        side (``grow <= width``); its element ``(i + grow)*row + j + grow``
+        is node (i, j).  The view's ``base`` is the array that owns
+        ``run``'s memory."""
+        if len(self.shape) == 1:
+            return run[grow + dj:grow + dj + self.shape[0]]
+        offset = (grow + di) * self.row + grow + dj
+        size = run.itemsize
+        return np.ndarray(self.shape, run.dtype, run, offset * size,
+                          (self.row * size, size))
 
 
 class GridField:
@@ -149,32 +248,18 @@ class GridField:
         steppers validate once per step instead of once per stage."""
         return GridField(self.grid, values, self.bc, validate=False)
 
-    def neighbors(self, width: int):
-        """Pad the field once by ``width`` ghost nodes and return
-        ``at(dj, di)``: the whole-grid array of ``u[i + di, j + dj]`` with
-        the boundary rule applied, as a read-only view into that copy, for
-        ``|dj|, |di| <= width``."""
-        padded = pad_ghosts(self.values, self.bc, width)
-        padded.flags.writeable = False
-        shape = self.values.shape
-
-        def at(dj: int = 0, di: int = 0) -> np.ndarray:
-            if abs(dj) > width or abs(di) > width:
-                raise IndexError(f"shift ({dj}, {di}) exceeds padding {width}")
-            if len(shape) == 1:
-                if di != 0:
-                    raise ValueError("di shift on a 1D field")
-                return padded[width + dj:width + dj + shape[0]]
-            return padded[width + di:width + di + shape[0],
-                          width + dj:width + dj + shape[1]]
-        return at
+    def neighbors(self, width: int) -> Neighbors:
+        """Pad the field once by ``width`` ghost nodes and return the runs
+        of that copy, ``at(dj, di)`` for ``|dj|, |di| <= width``."""
+        return Neighbors(self.values, self.bc, width)
 
     def shifted(self, dj: int = 0, di: int = 0) -> np.ndarray:
         """Whole-grid array of ``u[i + di, j + dj]`` with the boundary rule
         applied, i.e. the vectorized form of :func:`ghost_value`."""
         if abs(dj) > GHOST_REACH or abs(di) > GHOST_REACH:
             raise IndexError(f"shift ({dj}, {di}) exceeds ghost reach {GHOST_REACH}")
-        return self.neighbors(max(abs(dj), abs(di)))(dj, di)
+        at = self.neighbors(max(abs(dj), abs(di)))
+        return at.grid(at(dj, di))
 
 
 def ghost_value(field: GridField, j: int, i: int | None = None) -> float:

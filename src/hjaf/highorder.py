@@ -12,6 +12,11 @@ H independent of (x, y).  Fourth order: the classical four-stage
 Runge-Kutta over fourth-order central slopes (RKC4), whose composed
 stencil spans 17x17 nodes.
 
+Every stencil reads runs of one padded copy of its input (the run layout
+of :mod:`hjaf.grids`); a step takes the caller's copy of the field as
+``at=``, and a multi-stage step refills one stage buffer for its later
+stages.
+
 The staggered secants used by LW2/Richtmyer ship in two forms: the
 default keeps the legacy index pattern these schemes have circulated with
 (one of its terms cancels identically, which breaks exactness on affine
@@ -19,9 +24,12 @@ data), while ``corrected=True`` restores the symmetric staggered pattern.
 """
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
-from .grids import GridField
+import numpy as np
+
+from .grids import GridField, Neighbors
 from .hamiltonians import Hamiltonian
 
 SCHEME_ORDERS = {"hc": 2, "lw": 2, "lw2": 2, "richtmyer": 2, "rkc4": 4}
@@ -31,41 +39,61 @@ def centered_slopes(field: GridField, at=None):
     dx, dy = field.grid.dx, field.grid.dy
     if at is None:
         at = field.neighbors(1)
-    dxu = (at(1, 0) - at(-1, 0)) / (2.0 * dx)
-    dyu = (at(0, 1) - at(0, -1)) / (2.0 * dy)
+    dxu = at.grid(at(1, 0) - at(-1, 0)) / (2.0 * dx)
+    dyu = at.grid(at(0, 1) - at(0, -1)) / (2.0 * dy)
     return dxu, dyu
 
 
 def second_diffs(field: GridField, at):
     dx, dy = field.grid.dx, field.grid.dy
-    d2x = (at(1, 0) - 2.0 * field.values + at(-1, 0)) / dx ** 2
-    d2y = (at(0, 1) - 2.0 * field.values + at(0, -1)) / dy ** 2
-    return d2x, d2y
+
+    def second(dj, di, h):
+        # (u[+1] - 2 u + u[-1]) / h^2, summed left to right
+        d = np.multiply(2.0, at())
+        np.subtract(at(dj, di), d, out=d)
+        d += at(-dj, -di)
+        return at.grid(d) / h ** 2
+    return second(1, 0, dx), second(0, 1, dy)
 
 
 def cross_diff(field: GridField, at):
     dx, dy = field.grid.dx, field.grid.dy
-    return (at(1, 1) - at(-1, 1) - at(1, -1) + at(-1, -1)) / (4.0 * dx * dy)
+    d = at(1, 1) - at(-1, 1)
+    d -= at(1, -1)
+    d += at(-1, -1)
+    return at.grid(d) / (4.0 * dx * dy)
 
 
-def fourth_order_slopes(field: GridField):
+def fourth_order_slopes(field: GridField, at=None):
     dx, dy = field.grid.dx, field.grid.dy
-    at = field.neighbors(2)
-    dxu = (at(-2, 0) - 8.0 * at(-1, 0) + 8.0 * at(1, 0) - at(2, 0)) / (12.0 * dx)
-    dyu = (at(0, -2) - 8.0 * at(0, -1) + 8.0 * at(0, 1) - at(0, 2)) / (12.0 * dy)
-    return dxu, dyu
+    if at is None:
+        at = field.neighbors(2)
+
+    def slope(dj, di, h):
+        # (u[-2] - 8 u[-1] + 8 u[+1] - u[+2]) / (12 h), summed left to right
+        d = np.multiply(8.0, at(-dj, -di))
+        np.subtract(at(-2 * dj, -2 * di), d, out=d)
+        d += np.multiply(8.0, at(dj, di))
+        d -= at(2 * dj, 2 * di)
+        return at.grid(d) / (12.0 * h)
+    return slope(1, 0, dx), slope(0, 1, dy)
 
 
-def hc_step(field: GridField, H: Hamiltonian, dt: float) -> GridField:
-    """Heun (two-stage RK2) over the centered hamiltonian."""
+def hc_step(field: GridField, H: Hamiltonian, dt: float, *,
+            at: Neighbors | None = None) -> GridField:
+    """Heun (two-stage RK2) over the centered hamiltonian.  ``at`` is the
+    field's padded copy (width >= 1) when the caller has one; the second
+    stage pads the predictor."""
     x, y = field.grid.meshes()
+    if at is None:
+        at = field.neighbors(1)
 
-    def h_of(f: GridField):
-        dxu, dyu = centered_slopes(f)
-        return H.eval(x, y, dxu, dyu)
+    def h_of(at):
+        return H.eval(x, y, *centered_slopes(field, at))
 
-    star = field.like(field.values - dt * h_of(field))
-    out = 0.5 * (field.values + star.values) - 0.5 * dt * h_of(star)
+    star = field.values - dt * h_of(at)
+    star_at = Neighbors(star, field.bc, at.width)
+    out = 0.5 * (field.values + star) - 0.5 * dt * h_of(star_at)
     return field.like(out)
 
 
@@ -81,65 +109,87 @@ def time_curvature(field: GridField, H: Hamiltonian, dxu, dyu, at):
     hq = H.dq(x, y, dxu, dyu)
     hx = H.dx_(x, y, dxu, dyu)
     hy = H.dy_(x, y, dxu, dyu)
-    return (hp * (hp * d2x + hx) + hq * (hq * d2y + hy)
-            + 2.0 * hp * hq * dxy)
+    # summed left to right as written, in two arrays of its own (the
+    # hamiltonian's arrays are read, never written)
+    a = hp * d2x
+    a += hx
+    a *= hp
+    b = hq * d2y
+    b += hy
+    b *= hq
+    a += b
+    np.multiply(2.0, hp, out=b)
+    b *= hq
+    b *= dxy
+    a += b
+    return a
 
 
-def lw_step(field: GridField, H: Hamiltonian, dt: float) -> GridField:
+def lw_step(field: GridField, H: Hamiltonian, dt: float, *,
+            at: Neighbors | None = None) -> GridField:
     """One-shot second-order step: centered hamiltonian corrected by the
-    discrete expansion of the time curvature (:func:`time_curvature`)."""
+    discrete expansion of the time curvature (:func:`time_curvature`).
+    ``at`` is the field's padded copy (width >= 1) when the caller has
+    one."""
     x, y = field.grid.meshes()
-    at = field.neighbors(1)
+    if at is None:
+        at = field.neighbors(1)
     dxu, dyu = centered_slopes(field, at)
     h = (H.eval(x, y, dxu, dyu)
          - 0.5 * dt * time_curvature(field, H, dxu, dyu, at))
     return field.like(field.values - dt * h)
 
 
-def _staggered_secants(field: GridField, H: Hamiltonian, corrected: bool):
-    """(Hx*, Hy*): secants of H between staggered half-node slope states."""
-    u = field.values
+def _staggered_secants(field: GridField, H: Hamiltonian, corrected: bool,
+                       at: Neighbors | None = None):
+    """(Hx*, Hy*): secants of H between staggered half-node slope states,
+    read from the field's padded copy ``at`` (width >= 1)."""
     dx, dy = field.grid.dx, field.grid.dy
     x, y = field.grid.meshes()
     args = (x, y)
+    up = field.neighbors(1) if at is None else at
+    cut = up.grid
+    u = up()
 
-    up = field.neighbors(1)
-
-    p_fwd = (up(1, 0) - u) / dx
-    p_bwd = (u - up(-1, 0)) / dx
-    q_at_fwd = (up(1, 1) - up(1, -1) + up(0, 1) - up(0, -1)) / (4.0 * dy)
+    p_fwd = cut(up(1, 0) - u) / dx
+    p_bwd = cut(u - up(-1, 0)) / dx
+    q_at_fwd = cut(up(1, 1) - up(1, -1) + up(0, 1) - up(0, -1)) / (4.0 * dy)
     if corrected:
-        q_at_bwd = (up(0, 1) - up(0, -1) + up(-1, 1) - up(-1, -1)) / (4.0 * dy)
+        q_at_bwd = cut(up(0, 1) - up(0, -1) + up(-1, 1) - up(-1, -1)) / (4.0 * dy)
     else:
         # legacy pattern: the first staggered pair cancels identically
-        q_at_bwd = (up(-1, 1) - up(-1, -1)) / (4.0 * dy)
+        q_at_bwd = cut(up(-1, 1) - up(-1, -1)) / (4.0 * dy)
     hx_star = (H.eval(*args, p_fwd, q_at_fwd)
                - H.eval(*args, p_bwd, q_at_bwd)) / dx
 
-    q_fwd = (up(0, 1) - u) / dy
-    p_at_fwd = (up(1, 1) - up(-1, 1) + up(1, 0) - up(-1, 0)) / (4.0 * dx)
-    p_at_bwd = (up(1, 0) - up(-1, 0) + up(1, -1) - up(-1, -1)) / (4.0 * dx)
+    q_fwd = cut(up(0, 1) - u) / dy
+    p_at_fwd = cut(up(1, 1) - up(-1, 1) + up(1, 0) - up(-1, 0)) / (4.0 * dx)
+    p_at_bwd = cut(up(1, 0) - up(-1, 0) + up(1, -1) - up(-1, -1)) / (4.0 * dx)
     if corrected:
-        q_bwd = (u - up(0, -1)) / dy
+        q_bwd = cut(u - up(0, -1)) / dy
     else:
         # legacy pattern: backward secant carries the opposite sign
-        q_bwd = (up(0, -1) - u) / dy
+        q_bwd = cut(up(0, -1) - u) / dy
     hy_star = (H.eval(*args, p_at_fwd, q_fwd)
                - H.eval(*args, p_at_bwd, q_bwd)) / dy
     return hx_star, hy_star
 
 
 def lw2_step(field: GridField, H: Hamiltonian, dt: float,
-             corrected: bool = False) -> GridField:
+             corrected: bool = False, *,
+             at: Neighbors | None = None) -> GridField:
     """Variant of the one-shot correction using staggered secants of H in
-    place of the expanded curvature terms."""
+    place of the expanded curvature terms.  ``at`` is the field's padded
+    copy (width >= 1) when the caller has one."""
     x, y = field.grid.meshes()
-    dxu, dyu = centered_slopes(field)
+    if at is None:
+        at = field.neighbors(1)
+    dxu, dyu = centered_slopes(field, at)
     hp = H.dp(x, y, dxu, dyu)
     hq = H.dq(x, y, dxu, dyu)
     hx = H.dx_(x, y, dxu, dyu)
     hy = H.dy_(x, y, dxu, dyu)
-    hx_star, hy_star = _staggered_secants(field, H, corrected)
+    hx_star, hy_star = _staggered_secants(field, H, corrected, at)
     h = (H.eval(x, y, dxu, dyu)
          - 0.5 * dt * hp * (hx_star + hx)
          - 0.5 * dt * hq * (hy_star + hy))
@@ -147,53 +197,72 @@ def lw2_step(field: GridField, H: Hamiltonian, dt: float,
 
 
 def richtmyer_step(field: GridField, H: Hamiltonian, dt: float,
-                   corrected: bool = False) -> GridField:
+                   corrected: bool = False, *,
+                   at: Neighbors | None = None) -> GridField:
     """Two-step-in-one form H(Dx u - dt/2 Hx*, Dy u - dt/2 Hy*); needs no
-    derivatives of H but requires H independent of (x, y)."""
+    derivatives of H but requires H independent of (x, y).  ``at`` is the
+    field's padded copy (width >= 1) when the caller has one."""
     if H.space_dependent:
         raise ValueError("Richtmyer form requires H independent of (x, y)")
     x, y = field.grid.meshes()
-    dxu, dyu = centered_slopes(field)
-    hx_star, hy_star = _staggered_secants(field, H, corrected)
+    if at is None:
+        at = field.neighbors(1)
+    dxu, dyu = centered_slopes(field, at)
+    hx_star, hy_star = _staggered_secants(field, H, corrected, at)
     h = H.eval(x, y, dxu - 0.5 * dt * hx_star, dyu - 0.5 * dt * hy_star)
     return field.like(field.values - dt * h)
 
 
-def rkc4_step(field: GridField, H: Hamiltonian, dt: float) -> GridField:
+def rkc4_step(field: GridField, H: Hamiltonian, dt: float, *,
+              at: Neighbors | None = None) -> GridField:
     """Classical four-stage RK over fourth-order central slopes.
 
     The time discretization is deliberately not TVD; stability is the
-    filter's job.  Every stage re-applies the boundary rule by padding its
-    own input.
+    filter's job.  Stage 1 reads ``at``, the field's padded copy (width
+    >= 2), when the caller has one.  Every later stage writes its input
+    into one stage buffer of that shape and refills the buffer's ghosts
+    under the boundary rule.
     """
     x, y = field.grid.meshes()
+    if at is None:
+        at = field.neighbors(2)
+    buffer = np.empty_like(at.padded)
 
-    def h_of(f: GridField):
-        dxu, dyu = fourth_order_slopes(f)
-        return H.eval(x, y, dxu, dyu)
+    def h_of(at):
+        return H.eval(x, y, *fourth_order_slopes(field, at))
 
-    u = field.values
-    k0 = h_of(field)
-    u1 = field.like(u - 0.5 * dt * k0)
-    k1 = h_of(u1)
-    u2 = field.like(u - 0.5 * dt * k1)
-    k2 = h_of(u2)
-    u3 = field.like(u - dt * k2)
-    k3 = h_of(u3)
-    return field.like(u - dt / 6.0 * (k0 + 2.0 * k1 + 2.0 * k2 + k3))
+    def stage(values):
+        return Neighbors(values, field.bc, at.width, buffer)
+
+    def advance(c, k):
+        # u - c * k, into an array of its own (k is the hamiltonian's)
+        v = np.multiply(c, k)
+        return np.subtract(field.values, v, out=v)
+
+    k0 = h_of(at)
+    k1 = h_of(stage(advance(0.5 * dt, k0)))
+    k2 = h_of(stage(advance(0.5 * dt, k1)))
+    k3 = h_of(stage(advance(dt, k2)))
+    # u - dt/6 * (k0 + 2 k1 + 2 k2 + k3), summed left to right
+    s = np.multiply(2.0, k1)
+    np.add(k0, s, out=s)
+    s += np.multiply(2.0, k2)
+    s += k3
+    return field.like(advance(dt / 6.0, s))
 
 
 def high_order_step(kind: str, corrected: bool = False,
-                    ) -> Callable[[GridField, Hamiltonian, float], GridField]:
-    """Step function for a scheme name in SCHEME_ORDERS."""
+                    ) -> Callable[..., GridField]:
+    """Step function ``(field, H, dt, *, at=None)`` for a scheme name in
+    SCHEME_ORDERS."""
     if kind == "hc":
         return hc_step
     if kind == "lw":
         return lw_step
     if kind == "lw2":
-        return lambda f, H, dt: lw2_step(f, H, dt, corrected)
+        return functools.partial(lw2_step, corrected=corrected)
     if kind == "richtmyer":
-        return lambda f, H, dt: richtmyer_step(f, H, dt, corrected)
+        return functools.partial(richtmyer_step, corrected=corrected)
     if kind == "rkc4":
         return rkc4_step
     raise ValueError(f"unknown high-order scheme {kind!r}")

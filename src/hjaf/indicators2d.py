@@ -18,10 +18,12 @@ The ordering also makes the outer stencil of quadrant (z1, z2) at node n
 the inner stencil of quadrant (-z1, -z2) at node n + (z1, z2), listed in
 the same order, so the two betas agree bit for bit.  The field kernel
 therefore evaluates only the four inner betas, on the grid extended by one
-node per side, and reads every outer beta as a shifted view.  All ghost
-values come from one array padded by two nodes under the field's boundary
-rule (:func:`hjaf.grids.pad_ghosts`), and the trust mask's neighbor ring
-reads one padded mask the same way.
+node per side, and reads every outer beta as a shifted view.  Every kernel
+works in the run layout of :mod:`hjaf.grids`: the betas are runs over one
+array padded by two nodes under the field's boundary rule, the WENO terms
+and weights runs over the grid, and only the combined weight is cut back
+to the grid's shape; the trust mask's neighbor ring reads runs of one
+padded mask the same way.
 
 Two coefficient sets are provided: FULL keeps every derivative with total
 order >= 2 (per-axis order <= 2); PARTIAL keeps only total order exactly 2.
@@ -29,7 +31,8 @@ Each quadrant's pair gives the 1D WENO weight
 (:func:`hjaf.indicators1d.weno_weight`) remapped by g, and the combined
 weight is the minimum over the quadrants, thresholded at M.  The WENO
 term 1 / (beta + sigma_h)**2 is evaluated once on each of the four inner
-beta arrays, and both terms of every quadrant are read as views.
+beta runs, one opposite pair of quadrants at a time, and both terms of
+every quadrant are read as slices of them.
 A dimensional-splitting baseline built from the remapped 1D indicator is
 included for comparison; it is blind to singularities whose axis
 restrictions look smooth (e.g. a non-differentiable point with vanishing
@@ -42,7 +45,7 @@ from enum import Enum
 
 import numpy as np
 
-from .grids import GridField, pad_ghosts
+from .grids import GridField, Neighbors
 from .indicators1d import (Indicator1DConfig, Variant1D, map_g,
                            normalized_weight, omega_field_1d, weno_term)
 
@@ -94,94 +97,141 @@ class Smoothness2D:
 
 
 def _beta_from_diffs(u20, u02, u11, u21, u12, u22, dxdy, coeffs):
+    """The closed-form quadratic
+
+        (u20^2 + u02^2 + u11^2 + c21 (u21^2 + u12^2) + c22 u22^2
+         + u20 u21 + u02 u12 - (u20 + u02) u22 / 6
+         - (u21 + u12) u22 / 12) / dxdy,
+
+    summed left to right as written, into two scratch arrays and the
+    result."""
     c21, c22 = coeffs
-    v = (u20 ** 2 + u02 ** 2 + u11 ** 2
-         + c21 * (u21 ** 2 + u12 ** 2) + c22 * u22 ** 2
-         + u20 * u21 + u02 * u12
-         - (u20 + u02) * u22 / 6.0
-         - (u21 + u12) * u22 / 12.0)
-    return v / dxdy
+    v = np.square(u20)
+    a = np.square(u02)
+    v += a
+    v += np.square(u11, out=a)
+    b = np.square(u21)
+    b += np.square(u12, out=a)
+    b *= c21
+    v += b
+    np.square(u22, out=a)
+    a *= c22
+    v += a
+    v += np.multiply(u20, u21, out=a)
+    v += np.multiply(u02, u12, out=a)
+    np.add(u20, u02, out=a)
+    a *= u22
+    a /= 6.0
+    v -= a
+    np.add(u21, u12, out=a)
+    a *= u22
+    a /= 12.0
+    v -= a
+    v /= dxdy
+    return v
 
 
 def quadrant_beta_fields(field: GridField, formula: Formula2D = Formula2D.FULL,
+                         *, at: Neighbors | None = None,
                          ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """(beta0, beta1) arrays for each quadrant, for every node at once.
+    ``at`` is the field's padded copy (``field.neighbors(w)``, w >= 2)
+    when the caller already has one.
 
-    The arrays are read-only views.  Each beta0 views its quadrant's inner
-    beta on the grid extended by one node per side (the view's ``base``),
-    and each beta1 shares that storage with the opposite quadrant's beta0.
+    The arrays are read-only grid views.  Each beta0 views its quadrant's
+    inner beta, a run over the grid extended by one node per side (the
+    view's ``base``), and each beta1 shares that run with the opposite
+    quadrant's beta0.
     """
     if field.ndim != 2:
         raise ValueError("quadrant smoothness coefficients need a 2D field")
     coeffs = FULL_COEFFS if formula is Formula2D.FULL else PARTIAL_COEFFS
     dxdy = field.grid.dx * field.grid.dy
-    ny, nx = field.values.shape
+    if at is None:
+        at = field.neighbors(2)
+    if at.width < 2:
+        raise IndexError("quadrant betas read two ghost nodes per side")
     # Inner betas live on the grid extended by one node per side (nodes
-    # -1..n per axis), whose stencils reach two nodes past the grid.  Node
-    # e of the extended grid is node e + 1 of the padded array, so offset
-    # a of every extended node is the slice starting at 1 + a.
-    u = pad_ghosts(field.values, field.bc, 2)
+    # -1..n per axis), whose stencils reach two nodes past the grid.  They
+    # are runs over the flat padded copy u: element m of a run is extended
+    # node (m // row - 1, m % row - 1), flat index e + m.
+    u, row = at.flat, at.row
+    n = u.size
+    e = (at.width - 1) * (row + 1)
+    le = at.length + 2 * row + 2
 
-    def at(a, b):
-        return u[1 + b:ny + 3 + b, 1 + a:nx + 3 + a]
+    def run(k):
+        return u[k:k + le]
 
     # Second differences along a stencil listed (z, 0, -z): the listing
-    # fixes the rounding, so each sign has its own array.  d2x keeps every
-    # padded row and d2y every padded column, for the offsets read below.
-    d2x = {z: u[:, 1 - z:nx + 3 - z] - 2.0 * u[:, 1:nx + 3] + u[:, 1 + z:nx + 3 + z]
-           for z in (-1, 1)}
-    d2y = {z: u[1 - z:ny + 3 - z, :] - 2.0 * u[1:ny + 3, :] + u[1 + z:ny + 3 + z, :]
-           for z in (-1, 1)}
+    # fixes the rounding, so each sign has its own array.  d2x covers flat
+    # indices 1..n-2 and d2y row..n-row-1, every offset read below.
+    d2x, d2y = {}, {}
+    for d2, step in ((d2x, 1), (d2y, row)):
+        twice = np.multiply(2.0, u[step:n - step])
+        for z in (-1, 1):
+            lo, hi = step - z * step, step + z * step
+            d = np.subtract(u[lo:n - 2 * step + lo], twice)
+            d += u[hi:n - 2 * step + hi]
+            d2[z] = d
     inner = {}
     for z1, z2 in QUADRANTS.values():
         # Inner stencil listed (z1, 0, -z1) in x and (z2, 0, -z2) in y.
-        dxx = [d2x[z1][1 + b:ny + 3 + b] for b in (z2, 0, -z2)]
-        dyy = [d2y[z2][:, 1 + a:nx + 3 + a] for a in (z1, 0)]
-        u11 = at(0, 0) - at(z1, 0) - at(0, z2) + at(z1, z2)
+        dxx = [d2x[z1][e - 1 + b * row:e - 1 + b * row + le] for b in (z2, 0, -z2)]
+        dyy = [d2y[z2][e - row + a:e - row + a + le] for a in (z1, 0)]
+        u11 = run(e) - run(e + z1)
+        u11 -= run(e + z2 * row)
+        u11 += run(e + z1 + z2 * row)
+        u22 = np.multiply(2.0, dxx[1])
+        np.subtract(dxx[2], u22, out=u22)
+        u22 += dxx[0]
         beta = _beta_from_diffs(dxx[0], dyy[0], u11, dxx[1] - dxx[0],
-                                dyy[1] - dyy[0], dxx[2] - 2.0 * dxx[1] + dxx[0],
-                                dxdy, coeffs)
+                                dyy[1] - dyy[0], u22, dxdy, coeffs)
         beta.flags.writeable = False
         inner[z1, z2] = beta
-    return _quadrant_pairs(inner, ny, nx)
-
-
-def _quadrant_pairs(inner, ny, nx):
-    """Per quadrant, the (beta0, beta1)-placed views of four arrays keyed
-    by (z1, z2) on the grid extended by one node per side.  The outer
-    stencil of (z1, z2) at node n, listed (0, z1, 2*z1), is the inner
-    stencil of (-z1, -z2) at node n + (z1, z2), listed the same way."""
-    return {key: (inner[z1, z2][1:ny + 1, 1:nx + 1],
-                  inner[-z1, -z2][1 + z2:ny + 1 + z2, 1 + z1:nx + 1 + z1])
+    return {key: (at.grid(inner[z1, z2], grow=1),
+                  at.grid(inner[-z1, -z2], z1, z2, grow=1))
             for key, (z1, z2) in QUADRANTS.items()}
 
 
-def omega_field_2d(field: GridField, cfg: Indicator2DConfig) -> np.ndarray:
+def omega_field_2d(field: GridField, cfg: Indicator2DConfig, *,
+                   at: Neighbors | None = None) -> np.ndarray:
     """Combined smoothness weight at every node: min over the four
     remapped quadrant weights g(w(beta0, beta1)) (splitting baseline when
-    so configured)."""
+    so configured).  ``at`` is the field's padded copy when the caller
+    already has one."""
+    if at is None:
+        at = field.neighbors(2)
     if cfg.variant is Formula2D.SPLIT:
-        return omega_split_field(field, cfg)
+        return omega_split_field(field, cfg, at=at)
     sigma_h = cfg.sigma * field.grid.delta ** 2
-    betas = quadrant_beta_fields(field, cfg.variant)
-    # Every beta0 is a view of its quadrant's inner beta array, which the
-    # opposite quadrant's beta1 shares: one WENO term per inner array.
-    terms = {z: weno_term(betas[key][0].base, sigma_h)
-             for key, z in QUADRANTS.items()}
+    betas = quadrant_beta_fields(field, cfg.variant, at=at)
+    # Every beta0 views its quadrant's inner beta run, which the opposite
+    # quadrant's beta1 shares: one WENO term per inner run, taken for one
+    # opposite pair at a time.  Node (i, j) of the grid is element
+    # (i + 1)*row + j + 1 of an inner run.
+    row, length = at.row, at.length
+    k = row + 1
     omega = None
-    for a0, a1 in _quadrant_pairs(terms, *field.values.shape).values():
-        w = map_g(normalized_weight(a0, a1))
-        omega = w if omega is None else np.minimum(omega, w)
-    return omega
+    for pair in (("--", "++"), ("+-", "-+")):
+        terms = {key: weno_term(betas[key][0].base, sigma_h) for key in pair}
+        for key, opposite in (pair, pair[::-1]):
+            z1, z2 = QUADRANTS[key]
+            s = k + z2 * row + z1
+            w = map_g(normalized_weight(terms[key][k:k + length],
+                                        terms[opposite][s:s + length]))
+            omega = w if omega is None else np.minimum(omega, w, out=omega)
+    return at.grid(omega)
 
 
-def omega_split_field(field: GridField, cfg: Indicator2DConfig) -> np.ndarray:
+def omega_split_field(field: GridField, cfg: Indicator2DConfig, *,
+                      at: Neighbors | None = None) -> np.ndarray:
     """Dimensional-splitting baseline: min of the two axis-wise remapped
     1D weights, each with the other axis frozen."""
     axis_cfg = Indicator1DConfig(sigma=cfg.sigma, M=cfg.M,
                                  variant=Variant1D.MAPPED_G)
-    return np.minimum(omega_field_1d(field, axis_cfg, "x"),
-                      omega_field_1d(field, axis_cfg, "y"))
+    return np.minimum(omega_field_1d(field, axis_cfg, "x", at=at),
+                      omega_field_1d(field, axis_cfg, "y", at=at))
 
 
 # Cyclic walk around a node's eight neighbors, as (dj, di) steps.
@@ -201,17 +251,19 @@ def phi_2d(omega: np.ndarray, field: GridField, cfg: Indicator2DConfig,
     """
     trusted = np.asarray(omega) >= cfg.M
     phi = trusted.astype(np.int8)
-    ny, nx = trusted.shape
-    t = pad_ghosts(trusted, field.bc, 1)
-    ring = [t[1 + di:ny + 1 + di, 1 + dj:nx + 1 + dj] for dj, di in _RING]
-    consec = np.zeros(phi.shape, dtype=bool)
+    at = Neighbors(trusted, field.bc, 1)
+    ring = [at(dj, di) for dj, di in _RING]
+    consec = np.zeros(at.length, dtype=bool)
     for k in range(len(ring)):
         consec |= ring[k] & ring[(k + 1) % len(ring)]
-    untrusted = ~trusted & ~consec
-    return phi, untrusted
+    untrusted = ~at() & ~consec
+    return phi, at.grid(untrusted)
 
 
-def smoothness_2d(field: GridField, cfg: Indicator2DConfig) -> Smoothness2D:
-    omega = omega_field_2d(field, cfg)
+def smoothness_2d(field: GridField, cfg: Indicator2DConfig, *,
+                  at: Neighbors | None = None) -> Smoothness2D:
+    """Weight, trust mask and untrusted diagnostic of ``field``; ``at`` is
+    the field's padded copy when the caller already has one."""
+    omega = omega_field_2d(field, cfg, at=at)
     phi, untrusted = phi_2d(omega, field, cfg)
     return Smoothness2D(omega=omega, phi=phi, untrusted=untrusted)

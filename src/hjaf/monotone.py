@@ -103,13 +103,23 @@ def _llf_slot_difference(H: Hamiltonian, x, y, c, fwd, bwd, frozen,
     >= 0), so every value rounds exactly as in the eight calls."""
     terms = []
     for s in (fwd, bwd):
-        mid = 0.5 * (c + s)
+        mid = c + s
+        mid *= 0.5
         e = H.eval(x, y, mid, frozen) if along_p else H.eval(x, y, frozen, mid)
         bound = _speed_bound(H, x, y, np.minimum(c, s), np.maximum(c, s),
                              frozen, along_p)
-        terms.append((e, 0.5 * bound * (s - c)))
+        d = s - c
+        d *= 0.5 * bound
+        terms.append((e, d))
     (e_f, d_f), (e_b, d_b) = terms
-    return ((e_f - d_f) - (e_b - d_b)) - ((e_f + d_f) - (e_b + d_b))
+    # ((e_f - d_f) - (e_b - d_b)) - ((e_f + d_f) - (e_b + d_b)), writing
+    # only arrays of its own (e_f and e_b are the hamiltonian's)
+    out = e_f - d_f
+    out -= e_b - d_b
+    np.add(e_f, d_f, out=d_f)
+    d_f -= np.add(e_b, d_b, out=d_b)
+    out -= d_f
+    return out
 
 
 def htilde_differences(kind: MonotoneKind, H: Hamiltonian,
@@ -142,14 +152,14 @@ def one_sided_slopes(field: GridField, at=None):
     """(Dx-, Dx+, Dy-, Dy+) arrays of one-sided difference quotients.
     ``at`` is ``field.neighbors(w)`` (w >= 1) when the caller has already
     padded the field."""
-    u = field.values
     dx, dy = field.grid.dx, field.grid.dy
     if at is None:
         at = field.neighbors(1)
-    dxm = (u - at(-1, 0)) / dx
-    dxp = (at(1, 0) - u) / dx
-    dym = (u - at(0, -1)) / dy
-    dyp = (at(0, 1) - u) / dy
+    u = at()
+    dxm = at.grid(u - at(-1, 0)) / dx
+    dxp = at.grid(at(1, 0) - u) / dx
+    dym = at.grid(u - at(0, -1)) / dy
+    dyp = at.grid(at(0, 1) - u) / dy
     return dxm, dxp, dym, dyp
 
 

@@ -17,6 +17,11 @@ eight-call form of the switching scale's slot differences, the bitwise
 reference for the library's closed form.  ``scan_max_abs`` is the
 sampled interval maximum that every hamiltonian's closed-form speed
 bounds (``alpha_p``/``alpha_q``) must reproduce bitwise.
+
+The ``view_*`` kernels are the 2D-view forms the library used before it
+moved to the run layout: every stencil offset is a 2D view of one
+``np.pad`` copy, and the operations are the library's, in its order.
+They are the bitwise references for the run-layout kernels.
 """
 from __future__ import annotations
 
@@ -309,3 +314,133 @@ def shifted_phi_2d(omega: np.ndarray, field: GridField,
     for k in range(len(ring)):
         consec |= ring[k] & ring[(k + 1) % len(ring)]
     return phi, (phi == 0) & ~consec
+
+
+# ----------------------------------------------------------------------
+# 2D-view forms
+
+def view_neighbors(field: GridField, width: int):
+    """``at(dj, di)``: the whole-grid array of ``u[i + di, j + dj]`` as a 2D
+    view of one ``np.pad`` copy of the field."""
+    mode = "wrap" if field.bc is BoundaryCondition.PERIODIC else "edge"
+    padded = np.pad(field.values, width, mode=mode)
+    ny, nx = field.values.shape
+
+    def at(dj=0, di=0):
+        return padded[width + di:width + di + ny, width + dj:width + dj + nx]
+    return at
+
+
+def view_stencils(field: GridField) -> dict[str, tuple[np.ndarray, ...]]:
+    """The monotone and high-order difference stencils over 2D views, in
+    the library's operand order (same keys as :func:`take_stencils`)."""
+    u = field.values
+    dx, dy = field.grid.dx, field.grid.dy
+    at = view_neighbors(field, 2)
+    return {
+        "one_sided": ((u - at(-1, 0)) / dx, (at(1, 0) - u) / dx,
+                      (u - at(0, -1)) / dy, (at(0, 1) - u) / dy),
+        "centered": ((at(1, 0) - at(-1, 0)) / (2.0 * dx),
+                     (at(0, 1) - at(0, -1)) / (2.0 * dy)),
+        "second": ((at(1, 0) - 2.0 * u + at(-1, 0)) / dx ** 2,
+                   (at(0, 1) - 2.0 * u + at(0, -1)) / dy ** 2),
+        "cross": ((at(1, 1) - at(-1, 1) - at(1, -1) + at(-1, -1)) / (4.0 * dx * dy),),
+        "fourth": ((at(-2, 0) - 8.0 * at(-1, 0) + 8.0 * at(1, 0) - at(2, 0)) / (12.0 * dx),
+                   (at(0, -2) - 8.0 * at(0, -1) + 8.0 * at(0, 1) - at(0, 2)) / (12.0 * dy)),
+    }
+
+
+def view_quadrant_beta_fields(field: GridField, full: bool = True,
+                              ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """(beta0, beta1) per quadrant: the four inner betas on the grid
+    extended by one node per side, from 2D views of one padded copy, and
+    every outer beta read as a view of the opposite quadrant's inner
+    beta."""
+    coeffs = _BETA_COEFFS[full]
+    dxdy = field.grid.dx * field.grid.dy
+    ny, nx = field.values.shape
+    mode = "wrap" if field.bc is BoundaryCondition.PERIODIC else "edge"
+    u = np.pad(field.values, 2, mode=mode)
+
+    def at(a, b):
+        return u[1 + b:ny + 3 + b, 1 + a:nx + 3 + a]
+
+    d2x = {z: u[:, 1 - z:nx + 3 - z] - 2.0 * u[:, 1:nx + 3] + u[:, 1 + z:nx + 3 + z]
+           for z in (-1, 1)}
+    d2y = {z: u[1 - z:ny + 3 - z, :] - 2.0 * u[1:ny + 3, :] + u[1 + z:ny + 3 + z, :]
+           for z in (-1, 1)}
+    inner = {}
+    for z1, z2 in QUADRANT_SIGNS.values():
+        dxx = [d2x[z1][1 + b:ny + 3 + b] for b in (z2, 0, -z2)]
+        dyy = [d2y[z2][:, 1 + a:nx + 3 + a] for a in (z1, 0)]
+        u11 = at(0, 0) - at(z1, 0) - at(0, z2) + at(z1, z2)
+        inner[z1, z2] = _beta_from_diffs(
+            dxx[0], dyy[0], u11, dxx[1] - dxx[0], dyy[1] - dyy[0],
+            dxx[2] - 2.0 * dxx[1] + dxx[0], dxdy, coeffs)
+    return {key: (inner[z1, z2][1:ny + 1, 1:nx + 1],
+                  inner[-z1, -z2][1 + z2:ny + 1 + z2, 1 + z1:nx + 1 + z1])
+            for key, (z1, z2) in QUADRANT_SIGNS.items()}
+
+
+def _view_omega_1d(field: GridField, sigma: float, axis: str) -> np.ndarray:
+    """Remapped 1D weight along ``axis`` (min of the two sides), with the
+    curvature stencils read as 2D views."""
+    (dj, di), h = ((1, 0), field.grid.dx) if axis == "x" else ((0, 1), field.grid.dy)
+    sigma_h = sigma * h ** 2
+    at = view_neighbors(field, 2)
+    u = [at(k * dj, k * di) for k in (-2, -1, 0, 1, 2)]
+    s = [((u[c + 1] - 2.0 * u[c] + u[c - 1]) / h) ** 2 for c in (1, 2, 3)]
+    b0m, b1m, b0p, b1p = s[0], s[1], s[1], s[2]
+    return np.minimum(quadrant_min_weight({"-": (b1m, b0m)}, sigma_h),
+                      quadrant_min_weight({"+": (b0p, b1p)}, sigma_h))
+
+
+def view_omega_field_2d(field: GridField, sigma: float,
+                        variant: str = "full") -> np.ndarray:
+    """Combined weight: the min over the quadrants of the remapped weight
+    (``variant`` full or partial), or the splitting baseline (split)."""
+    if variant == "split":
+        return np.minimum(_view_omega_1d(field, sigma, "x"),
+                          _view_omega_1d(field, sigma, "y"))
+    betas = view_quadrant_beta_fields(field, full=variant == "full")
+    return quadrant_min_weight(betas, sigma * field.grid.delta ** 2)
+
+
+def view_phi_2d(omega: np.ndarray, field: GridField,
+                M: float) -> tuple[np.ndarray, np.ndarray]:
+    """Trust mask and untrusted diagnostic, reading the eight ring
+    neighbors as 2D views of one padded boolean mask."""
+    trusted = np.asarray(omega) >= M
+    mode = "wrap" if field.bc is BoundaryCondition.PERIODIC else "edge"
+    ny, nx = trusted.shape
+    t = np.pad(trusted, 1, mode=mode)
+    ring = [t[1 + di:ny + 1 + di, 1 + dj:nx + 1 + dj] for dj, di in RING]
+    consec = np.zeros(trusted.shape, dtype=bool)
+    for k in range(len(ring)):
+        consec |= ring[k] & ring[(k + 1) % len(ring)]
+    return trusted.astype(np.int8), ~trusted & ~consec
+
+
+def view_epsilon_n(field: GridField, H, h, dt: float, mask: np.ndarray,
+                   K: float = 1.0) -> float:
+    """Switching scale from 2D-view stencils: the integrand
+    K |0.5 dt bracket + p-slot + q-slot| in the library's operation order,
+    with the slot differences by eight calls of the numerical hamiltonian
+    ``h(pm, pp, qm, qp)``, maximized over the trusted nodes (boolean
+    indexing); 0 when none is trusted."""
+    if not mask.any():
+        return 0.0
+    x, y = field.grid.meshes()
+    st = view_stencils(field)
+    dp_term, dq_term = swapped_slot_differences(h, *st["one_sided"])
+    dxu, dyu = st["centered"]
+    d2x, d2y = st["second"]
+    (dxy,) = st["cross"]
+    hp = H.dp(x, y, dxu, dyu)
+    hq = H.dq(x, y, dxu, dyu)
+    hx = H.dx_(x, y, dxu, dyu)
+    hy = H.dy_(x, y, dxu, dyu)
+    bracket = (hp * (hp * d2x + hx) + hq * (hq * d2y + hy)
+               + 2.0 * hp * hq * dxy)
+    vals = K * np.abs(0.5 * dt * bracket + dp_term + dq_term)
+    return float(vals[mask].max())

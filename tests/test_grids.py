@@ -82,7 +82,7 @@ class TestShifted:
                     at = f.neighbors(w)
                     for di in (range(-w, w + 1) if f.ndim == 2 else (0,)):
                         for dj in range(-w, w + 1):
-                            view = at(dj, di)
+                            view = at.grid(at(dj, di))
                             assert not view.flags.writeable
                             assert np.array_equal(view, ghost_array(f, dj, di))
                     with pytest.raises(IndexError):

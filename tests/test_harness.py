@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hjaf.filtering as filtering
 import hjaf.harness as harness
 from hjaf.cli import _build_parser as build_parser, main as cli_main
 from hjaf.grids import BoundaryCondition, Grid2D, GridField
@@ -127,24 +128,27 @@ class TestRunConvergence:
         assert len(eps_lines) == 1 + 20  # one row per step
 
     def test_final_maps_use_solver_indicator(self, tmp_path, monkeypatch):
-        # the omega/phi dump reuses the indicator config the solver ran with
-        seen = {}
-        evolve, smooth = harness.af_evolve, harness.smoothness_2d
+        # the omega/phi dump reuses the indicator config the solver ran
+        # with, and reaches the indicator through filtering's name, as
+        # every adaptive step does: one call per step, then the dump
+        seen = {"maps": []}
+        evolve, smooth = harness.af_evolve, filtering.smoothness_2d
 
-        def spy_evolve(u0, config, *args):
-            seen["solver"] = config.indicator
-            return evolve(u0, config, *args)
+        def spy_evolve(u0, config, T, n_steps):
+            seen["solver"], seen["steps"] = config.indicator, n_steps
+            return evolve(u0, config, T, n_steps)
 
-        def spy_smooth(field, cfg):
-            seen["maps"] = cfg
-            return smooth(field, cfg)
+        def spy_smooth(field, cfg, **kwargs):
+            seen["maps"].append(cfg)
+            return smooth(field, cfg, **kwargs)
 
         monkeypatch.setattr(harness, "af_evolve", spy_evolve)
-        monkeypatch.setattr(harness, "smoothness_2d", spy_smooth)
+        monkeypatch.setattr(filtering, "smoothness_2d", spy_smooth)
         run_convergence(CliConfig(test_id="8", scheme="af-hc", refinements=1,
                                   indicator="partial", sigma=1.5, M=0.3,
                                   out_dir=str(tmp_path)))
-        assert seen["maps"] == seen["solver"]
+        assert len(seen["maps"]) == seen["steps"] + 1
+        assert all(cfg == seen["solver"] for cfg in seen["maps"])
 
     def test_fixed_filter_default_scale(self):
         rep = run_convergence(CliConfig(test_id="5", scheme="f-hc-fixed",

@@ -1,0 +1,209 @@
+"""Run-layout kernels against their 2D-view forms (``oracles.view_*``):
+equal arrays, not merely close ones, under both boundary rules and on
+non-square grids down to 3 nodes per axis, where a row-width slip (nx
+read for ny) shows."""
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+import hjaf.grids as grids
+from hjaf.filtering import (EPS_FLOOR, SolverConfig, _adaptive_step,
+                            af_evolve, epsilon_n)
+from hjaf.grids import BoundaryCondition, Grid2D, GridField
+from hjaf.hamiltonians import shifted_quadratic_hamiltonian
+from hjaf.harness import CliConfig, solver_config
+from hjaf.highorder import (centered_slopes, cross_diff, fourth_order_slopes,
+                            high_order_step, second_diffs)
+from hjaf.indicators2d import (Formula2D, Indicator2DConfig, omega_field_2d,
+                               quadrant_beta_fields, smoothness_2d)
+from hjaf.monotone import (CFL_LIMIT, MonotoneKind, monotone_hamiltonian,
+                           monotone_step, one_sided_slopes)
+from hjaf.problems import make_test
+
+from oracles import (view_epsilon_n, view_omega_field_2d, view_phi_2d,
+                     view_quadrant_beta_fields, view_stencils)
+
+PER = BoundaryCondition.PERIODIC
+NEU = BoundaryCondition.NEUMANN_ZERO
+
+
+@st.composite
+def fields(draw):
+    ny, nx = draw(st.integers(3, 9)), draw(st.integers(3, 9))
+    dx, dy = (draw(st.floats(0.01, 2.0)) for _ in range(2))
+    values = draw(arrays(np.float64, (ny, nx),
+                         elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+    return GridField(Grid2D(0.0, 0.0, dx, dy, nx, ny), values,
+                     draw(st.sampled_from([PER, NEU])))
+
+
+def assert_bitwise(got, want, name):
+    assert got.shape == want.shape, name
+    assert np.array_equal(got, want), name
+
+
+class TestDifferences:
+    @settings(max_examples=150, deadline=None)
+    @given(fields(), st.sampled_from([1, 2]))
+    def test_match_view_forms(self, f, width):
+        want = view_stencils(f)
+        at = f.neighbors(width)
+        got = {"one_sided": one_sided_slopes(f, at),
+               "centered": centered_slopes(f, at),
+               "second": second_diffs(f, at),
+               "cross": (cross_diff(f, at),),
+               "fourth": fourth_order_slopes(f)}
+        for name, arrays_want in want.items():
+            for a, b in zip(got[name], arrays_want, strict=True):
+                assert_bitwise(a, b, name)
+
+
+class TestIndicator:
+    @settings(max_examples=150, deadline=None)
+    @given(fields(), st.sampled_from([Formula2D.FULL, Formula2D.PARTIAL]))
+    def test_quadrant_betas(self, f, formula):
+        want = view_quadrant_beta_fields(f, full=formula is Formula2D.FULL)
+        got = quadrant_beta_fields(f, formula)
+        assert got.keys() == want.keys()
+        for key in want:
+            for a, b in zip(got[key], want[key], strict=True):
+                assert_bitwise(a, b, key)
+
+    @settings(max_examples=150, deadline=None)
+    @given(fields(), st.sampled_from(list(Formula2D)),
+           st.floats(0.05, 0.45), st.floats(0.1, 5.0))
+    def test_omega_and_phi(self, f, variant, M, sigma):
+        cfg = Indicator2DConfig(sigma=sigma, M=M, variant=variant)
+        omega = view_omega_field_2d(f, sigma, variant.value)
+        phi, untrusted = view_phi_2d(omega, f, M)
+        assert_bitwise(omega_field_2d(f, cfg), omega, "omega")
+        sm = smoothness_2d(f, cfg, at=f.neighbors(2))
+        assert_bitwise(sm.omega, omega, "omega from the shared copy")
+        assert_bitwise(sm.phi, phi, "phi")
+        assert_bitwise(sm.untrusted, untrusted, "untrusted")
+
+
+def jump_field(bc, nx=13, ny=9):
+    """A field whose rows, read one after another in the flat padded copy,
+    jump where a run's throw-away values sit between them.
+
+    Neumann: u = x + 0.3 |y - y0| + 0.05 sin(5 y).  Each row's last node
+    (x = 1.2) sits next to the next row's first node (x = 0) behind the
+    ghost columns.  Periodic: u = |sin(pi y / Ly)| + 0.2 sin(2 pi x / Lx)
+    on cells ten times longer in y than in x, so a step from one row to
+    the next, read as an x difference, is far steeper than any real one.
+    Both carry a kink line, so some nodes are untrusted."""
+    if bc is NEU:
+        g = Grid2D(0.0, 0.0, 0.1, 0.12, nx, ny)
+        X, Y = g.meshes()
+        y0 = Y[ny // 2, 0] + 0.37 * g.dy
+        return GridField(g, X + 0.3 * np.abs(Y - y0) + 0.05 * np.sin(5 * Y), bc)
+    g = Grid2D(0.0, 0.0, 0.05, 0.5, nx, ny)
+    X, Y = g.meshes()
+    values = (np.abs(np.sin(np.pi * Y / (ny * g.dy)))
+              + 0.2 * np.sin(2 * np.pi * X / (nx * g.dx)))
+    return GridField(g, values, bc)
+
+
+LLF = MonotoneKind.LOCAL_LAX_FRIEDRICHS
+
+
+def llf_h(H, x, y):
+    return lambda pm, pp, qm, qp: monotone_hamiltonian(LLF, H, x, y, pm, pp,
+                                                       qm, qp)[0]
+
+
+class TestGhostColumns:
+    """No throw-away ghost-column value reaches a reduction: the switching
+    scale's max, the trust count, the realized-speed guard."""
+
+    H = shifted_quadratic_hamiltonian(1.5)     # vmax 5 per axis
+    K = 1.0
+
+    def dt(self, f):
+        return 0.4 * f.grid.dx / self.H.vmax_p
+
+    @pytest.mark.parametrize("bc", [PER, NEU])
+    def test_throw_away_values_would_trip_the_guard(self, bc):
+        # the premise: leaked, these slopes would break the step bound
+        f = jump_field(bc)
+        at = f.neighbors(2)
+        run = (at() - at(-1, 0)) / f.grid.dx
+        junk = np.ones(run.size, dtype=bool)
+        junk[np.arange(f.grid.ny)[:, None] * at.row + np.arange(f.grid.nx)] = False
+        speeds = np.abs(2.0 * (run[junk] + 1.0))
+        assert self.dt(f) / f.grid.dx * speeds.max() > 2 * CFL_LIMIT
+        real = np.abs(2.0 * (one_sided_slopes(f)[0] + 1.0))
+        assert self.dt(f) / f.grid.dx * real.max() < CFL_LIMIT
+
+    @pytest.mark.parametrize("bc", [PER, NEU])
+    def test_epsilon_and_diagnostics_match_view_oracle(self, bc):
+        f = jump_field(bc)
+        cfg = SolverConfig(hamiltonian=self.H, monotone=LLF, highorder="rkc4",
+                           indicator=Indicator2DConfig(), K=self.K)
+        dt, ind = self.dt(f), cfg.indicator
+        u1, diag1 = af_evolve(f, cfg, dt, 1)
+        _, diag2 = af_evolve(f, cfg, 2 * dt, 2)
+        x, y = f.grid.meshes()
+        for step, u in ((1, f), (2, u1)):
+            omega = view_omega_field_2d(u, ind.sigma, ind.variant.value)
+            phi, _ = view_phi_2d(omega, u, ind.M)
+            eps = view_epsilon_n(u, self.H, llf_h(self.H, x, y), dt, phi == 1,
+                                 self.K)
+            assert 0 < eps < 1e3
+            assert epsilon_n(u, self.H, LLF, dt, phi == 1, self.K) == eps
+            assert diag2.rows[step - 1] == (step, step * dt, eps,
+                                            int(np.sum(phi == 0)))
+        assert diag1.rows == diag2.rows[:1]
+        assert diag2.rows[0][3] > 0          # the kink leaves untrusted nodes
+
+    @pytest.mark.parametrize("bc", [PER, NEU])
+    def test_no_false_cfl_violation(self, bc):
+        f = jump_field(bc)
+        out = monotone_step(f, LLF, self.H, self.dt(f))
+        assert np.all(np.isfinite(out.values))
+        cfg = SolverConfig(hamiltonian=self.H, monotone=LLF, highorder="rkc4")
+        af_evolve(f, cfg, 3 * self.dt(f), 3)
+
+
+class TestGhostFills:
+    """One adaptive step pads u once, by two ghost nodes, and the trust
+    mask's ring pads the mask.  The only other ghost fills are the later
+    stages of the high-order step; the four-stage step refills one stage
+    buffer for its three."""
+
+    STAGE_FILLS = {"hc": 1, "lw": 0, "lw2": 0, "richtmyer": 0, "rkc4": 3}
+
+    @pytest.mark.parametrize("scheme", sorted(STAGE_FILLS))
+    @pytest.mark.parametrize("variant", ["full", "split"])
+    def test_one_pad_per_step(self, monkeypatch, scheme, variant):
+        prob = make_test("8")
+        cfg = CliConfig(test_id="8", scheme=f"af-{scheme}", refinements=1,
+                        indicator=variant)
+        sc = solver_config(cfg, prob, 0)
+        dt = prob.T_final / prob.n_steps(0)
+        calls = []
+        original = grids.pad_ghosts
+
+        def counting(values, bc, width, out=None):
+            calls.append((values, width, out))
+            return original(values, bc, width, out)
+
+        monkeypatch.setattr(grids, "pad_ghosts", counting)
+        u = prob.initial_field(0)
+        for _ in range(2):
+            calls.clear()
+            u_next, eps, _ = _adaptive_step(u, sc, high_order_step(scheme), dt)
+            assert eps > EPS_FLOOR          # the high-order step ran
+            pads = [(w, out) for values, w, out in calls if values is u.values]
+            assert pads == [(2, None)]
+            rings = [(w, out) for values, w, out in calls if values.dtype == bool]
+            assert rings == [(1, None)]
+            stages = [out for values, _, out in calls
+                      if values is not u.values and values.dtype != bool]
+            assert len(stages) == self.STAGE_FILLS[scheme]
+            if scheme == "rkc4":
+                assert stages[0] is not None
+                assert all(out is stages[0] for out in stages)
+            u = u_next
