@@ -17,12 +17,13 @@ high-order family plus the antidiffusion content of the monotone
 hamiltonian, probed by swapping one-sided slopes into one argument slot
 at a time (:func:`hjaf.monotone.htilde_differences`; for the local
 Lax-Friedrichs form, four evaluations of H in closed form instead of
-eight calls).  One adaptive step pads the field once, by two ghost nodes:
-the smoothness indicator, the switching scale (its one-sided, centered,
-second and cross differences), the monotone update and the first stage of
-the high-order step all read runs of that copy (the run layout of
-:mod:`hjaf.grids`), and the switching scale and the monotone update share
-the one-sided slopes taken from it.
+eight calls).  Every kernel reads the field's own padded copy
+(``field.neighbors()``, the run layout of :mod:`hjaf.grids`), so one step
+in any mode pads the field once: the smoothness indicator, the switching
+scale (its one-sided, centered, second and cross differences), the
+monotone update and the first stage of the high-order step all read that
+copy, and the switching scale and the monotone update share the one-sided
+slopes taken from it.
 """
 from __future__ import annotations
 
@@ -55,24 +56,20 @@ def filter_F(rho):
 
 
 def epsilon_n(field: GridField, H: Hamiltonian, kind: MonotoneKind,
-              dt: float, mask: np.ndarray, K: float = 1.0, *, at=None,
+              dt: float, mask: np.ndarray, K: float = 1.0, *,
               slopes=None) -> float:
     """Switching scale: the maximum of the integrand K * |...| over the
-    trusted region; 0 when the region is empty.  ``at``
-    (``field.neighbors(w)``, w >= 1) and ``slopes`` (the one-sided slopes
-    read from it) are the step's shared stencil data when the caller has
-    them; the one-sided, centered, second and cross differences all come
-    from that one padded copy."""
+    trusted region; 0 when the region is empty.  ``slopes`` are the
+    field's one-sided slopes when the caller already has them."""
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         return 0.0
-    if at is None:
-        at = field.neighbors(1)
     if slopes is None:
-        slopes = one_sided_slopes(field, at)
+        slopes = one_sided_slopes(field)
     x, y = field.grid.meshes()
     dp_term, dq_term = htilde_differences(kind, H, x, y, *slopes)
-    bracket = time_curvature(field, H, *centered_slopes(field, at), at)
+    bracket = time_curvature(field, H,
+                             *centered_slopes(field, field.neighbors()))
     # K * |0.5 dt bracket + dp_term + dq_term|, in the bracket's array
     vals = bracket
     vals *= 0.5 * dt
@@ -89,7 +86,7 @@ def epsilon_n(field: GridField, H: Hamiltonian, kind: MonotoneKind,
 
 def af_step(field: GridField, kind: MonotoneKind, highorder, H: Hamiltonian,
             dt: float, phi_mask: np.ndarray, eps: float, *,
-            slopes=None, at=None) -> GridField:
+            slopes=None) -> GridField:
     """One blended step.
 
     Implemented as a selection: with the hard-cutoff filter the blend
@@ -98,14 +95,13 @@ def af_step(field: GridField, kind: MonotoneKind, highorder, H: Hamiltonian,
     selection keeps the chosen branch bit-exact.  When eps is at or below
     ``EPS_FLOOR`` the two schemes agree on the trusted data anyway, so the
     step falls back to the monotone update (avoids 0/0 in the filter
-    argument).  ``slopes`` are the field's one-sided slopes and ``at`` its
-    padded copy, passed on to ``highorder``, when the caller already has
-    them.
+    argument).  ``slopes`` are the field's one-sided slopes when the
+    caller already has them.
     """
     u_m = monotone_step(field, kind, H, dt, slopes=slopes)
     if eps <= EPS_FLOOR:
         return u_m
-    u_a = highorder(field, H, dt) if at is None else highorder(field, H, dt, at=at)
+    u_a = highorder(field, H, dt)
     trusted = np.asarray(phi_mask, dtype=bool)
     within = np.abs(u_a.values - u_m.values) <= eps * dt
     return field.like(np.where(trusted & within, u_a.values, u_m.values))
@@ -159,20 +155,16 @@ class Diagnostics:
 
 
 def _adaptive_step(u: GridField, config: SolverConfig, step_fn, dt: float):
-    """(u_next, eps, phi) of one adaptive step.  The step pads u once, by
-    two ghost nodes: the indicator, the switching scale, the monotone
-    update and the first stage of the high-order step read runs of that
-    one copy, and the last two share its one-sided slopes.  All of it is
-    dropped when the step returns."""
+    """(u_next, eps, phi) of one adaptive step.  The switching scale and
+    the monotone update share u's one-sided slopes."""
     H = config.hamiltonian
-    at = u.neighbors(2)
-    phi = smoothness_2d(u, config.indicator, at=at).phi
+    phi = smoothness_2d(u, config.indicator).phi
     trusted = phi == 1
-    slopes = one_sided_slopes(u, at)
+    slopes = one_sided_slopes(u)
     eps = epsilon_n(u, H, config.monotone, dt, trusted, config.K,
-                    at=at, slopes=slopes)
+                    slopes=slopes)
     u_next = af_step(u, config.monotone, step_fn, H, dt, trusted, eps,
-                     slopes=slopes, at=at)
+                     slopes=slopes)
     return u_next, eps, phi
 
 

@@ -8,10 +8,15 @@ applied in two places: :func:`ghost_value` maps one scalar index (the
 reference the tests check against), and :func:`pad_ghosts` fills a ghost
 layer around an array, into a fresh copy or in place into an existing
 padded buffer.  Ghost nodes always carry data values: no stencil pads a
-derived array (a curvature or a beta) instead.  Fields themselves never
-store ghost nodes.
+derived array (a curvature or a beta) instead.
 
-Whole-grid stencils read one padded copy in the *run layout*
+A field's values are read-only, and the field owns its one padded copy:
+:meth:`GridField.neighbors` pads the values by ``STENCIL_REACH`` ghost
+nodes on first use and hands every later caller the same copy, so no
+kernel pads its own input and one step of the solver pads its field
+once.  Only a multi-stage step pads again, for the stages it computes.
+
+Whole-grid stencils read a padded copy in the *run layout*
 (:class:`Neighbors`).  The copy, padded by ``w`` ghost nodes, is read as
 one flat buffer whose rows are ``row = nx + 2w`` long.  Every stencil
 offset (dj, di) is then one contiguous slice of it, a run,
@@ -37,10 +42,13 @@ from typing import TextIO, Union
 
 import numpy as np
 
+# Ghost nodes per side of a field's padded copy (GridField.neighbors):
+# the widest stencil reaches 2 nodes (fourth-order slopes, 1D and quadrant
+# betas).  No stencil composes across Runge-Kutta stages: each stage
+# refills the ghosts of its own input.
+STENCIL_REACH = 2
+
 # Largest offset per side that ghost_value and GridField.shifted accept.
-# The widest stencil reaches 2 nodes (fourth-order slopes, 1D and
-# quadrant betas).  No stencil composes across Runge-Kutta stages: each
-# stage refills the ghosts of its own input.
 GHOST_REACH = 8
 
 
@@ -223,9 +231,14 @@ class Neighbors:
 
 
 class GridField:
-    """Scalar values on a grid plus the boundary rule used to read past it."""
+    """Scalar values on a grid plus the boundary rule used to read past it.
 
-    __slots__ = ("grid", "values", "bc")
+    ``values`` is a read-only view of the float64 array the field was
+    given (a float64 array is aliased, not copied), so the padded copy
+    that :meth:`neighbors` builds once cannot go stale through the field.
+    """
+
+    __slots__ = ("grid", "values", "bc", "_neighbors")
 
     def __init__(self, grid: Grid, values, bc: BoundaryCondition,
                  validate: bool = True):
@@ -236,8 +249,10 @@ class GridField:
         if validate and not np.all(np.isfinite(values)):
             raise ValueError("field contains non-finite values")
         self.grid = grid
-        self.values = values
+        self.values = values.view()
+        self.values.flags.writeable = False
         self.bc = bc
+        self._neighbors = None
 
     @property
     def ndim(self) -> int:
@@ -248,17 +263,20 @@ class GridField:
         steppers validate once per step instead of once per stage."""
         return GridField(self.grid, values, self.bc, validate=False)
 
-    def neighbors(self, width: int) -> Neighbors:
-        """Pad the field once by ``width`` ghost nodes and return the runs
-        of that copy, ``at(dj, di)`` for ``|dj|, |di| <= width``."""
-        return Neighbors(self.values, self.bc, width)
+    def neighbors(self) -> Neighbors:
+        """The runs of the field's one padded copy, ``at(dj, di)`` for
+        ``|dj|, |di| <= STENCIL_REACH``, built on first use and kept for
+        the field's lifetime."""
+        if self._neighbors is None:
+            self._neighbors = Neighbors(self.values, self.bc, STENCIL_REACH)
+        return self._neighbors
 
     def shifted(self, dj: int = 0, di: int = 0) -> np.ndarray:
         """Whole-grid array of ``u[i + di, j + dj]`` with the boundary rule
         applied, i.e. the vectorized form of :func:`ghost_value`."""
         if abs(dj) > GHOST_REACH or abs(di) > GHOST_REACH:
             raise IndexError(f"shift ({dj}, {di}) exceeds ghost reach {GHOST_REACH}")
-        at = self.neighbors(max(abs(dj), abs(di)))
+        at = Neighbors(self.values, self.bc, max(abs(dj), abs(di)))
         return at.grid(at(dj, di))
 
 

@@ -51,8 +51,9 @@ class Hamiltonian:
 
 def transport_hamiltonian() -> Hamiltonian:
     """H = p + q: translation at unit speed along both axes."""
-    one = lambda x, y, p, q: np.ones(np.broadcast(x, y, p, q).shape)
-    unit_bound = lambda x, y, lo, hi, other: np.ones(np.broadcast(lo, hi).shape)
+    one = lambda x, y, p, q: np.broadcast_to(1.0, np.broadcast(x, y, p, q).shape)
+    unit_bound = lambda x, y, lo, hi, other: np.broadcast_to(
+        1.0, np.broadcast(lo, hi).shape)
     return Hamiltonian(eval=lambda x, y, p, q: p + q, dp=one, dq=one,
                        vmax_p=1.0, vmax_q=1.0,
                        alpha_p=unit_bound, alpha_q=unit_bound)
@@ -110,8 +111,10 @@ def shifted_quadratic_hamiltonian(slope_bound: float) -> Hamiltonian:
 
     return Hamiltonian(
         eval=lambda x, y, p, q: (p + 1.0) ** 2 + (q + 1.0) ** 2,
-        dp=lambda x, y, p, q: 2.0 * (p + 1.0) * np.ones(np.broadcast(x, y, p, q).shape),
-        dq=lambda x, y, p, q: 2.0 * (q + 1.0) * np.ones(np.broadcast(x, y, p, q).shape),
+        dp=lambda x, y, p, q: np.broadcast_to(2.0 * (p + 1.0),
+                                              np.broadcast(x, y, p, q).shape),
+        dq=lambda x, y, p, q: np.broadcast_to(2.0 * (q + 1.0),
+                                              np.broadcast(x, y, p, q).shape),
         vmax_p=2.0 * (1.0 + slope_bound), vmax_q=2.0 * (1.0 + slope_bound),
         alpha_p=endpoint_bound, alpha_q=endpoint_bound,
     )

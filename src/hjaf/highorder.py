@@ -12,10 +12,12 @@ H independent of (x, y).  Fourth order: the classical four-stage
 Runge-Kutta over fourth-order central slopes (RKC4), whose composed
 stencil spans 17x17 nodes.
 
-Every stencil reads runs of one padded copy of its input (the run layout
-of :mod:`hjaf.grids`); a step takes the caller's copy of the field as
-``at=``, and a multi-stage step refills one stage buffer for its later
-stages.
+Every stencil reads runs of a padded copy of its input (the run layout
+of :mod:`hjaf.grids`): a step reads its field's own copy
+(``field.neighbors()``), which it shares with every other kernel that
+reads the same field, and pads only the stages it computes.  The slope
+kernels that stages read take the copy as ``at``; the four-stage step
+refills one stage buffer for its later stages.
 
 The staggered secants used by LW2/Richtmyer ship in two forms: the
 default keeps the legacy index pattern these schemes have circulated with
@@ -31,21 +33,21 @@ import numpy as np
 
 from .grids import GridField, Neighbors
 from .hamiltonians import Hamiltonian
+from .monotone import one_sided_slopes
 
 SCHEME_ORDERS = {"hc": 2, "lw": 2, "lw2": 2, "richtmyer": 2, "rkc4": 4}
 
 
-def centered_slopes(field: GridField, at=None):
+def centered_slopes(field: GridField, at: Neighbors):
     dx, dy = field.grid.dx, field.grid.dy
-    if at is None:
-        at = field.neighbors(1)
     dxu = at.grid(at(1, 0) - at(-1, 0)) / (2.0 * dx)
     dyu = at.grid(at(0, 1) - at(0, -1)) / (2.0 * dy)
     return dxu, dyu
 
 
-def second_diffs(field: GridField, at):
+def second_diffs(field: GridField):
     dx, dy = field.grid.dx, field.grid.dy
+    at = field.neighbors()
 
     def second(dj, di, h):
         # (u[+1] - 2 u + u[-1]) / h^2, summed left to right
@@ -56,18 +58,17 @@ def second_diffs(field: GridField, at):
     return second(1, 0, dx), second(0, 1, dy)
 
 
-def cross_diff(field: GridField, at):
+def cross_diff(field: GridField):
     dx, dy = field.grid.dx, field.grid.dy
+    at = field.neighbors()
     d = at(1, 1) - at(-1, 1)
     d -= at(1, -1)
     d += at(-1, -1)
     return at.grid(d) / (4.0 * dx * dy)
 
 
-def fourth_order_slopes(field: GridField, at=None):
+def fourth_order_slopes(field: GridField, at: Neighbors):
     dx, dy = field.grid.dx, field.grid.dy
-    if at is None:
-        at = field.neighbors(2)
 
     def slope(dj, di, h):
         # (u[-2] - 8 u[-1] + 8 u[+1] - u[+2]) / (12 h), summed left to right
@@ -79,14 +80,11 @@ def fourth_order_slopes(field: GridField, at=None):
     return slope(1, 0, dx), slope(0, 1, dy)
 
 
-def hc_step(field: GridField, H: Hamiltonian, dt: float, *,
-            at: Neighbors | None = None) -> GridField:
-    """Heun (two-stage RK2) over the centered hamiltonian.  ``at`` is the
-    field's padded copy (width >= 1) when the caller has one; the second
+def hc_step(field: GridField, H: Hamiltonian, dt: float) -> GridField:
+    """Heun (two-stage RK2) over the centered hamiltonian; the second
     stage pads the predictor."""
     x, y = field.grid.meshes()
-    if at is None:
-        at = field.neighbors(1)
+    at = field.neighbors()
 
     def h_of(at):
         return H.eval(x, y, *centered_slopes(field, at))
@@ -97,14 +95,13 @@ def hc_step(field: GridField, H: Hamiltonian, dt: float, *,
     return field.like(out)
 
 
-def time_curvature(field: GridField, H: Hamiltonian, dxu, dyu, at):
+def time_curvature(field: GridField, H: Hamiltonian, dxu, dyu):
     """Discrete time curvature Hp (Hp uxx + Hx) + Hq (Hq uyy + Hy)
     + 2 Hp Hq uxy, with H's derivatives taken at the centered slopes
-    (dxu, dyu) and second and cross differences of the field, both read
-    from the caller's padded copy ``at = field.neighbors(w)``, w >= 1."""
+    (dxu, dyu) and second and cross differences of the field."""
     x, y = field.grid.meshes()
-    d2x, d2y = second_diffs(field, at)
-    dxy = cross_diff(field, at)
+    d2x, d2y = second_diffs(field)
+    dxy = cross_diff(field)
     hp = H.dp(x, y, dxu, dyu)
     hq = H.dq(x, y, dxu, dyu)
     hx = H.dx_(x, y, dxu, dyu)
@@ -125,34 +122,27 @@ def time_curvature(field: GridField, H: Hamiltonian, dxu, dyu, at):
     return a
 
 
-def lw_step(field: GridField, H: Hamiltonian, dt: float, *,
-            at: Neighbors | None = None) -> GridField:
+def lw_step(field: GridField, H: Hamiltonian, dt: float) -> GridField:
     """One-shot second-order step: centered hamiltonian corrected by the
-    discrete expansion of the time curvature (:func:`time_curvature`).
-    ``at`` is the field's padded copy (width >= 1) when the caller has
-    one."""
+    discrete expansion of the time curvature (:func:`time_curvature`)."""
     x, y = field.grid.meshes()
-    if at is None:
-        at = field.neighbors(1)
-    dxu, dyu = centered_slopes(field, at)
+    dxu, dyu = centered_slopes(field, field.neighbors())
     h = (H.eval(x, y, dxu, dyu)
-         - 0.5 * dt * time_curvature(field, H, dxu, dyu, at))
+         - 0.5 * dt * time_curvature(field, H, dxu, dyu))
     return field.like(field.values - dt * h)
 
 
-def _staggered_secants(field: GridField, H: Hamiltonian, corrected: bool,
-                       at: Neighbors | None = None):
-    """(Hx*, Hy*): secants of H between staggered half-node slope states,
-    read from the field's padded copy ``at`` (width >= 1)."""
+def _staggered_secants(field: GridField, H: Hamiltonian, corrected: bool):
+    """(Hx*, Hy*): secants of H between staggered half-node slope states;
+    the forward and backward slopes are those of
+    :func:`hjaf.monotone.one_sided_slopes`."""
     dx, dy = field.grid.dx, field.grid.dy
     x, y = field.grid.meshes()
     args = (x, y)
-    up = field.neighbors(1) if at is None else at
+    up = field.neighbors()
     cut = up.grid
-    u = up()
+    p_bwd, p_fwd, q_bwd, q_fwd = one_sided_slopes(field)
 
-    p_fwd = cut(up(1, 0) - u) / dx
-    p_bwd = cut(u - up(-1, 0)) / dx
     q_at_fwd = cut(up(1, 1) - up(1, -1) + up(0, 1) - up(0, -1)) / (4.0 * dy)
     if corrected:
         q_at_bwd = cut(up(0, 1) - up(0, -1) + up(-1, 1) - up(-1, -1)) / (4.0 * dy)
@@ -162,34 +152,28 @@ def _staggered_secants(field: GridField, H: Hamiltonian, corrected: bool,
     hx_star = (H.eval(*args, p_fwd, q_at_fwd)
                - H.eval(*args, p_bwd, q_at_bwd)) / dx
 
-    q_fwd = cut(up(0, 1) - u) / dy
     p_at_fwd = cut(up(1, 1) - up(-1, 1) + up(1, 0) - up(-1, 0)) / (4.0 * dx)
     p_at_bwd = cut(up(1, 0) - up(-1, 0) + up(1, -1) - up(-1, -1)) / (4.0 * dx)
-    if corrected:
-        q_bwd = cut(u - up(0, -1)) / dy
-    else:
-        # legacy pattern: backward secant carries the opposite sign
-        q_bwd = cut(up(0, -1) - u) / dy
+    if not corrected:
+        # legacy pattern: backward secant carries the opposite sign (its
+        # own expression, since negating Dy- would flip the sign of zeros)
+        q_bwd = cut(up(0, -1) - up()) / dy
     hy_star = (H.eval(*args, p_at_fwd, q_fwd)
                - H.eval(*args, p_at_bwd, q_bwd)) / dy
     return hx_star, hy_star
 
 
 def lw2_step(field: GridField, H: Hamiltonian, dt: float,
-             corrected: bool = False, *,
-             at: Neighbors | None = None) -> GridField:
+             corrected: bool = False) -> GridField:
     """Variant of the one-shot correction using staggered secants of H in
-    place of the expanded curvature terms.  ``at`` is the field's padded
-    copy (width >= 1) when the caller has one."""
+    place of the expanded curvature terms."""
     x, y = field.grid.meshes()
-    if at is None:
-        at = field.neighbors(1)
-    dxu, dyu = centered_slopes(field, at)
+    dxu, dyu = centered_slopes(field, field.neighbors())
     hp = H.dp(x, y, dxu, dyu)
     hq = H.dq(x, y, dxu, dyu)
     hx = H.dx_(x, y, dxu, dyu)
     hy = H.dy_(x, y, dxu, dyu)
-    hx_star, hy_star = _staggered_secants(field, H, corrected, at)
+    hx_star, hy_star = _staggered_secants(field, H, corrected)
     h = (H.eval(x, y, dxu, dyu)
          - 0.5 * dt * hp * (hx_star + hx)
          - 0.5 * dt * hq * (hy_star + hy))
@@ -197,35 +181,28 @@ def lw2_step(field: GridField, H: Hamiltonian, dt: float,
 
 
 def richtmyer_step(field: GridField, H: Hamiltonian, dt: float,
-                   corrected: bool = False, *,
-                   at: Neighbors | None = None) -> GridField:
+                   corrected: bool = False) -> GridField:
     """Two-step-in-one form H(Dx u - dt/2 Hx*, Dy u - dt/2 Hy*); needs no
-    derivatives of H but requires H independent of (x, y).  ``at`` is the
-    field's padded copy (width >= 1) when the caller has one."""
+    derivatives of H but requires H independent of (x, y)."""
     if H.space_dependent:
         raise ValueError("Richtmyer form requires H independent of (x, y)")
     x, y = field.grid.meshes()
-    if at is None:
-        at = field.neighbors(1)
-    dxu, dyu = centered_slopes(field, at)
-    hx_star, hy_star = _staggered_secants(field, H, corrected, at)
+    dxu, dyu = centered_slopes(field, field.neighbors())
+    hx_star, hy_star = _staggered_secants(field, H, corrected)
     h = H.eval(x, y, dxu - 0.5 * dt * hx_star, dyu - 0.5 * dt * hy_star)
     return field.like(field.values - dt * h)
 
 
-def rkc4_step(field: GridField, H: Hamiltonian, dt: float, *,
-              at: Neighbors | None = None) -> GridField:
+def rkc4_step(field: GridField, H: Hamiltonian, dt: float) -> GridField:
     """Classical four-stage RK over fourth-order central slopes.
 
     The time discretization is deliberately not TVD; stability is the
-    filter's job.  Stage 1 reads ``at``, the field's padded copy (width
-    >= 2), when the caller has one.  Every later stage writes its input
-    into one stage buffer of that shape and refills the buffer's ghosts
-    under the boundary rule.
+    filter's job.  Stage 1 reads the field's padded copy.  Every later
+    stage writes its input into one stage buffer of that shape and refills
+    the buffer's ghosts under the boundary rule.
     """
     x, y = field.grid.meshes()
-    if at is None:
-        at = field.neighbors(2)
+    at = field.neighbors()
     buffer = np.empty_like(at.padded)
 
     def h_of(at):
@@ -253,7 +230,7 @@ def rkc4_step(field: GridField, H: Hamiltonian, dt: float, *,
 
 def high_order_step(kind: str, corrected: bool = False,
                     ) -> Callable[..., GridField]:
-    """Step function ``(field, H, dt, *, at=None)`` for a scheme name in
+    """Step function ``(field, H, dt)`` for a scheme name in
     SCHEME_ORDERS."""
     if kind == "hc":
         return hc_step

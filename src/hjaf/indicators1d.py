@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .grids import GridField, Neighbors
+from .grids import GridField
 
 
 class Variant1D(Enum):
@@ -80,21 +80,18 @@ def _axis_step(field: GridField, axis: str):
     return ((1, 0), field.grid.dx) if axis == "x" else ((0, 1), field.grid.dy)
 
 
-def beta_fields_1d(field: GridField, axis: str = "x", *,
-                   at: Neighbors | None = None) -> tuple[np.ndarray, ...]:
+def beta_fields_1d(field: GridField, axis: str = "x") -> tuple[np.ndarray, ...]:
     """(beta0-, beta1-, beta0+, beta1+) arrays for every node, along ``axis``.
 
     beta-_k is the squared rescaled second difference
     ((f_{c+1} - 2 f_c + f_{c-1}) / h)**2 on the stencil centered at
     c = j-1+k; beta+_k the one centered at c = j+k, so beta+ at j
     coincides with beta- at j+1 and the center stencil is shared between
-    the two sides.  All three stencils read runs of one copy of the data
-    padded by two ghost nodes under the field's boundary rule, as every
-    other stencil does; ``at`` is that copy when the caller has it.
+    the two sides.  All three stencils read runs of the field's padded
+    copy, as every other stencil does.
     """
     (dj, di), h = _axis_step(field, axis)
-    if at is None:
-        at = field.neighbors(2)
+    at = field.neighbors()
     u = [at(k * dj, k * di) for k in (-2, -1, 0, 1, 2)]
     s = [(at.grid(u[c + 1] - 2.0 * u[c] + u[c - 1]) / h) ** 2 for c in (1, 2, 3)]
     return s[0], s[1], s[1], s[2]
@@ -137,12 +134,11 @@ def _combine_sides(b0m, b1m, b0p, b1p, sigma_h, variant):
 
 
 def omega_field_1d(field: GridField, cfg: Indicator1DConfig,
-                   axis: str = "x", *, at: Neighbors | None = None) -> np.ndarray:
+                   axis: str = "x") -> np.ndarray:
     """Smoothness weight omega at every node (min of the two sides), along
-    ``axis`` with sigma_h = sigma * h**2 for that axis's spacing h; ``at``
-    is the field's padded copy (width >= 2) when the caller has it."""
+    ``axis`` with sigma_h = sigma * h**2 for that axis's spacing h."""
     sigma_h = cfg.sigma * _axis_step(field, axis)[1] ** 2
-    wm, wp = _combine_sides(*beta_fields_1d(field, axis, at=at), sigma_h,
+    wm, wp = _combine_sides(*beta_fields_1d(field, axis), sigma_h,
                             cfg.variant)
     return np.minimum(wm, wp)
 

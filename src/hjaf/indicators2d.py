@@ -132,11 +132,8 @@ def _beta_from_diffs(u20, u02, u11, u21, u12, u22, dxdy, coeffs):
 
 
 def quadrant_beta_fields(field: GridField, formula: Formula2D = Formula2D.FULL,
-                         *, at: Neighbors | None = None,
                          ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """(beta0, beta1) arrays for each quadrant, for every node at once.
-    ``at`` is the field's padded copy (``field.neighbors(w)``, w >= 2)
-    when the caller already has one.
 
     The arrays are read-only grid views.  Each beta0 views its quadrant's
     inner beta, a run over the grid extended by one node per side (the
@@ -147,10 +144,7 @@ def quadrant_beta_fields(field: GridField, formula: Formula2D = Formula2D.FULL,
         raise ValueError("quadrant smoothness coefficients need a 2D field")
     coeffs = FULL_COEFFS if formula is Formula2D.FULL else PARTIAL_COEFFS
     dxdy = field.grid.dx * field.grid.dy
-    if at is None:
-        at = field.neighbors(2)
-    if at.width < 2:
-        raise IndexError("quadrant betas read two ghost nodes per side")
+    at = field.neighbors()
     # Inner betas live on the grid extended by one node per side (nodes
     # -1..n per axis), whose stencils reach two nodes past the grid.  They
     # are runs over the flat padded copy u: element m of a run is extended
@@ -194,22 +188,19 @@ def quadrant_beta_fields(field: GridField, formula: Formula2D = Formula2D.FULL,
             for key, (z1, z2) in QUADRANTS.items()}
 
 
-def omega_field_2d(field: GridField, cfg: Indicator2DConfig, *,
-                   at: Neighbors | None = None) -> np.ndarray:
+def omega_field_2d(field: GridField, cfg: Indicator2DConfig) -> np.ndarray:
     """Combined smoothness weight at every node: min over the four
     remapped quadrant weights g(w(beta0, beta1)) (splitting baseline when
-    so configured).  ``at`` is the field's padded copy when the caller
-    already has one."""
-    if at is None:
-        at = field.neighbors(2)
+    so configured)."""
     if cfg.variant is Formula2D.SPLIT:
-        return omega_split_field(field, cfg, at=at)
+        return omega_split_field(field, cfg)
     sigma_h = cfg.sigma * field.grid.delta ** 2
-    betas = quadrant_beta_fields(field, cfg.variant, at=at)
+    betas = quadrant_beta_fields(field, cfg.variant)
     # Every beta0 views its quadrant's inner beta run, which the opposite
     # quadrant's beta1 shares: one WENO term per inner run, taken for one
     # opposite pair at a time.  Node (i, j) of the grid is element
     # (i + 1)*row + j + 1 of an inner run.
+    at = field.neighbors()
     row, length = at.row, at.length
     k = row + 1
     omega = None
@@ -224,14 +215,13 @@ def omega_field_2d(field: GridField, cfg: Indicator2DConfig, *,
     return at.grid(omega)
 
 
-def omega_split_field(field: GridField, cfg: Indicator2DConfig, *,
-                      at: Neighbors | None = None) -> np.ndarray:
+def omega_split_field(field: GridField, cfg: Indicator2DConfig) -> np.ndarray:
     """Dimensional-splitting baseline: min of the two axis-wise remapped
     1D weights, each with the other axis frozen."""
     axis_cfg = Indicator1DConfig(sigma=cfg.sigma, M=cfg.M,
                                  variant=Variant1D.MAPPED_G)
-    return np.minimum(omega_field_1d(field, axis_cfg, "x", at=at),
-                      omega_field_1d(field, axis_cfg, "y", at=at))
+    return np.minimum(omega_field_1d(field, axis_cfg, "x"),
+                      omega_field_1d(field, axis_cfg, "y"))
 
 
 # Cyclic walk around a node's eight neighbors, as (dj, di) steps.
@@ -260,10 +250,8 @@ def phi_2d(omega: np.ndarray, field: GridField, cfg: Indicator2DConfig,
     return phi, at.grid(untrusted)
 
 
-def smoothness_2d(field: GridField, cfg: Indicator2DConfig, *,
-                  at: Neighbors | None = None) -> Smoothness2D:
-    """Weight, trust mask and untrusted diagnostic of ``field``; ``at`` is
-    the field's padded copy when the caller already has one."""
-    omega = omega_field_2d(field, cfg, at=at)
+def smoothness_2d(field: GridField, cfg: Indicator2DConfig) -> Smoothness2D:
+    """Weight, trust mask and untrusted diagnostic of ``field``."""
+    omega = omega_field_2d(field, cfg)
     phi, untrusted = phi_2d(omega, field, cfg)
     return Smoothness2D(omega=omega, phi=phi, untrusted=untrusted)

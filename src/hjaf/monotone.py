@@ -148,13 +148,10 @@ def htilde_differences(kind: MonotoneKind, H: Hamiltonian,
             _llf_slot_difference(H, x, y, qc, qp, qm, pc, along_p=False))
 
 
-def one_sided_slopes(field: GridField, at=None):
-    """(Dx-, Dx+, Dy-, Dy+) arrays of one-sided difference quotients.
-    ``at`` is ``field.neighbors(w)`` (w >= 1) when the caller has already
-    padded the field."""
+def one_sided_slopes(field: GridField):
+    """(Dx-, Dx+, Dy-, Dy+) arrays of one-sided difference quotients."""
     dx, dy = field.grid.dx, field.grid.dy
-    if at is None:
-        at = field.neighbors(1)
+    at = field.neighbors()
     u = at()
     dxm = at.grid(u - at(-1, 0)) / dx
     dxp = at.grid(at(1, 0) - u) / dx

@@ -56,6 +56,8 @@ class IndicatorCase:
         """
         if placement not in PLACEMENTS:
             raise ValueError(f"placement must be node or cell, got {placement!r}")
+        if not (math.isfinite(dx) and dx > 0):
+            raise ValueError(f"dx must be finite and positive, got {dx}")
         offset = -IN_CELL_SHIFT * dx if placement == "cell" else 0.0
         a, b = self.xlim
         n = round((b - a) / dx)

@@ -3,8 +3,9 @@ import io
 import numpy as np
 import pytest
 
-from hjaf.grids import (BoundaryCondition, GHOST_REACH, Grid1D, Grid2D,
-                        GridField, ghost_value, pad_ghosts, write_field_csv)
+from hjaf.grids import (BoundaryCondition, GHOST_REACH, STENCIL_REACH, Grid1D,
+                        Grid2D, GridField, Neighbors, ghost_value, pad_ghosts,
+                        write_field_csv)
 
 
 PER = BoundaryCondition.PERIODIC
@@ -79,7 +80,7 @@ class TestShifted:
         for bc in (PER, NEU):
             for f in (field_1d(line, bc), GridField(g, vals, bc)):
                 for w in (0, 1, 2, GHOST_REACH):
-                    at = f.neighbors(w)
+                    at = Neighbors(f.values, bc, w)
                     for di in (range(-w, w + 1) if f.ndim == 2 else (0,)):
                         for dj in range(-w, w + 1):
                             view = at.grid(at(dj, di))
@@ -96,7 +97,7 @@ class TestShifted:
     def test_1d_rejects_di(self):
         f = field_1d(np.zeros(6), NEU)
         with pytest.raises(ValueError):
-            f.neighbors(1)(0, 1)
+            f.neighbors()(0, 1)
         with pytest.raises(ValueError):
             f.shifted(0, 1)
 
@@ -118,6 +119,22 @@ class TestShifted:
         f = field_1d(np.zeros(12), PER)
         with pytest.raises(IndexError):
             f.shifted(GHOST_REACH + 1)
+
+    def test_field_keeps_one_read_only_padded_copy(self):
+        vals = np.arange(12.0).reshape(3, 4)
+        for f in (field_1d(vals[0], PER),
+                  GridField(Grid2D(0, 0, 1.0, 1.0, 4, 3), vals, NEU)):
+            at = f.neighbors()
+            assert f.neighbors() is at
+            assert at.width == STENCIL_REACH
+            assert np.array_equal(at.grid(at()), f.values)
+            with pytest.raises(ValueError):
+                f.values[0] = 1.0
+            with pytest.raises(ValueError):
+                f.values += 1.0
+        # the field aliases a float64 array it is given, read-only; the
+        # caller's own array stays writable
+        assert np.shares_memory(f.values, vals) and vals.flags.writeable
 
 
 class TestGridValidation:

@@ -274,6 +274,12 @@ class TestCli:
         assert code == 1
         assert "finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dx", ["0", "nan", "inf", "-0.1"])
+    def test_invalid_dx_fails_cleanly(self, dx, capsys):
+        code = cli_main(["indicators", "--test", "2", "--dx", dx])
+        assert code == 1
+        assert "error: dx must be finite and positive" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, run, config", [
         (["solve", "--test", "5", "--refinements", "1"], run_convergence,
          lambda out: CliConfig(test_id="5", refinements=1, out_dir=out)),

@@ -50,10 +50,11 @@ class TestStencilsBitwise:
     @given(random_fields())
     def test_match_take_shifts(self, f):
         want = take_stencils(f)
-        got = {"one_sided": one_sided_slopes(f), "centered": centered_slopes(f),
-               "second": second_diffs(f, f.neighbors(1)),
-               "cross": (cross_diff(f, f.neighbors(1)),),
-               "fourth": fourth_order_slopes(f)}
+        at = f.neighbors()
+        got = {"one_sided": one_sided_slopes(f),
+               "centered": centered_slopes(f, at),
+               "second": second_diffs(f), "cross": (cross_diff(f),),
+               "fourth": fourth_order_slopes(f, at)}
         for name, arrays_want in want.items():
             for a, b in zip(got[name], arrays_want, strict=True):
                 assert np.array_equal(a, b), name
@@ -150,7 +151,7 @@ class TestConsistencyOrders:
         def residual(n):
             f = periodic_field(lambda X, Y: np.sin(X) * np.cos(Y), n)
             X, Y = f.grid.meshes()
-            dxu, dyu = fourth_order_slopes(f)
+            dxu, dyu = fourth_order_slopes(f, f.neighbors())
             exact = np.cos(X) * np.cos(Y) - np.sin(X) * np.sin(Y)
             return np.abs(H.eval(X, Y, dxu, dyu) - exact).max()
 

@@ -288,6 +288,32 @@ class TestMakeHamiltonian:
         assert np.array_equal(H.dx_(0.3, 0.4, p, p), np.zeros(7))
         assert np.array_equal(H.dy_(0.3, 0.4, p, p), np.zeros(7))
 
+    def test_constant_factor_closures_match_allocating_forms(self):
+        # the closures return broadcast views; values, signs of zeros and
+        # shapes equal the forms that multiplied by a fresh np.ones
+        def ones(*args):
+            return np.ones(np.broadcast(*args).shape)
+
+        def same(got, want):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+        p = np.array([[-1.0, -0.0, 0.0, np.nan], [2.5, -3.0, 1e300, -1.0]])
+        q = p[::-1, ::-1].copy()
+        x, y = np.meshgrid(np.linspace(0, 1, 4), np.linspace(0, 1, 2))
+        Hs = shifted_quadratic_hamiltonian(1.5)
+        Ht = transport_hamiltonian()
+        for args in ((x, y, p, q), (0.3, 0.4, p, q), (x, y, 0.5, -1.0),
+                     (x, y, p[0], q[0])):
+            same(Hs.dp(*args), 2.0 * (args[2] + 1.0) * ones(*args))
+            same(Hs.dq(*args), 2.0 * (args[3] + 1.0) * ones(*args))
+            same(Ht.dp(*args), ones(*args))
+            same(Ht.dq(*args), ones(*args))
+        for lo, hi in ((p, q), (p[0], q), (0.5, 1.0)):
+            same(Ht.alpha_p(x, y, lo, hi, q), ones(lo, hi))
+            same(Ht.alpha_q(x, y, lo, hi, p), ones(lo, hi))
+
 
 class TestCflCheck:
     def test_transport_pass(self):

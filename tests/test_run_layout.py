@@ -45,15 +45,14 @@ def assert_bitwise(got, want, name):
 
 class TestDifferences:
     @settings(max_examples=150, deadline=None)
-    @given(fields(), st.sampled_from([1, 2]))
-    def test_match_view_forms(self, f, width):
+    @given(fields())
+    def test_match_view_forms(self, f):
         want = view_stencils(f)
-        at = f.neighbors(width)
-        got = {"one_sided": one_sided_slopes(f, at),
+        at = f.neighbors()
+        got = {"one_sided": one_sided_slopes(f),
                "centered": centered_slopes(f, at),
-               "second": second_diffs(f, at),
-               "cross": (cross_diff(f, at),),
-               "fourth": fourth_order_slopes(f)}
+               "second": second_diffs(f), "cross": (cross_diff(f),),
+               "fourth": fourth_order_slopes(f, at)}
         for name, arrays_want in want.items():
             for a, b in zip(got[name], arrays_want, strict=True):
                 assert_bitwise(a, b, name)
@@ -78,7 +77,7 @@ class TestIndicator:
         omega = view_omega_field_2d(f, sigma, variant.value)
         phi, untrusted = view_phi_2d(omega, f, M)
         assert_bitwise(omega_field_2d(f, cfg), omega, "omega")
-        sm = smoothness_2d(f, cfg, at=f.neighbors(2))
+        sm = smoothness_2d(f, cfg)
         assert_bitwise(sm.omega, omega, "omega from the shared copy")
         assert_bitwise(sm.phi, phi, "phi")
         assert_bitwise(sm.untrusted, untrusted, "untrusted")
@@ -128,7 +127,7 @@ class TestGhostColumns:
     def test_throw_away_values_would_trip_the_guard(self, bc):
         # the premise: leaked, these slopes would break the step bound
         f = jump_field(bc)
-        at = f.neighbors(2)
+        at = f.neighbors()
         run = (at() - at(-1, 0)) / f.grid.dx
         junk = np.ones(run.size, dtype=bool)
         junk[np.arange(f.grid.ny)[:, None] * at.row + np.arange(f.grid.nx)] = False
@@ -168,10 +167,10 @@ class TestGhostColumns:
 
 
 class TestGhostFills:
-    """One adaptive step pads u once, by two ghost nodes, and the trust
-    mask's ring pads the mask.  The only other ghost fills are the later
-    stages of the high-order step; the four-stage step refills one stage
-    buffer for its three."""
+    """One step in any mode pads u once, by two ghost nodes, and an
+    adaptive step's trust mask ring pads the mask.  The only other ghost
+    fills are the later stages of the high-order step; the four-stage step
+    refills one stage buffer for its three."""
 
     STAGE_FILLS = {"hc": 1, "lw": 0, "lw2": 0, "richtmyer": 0, "rkc4": 3}
 
@@ -207,3 +206,23 @@ class TestGhostFills:
                 assert stages[0] is not None
                 assert all(out is stages[0] for out in stages)
             u = u_next
+
+    @pytest.mark.parametrize("scheme", [
+        "monotone", "hc", "rkc4", "f-hc-fixed",
+        *(f"af-{name}" for name in sorted(STAGE_FILLS))])
+    def test_one_pad_per_evolve_step_in_every_mode(self, monkeypatch, scheme):
+        prob = make_test("8")
+        sc = solver_config(CliConfig(test_id="8", scheme=scheme,
+                                     refinements=1), prob, 0)
+        u = prob.initial_field(0)
+        widths = []
+        original = grids.pad_ghosts
+
+        def counting(values, bc, width, out=None):
+            if values is u.values:
+                widths.append(width)
+            return original(values, bc, width, out)
+
+        monkeypatch.setattr(grids, "pad_ghosts", counting)
+        af_evolve(u, sc, prob.T_final / prob.n_steps(0), 1)
+        assert widths == [2]
