@@ -22,8 +22,8 @@ eight calls).  Every kernel reads the field's own padded copy
 in any mode pads the field once: the smoothness indicator, the switching
 scale (its one-sided, centered, second and cross differences), the
 monotone update and the first stage of the high-order step all read that
-copy, and the switching scale and the monotone update share the one-sided
-slopes taken from it.
+copy, and they share the one-sided and centered slopes, taken once as
+memo entries of the field.
 """
 from __future__ import annotations
 
@@ -56,20 +56,16 @@ def filter_F(rho):
 
 
 def epsilon_n(field: GridField, H: Hamiltonian, kind: MonotoneKind,
-              dt: float, mask: np.ndarray, K: float = 1.0, *,
-              slopes=None) -> float:
+              dt: float, mask: np.ndarray, K: float = 1.0) -> float:
     """Switching scale: the maximum of the integrand K * |...| over the
-    trusted region; 0 when the region is empty.  ``slopes`` are the
-    field's one-sided slopes when the caller already has them."""
+    trusted region; 0 when the region is empty."""
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         return 0.0
-    if slopes is None:
-        slopes = one_sided_slopes(field)
     x, y = field.grid.meshes()
-    dp_term, dq_term = htilde_differences(kind, H, x, y, *slopes)
-    bracket = time_curvature(field, H,
-                             *centered_slopes(field, field.neighbors()))
+    dp_term, dq_term = htilde_differences(kind, H, x, y,
+                                          *one_sided_slopes(field))
+    bracket = time_curvature(field, H, *centered_slopes(field))
     # K * |0.5 dt bracket + dp_term + dq_term|, in the bracket's array
     vals = bracket
     vals *= 0.5 * dt
@@ -85,8 +81,7 @@ def epsilon_n(field: GridField, H: Hamiltonian, kind: MonotoneKind,
 
 
 def af_step(field: GridField, kind: MonotoneKind, highorder, H: Hamiltonian,
-            dt: float, phi_mask: np.ndarray, eps: float, *,
-            slopes=None) -> GridField:
+            dt: float, phi_mask: np.ndarray, eps: float) -> GridField:
     """One blended step.
 
     Implemented as a selection: with the hard-cutoff filter the blend
@@ -95,10 +90,9 @@ def af_step(field: GridField, kind: MonotoneKind, highorder, H: Hamiltonian,
     selection keeps the chosen branch bit-exact.  When eps is at or below
     ``EPS_FLOOR`` the two schemes agree on the trusted data anyway, so the
     step falls back to the monotone update (avoids 0/0 in the filter
-    argument).  ``slopes`` are the field's one-sided slopes when the
-    caller already has them.
+    argument).
     """
-    u_m = monotone_step(field, kind, H, dt, slopes=slopes)
+    u_m = monotone_step(field, kind, H, dt)
     if eps <= EPS_FLOOR:
         return u_m
     u_a = highorder(field, H, dt)
@@ -137,8 +131,8 @@ class SolverConfig:
                                          and self.eps_fixed > 0):
             raise ValueError("fixed switching scale must be finite and "
                              f"positive, got {self.eps_fixed}")
-        if not self.K > 0.5:
-            raise ValueError(f"safety factor K must exceed 1/2, got {self.K}")
+        if not 0.5 < self.K < np.inf:
+            raise ValueError(f"safety factor K must be finite and > 1/2, got {self.K}")
 
 
 @dataclass
@@ -155,16 +149,12 @@ class Diagnostics:
 
 
 def _adaptive_step(u: GridField, config: SolverConfig, step_fn, dt: float):
-    """(u_next, eps, phi) of one adaptive step.  The switching scale and
-    the monotone update share u's one-sided slopes."""
+    """(u_next, eps, phi) of one adaptive step."""
     H = config.hamiltonian
     phi = smoothness_2d(u, config.indicator).phi
     trusted = phi == 1
-    slopes = one_sided_slopes(u)
-    eps = epsilon_n(u, H, config.monotone, dt, trusted, config.K,
-                    slopes=slopes)
-    u_next = af_step(u, config.monotone, step_fn, H, dt, trusted, eps,
-                     slopes=slopes)
+    eps = epsilon_n(u, H, config.monotone, dt, trusted, config.K)
+    u_next = af_step(u, config.monotone, step_fn, H, dt, trusted, eps)
     return u_next, eps, phi
 
 
@@ -188,7 +178,7 @@ def af_evolve(initial: GridField, config: SolverConfig, T: float,
     if config.mode != "monotone":
         step_fn = high_order_step(config.highorder, config.lw2_corrected)
 
-    u = initial
+    u = initial.like(initial.values)    # an alias: its memo goes after step 1
     diag = Diagnostics()
     ones = np.ones(initial.grid.shape, dtype=np.int8)
     for step in range(1, n_steps + 1):

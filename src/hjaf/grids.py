@@ -10,11 +10,11 @@ layer around an array, into a fresh copy or in place into an existing
 padded buffer.  Ghost nodes always carry data values: no stencil pads a
 derived array (a curvature or a beta) instead.
 
-A field's values are read-only, and the field owns its one padded copy:
-:meth:`GridField.neighbors` pads the values by ``STENCIL_REACH`` ghost
-nodes on first use and hands every later caller the same copy, so no
-kernel pads its own input and one step of the solver pads its field
-once.  Only a multi-stage step pads again, for the stages it computes.
+A field's values are read-only, and :meth:`GridField.memo` keeps what
+is built from them alone: the padded copy (:meth:`GridField.neighbors`,
+``STENCIL_REACH`` ghost nodes wide) and the slopes several kernels read.
+So no kernel pads its own input, and one step of the solver pads its
+field once.  Only a multi-stage step pads again, for its later stages.
 
 Whole-grid stencils read a padded copy in the *run layout*
 (:class:`Neighbors`).  The copy, padded by ``w`` ghost nodes, is read as
@@ -230,15 +230,25 @@ class Neighbors:
                           (self.row * size, size))
 
 
+def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _padded(field: "GridField") -> Neighbors:
+    return Neighbors(field.values, field.bc, STENCIL_REACH)
+
+
 class GridField:
     """Scalar values on a grid plus the boundary rule used to read past it.
 
     ``values`` is a read-only view of the float64 array the field was
-    given (a float64 array is aliased, not copied), so the padded copy
-    that :meth:`neighbors` builds once cannot go stale through the field.
+    given, or that array itself when it is read-only: no :meth:`memo`
+    entry can go stale through the field.
     """
 
-    __slots__ = ("grid", "values", "bc", "_neighbors")
+    __slots__ = ("grid", "values", "bc", "_memo")
 
     def __init__(self, grid: Grid, values, bc: BoundaryCondition,
                  validate: bool = True):
@@ -249,10 +259,10 @@ class GridField:
         if validate and not np.all(np.isfinite(values)):
             raise ValueError("field contains non-finite values")
         self.grid = grid
-        self.values = values.view()
+        self.values = values.view() if values.flags.writeable else values
         self.values.flags.writeable = False
         self.bc = bc
-        self._neighbors = None
+        self._memo = {}
 
     @property
     def ndim(self) -> int:
@@ -263,13 +273,17 @@ class GridField:
         steppers validate once per step instead of once per stage."""
         return GridField(self.grid, values, self.bc, validate=False)
 
+    def memo(self, build):
+        """``build(self)``, built once and kept for the field's lifetime;
+        callers share it, so ``build`` returns :func:`read_only` arrays."""
+        if build not in self._memo:
+            self._memo[build] = build(self)
+        return self._memo[build]
+
     def neighbors(self) -> Neighbors:
         """The runs of the field's one padded copy, ``at(dj, di)`` for
-        ``|dj|, |di| <= STENCIL_REACH``, built on first use and kept for
-        the field's lifetime."""
-        if self._neighbors is None:
-            self._neighbors = Neighbors(self.values, self.bc, STENCIL_REACH)
-        return self._neighbors
+        ``|dj|, |di| <= STENCIL_REACH`` (a :meth:`memo` entry)."""
+        return self.memo(_padded)
 
     def shifted(self, dj: int = 0, di: int = 0) -> np.ndarray:
         """Whole-grid array of ``u[i + di, j + dj]`` with the boundary rule

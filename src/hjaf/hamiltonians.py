@@ -34,11 +34,10 @@ class Hamiltonian:
     vmax_q: float
     space_dependent: bool = False
     is_eikonal: bool = False
-    # Interval bounds: the exact maximum of |H_p| over p in [lo, hi] at
-    # frozen q (and the q analog), in closed form.  The local Lax-Friedrichs
-    # scheme needs both; the eikonal scheme reads neither.  The tests check
-    # them bitwise against the sampled scan ``oracles.scan_max_abs``.
-    # Signature (x, y, lo, hi, frozen_other) -> array.
+    # Interval bounds: the exact maximum of |H_p| over p between a and b,
+    # in either order, at frozen q (and the q analog), in closed form; the
+    # local Lax-Friedrichs scheme needs both, the eikonal scheme neither.
+    # Signature (x, y, a, b, frozen_other) -> array.
     alpha_p: ArrayFn | None = None
     alpha_q: ArrayFn | None = None
 
@@ -52,8 +51,8 @@ class Hamiltonian:
 def transport_hamiltonian() -> Hamiltonian:
     """H = p + q: translation at unit speed along both axes."""
     one = lambda x, y, p, q: np.broadcast_to(1.0, np.broadcast(x, y, p, q).shape)
-    unit_bound = lambda x, y, lo, hi, other: np.broadcast_to(
-        1.0, np.broadcast(lo, hi).shape)
+    unit_bound = lambda x, y, a, b, other: np.broadcast_to(
+        1.0, np.broadcast(a, b).shape)
     return Hamiltonian(eval=lambda x, y, p, q: p + q, dp=one, dq=one,
                        vmax_p=1.0, vmax_q=1.0,
                        alpha_p=unit_bound, alpha_q=unit_bound)
@@ -95,19 +94,19 @@ def rotation_hamiltonian(radius: float) -> Hamiltonian:
         dy_=lambda x, y, p, q: np.broadcast_to(np.asarray(-p, dtype=float),
                                                np.broadcast(x, y, p, q).shape),
         vmax_p=radius, vmax_q=radius, space_dependent=True,
-        alpha_p=lambda x, y, lo, hi, other: np.broadcast_to(
-            np.abs(np.asarray(y, dtype=float)), np.broadcast(y, lo).shape),
-        alpha_q=lambda x, y, lo, hi, other: np.broadcast_to(
-            np.abs(np.asarray(x, dtype=float)), np.broadcast(x, lo).shape),
+        alpha_p=lambda x, y, a, b, other: np.broadcast_to(
+            np.abs(np.asarray(y, dtype=float)), np.broadcast(y, a).shape),
+        alpha_q=lambda x, y, a, b, other: np.broadcast_to(
+            np.abs(np.asarray(x, dtype=float)), np.broadcast(x, a).shape),
     )
 
 
 def shifted_quadratic_hamiltonian(slope_bound: float) -> Hamiltonian:
     """H = (p+1)^2 + (q+1)^2, a Burgers-like convex hamiltonian;
     ``slope_bound`` bounds |p|, |q| over the run for the velocity bounds."""
-    def endpoint_bound(x, y, lo, hi, other):
-        # |2(p+1)| is affine in p: the interval max sits at an endpoint
-        return np.maximum(np.abs(2.0 * (lo + 1.0)), np.abs(2.0 * (hi + 1.0)))
+    def endpoint_bound(x, y, a, b, other):
+        # |2(p+1)| is convex in p: the interval max sits at an endpoint
+        return np.maximum(np.abs(2.0 * (a + 1.0)), np.abs(2.0 * (b + 1.0)))
 
     return Hamiltonian(
         eval=lambda x, y, p, q: (p + 1.0) ** 2 + (q + 1.0) ** 2,

@@ -13,11 +13,11 @@ Runge-Kutta over fourth-order central slopes (RKC4), whose composed
 stencil spans 17x17 nodes.
 
 Every stencil reads runs of a padded copy of its input (the run layout
-of :mod:`hjaf.grids`): a step reads its field's own copy
-(``field.neighbors()``), which it shares with every other kernel that
-reads the same field, and pads only the stages it computes.  The slope
-kernels that stages read take the copy as ``at``; the four-stage step
-refills one stage buffer for its later stages.
+of :mod:`hjaf.grids`): a step reads its field's own copy and centered
+slopes, memo entries of the field that every kernel reading it shares,
+and pads only the stages it computes.  Only the fourth-order slopes take
+a copy as ``at``: the four-stage step refills one stage buffer for its
+later stages.
 
 The staggered secants used by LW2/Richtmyer ship in two forms: the
 default keeps the legacy index pattern these schemes have circulated with
@@ -31,18 +31,23 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import GridField, Neighbors
+from .grids import GridField, Neighbors, read_only
 from .hamiltonians import Hamiltonian
 from .monotone import one_sided_slopes
 
 SCHEME_ORDERS = {"hc": 2, "lw": 2, "lw2": 2, "richtmyer": 2, "rkc4": 4}
 
 
-def centered_slopes(field: GridField, at: Neighbors):
+def _centered_slopes(field: GridField):
     dx, dy = field.grid.dx, field.grid.dy
-    dxu = at.grid(at(1, 0) - at(-1, 0)) / (2.0 * dx)
-    dyu = at.grid(at(0, 1) - at(0, -1)) / (2.0 * dy)
-    return dxu, dyu
+    at = field.neighbors()
+    return read_only(at.grid(at(1, 0) - at(-1, 0)) / (2.0 * dx),
+                     at.grid(at(0, 1) - at(0, -1)) / (2.0 * dy))
+
+
+def centered_slopes(field: GridField):
+    """(Dx u, Dy u): centered difference quotients, a memo entry."""
+    return field.memo(_centered_slopes)
 
 
 def second_diffs(field: GridField):
@@ -84,14 +89,9 @@ def hc_step(field: GridField, H: Hamiltonian, dt: float) -> GridField:
     """Heun (two-stage RK2) over the centered hamiltonian; the second
     stage pads the predictor."""
     x, y = field.grid.meshes()
-    at = field.neighbors()
-
-    def h_of(at):
-        return H.eval(x, y, *centered_slopes(field, at))
-
-    star = field.values - dt * h_of(at)
-    star_at = Neighbors(star, field.bc, at.width)
-    out = 0.5 * (field.values + star) - 0.5 * dt * h_of(star_at)
+    star = field.like(field.values - dt * H.eval(x, y, *centered_slopes(field)))
+    out = (0.5 * (field.values + star.values)
+           - 0.5 * dt * H.eval(x, y, *centered_slopes(star)))
     return field.like(out)
 
 
@@ -126,7 +126,7 @@ def lw_step(field: GridField, H: Hamiltonian, dt: float) -> GridField:
     """One-shot second-order step: centered hamiltonian corrected by the
     discrete expansion of the time curvature (:func:`time_curvature`)."""
     x, y = field.grid.meshes()
-    dxu, dyu = centered_slopes(field, field.neighbors())
+    dxu, dyu = centered_slopes(field)
     h = (H.eval(x, y, dxu, dyu)
          - 0.5 * dt * time_curvature(field, H, dxu, dyu))
     return field.like(field.values - dt * h)
@@ -134,8 +134,8 @@ def lw_step(field: GridField, H: Hamiltonian, dt: float) -> GridField:
 
 def _staggered_secants(field: GridField, H: Hamiltonian, corrected: bool):
     """(Hx*, Hy*): secants of H between staggered half-node slope states;
-    the forward and backward slopes are those of
-    :func:`hjaf.monotone.one_sided_slopes`."""
+    the forward and backward slopes are the one-sided slopes the
+    monotone step reads (:func:`hjaf.monotone.one_sided_slopes`)."""
     dx, dy = field.grid.dx, field.grid.dy
     x, y = field.grid.meshes()
     args = (x, y)
@@ -168,7 +168,7 @@ def lw2_step(field: GridField, H: Hamiltonian, dt: float,
     """Variant of the one-shot correction using staggered secants of H in
     place of the expanded curvature terms."""
     x, y = field.grid.meshes()
-    dxu, dyu = centered_slopes(field, field.neighbors())
+    dxu, dyu = centered_slopes(field)
     hp = H.dp(x, y, dxu, dyu)
     hq = H.dq(x, y, dxu, dyu)
     hx = H.dx_(x, y, dxu, dyu)
@@ -187,7 +187,7 @@ def richtmyer_step(field: GridField, H: Hamiltonian, dt: float,
     if H.space_dependent:
         raise ValueError("Richtmyer form requires H independent of (x, y)")
     x, y = field.grid.meshes()
-    dxu, dyu = centered_slopes(field, field.neighbors())
+    dxu, dyu = centered_slopes(field)
     hx_star, hy_star = _staggered_secants(field, H, corrected)
     h = H.eval(x, y, dxu - 0.5 * dt * hx_star, dyu - 0.5 * dt * hy_star)
     return field.like(field.values - dt * h)

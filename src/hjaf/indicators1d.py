@@ -48,8 +48,8 @@ class Indicator1DConfig:
     variant: Variant1D = Variant1D.RAW
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if not 0 < self.M < 0.5:
             raise ValueError(f"threshold M must lie in (0, 1/2), got {self.M}")
 

@@ -83,8 +83,8 @@ class Indicator2DConfig:
     variant: Formula2D = Formula2D.FULL
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if not 0 < self.M < 0.5:
             raise ValueError(f"threshold M must lie in (0, 1/2), got {self.M}")
 

@@ -6,11 +6,11 @@ the eikonal equation, and the local Lax-Friedrichs form for general H.
 Both reproduce H exactly on matched slopes, and both are monotone under
 the simplified step restriction max(lam_x * vmax_p, lam_y * vmax_q) <= 1/2.
 The local Lax-Friedrichs dissipation on each axis is the exact maximum
-of |H_p| (|H_q|) over the slope interval, which the hamiltonian supplies
-in closed form (``alpha_p``/``alpha_q``); the scheme refuses an H without
-them.  The declared bounds vmax_p, vmax_q can be exceeded by the data a
-run reaches, so the local Lax-Friedrichs step also checks the restriction
-on the dissipation coefficients it actually used.
+of |H_p| (|H_q|) between the two slopes, in either order, which the
+hamiltonian supplies in closed form (``alpha_p``/``alpha_q``); the scheme
+refuses an H without them.  The declared bounds vmax_p, vmax_q can be
+exceeded by the data a run reaches, so the local Lax-Friedrichs step also
+checks the restriction on the dissipation coefficients it actually used.
 
 :class:`MonotoneKind` names the form, and :func:`monotone_hamiltonian`
 evaluates it.  The switching scale probes the monotone hamiltonian by
@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .grids import Grid2D, GridField
+from .grids import Grid2D, GridField, read_only
 from .hamiltonians import Hamiltonian
 
 CFL_LIMIT = 0.5
@@ -65,15 +65,15 @@ def h_eikonal(pm, pp, qm, qp):
     return np.sqrt(a * a + b * b)
 
 
-def _speed_bound(H: Hamiltonian, x, y, lo, hi, other, along_p: bool):
-    """max|H_p| over p in [lo, hi] with q frozen at ``other`` (``along_p``),
-    else the q analog, from H's interval closure."""
+def _speed_bound(H: Hamiltonian, x, y, a, b, other, along_p: bool):
+    """max|H_p| over p between ``a`` and ``b`` with q frozen at ``other``
+    (``along_p``), else the q analog, from H's interval closure."""
     name = "alpha_p" if along_p else "alpha_q"
     bound = getattr(H, name)
     if bound is None:
         raise ValueError(f"the local Lax-Friedrichs scheme needs H.{name}, "
                          "the interval bound of its speed")
-    return bound(x, y, lo, hi, other)
+    return bound(x, y, a, b, other)
 
 
 def _llf(H: Hamiltonian, x, y, pm, pp, qm, qp):
@@ -82,10 +82,8 @@ def _llf(H: Hamiltonian, x, y, pm, pp, qm, qp):
     speed bound, and the dissipation coefficient it used on each axis."""
     pc = 0.5 * (np.asarray(pm, dtype=np.float64) + pp)
     qc = 0.5 * (np.asarray(qm, dtype=np.float64) + qp)
-    ax = _speed_bound(H, x, y, np.minimum(pm, pp), np.maximum(pm, pp), qc,
-                      along_p=True)
-    ay = _speed_bound(H, x, y, np.minimum(qm, qp), np.maximum(qm, qp), pc,
-                      along_p=False)
+    ax = _speed_bound(H, x, y, pm, pp, qc, along_p=True)
+    ay = _speed_bound(H, x, y, qm, qp, pc, along_p=False)
     value = (H.eval(x, y, pc, qc)
              - 0.5 * ax * (pp - pm) - 0.5 * ay * (qp - qm))
     return value, ax, ay
@@ -96,8 +94,8 @@ def _llf_slot_difference(H: Hamiltonian, x, y, c, fwd, bwd, frozen,
     """Closed form of one slot difference of the local Lax-Friedrichs
     hamiltonian h (see :func:`htilde_differences`).  With the swapped
     slot's partner held at the centered slope c, h(c, s) and h(s, c) share
-    E = H at 0.5*(c + s), the speed bound over [min(c, s), max(c, s)] and
-    the dissipation d = 0.5*bound*(s - c), which enters them as E - d and
+    E = H at 0.5*(c + s), the speed bound between c and s and the
+    dissipation d = 0.5*bound*(s - c), which enters them as E - d and
     E + d.  On the frozen axis the average 0.5*(c' + c') is c' exactly and
     the dissipation 0.5*bound'*(c' - c') is +0 (bounds are finite and
     >= 0), so every value rounds exactly as in the eight calls."""
@@ -106,8 +104,7 @@ def _llf_slot_difference(H: Hamiltonian, x, y, c, fwd, bwd, frozen,
         mid = c + s
         mid *= 0.5
         e = H.eval(x, y, mid, frozen) if along_p else H.eval(x, y, frozen, mid)
-        bound = _speed_bound(H, x, y, np.minimum(c, s), np.maximum(c, s),
-                             frozen, along_p)
+        bound = _speed_bound(H, x, y, c, s, frozen, along_p)
         d = s - c
         d *= 0.5 * bound
         terms.append((e, d))
@@ -148,16 +145,17 @@ def htilde_differences(kind: MonotoneKind, H: Hamiltonian,
             _llf_slot_difference(H, x, y, qc, qp, qm, pc, along_p=False))
 
 
-def one_sided_slopes(field: GridField):
-    """(Dx-, Dx+, Dy-, Dy+) arrays of one-sided difference quotients."""
+def _one_sided_slopes(field: GridField):
     dx, dy = field.grid.dx, field.grid.dy
     at = field.neighbors()
     u = at()
-    dxm = at.grid(u - at(-1, 0)) / dx
-    dxp = at.grid(at(1, 0) - u) / dx
-    dym = at.grid(u - at(0, -1)) / dy
-    dyp = at.grid(at(0, 1) - u) / dy
-    return dxm, dxp, dym, dyp
+    return read_only(at.grid(u - at(-1, 0)) / dx, at.grid(at(1, 0) - u) / dx,
+                     at.grid(u - at(0, -1)) / dy, at.grid(at(0, 1) - u) / dy)
+
+
+def one_sided_slopes(field: GridField):
+    """(Dx-, Dx+, Dy-, Dy+): one-sided difference quotients, a memo entry."""
+    return field.memo(_one_sided_slopes)
 
 
 def monotone_hamiltonian(kind: MonotoneKind, H: Hamiltonian,
@@ -201,20 +199,18 @@ def _check_realized_speeds(report: CflReport, speeds, grid: Grid2D) -> None:
 
 
 def monotone_step(field: GridField, kind: MonotoneKind, H: Hamiltonian,
-                  dt: float, slopes=None) -> GridField:
+                  dt: float) -> GridField:
     """One forward step of the monotone scheme.  Refuses to run when the
     step restriction fails rather than silently clipping dt: before the
     update on the declared velocity bounds, after it (local Lax-Friedrichs
-    form) on the dissipation coefficients the update used.  ``slopes`` are
-    the field's one-sided slopes when the caller already has them."""
+    form) on the dissipation coefficients the update used."""
     report = cfl_check(H, dt, field.grid)
     if not report.passed:
         raise CflViolation(
             f"time step violates the stability bound: "
             f"max(lam*vmax) = {report.value:.4g} > {CFL_LIMIT}")
     x, y = field.grid.meshes()
-    pm, pp, qm, qp = one_sided_slopes(field) if slopes is None else slopes
-    h, speeds = monotone_hamiltonian(kind, H, x, y, pm, pp, qm, qp)
+    h, speeds = monotone_hamiltonian(kind, H, x, y, *one_sided_slopes(field))
     if speeds is not None:
         _check_realized_speeds(report, speeds, field.grid)
     return field.like(field.values - dt * h)

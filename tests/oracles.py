@@ -7,16 +7,12 @@ textbook recursion, and the switching scale via a scalar node-by-node
 transcription.  None of them import the vectorized production kernels they
 are checking.
 
-The take-based quadrant kernel, quadrant weight and trust-mask ring below
-are the earlier production forms, kept as bitwise references: they
-evaluate all eight betas per node from whole-grid ``np.take`` shifted
-copies, with the same floating-point operations in the same order.  The
-shift applies the boundary rule through index arrays, a path of its own
-next to the library's ghost padding.  ``swapped_slot_differences`` is the
-eight-call form of the switching scale's slot differences, the bitwise
-reference for the library's closed form.  ``scan_max_abs`` is the
-sampled interval maximum that every hamiltonian's closed-form speed
-bounds (``alpha_p``/``alpha_q``) must reproduce bitwise.
+``swapped_slot_differences`` is the eight-call form of the switching
+scale's slot differences, the bitwise reference for the library's closed
+form.  ``scan_max_abs`` is the sampled interval maximum that every
+hamiltonian's closed-form speed bounds (``alpha_p``/``alpha_q``) must
+reproduce bitwise; ``scan_bounds`` orders the endpoints it is given, as
+the closed forms need not.
 
 The ``view_*`` kernels are the 2D-view forms the library used before it
 moved to the run layout: every stencil offset is a 2D view of one
@@ -190,11 +186,13 @@ def scan_max_abs(deriv, x, y, lo, hi, other, other_is_q: bool) -> np.ndarray:
 
 
 def scan_bounds(H):
-    """(alpha_p, alpha_q) interval-bound closures of H by the sampled scan."""
-    return (lambda x, y, lo, hi, other:
-            scan_max_abs(H.dp, x, y, lo, hi, other, other_is_q=True),
-            lambda x, y, lo, hi, other:
-            scan_max_abs(H.dq, x, y, lo, hi, other, other_is_q=False))
+    """(alpha_p, alpha_q) interval-bound closures of H by the sampled scan,
+    over the interval between the endpoints a and b in either order: the
+    scan's sample points depend on the order, so it orders them."""
+    def bound(deriv, other_is_q):
+        return lambda x, y, a, b, other: scan_max_abs(
+            deriv, x, y, np.minimum(a, b), np.maximum(a, b), other, other_is_q)
+    return bound(H.dp, True), bound(H.dq, False)
 
 
 # Closed-form coefficients (c21, c22), FULL and PARTIAL.
@@ -210,79 +208,6 @@ def _beta_from_diffs(u20, u02, u11, u21, u12, u22, dxdy, coeffs):
          - (u20 + u02) * u22 / 6.0
          - (u21 + u12) * u22 / 12.0)
     return v / dxdy
-
-
-def take_shift(field: GridField, dj: int = 0, di: int = 0) -> np.ndarray:
-    """Whole-grid copy of ``u[i + di, j + dj]`` for a 2D field: out-of-range
-    indices wrap (periodic) or clip to the edge (Neumann) in ``np.take``."""
-    mode = "wrap" if field.bc is BoundaryCondition.PERIODIC else "clip"
-    ny, nx = field.values.shape
-    out = field.values
-    if di != 0:
-        out = np.take(out, np.arange(ny) + di, axis=0, mode=mode)
-    if dj != 0:
-        out = np.take(out, np.arange(nx) + dj, axis=1, mode=mode)
-    return out
-
-
-def take_stencils(field: GridField) -> dict[str, tuple[np.ndarray, ...]]:
-    """The whole-grid difference stencils of the monotone and high-order
-    schemes, over ``take_shift`` copies and in the library's operand
-    order."""
-    u = field.values
-    dx, dy = field.grid.dx, field.grid.dy
-    s = {(dj, di): take_shift(field, dj, di)
-         for dj in range(-2, 3) for di in range(-2, 3)}
-    return {
-        "one_sided": ((u - s[-1, 0]) / dx, (s[1, 0] - u) / dx,
-                      (u - s[0, -1]) / dy, (s[0, 1] - u) / dy),
-        "centered": ((s[1, 0] - s[-1, 0]) / (2.0 * dx),
-                     (s[0, 1] - s[0, -1]) / (2.0 * dy)),
-        "second": ((s[1, 0] - 2.0 * u + s[-1, 0]) / dx ** 2,
-                   (s[0, 1] - 2.0 * u + s[0, -1]) / dy ** 2),
-        "cross": ((s[1, 1] - s[-1, 1] - s[1, -1] + s[-1, -1]) / (4.0 * dx * dy),),
-        "fourth": ((s[-2, 0] - 8.0 * s[-1, 0] + 8.0 * s[1, 0] - s[2, 0]) / (12.0 * dx),
-                   (s[0, -2] - 8.0 * s[0, -1] + 8.0 * s[0, 1] - s[0, 2]) / (12.0 * dy)),
-    }
-
-
-def take_quadrant_beta_fields(field: GridField, full: bool = True,
-                              ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """(beta0, beta1) arrays per quadrant: both stencils of every quadrant
-    evaluated on the grid itself, from memoized ``take_shift`` copies."""
-    coeffs = _BETA_COEFFS[full]
-    dxdy = field.grid.dx * field.grid.dy
-    cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def shift(dj, di):
-        if (dj, di) not in cache:
-            cache[dj, di] = take_shift(field, dj, di)
-        return cache[dj, di]
-
-    out = {}
-    for key, (z1, z2) in QUADRANT_SIGNS.items():
-        betas = []
-        for k in (0, 1):
-            ax, ay = _stencil_offsets(z1, z2, k)
-            f = {(a, b): shift(a, b) for a in ax for b in ay}
-
-            def d2x(b):
-                return f[(ax[2], b)] - 2.0 * f[(ax[1], b)] + f[(ax[0], b)]
-
-            def d2y(a):
-                return f[(a, ay[2])] - 2.0 * f[(a, ay[1])] + f[(a, ay[0])]
-
-            u20 = d2x(ay[0])
-            u02 = d2y(ax[0])
-            u11 = (f[(ax[1], ay[1])] - f[(ax[0], ay[1])]
-                   - f[(ax[1], ay[0])] + f[(ax[0], ay[0])])
-            u21 = d2x(ay[1]) - d2x(ay[0])
-            u12 = d2y(ax[1]) - d2y(ax[0])
-            u22 = d2x(ay[2]) - 2.0 * d2x(ay[1]) + d2x(ay[0])
-            betas.append(_beta_from_diffs(u20, u02, u11, u21, u12, u22,
-                                          dxdy, coeffs))
-        out[key] = (betas[0], betas[1])
-    return out
 
 
 RING = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
@@ -303,19 +228,6 @@ def quadrant_min_weight(betas: dict[str, tuple[np.ndarray, np.ndarray]],
     return omega
 
 
-def shifted_phi_2d(omega: np.ndarray, field: GridField,
-                   M: float) -> tuple[np.ndarray, np.ndarray]:
-    """Trust mask and untrusted diagnostic, reading the eight ring
-    neighbors as float ``take_shift`` copies of the mask."""
-    phi = (np.asarray(omega) >= M).astype(np.int8)
-    pf = field.like(phi.astype(np.float64))
-    ring = [take_shift(pf, dj, di) > 0.5 for dj, di in RING]
-    consec = np.zeros(phi.shape, dtype=bool)
-    for k in range(len(ring)):
-        consec |= ring[k] & ring[(k + 1) % len(ring)]
-    return phi, (phi == 0) & ~consec
-
-
 # ----------------------------------------------------------------------
 # 2D-view forms
 
@@ -333,7 +245,7 @@ def view_neighbors(field: GridField, width: int):
 
 def view_stencils(field: GridField) -> dict[str, tuple[np.ndarray, ...]]:
     """The monotone and high-order difference stencils over 2D views, in
-    the library's operand order (same keys as :func:`take_stencils`)."""
+    the library's operand order."""
     u = field.values
     dx, dy = field.grid.dx, field.grid.dy
     at = view_neighbors(field, 2)

@@ -376,5 +376,7 @@ class TestEvolve:
             self._config(mode="fixed", eps_fixed=eps)
 
     def test_k_must_exceed_half(self):
-        with pytest.raises(ValueError):
-            self._config(K=0.5)
+        # an infinite K would make eps infinite or NaN
+        for K in (0.5, np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite and > 1/2"):
+                self._config(K=K)

@@ -133,8 +133,9 @@ class TestShifted:
             with pytest.raises(ValueError):
                 f.values += 1.0
         # the field aliases a float64 array it is given, read-only; the
-        # caller's own array stays writable
+        # caller's own array stays writable, and a read-only one is kept
         assert np.shares_memory(f.values, vals) and vals.flags.writeable
+        assert f.like(f.values).values is f.values
 
 
 class TestGridValidation:

@@ -267,6 +267,16 @@ class TestCli:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--test", "5", "--refinements", "1", "--sigma", "inf"],
+        ["solve", "--test", "5", "--refinements", "1", "--K", "inf"],
+        ["indicators", "--test", "2", "--sigma", "inf"],
+    ], ids=["solve-sigma", "solve-K", "indicators-sigma"])
+    def test_infinite_sigma_or_K_fails_cleanly(self, argv, capsys):
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be finite" in err
+
     @pytest.mark.parametrize("eps", ["-1", "0", "nan"])
     def test_invalid_fixed_scale_fails_cleanly(self, eps, capsys):
         code = cli_main(["solve", "--test", "5", "--scheme", "f-hc-fixed",

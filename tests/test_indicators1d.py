@@ -230,5 +230,7 @@ class TestConfigValidation:
             Indicator1DConfig(M=0.0)
 
     def test_sigma_positive(self):
-        with pytest.raises(ValueError):
-            Indicator1DConfig(sigma=0.0)
+        # an infinite sigma_h would turn every weight into inf/inf = NaN
+        for sigma in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite and positive"):
+                Indicator1DConfig(sigma=sigma)

@@ -161,6 +161,39 @@ class TestSlotDifferences:
         assert np.array_equal(got[1], want[1])
 
 
+# the hamiltonian of every registry problem with interval bounds, by id
+BOUNDED = {p.id: p.hamiltonian for p in map(make_test, ALL_TEST_IDS)
+           if isinstance(p, ProblemSpec) and p.hamiltonian.alpha_p is not None}
+
+# every double, both zeros and NaN among them, drawn often
+ENDPOINTS = st.floats() | st.sampled_from([0.0, -0.0, np.nan, -np.nan])
+
+
+class TestSpeedBoundSymmetry:
+    """alpha(x, y, a, b, other) is the maximum over the interval between a
+    and b, so it may not depend on which endpoint comes first: the LLF
+    kernels pass their slopes unordered."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(BOUNDED)), st.sampled_from(["alpha_p", "alpha_q"]),
+           *(arrays(np.float64, 8, elements=ENDPOINTS) for _ in range(2)),
+           *(arrays(np.float64, 8, elements=st.floats(-5, 5)) for _ in range(3)))
+    def test_registry_bounds_are_bitwise_symmetric(self, tid, slot, a, b,
+                                                   x, y, other):
+        bound = getattr(BOUNDED[tid], slot)
+        with np.errstate(invalid="ignore", over="ignore"):
+            ab = np.array(bound(x, y, a, b, other))
+            ba = np.array(bound(x, y, b, a, other))
+        assert ab.shape == ba.shape
+        # Bitwise, except that where both endpoints are NaN the result need
+        # only be NaN: which of two NaN payloads an IEEE operation passes on
+        # is left open by the standard.
+        both_nan = np.broadcast_to(np.isnan(a) & np.isnan(b), ab.shape)
+        assert np.array_equal(np.isnan(ab), np.isnan(ba))
+        assert np.array_equal(ab.view(np.uint64)[~both_nan],
+                              ba.view(np.uint64)[~both_nan])
+
+
 class TestMonotoneStep:
     def test_constant_fixed_point(self):
         g = grid()

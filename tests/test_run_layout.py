@@ -1,13 +1,19 @@
 """Run-layout kernels against their 2D-view forms (``oracles.view_*``):
 equal arrays, not merely close ones, under both boundary rules and on
 non-square grids down to 3 nodes per axis, where a row-width slip (nx
-read for ny) shows."""
+read for ny) shows.  Also: how often one step pads its field and takes
+the slopes its kernels share."""
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import hjaf.filtering as filtering
 import hjaf.grids as grids
+import hjaf.highorder as highorder
+import hjaf.monotone as monotone
 from hjaf.filtering import (EPS_FLOOR, SolverConfig, _adaptive_step,
                             af_evolve, epsilon_n)
 from hjaf.grids import BoundaryCondition, Grid2D, GridField
@@ -30,12 +36,19 @@ NEU = BoundaryCondition.NEUMANN_ZERO
 
 @st.composite
 def fields(draw):
-    ny, nx = draw(st.integers(3, 9)), draw(st.integers(3, 9))
+    """Raw noise, or a smooth or a kinked surface with a little noise, on
+    3..12 nodes per axis under either boundary rule."""
+    ny, nx = draw(st.integers(3, 12)), draw(st.integers(3, 12))
     dx, dy = (draw(st.floats(0.01, 2.0)) for _ in range(2))
-    values = draw(arrays(np.float64, (ny, nx),
-                         elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
-    return GridField(Grid2D(0.0, 0.0, dx, dy, nx, ny), values,
-                     draw(st.sampled_from([PER, NEU])))
+    noise = draw(arrays(np.float64, (ny, nx),
+                        elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+    g = Grid2D(-0.5 * nx * dx, -0.5 * ny * dy, dx, dy, nx, ny)
+    X, Y = g.meshes()
+    values = {"raw": noise,
+              "smooth": np.sin(X) * np.cos(2 * Y) + 1e-6 * noise,
+              "kink": np.abs(X) + np.abs(Y - 0.1 * dy) + 1e-6 * noise,
+              }[draw(st.sampled_from(["raw", "smooth", "kink"]))]
+    return GridField(g, values, draw(st.sampled_from([PER, NEU])))
 
 
 def assert_bitwise(got, want, name):
@@ -48,11 +61,10 @@ class TestDifferences:
     @given(fields())
     def test_match_view_forms(self, f):
         want = view_stencils(f)
-        at = f.neighbors()
         got = {"one_sided": one_sided_slopes(f),
-               "centered": centered_slopes(f, at),
+               "centered": centered_slopes(f),
                "second": second_diffs(f), "cross": (cross_diff(f),),
-               "fourth": fourth_order_slopes(f, at)}
+               "fourth": fourth_order_slopes(f, f.neighbors())}
         for name, arrays_want in want.items():
             for a, b in zip(got[name], arrays_want, strict=True):
                 assert_bitwise(a, b, name)
@@ -71,7 +83,7 @@ class TestIndicator:
 
     @settings(max_examples=150, deadline=None)
     @given(fields(), st.sampled_from(list(Formula2D)),
-           st.floats(0.05, 0.45), st.floats(0.1, 5.0))
+           st.floats(0.01, 0.49), st.floats(0.1, 5.0))
     def test_omega_and_phi(self, f, variant, M, sigma):
         cfg = Indicator2DConfig(sigma=sigma, M=M, variant=variant)
         omega = view_omega_field_2d(f, sigma, variant.value)
@@ -226,3 +238,64 @@ class TestGhostFills:
         monkeypatch.setattr(grids, "pad_ghosts", counting)
         af_evolve(u, sc, prob.T_final / prob.n_steps(0), 1)
         assert widths == [2]
+
+
+class TestSharedStencils:
+    """The slopes several kernels of a step read are memo entries of the
+    field: one adaptive step takes u's one-sided and centered slopes once
+    each, and hands them out read-only."""
+
+    @pytest.mark.parametrize("scheme", sorted(TestGhostFills.STAGE_FILLS))
+    def test_each_slope_kernel_runs_once_on_u(self, monkeypatch, scheme):
+        prob = make_test("8")
+        sc = solver_config(CliConfig(test_id="8", scheme=f"af-{scheme}",
+                                     refinements=1), prob, 0)
+        u = prob.initial_field(0)
+        runs = []
+        for module, name in ((monotone, "_one_sided_slopes"),
+                             (highorder, "_centered_slopes")):
+            def counting(field, kernel=getattr(module, name), name=name):
+                if field is u:
+                    runs.append(name)
+                return kernel(field)
+            monkeypatch.setattr(module, name, counting)
+        _, eps, _ = _adaptive_step(u, sc, high_order_step(scheme),
+                                   prob.T_final / prob.n_steps(0))
+        assert eps > EPS_FLOOR          # the high-order step ran
+        assert sorted(runs) == ["_centered_slopes", "_one_sided_slopes"]
+
+    def test_memo_arrays_are_shared_and_read_only(self):
+        f = jump_field(PER)
+        for kernel in (one_sided_slopes, centered_slopes):
+            assert kernel(f) is kernel(f)
+            for a in kernel(f):
+                with pytest.raises(ValueError):
+                    a[0, 0] = 1.0
+                with pytest.raises(ValueError):
+                    a += 1.0
+
+    def test_evolve_frees_the_initial_memo_after_step_1(self, monkeypatch):
+        # af_evolve steps an alias of the initial field, so the slopes it
+        # memoizes go after step 1 although the caller keeps the field
+        prob = make_test("8")
+        sc = solver_config(CliConfig(test_id="8", scheme="af-rkc4",
+                                     refinements=1), prob, 0)
+        u = prob.initial_field(0)
+        first, alive = [], []
+        kernel, smoothness = monotone._one_sided_slopes, filtering.smoothness_2d
+
+        def keeping(field):
+            out = kernel(field)
+            if not first:
+                first.append(weakref.ref(out[0]))
+            return out
+
+        def probing(field, cfg):
+            if first:
+                alive.append(first[0]() is not None)
+            return smoothness(field, cfg)
+
+        monkeypatch.setattr(monotone, "_one_sided_slopes", keeping)
+        monkeypatch.setattr(filtering, "smoothness_2d", probing)
+        af_evolve(u, sc, 2 * prob.T_final / prob.n_steps(0), 2)
+        assert alive == [False]
