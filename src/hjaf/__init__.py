@@ -6,7 +6,7 @@ by genuinely two-dimensional smoothness indicators and an automatically
 tuned switching scale.
 """
 from .grids import (BoundaryCondition, GHOST_REACH, Grid1D, Grid2D, GridField,
-                    ghost_value, write_field_csv)
+                    write_field_csv)
 from .hamiltonians import (Hamiltonian, eikonal_hamiltonian,
                            rotation_hamiltonian, shifted_quadratic_hamiltonian,
                            transport_hamiltonian)

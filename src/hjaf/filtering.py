@@ -22,8 +22,9 @@ eight calls).  Every kernel reads the field's own padded copy
 in any mode pads the field once: the smoothness indicator, the switching
 scale (its one-sided, centered, second and cross differences), the
 monotone update and the first stage of the high-order step all read that
-copy, and they share the one-sided and centered slopes, taken once as
-memo entries of the field.
+copy, and they share the one-sided and centered slopes and the time
+curvature (also read by the LW step), taken once as memo entries of the
+field.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from .grids import GridField
 from .hamiltonians import Hamiltonian
-from .highorder import centered_slopes, high_order_step, time_curvature
+from .highorder import high_order_step, time_curvature
 from .indicators2d import Indicator2DConfig, smoothness_2d
 # monotone_hamiltonian is unused here; the benchmark's tracer
 # (perfbench/tracer.py) wraps this module's name for it.
@@ -65,10 +66,9 @@ def epsilon_n(field: GridField, H: Hamiltonian, kind: MonotoneKind,
     x, y = field.grid.meshes()
     dp_term, dq_term = htilde_differences(kind, H, x, y,
                                           *one_sided_slopes(field))
-    bracket = time_curvature(field, H, *centered_slopes(field))
-    # K * |0.5 dt bracket + dp_term + dq_term|, in the bracket's array
-    vals = bracket
-    vals *= 0.5 * dt
+    # K * |0.5 dt bracket + dp_term + dq_term|, in an array of its own
+    # (the time-curvature bracket is a memo entry of the field)
+    vals = np.multiply(time_curvature(field, H), 0.5 * dt)
     vals += dp_term
     vals += dq_term
     np.abs(vals, out=vals)

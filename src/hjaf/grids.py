@@ -3,18 +3,18 @@
 Everything downstream (smoothness indicators, monotone and high-order
 schemes) reads neighbor values through the ghost machinery defined here,
 so boundary handling lives in exactly one place.  One rule, periodic wrap
-or clamp-to-edge, maps an out-of-range index back into the grid.  It is
-applied in two places: :func:`ghost_value` maps one scalar index (the
-reference the tests check against), and :func:`pad_ghosts` fills a ghost
-layer around an array, into a fresh copy or in place into an existing
-padded buffer.  Ghost nodes always carry data values: no stencil pads a
-derived array (a curvature or a beta) instead.
+or clamp-to-edge, maps an out-of-range index back into the grid, and it
+is applied in one place: :func:`pad_ghosts` fills a ghost layer around a
+fresh copy of an array.  Ghost nodes always carry data values: no stencil
+pads a derived array (a curvature or a beta) instead.
 
 A field's values are read-only, and :meth:`GridField.memo` keeps what
-is built from them alone: the padded copy (:meth:`GridField.neighbors`,
-``STENCIL_REACH`` ghost nodes wide) and the slopes several kernels read.
+is built from them: the padded copy (:meth:`GridField.neighbors`,
+``STENCIL_REACH`` ghost nodes wide), the slopes several kernels read and,
+per hamiltonian, the time curvature.
 So no kernel pads its own input, and one step of the solver pads its
-field once.  Only a multi-stage step pads again, for its later stages.
+field once.  A multi-stage step makes each later stage a field of its
+own, which pads itself the same way.
 
 Whole-grid stencils read a padded copy in the *run layout*
 (:class:`Neighbors`).  The copy, padded by ``w`` ghost nodes, is read as
@@ -44,11 +44,11 @@ import numpy as np
 
 # Ghost nodes per side of a field's padded copy (GridField.neighbors):
 # the widest stencil reaches 2 nodes (fourth-order slopes, 1D and quadrant
-# betas).  No stencil composes across Runge-Kutta stages: each stage
-# refills the ghosts of its own input.
+# betas).  No stencil composes across Runge-Kutta stages: each stage is
+# a field that pads its own values.
 STENCIL_REACH = 2
 
-# Largest offset per side that ghost_value and GridField.shifted accept.
+# Largest offset per side that GridField.shifted accepts.
 GHOST_REACH = 8
 
 
@@ -133,25 +133,12 @@ def _cached_meshes(grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
-def _mapped_index(j: int, n: int, bc: BoundaryCondition) -> int:
-    if bc is BoundaryCondition.PERIODIC:
-        return j % n
-    return min(max(j, 0), n - 1)
-
-
-def pad_ghosts(values: np.ndarray, bc: BoundaryCondition, width: int,
-               out: np.ndarray | None = None) -> np.ndarray:
+def pad_ghosts(values: np.ndarray, bc: BoundaryCondition,
+               width: int) -> np.ndarray:
     """Copy of ``values`` with ``width`` ghost nodes on every side, filled by
-    the boundary rule: ``pad_ghosts(u, bc, w)[i + w, j + w]`` is the value
-    :func:`ghost_value` reads at (i, j) for every index within ``w`` of
-    the grid.  ``out``, when given, is an existing padded buffer of that
-    shape: its interior is overwritten with ``values`` and its ghosts are
-    refilled in place."""
-    shape = tuple(n + 2 * width for n in values.shape)
-    if out is None:
-        out = np.empty(shape, dtype=values.dtype)
-    elif out.shape != shape:
-        raise ValueError(f"padded buffer has shape {out.shape}, need {shape}")
+    the boundary rule: a ghost node holds the value at its index wrapped
+    around the grid (periodic) or clamped to its edge (Neumann-zero)."""
+    out = np.empty(tuple(n + 2 * width for n in values.shape), values.dtype)
     out[tuple(slice(width, width + n) for n in values.shape)] = values
     # Axis by axis, each ghost slab copies the slab the rule maps it to; a
     # later axis copies whole slabs, ghosts of earlier axes included, so
@@ -185,26 +172,23 @@ class Neighbors:
     ``at(dj, di)`` is the read-only run of offset (dj, di), for
     ``|dj|, |di| <= width``; :meth:`grid` cuts a run, or any array laid out
     like one, back to the grid's shape.  ``flat`` is the whole padded copy
-    as one read-only row-major buffer, ``row`` its row length.  ``out``,
-    when given, is the ``padded`` buffer of an earlier copy of the same
-    shape, whose interior and ghosts are overwritten in place.
+    as one read-only row-major buffer, ``row`` its row length.
     """
 
-    __slots__ = ("padded", "flat", "width", "shape", "row", "start", "length")
+    __slots__ = ("flat", "width", "shape", "row", "start", "length")
 
-    def __init__(self, values: np.ndarray, bc: BoundaryCondition, width: int,
-                 out: np.ndarray | None = None):
-        self.padded = pad_ghosts(values, bc, width, out)
+    def __init__(self, values: np.ndarray, bc: BoundaryCondition, width: int):
+        padded = pad_ghosts(values, bc, width)
         self.width = width
         self.shape = values.shape
-        self.row = self.padded.shape[-1]
+        self.row = padded.shape[-1]
         if values.ndim == 1:
             self.start, self.length = width, values.shape[0]
         else:
             ny, nx = values.shape
             self.start = width * self.row + width
             self.length = (ny - 1) * self.row + nx
-        self.flat = self.padded.reshape(-1)
+        self.flat = padded.reshape(-1)
         self.flat.flags.writeable = False
 
     def __call__(self, dj: int = 0, di: int = 0) -> np.ndarray:
@@ -273,12 +257,14 @@ class GridField:
         steppers validate once per step instead of once per stage."""
         return GridField(self.grid, values, self.bc, validate=False)
 
-    def memo(self, build):
-        """``build(self)``, built once and kept for the field's lifetime;
-        callers share it, so ``build`` returns :func:`read_only` arrays."""
-        if build not in self._memo:
-            self._memo[build] = build(self)
-        return self._memo[build]
+    def memo(self, build, *args):
+        """``build(self, *args)``, built once and kept for the field's
+        lifetime, one entry per ``build`` and ``args``; callers share it,
+        so ``build`` returns :func:`read_only` arrays."""
+        key = (build, *args)
+        if key not in self._memo:
+            self._memo[key] = build(self, *args)
+        return self._memo[key]
 
     def neighbors(self) -> Neighbors:
         """The runs of the field's one padded copy, ``at(dj, di)`` for
@@ -287,35 +273,11 @@ class GridField:
 
     def shifted(self, dj: int = 0, di: int = 0) -> np.ndarray:
         """Whole-grid array of ``u[i + di, j + dj]`` with the boundary rule
-        applied, i.e. the vectorized form of :func:`ghost_value`."""
+        applied, for ``|dj|, |di| <= GHOST_REACH``."""
         if abs(dj) > GHOST_REACH or abs(di) > GHOST_REACH:
             raise IndexError(f"shift ({dj}, {di}) exceeds ghost reach {GHOST_REACH}")
         at = Neighbors(self.values, self.bc, max(abs(dj), abs(di)))
         return at.grid(at(dj, di))
-
-
-def ghost_value(field: GridField, j: int, i: int | None = None) -> float:
-    """Value at signed index (j, i), applying the field's boundary rule.
-
-    Indices may run past the grid by at most ``GHOST_REACH`` per side.
-    """
-    if field.ndim == 1:
-        if i is not None:
-            raise ValueError("1D field takes a single index")
-        n = field.grid.n
-        if j < -GHOST_REACH or j >= n + GHOST_REACH:
-            raise IndexError(f"index {j} beyond ghost reach of grid with {n} nodes")
-        return float(field.values[_mapped_index(j, n, field.bc)])
-    if i is None:
-        raise ValueError("2D field needs both indices")
-    nx, ny = field.grid.nx, field.grid.ny
-    if j < -GHOST_REACH or j >= nx + GHOST_REACH:
-        raise IndexError(f"x index {j} beyond ghost reach of grid with {nx} nodes")
-    if i < -GHOST_REACH or i >= ny + GHOST_REACH:
-        raise IndexError(f"y index {i} beyond ghost reach of grid with {ny} nodes")
-    jj = _mapped_index(j, nx, field.bc)
-    ii = _mapped_index(i, ny, field.bc)
-    return float(field.values[ii, jj])
 
 
 def write_field_csv(field: GridField, out: TextIO, column: str = "value",

@@ -51,6 +51,15 @@ class CliConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.indicator not in [f.value for f in Formula2D]:
             raise ValueError(f"unknown indicator variant {self.indicator!r}")
+        # options a scheme would ignore are refused, not echoed to meta
+        if self.epsilon_fixed is not None and self.scheme != "f-hc-fixed":
+            raise ValueError("epsilon_fixed applies only to scheme "
+                             f"'f-hc-fixed', not {self.scheme!r}")
+        if (self.lw2_corrected
+                and self.scheme.removeprefix("af-") not in ("lw2", "richtmyer")):
+            raise ValueError("lw2_corrected applies only to the lw2 and "
+                             "richtmyer schemes and their af- forms, not "
+                             f"{self.scheme!r}")
 
 
 def solver_config(cfg: CliConfig, problem: ProblemSpec, level: int) -> SolverConfig:

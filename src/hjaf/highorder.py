@@ -12,12 +12,11 @@ H independent of (x, y).  Fourth order: the classical four-stage
 Runge-Kutta over fourth-order central slopes (RKC4), whose composed
 stencil spans 17x17 nodes.
 
-Every stencil reads runs of a padded copy of its input (the run layout
-of :mod:`hjaf.grids`): a step reads its field's own copy and centered
-slopes, memo entries of the field that every kernel reading it shares,
-and pads only the stages it computes.  Only the fourth-order slopes take
-a copy as ``at``: the four-stage step refills one stage buffer for its
-later stages.
+Every stencil reads runs of its field's padded copy (the run layout of
+:mod:`hjaf.grids`): a step reads its field's own copy and centered
+slopes, memo entries of the field that every kernel reading it shares.
+Each later stage of a multi-stage step (Heun's predictor, RKC4's stages
+2-4) is a field of its own, padded through its own memo.
 
 The staggered secants used by LW2/Richtmyer ship in two forms: the
 default keeps the legacy index pattern these schemes have circulated with
@@ -31,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import GridField, Neighbors, read_only
+from .grids import GridField, read_only
 from .hamiltonians import Hamiltonian
 from .monotone import one_sided_slopes
 
@@ -72,8 +71,9 @@ def cross_diff(field: GridField):
     return at.grid(d) / (4.0 * dx * dy)
 
 
-def fourth_order_slopes(field: GridField, at: Neighbors):
+def fourth_order_slopes(field: GridField):
     dx, dy = field.grid.dx, field.grid.dy
+    at = field.neighbors()
 
     def slope(dj, di, h):
         # (u[-2] - 8 u[-1] + 8 u[+1] - u[+2]) / (12 h), summed left to right
@@ -95,11 +95,9 @@ def hc_step(field: GridField, H: Hamiltonian, dt: float) -> GridField:
     return field.like(out)
 
 
-def time_curvature(field: GridField, H: Hamiltonian, dxu, dyu):
-    """Discrete time curvature Hp (Hp uxx + Hx) + Hq (Hq uyy + Hy)
-    + 2 Hp Hq uxy, with H's derivatives taken at the centered slopes
-    (dxu, dyu) and second and cross differences of the field."""
+def _time_curvature(field: GridField, H: Hamiltonian):
     x, y = field.grid.meshes()
+    dxu, dyu = centered_slopes(field)
     d2x, d2y = second_diffs(field)
     dxy = cross_diff(field)
     hp = H.dp(x, y, dxu, dyu)
@@ -119,16 +117,22 @@ def time_curvature(field: GridField, H: Hamiltonian, dxu, dyu):
     b *= hq
     b *= dxy
     a += b
-    return a
+    return read_only(a)[0]
+
+
+def time_curvature(field: GridField, H: Hamiltonian):
+    """Discrete time curvature Hp (Hp uxx + Hx) + Hq (Hq uyy + Hy)
+    + 2 Hp Hq uxy, H's derivatives at the centered slopes; a memo entry
+    per H, shared by the switching scale and the LW step."""
+    return field.memo(_time_curvature, H)
 
 
 def lw_step(field: GridField, H: Hamiltonian, dt: float) -> GridField:
     """One-shot second-order step: centered hamiltonian corrected by the
     discrete expansion of the time curvature (:func:`time_curvature`)."""
     x, y = field.grid.meshes()
-    dxu, dyu = centered_slopes(field)
-    h = (H.eval(x, y, dxu, dyu)
-         - 0.5 * dt * time_curvature(field, H, dxu, dyu))
+    h = (H.eval(x, y, *centered_slopes(field))
+         - 0.5 * dt * time_curvature(field, H))
     return field.like(field.values - dt * h)
 
 
@@ -197,29 +201,26 @@ def rkc4_step(field: GridField, H: Hamiltonian, dt: float) -> GridField:
     """Classical four-stage RK over fourth-order central slopes.
 
     The time discretization is deliberately not TVD; stability is the
-    filter's job.  Stage 1 reads the field's padded copy.  Every later
-    stage writes its input into one stage buffer of that shape and refills
-    the buffer's ghosts under the boundary rule.
+    filter's job.  Stage 1 reads the field's padded copy; every later stage
+    is a field of its own, padded once when its slopes are taken.
     """
     x, y = field.grid.meshes()
-    at = field.neighbors()
-    buffer = np.empty_like(at.padded)
-
-    def h_of(at):
-        return H.eval(x, y, *fourth_order_slopes(field, at))
-
-    def stage(values):
-        return Neighbors(values, field.bc, at.width, buffer)
 
     def advance(c, k):
         # u - c * k, into an array of its own (k is the hamiltonian's)
         v = np.multiply(c, k)
         return np.subtract(field.values, v, out=v)
 
-    k0 = h_of(at)
-    k1 = h_of(stage(advance(0.5 * dt, k0)))
-    k2 = h_of(stage(advance(0.5 * dt, k1)))
-    k3 = h_of(stage(advance(dt, k2)))
+    def h_at(c, k):
+        # H at the slopes of the stage u - c * k; the stage field goes,
+        # with its values and padded copy, before H is evaluated
+        dxu, dyu = fourth_order_slopes(field.like(advance(c, k)))
+        return H.eval(x, y, dxu, dyu)
+
+    k0 = H.eval(x, y, *fourth_order_slopes(field))
+    k1 = h_at(0.5 * dt, k0)
+    k2 = h_at(0.5 * dt, k1)
+    k3 = h_at(dt, k2)
     # u - dt/6 * (k0 + 2 k1 + 2 k2 + k3), summed left to right
     s = np.multiply(2.0, k1)
     np.add(k0, s, out=s)

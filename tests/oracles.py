@@ -14,6 +14,9 @@ hamiltonian's closed-form speed bounds (``alpha_p``/``alpha_q``) must
 reproduce bitwise; ``scan_bounds`` orders the endpoints it is given, as
 the closed forms need not.
 
+``ghost_value`` is the boundary rule applied to one scalar index, the
+reference for the library's ghost padding (``hjaf.grids.pad_ghosts``).
+
 The ``view_*`` kernels are the 2D-view forms the library used before it
 moved to the run layout: every stencil offset is a 2D view of one
 ``np.pad`` copy, and the operations are the library's, in its order.
@@ -24,11 +27,41 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from hjaf.grids import BoundaryCondition, GridField, ghost_value
+from hjaf.grids import GHOST_REACH, BoundaryCondition, GridField
 
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(3)
 
 QUADRANT_SIGNS = {"--": (-1, -1), "+-": (1, -1), "-+": (-1, 1), "++": (1, 1)}
+
+
+def _mapped_index(j: int, n: int, bc: BoundaryCondition) -> int:
+    if bc is BoundaryCondition.PERIODIC:
+        return j % n
+    return min(max(j, 0), n - 1)
+
+
+def ghost_value(field: GridField, j: int, i: int | None = None) -> float:
+    """Value at signed index (j, i), applying the field's boundary rule.
+
+    Indices may run past the grid by at most ``GHOST_REACH`` per side.
+    """
+    if field.ndim == 1:
+        if i is not None:
+            raise ValueError("1D field takes a single index")
+        n = field.grid.n
+        if j < -GHOST_REACH or j >= n + GHOST_REACH:
+            raise IndexError(f"index {j} beyond ghost reach of grid with {n} nodes")
+        return float(field.values[_mapped_index(j, n, field.bc)])
+    if i is None:
+        raise ValueError("2D field needs both indices")
+    nx, ny = field.grid.nx, field.grid.ny
+    if j < -GHOST_REACH or j >= nx + GHOST_REACH:
+        raise IndexError(f"x index {j} beyond ghost reach of grid with {nx} nodes")
+    if i < -GHOST_REACH or i >= ny + GHOST_REACH:
+        raise IndexError(f"y index {i} beyond ghost reach of grid with {ny} nodes")
+    jj = _mapped_index(j, nx, field.bc)
+    ii = _mapped_index(i, ny, field.bc)
+    return float(field.values[ii, jj])
 
 
 def divided_difference(nodes, values):

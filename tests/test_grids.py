@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from hjaf.grids import (BoundaryCondition, GHOST_REACH, STENCIL_REACH, Grid1D,
-                        Grid2D, GridField, Neighbors, ghost_value, pad_ghosts,
+                        Grid2D, GridField, Neighbors, pad_ghosts,
                         write_field_csv)
+
+from oracles import ghost_value
 
 
 PER = BoundaryCondition.PERIODIC

@@ -284,6 +284,38 @@ class TestCli:
         assert code == 1
         assert "finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scheme", [
+        "af-hc", "hc", "monotone", "af-rkc4", "af-lw2"])
+    def test_fixed_scale_refused_off_f_hc_fixed(self, scheme, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli_main(["solve", "--test", "8", "--scheme", scheme,
+                         "--epsilon-fixed", "0.1", "--refinements", "1",
+                         "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "epsilon_fixed" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scheme", [
+        "af-hc", "hc", "lw", "af-lw", "rkc4", "af-rkc4", "monotone",
+        "f-hc-fixed"])
+    def test_lw2_corrected_refused_off_lw2_and_richtmyer(self, scheme,
+                                                         tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli_main(["solve", "--test", "8", "--scheme", scheme,
+                         "--lw2-corrected", "--refinements", "1",
+                         "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "lw2_corrected" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scheme", ["lw2", "richtmyer", "af-lw2",
+                                        "af-richtmyer"])
+    def test_lw2_corrected_accepted_where_it_acts(self, scheme):
+        cfg = CliConfig(test_id="8", scheme=scheme, lw2_corrected=True)
+        assert cfg.lw2_corrected
+
     @pytest.mark.parametrize("dx", ["0", "nan", "inf", "-0.1"])
     def test_invalid_dx_fails_cleanly(self, dx, capsys):
         code = cli_main(["indicators", "--test", "2", "--dx", dx])

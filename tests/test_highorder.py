@@ -117,7 +117,7 @@ class TestConsistencyOrders:
         def residual(n):
             f = periodic_field(lambda X, Y: np.sin(X) * np.cos(Y), n)
             X, Y = f.grid.meshes()
-            dxu, dyu = fourth_order_slopes(f, f.neighbors())
+            dxu, dyu = fourth_order_slopes(f)
             exact = np.cos(X) * np.cos(Y) - np.sin(X) * np.sin(Y)
             return np.abs(H.eval(X, Y, dxu, dyu) - exact).max()
 

@@ -64,7 +64,7 @@ class TestDifferences:
         got = {"one_sided": one_sided_slopes(f),
                "centered": centered_slopes(f),
                "second": second_diffs(f), "cross": (cross_diff(f),),
-               "fourth": fourth_order_slopes(f, f.neighbors())}
+               "fourth": fourth_order_slopes(f)}
         for name, arrays_want in want.items():
             for a, b in zip(got[name], arrays_want, strict=True):
                 assert_bitwise(a, b, name)
@@ -181,8 +181,8 @@ class TestGhostColumns:
 class TestGhostFills:
     """One step in any mode pads u once, by two ghost nodes, and an
     adaptive step's trust mask ring pads the mask.  The only other ghost
-    fills are the later stages of the high-order step; the four-stage step
-    refills one stage buffer for its three."""
+    fills are the later stages of the high-order step, each a field of its
+    own that pads its values once, two ghost nodes wide."""
 
     STAGE_FILLS = {"hc": 1, "lw": 0, "lw2": 0, "richtmyer": 0, "rkc4": 3}
 
@@ -197,9 +197,9 @@ class TestGhostFills:
         calls = []
         original = grids.pad_ghosts
 
-        def counting(values, bc, width, out=None):
-            calls.append((values, width, out))
-            return original(values, bc, width, out)
+        def counting(values, bc, width):
+            calls.append((values, width))
+            return original(values, bc, width)
 
         monkeypatch.setattr(grids, "pad_ghosts", counting)
         u = prob.initial_field(0)
@@ -207,16 +207,16 @@ class TestGhostFills:
             calls.clear()
             u_next, eps, _ = _adaptive_step(u, sc, high_order_step(scheme), dt)
             assert eps > EPS_FLOOR          # the high-order step ran
-            pads = [(w, out) for values, w, out in calls if values is u.values]
-            assert pads == [(2, None)]
-            rings = [(w, out) for values, w, out in calls if values.dtype == bool]
-            assert rings == [(1, None)]
-            stages = [out for values, _, out in calls
+            pads = [w for values, w in calls if values is u.values]
+            assert pads == [2]
+            rings = [w for values, w in calls if values.dtype == bool]
+            assert rings == [1]
+            stages = [(values, w) for values, w in calls
                       if values is not u.values and values.dtype != bool]
-            assert len(stages) == self.STAGE_FILLS[scheme]
-            if scheme == "rkc4":
-                assert stages[0] is not None
-                assert all(out is stages[0] for out in stages)
+            assert [w for _, w in stages] == [2] * self.STAGE_FILLS[scheme]
+            # each stage pads the read-only values of a field of its own
+            assert len({id(values) for values, _ in stages}) == len(stages)
+            assert not any(values.flags.writeable for values, _ in stages)
             u = u_next
 
     @pytest.mark.parametrize("scheme", [
@@ -230,10 +230,10 @@ class TestGhostFills:
         widths = []
         original = grids.pad_ghosts
 
-        def counting(values, bc, width, out=None):
+        def counting(values, bc, width):
             if values is u.values:
                 widths.append(width)
-            return original(values, bc, width, out)
+            return original(values, bc, width)
 
         monkeypatch.setattr(grids, "pad_ghosts", counting)
         af_evolve(u, sc, prob.T_final / prob.n_steps(0), 1)
@@ -241,9 +241,11 @@ class TestGhostFills:
 
 
 class TestSharedStencils:
-    """The slopes several kernels of a step read are memo entries of the
-    field: one adaptive step takes u's one-sided and centered slopes once
-    each, and hands them out read-only."""
+    """The slopes and the time curvature several kernels of a step read are
+    memo entries of the field: one adaptive step takes u's one-sided and
+    centered slopes and its time curvature once each (af-lw reads the
+    curvature in the switching scale and in lw_step), and hands them out
+    read-only."""
 
     @pytest.mark.parametrize("scheme", sorted(TestGhostFills.STAGE_FILLS))
     def test_each_slope_kernel_runs_once_on_u(self, monkeypatch, scheme):
@@ -253,16 +255,32 @@ class TestSharedStencils:
         u = prob.initial_field(0)
         runs = []
         for module, name in ((monotone, "_one_sided_slopes"),
-                             (highorder, "_centered_slopes")):
-            def counting(field, kernel=getattr(module, name), name=name):
+                             (highorder, "_centered_slopes"),
+                             (highorder, "_time_curvature")):
+            def counting(field, *args, kernel=getattr(module, name), name=name):
                 if field is u:
                     runs.append(name)
-                return kernel(field)
+                return kernel(field, *args)
             monkeypatch.setattr(module, name, counting)
         _, eps, _ = _adaptive_step(u, sc, high_order_step(scheme),
                                    prob.T_final / prob.n_steps(0))
         assert eps > EPS_FLOOR          # the high-order step ran
-        assert sorted(runs) == ["_centered_slopes", "_one_sided_slopes"]
+        assert sorted(runs) == ["_centered_slopes", "_one_sided_slopes",
+                                "_time_curvature"]
+
+    def test_time_curvature_is_kept_per_hamiltonian(self):
+        f = jump_field(PER)
+        H = shifted_quadratic_hamiltonian(2.0)
+        bracket = highorder.time_curvature(f, H)
+        assert highorder.time_curvature(f, H) is bracket
+        assert not bracket.flags.writeable
+        other = highorder.time_curvature(f, shifted_quadratic_hamiltonian(3.0))
+        assert other is not bracket
+        # the switching scale reads the bracket and leaves it as it was
+        want = bracket.copy()
+        epsilon_n(f, H, MonotoneKind.LOCAL_LAX_FRIEDRICHS, 1e-3,
+                  np.ones(f.grid.shape, bool))
+        assert np.array_equal(bracket, want)
 
     def test_memo_arrays_are_shared_and_read_only(self):
         f = jump_field(PER)
