@@ -20,8 +20,8 @@ from .monotone import (CflReport, CflViolation, MonotoneKind, cfl_check,
                        h_eikonal, monotone_hamiltonian, monotone_step)
 from .highorder import (SCHEME_ORDERS, hc_step, high_order_step, lw2_step,
                         lw_step, richtmyer_step, rkc4_step)
-from .filtering import (Diagnostics, EvolutionError, SolverConfig, af_evolve,
-                        af_step, epsilon_n, filter_F)
+from .filtering import (SCHEME_NAMES, Diagnostics, EvolutionError,
+                        SolverConfig, af_evolve, af_step, epsilon_n, filter_F)
 from .problems import (ALL_TEST_IDS, IndicatorCase, ProblemSpec, disc_min,
                        hopf_lax_min_1d, make_test)
 from .reporting import (RunReport, RunRow, error_norms, observed_order,

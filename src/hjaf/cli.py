@@ -14,9 +14,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .filtering import EvolutionError
-from .harness import (CliConfig, IndicatorRunConfig, SCHEME_NAMES,
-                      run_convergence, run_indicators)
+from .filtering import SCHEME_NAMES, EvolutionError
+from .harness import (CliConfig, IndicatorRunConfig, run_convergence,
+                      run_indicators)
 from .indicators2d import Formula2D
 from .monotone import CflViolation
 from .problems import INDICATOR_IDS, PLACEMENTS, PROBLEM_IDS

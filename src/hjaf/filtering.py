@@ -19,7 +19,7 @@ at a time (:func:`hjaf.monotone.htilde_differences`; for the local
 Lax-Friedrichs form, four evaluations of H in closed form instead of
 eight calls).  Every kernel reads the field's own padded copy
 (``field.neighbors()``, the run layout of :mod:`hjaf.grids`), so one step
-in any mode pads the field once: the smoothness indicator, the switching
+of any scheme pads the field once: the smoothness indicator, the switching
 scale (its one-sided, centered, second and cross differences), the
 monotone update and the first stage of the high-order step all read that
 copy, and they share the one-sided and centered slopes and the time
@@ -34,7 +34,7 @@ import numpy as np
 
 from .grids import GridField
 from .hamiltonians import Hamiltonian
-from .highorder import high_order_step, time_curvature
+from .highorder import SCHEME_ORDERS, high_order_step, time_curvature
 from .indicators2d import Indicator2DConfig, smoothness_2d
 # monotone_hamiltonian is unused here; the benchmark's tracer
 # (perfbench/tracer.py) wraps this module's name for it.
@@ -42,6 +42,12 @@ from .monotone import (CflViolation, MonotoneKind,  # noqa: F401
                        htilde_differences, monotone_hamiltonian, monotone_step,
                        one_sided_slopes)
 
+
+# The runs a SolverConfig names: the monotone step alone, each high-order
+# scheme alone, each one's adaptive blend, and the blend with HC at a fixed
+# switching scale.
+SCHEME_NAMES = ("monotone", *SCHEME_ORDERS,
+                *(f"af-{name}" for name in SCHEME_ORDERS), "f-hc-fixed")
 
 # Switching scales at or below this count as zero: the step keeps the
 # monotone update rather than divide by eps*dt in the filter argument.
@@ -109,30 +115,43 @@ class EvolutionError(RuntimeError):
 class SolverConfig:
     """Everything af_evolve needs besides the initial field.
 
-    mode: 'af' (adaptive blend), 'fixed' (blend with a constant eps and
-    phi forced to one), 'monotone', or 'raw' (bare high-order scheme).
+    scheme, one of SCHEME_NAMES: 'monotone' alone; a name in SCHEME_ORDERS,
+    that high-order scheme alone; 'af-<name>', the adaptive blend of the
+    monotone step with it; 'f-hc-fixed', the blend with HC at the constant
+    switching scale epsilon_fixed and phi forced to one.  An option the
+    scheme would ignore is refused: epsilon_fixed belongs to f-hc-fixed
+    (which needs it), lw2_corrected to lw2, richtmyer and their af- forms.
     """
 
     hamiltonian: Hamiltonian
     monotone: MonotoneKind
-    highorder: str = "hc"
-    mode: str = "af"
+    scheme: str = "af-hc"
     indicator: Indicator2DConfig = dc_field(default_factory=Indicator2DConfig)
     K: float = 1.0
-    eps_fixed: float | None = None
+    epsilon_fixed: float | None = None
     lw2_corrected: bool = False
 
     def __post_init__(self) -> None:
-        if self.mode not in ("af", "fixed", "monotone", "raw"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "fixed" and self.eps_fixed is None:
-            raise ValueError("fixed mode needs eps_fixed")
-        if self.mode == "fixed" and not (np.isfinite(self.eps_fixed)
-                                         and self.eps_fixed > 0):
+        if self.scheme not in SCHEME_NAMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}")
+        fixed, name = self.scheme == "f-hc-fixed", self.scheme.removeprefix("af-")
+        if self.epsilon_fixed is not None and not fixed:
+            raise ValueError("epsilon_fixed applies only to scheme "
+                             f"'f-hc-fixed', not {self.scheme!r}")
+        if self.lw2_corrected and name not in ("lw2", "richtmyer"):
+            raise ValueError("lw2_corrected applies only to the lw2 and "
+                             "richtmyer schemes and their af- forms, not "
+                             f"{self.scheme!r}")
+        if fixed and self.epsilon_fixed is None:
+            raise ValueError("scheme 'f-hc-fixed' needs epsilon_fixed")
+        if fixed and not (np.isfinite(self.epsilon_fixed)
+                          and self.epsilon_fixed > 0):
             raise ValueError("fixed switching scale must be finite and "
-                             f"positive, got {self.eps_fixed}")
+                             f"positive, got {self.epsilon_fixed}")
         if not 0.5 < self.K < np.inf:
             raise ValueError(f"safety factor K must be finite and > 1/2, got {self.K}")
+        if name == "richtmyer" and self.hamiltonian.space_dependent:
+            raise ValueError("Richtmyer form requires H independent of (x, y)")
 
 
 @dataclass
@@ -174,23 +193,25 @@ def af_evolve(initial: GridField, config: SolverConfig, T: float,
         raise ValueError(f"need at least one step, got {n_steps}")
     dt = T / n_steps
     H = config.hamiltonian
+    scheme = config.scheme
     step_fn = None
-    if config.mode != "monotone":
-        step_fn = high_order_step(config.highorder, config.lw2_corrected)
+    if scheme != "monotone":
+        name = "hc" if scheme == "f-hc-fixed" else scheme.removeprefix("af-")
+        step_fn = high_order_step(name, config.lw2_corrected)
 
     u = initial.like(initial.values)    # an alias: its memo goes after step 1
     diag = Diagnostics()
     ones = np.ones(initial.grid.shape, dtype=np.int8)
     for step in range(1, n_steps + 1):
         try:
-            if config.mode == "monotone":
+            if scheme == "monotone":
                 u_next = monotone_step(u, config.monotone, H, dt)
                 eps, phi = 0.0, ones
-            elif config.mode == "raw":
+            elif scheme in SCHEME_ORDERS:
                 u_next = step_fn(u, H, dt)
                 eps, phi = 0.0, ones
-            elif config.mode == "fixed":
-                eps, phi = config.eps_fixed, ones
+            elif scheme == "f-hc-fixed":
+                eps, phi = config.epsilon_fixed, ones
                 u_next = af_step(u, config.monotone, step_fn, H, dt, phi == 1, eps)
             else:
                 u_next, eps, phi = _adaptive_step(u, config, step_fn, dt)

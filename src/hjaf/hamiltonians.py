@@ -7,7 +7,7 @@ scheme, the interval bounds max|H_p| and max|H_q| in closed form.  The
 global velocity bounds vmax_p >= max|H_p| and vmax_q >= max|H_q| (over the
 relevant state range) feed the time-step restriction check.  A
 ``Hamiltonian`` checks on construction that both velocity bounds are
-positive and that a space-dependent H brings H_x and H_y.
+finite and positive and that a space-dependent H brings H_x and H_y.
 """
 from __future__ import annotations
 
@@ -42,8 +42,9 @@ class Hamiltonian:
     alpha_q: ArrayFn | None = None
 
     def __post_init__(self) -> None:
-        if self.vmax_p <= 0 or self.vmax_q <= 0:
-            raise ValueError("velocity bounds must be positive")
+        if not (0 < self.vmax_p < np.inf and 0 < self.vmax_q < np.inf):
+            raise ValueError("velocity bounds must be finite and positive, "
+                             f"got {self.vmax_p}, {self.vmax_q}")
         if self.space_dependent and (self.dx_ is _zero or self.dy_ is _zero):
             raise ValueError("a space-dependent hamiltonian needs dx_ and dy_")
 

@@ -21,20 +21,16 @@ import numpy as np
 from . import filtering
 from .filtering import Diagnostics, SolverConfig, af_evolve
 from .grids import GridField, write_field_csv
-from .highorder import SCHEME_ORDERS
 from .indicators2d import Formula2D, Indicator2DConfig, smoothness_2d
 from .indicators1d import Indicator1DConfig, Variant1D, smoothness_1d
 from .problems import IndicatorCase, ProblemSpec, make_test
 from .reporting import RunReport, error_norms
 
-SCHEME_NAMES = ("monotone", *SCHEME_ORDERS,
-                *(f"af-{name}" for name in SCHEME_ORDERS), "f-hc-fixed")
-
 
 @dataclass(frozen=True)
 class CliConfig:
     test_id: str
-    scheme: str = "af-hc"
+    scheme: str = "af-hc"                # one of filtering.SCHEME_NAMES
     indicator: str = "full"
     refinements: int = 4
     out_dir: str | None = None
@@ -47,38 +43,19 @@ class CliConfig:
     def __post_init__(self) -> None:
         if self.refinements < 1:
             raise ValueError("need at least one refinement level")
-        if self.scheme not in SCHEME_NAMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.indicator not in [f.value for f in Formula2D]:
             raise ValueError(f"unknown indicator variant {self.indicator!r}")
-        # options a scheme would ignore are refused, not echoed to meta
-        if self.epsilon_fixed is not None and self.scheme != "f-hc-fixed":
-            raise ValueError("epsilon_fixed applies only to scheme "
-                             f"'f-hc-fixed', not {self.scheme!r}")
-        if (self.lw2_corrected
-                and self.scheme.removeprefix("af-") not in ("lw2", "richtmyer")):
-            raise ValueError("lw2_corrected applies only to the lw2 and "
-                             "richtmyer schemes and their af- forms, not "
-                             f"{self.scheme!r}")
 
 
 def solver_config(cfg: CliConfig, problem: ProblemSpec, level: int) -> SolverConfig:
+    epsilon_fixed = cfg.epsilon_fixed
+    if cfg.scheme == "f-hc-fixed" and epsilon_fixed is None:
+        epsilon_fixed = 20.0 * problem.grid(level).dx
     ind = Indicator2DConfig(sigma=cfg.sigma, M=cfg.M,
                             variant=Formula2D(cfg.indicator))
-    if cfg.scheme == "monotone":
-        mode, name, eps_fixed = "monotone", "hc", None
-    elif cfg.scheme in SCHEME_ORDERS:
-        mode, name, eps_fixed = "raw", cfg.scheme, None
-    elif cfg.scheme == "f-hc-fixed":
-        eps_fixed = cfg.epsilon_fixed
-        if eps_fixed is None:
-            eps_fixed = 20.0 * problem.grid(level).dx
-        mode, name = "fixed", "hc"
-    else:
-        mode, name, eps_fixed = "af", cfg.scheme.removeprefix("af-"), None
     return SolverConfig(hamiltonian=problem.hamiltonian,
-                        monotone=problem.monotone, highorder=name, mode=mode,
-                        indicator=ind, K=cfg.K, eps_fixed=eps_fixed,
+                        monotone=problem.monotone, scheme=cfg.scheme,
+                        indicator=ind, K=cfg.K, epsilon_fixed=epsilon_fixed,
                         lw2_corrected=cfg.lw2_corrected)
 
 

@@ -202,9 +202,8 @@ def _evolve_table(test_id, scheme, levels):
     prob = make_test(test_id)
     errs, finals = [], []
     for level in range(levels):
-        mode = "af" if scheme.startswith("af-") else ("raw" if scheme != "monotone" else "monotone")
         cfg = SolverConfig(hamiltonian=prob.hamiltonian, monotone=prob.monotone,
-                           mode=mode, highorder=scheme.removeprefix("af-"))
+                           scheme=scheme)
         u, _ = af_evolve(prob.initial_field(level), cfg, prob.T_final,
                          prob.n_steps(level))
         exact = prob.exact_field(prob.T_final, level).values
@@ -264,11 +263,11 @@ def test_criterion_6_rotation_table_and_oscillation():
     level = 2
     u0 = prob.initial_field(level)
     af = SolverConfig(hamiltonian=prob.hamiltonian, monotone=prob.monotone,
-                      mode="af", highorder="hc")
+                      scheme="af-hc")
     u_af, _ = af_evolve(u0, af, prob.T_final, prob.n_steps(level))
     fixed = SolverConfig(hamiltonian=prob.hamiltonian, monotone=prob.monotone,
-                         mode="fixed", highorder="hc",
-                         eps_fixed=20.0 * prob.grid(level).dx)
+                         scheme="f-hc-fixed",
+                         epsilon_fixed=20.0 * prob.grid(level).dx)
     u_fx, _ = af_evolve(u0, fixed, prob.T_final, prob.n_steps(level))
 
     def outside_range(u):

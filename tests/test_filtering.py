@@ -6,13 +6,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hjaf.filtering import (EPS_FLOOR, Diagnostics, EvolutionError,
-                            SolverConfig, af_evolve, af_step, epsilon_n,
-                            filter_F)
+from hjaf.filtering import (EPS_FLOOR, SCHEME_NAMES, Diagnostics,
+                            EvolutionError, SolverConfig, af_evolve, af_step,
+                            epsilon_n, filter_F)
 from hjaf.grids import BoundaryCondition, Grid2D, GridField
 from hjaf.hamiltonians import (eikonal_hamiltonian, rotation_hamiltonian,
                                shifted_quadratic_hamiltonian,
                                transport_hamiltonian)
+from hjaf.harness import CliConfig, solver_config
 from hjaf.highorder import SCHEME_ORDERS, hc_step, high_order_step
 from hjaf.monotone import (CflViolation, MonotoneKind, monotone_hamiltonian,
                            monotone_step)
@@ -309,20 +310,22 @@ class TestEvolve:
         g = Grid2D(0, 0, 0.1, 0.1, 10, 10)
         f = GridField(g, np.zeros((10, 10)), NEU)
         # every mode with a monotone step refuses at step 1, before u moves
-        for kw in ({}, {"mode": "monotone"}, {"mode": "fixed", "eps_fixed": 1.0}):
+        for kw in ({}, {"scheme": "monotone"},
+                   {"scheme": "f-hc-fixed", "epsilon_fixed": 1.0}):
             with pytest.raises(CflViolation, match=r"^step 1 \(t = 0.5\): "
                                r".*max\(lam\*vmax\) = 5 > 0.5"):
                 af_evolve(f, self._config(**kw), 1.0, 2)  # dt/dx = 5
 
-    @pytest.mark.parametrize("mode", ["monotone", "af"])
-    def test_realized_speed_violation_names_step(self, mode):
+    @pytest.mark.parametrize("scheme", ["monotone", "af-hc"],
+                             ids=["monotone", "af"])
+    def test_realized_speed_violation_names_step(self, scheme):
         # declared bounds 2*(1 + 0.1) pass at lam = 0.2, the data's LLF
         # coefficients 2*(3 + 1) do not
         g = Grid2D(0, 0, 0.1, 0.1, 10, 10)
         X, Y = g.meshes()
         f = GridField(g, 3.0 * (X + Y), NEU)
         cfg = SolverConfig(hamiltonian=shifted_quadratic_hamiltonian(0.1),
-                           monotone=LLF, mode=mode)
+                           monotone=LLF, scheme=scheme)
         with pytest.raises(CflViolation, match=r"^step 1 \(t = 0.02\): .*node"):
             af_evolve(f, cfg, 0.04, 2)
 
@@ -331,7 +334,7 @@ class TestEvolve:
         g = Grid2D(-1, -1, 0.05, 0.05, 41, 41)
         X, Y = g.meshes()
         f = GridField(g, np.abs(X) + np.abs(Y), NEU)
-        cfg = self._config(mode="raw", highorder="rkc4")
+        cfg = self._config(scheme="rkc4")
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(EvolutionError, match="step"):
                 af_evolve(f, cfg, 50.0, 500)
@@ -353,8 +356,7 @@ class TestEvolve:
         # are excluded from the trusted region
         prob = make_test("8")
         cfg = SolverConfig(hamiltonian=prob.hamiltonian,
-                           monotone=prob.monotone, mode="af",
-                           highorder="rkc4")
+                           monotone=prob.monotone, scheme="af-rkc4")
         _, diag = af_evolve(prob.initial_field(1), cfg, prob.T_final,
                             prob.n_steps(1))
         eps = np.array([r[2] for r in diag.rows])
@@ -367,16 +369,70 @@ class TestEvolve:
 
     def test_fixed_mode_needs_eps(self):
         with pytest.raises(ValueError):
-            self._config(mode="fixed")
+            self._config(scheme="f-hc-fixed")
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
     def test_fixed_mode_rejects_nonpositive_or_nonfinite_eps(self, eps):
         # af_step would fall back to the monotone update without a word
         with pytest.raises(ValueError, match="finite and positive"):
-            self._config(mode="fixed", eps_fixed=eps)
+            self._config(scheme="f-hc-fixed", epsilon_fixed=eps)
 
     def test_k_must_exceed_half(self):
         # an infinite K would make eps infinite or NaN
         for K in (0.5, np.inf, np.nan):
             with pytest.raises(ValueError, match="finite and > 1/2"):
                 self._config(K=K)
+
+
+class TestSchemeVocabulary:
+    """A scheme name is the only way to choose a run, and SolverConfig
+    refuses every option the scheme would ignore."""
+
+    # (scheme, epsilon_fixed, lw2_corrected) that SolverConfig accepts
+    ACCEPTED = {
+        ("monotone", None, False), ("hc", None, False), ("lw", None, False),
+        ("lw2", None, False), ("richtmyer", None, False),
+        ("rkc4", None, False), ("af-hc", None, False), ("af-lw", None, False),
+        ("af-lw2", None, False), ("af-richtmyer", None, False),
+        ("af-rkc4", None, False), ("f-hc-fixed", 0.1, False),
+        ("lw2", None, True), ("richtmyer", None, True),
+        ("af-lw2", None, True), ("af-richtmyer", None, True),
+    }
+
+    @staticmethod
+    def _accepts(build) -> bool:
+        try:
+            build()
+        except ValueError:
+            return False
+        return True
+
+    @pytest.mark.parametrize("lw2_corrected", [False, True])
+    @pytest.mark.parametrize("epsilon_fixed", [None, 0.1])
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_config_accepts_exactly_what_the_cli_accepts(
+            self, scheme, epsilon_fixed, lw2_corrected):
+        prob = make_test("8")
+        options = dict(scheme=scheme, epsilon_fixed=epsilon_fixed,
+                       lw2_corrected=lw2_corrected)
+        case = tuple(options.values())
+        assert self._accepts(lambda: SolverConfig(
+            hamiltonian=prob.hamiltonian, monotone=prob.monotone,
+            **options)) == (case in self.ACCEPTED)
+        # the CLI fills f-hc-fixed's missing scale with 20 dx per level
+        cli_accepts = case in self.ACCEPTED or case == ("f-hc-fixed", None, False)
+        assert self._accepts(lambda: solver_config(
+            CliConfig(test_id="8", **options), prob, 0)) == cli_accepts
+
+    def test_unknown_scheme_refused(self):
+        with pytest.raises(ValueError, match="unknown scheme 'af-monotone'"):
+            SolverConfig(hamiltonian=transport_hamiltonian(), monotone=LLF,
+                         scheme="af-monotone")
+
+    @pytest.mark.parametrize("scheme", ["richtmyer", "af-richtmyer"])
+    def test_richtmyer_refused_on_space_dependent_h(self, scheme):
+        # on constant data af_step never calls the high-order step (eps = 0),
+        # so only the config can refuse
+        with pytest.raises(ValueError, match=r"requires H independent of \(x, y\)"):
+            SolverConfig(hamiltonian=rotation_hamiltonian(2.0), monotone=LLF,
+                         scheme=scheme)

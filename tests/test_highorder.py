@@ -149,8 +149,8 @@ class TestGlobalOrder:
         errs = []
         for level in (0, 1, 2):
             cfg = SolverConfig(hamiltonian=prob.hamiltonian,
-                               monotone=prob.monotone, mode="raw",
-                               highorder="lw2", lw2_corrected=True)
+                               monotone=prob.monotone, scheme="lw2",
+                               lw2_corrected=True)
             u, _ = af_evolve(prob.initial_field(level), cfg, prob.T_final,
                              prob.n_steps(level))
             errs.append(error_norms(u, prob.exact_field(prob.T_final,

@@ -308,10 +308,12 @@ class TestMakeHamiltonian:
                 Hamiltonian(eval=lambda x, y, p, q: x * p, vmax_p=1.0,
                             vmax_q=1.0, space_dependent=True, **kwargs)
 
-    @pytest.mark.parametrize("bounds", [(0.0, 1.0), (1.0, -1.0)])
+    @pytest.mark.parametrize("bounds", [(0.0, 1.0), (1.0, -1.0), (1.0, np.nan),
+                                        (np.nan, 1.0), (1.0, np.inf)])
     def test_velocity_bounds_must_be_positive(self, bounds):
+        # a NaN bound would pass cfl_check: max(x, nan) is x
         one = lambda x, y, p, q: np.ones(np.broadcast(x, y, p, q).shape)
-        with pytest.raises(ValueError, match="velocity bounds"):
+        with pytest.raises(ValueError, match="velocity bounds must be finite"):
             Hamiltonian(eval=lambda x, y, p, q: p + q, dp=one, dq=one,
                         vmax_p=bounds[0], vmax_q=bounds[1])
 

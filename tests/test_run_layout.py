@@ -151,7 +151,7 @@ class TestGhostColumns:
     @pytest.mark.parametrize("bc", [PER, NEU])
     def test_epsilon_and_diagnostics_match_view_oracle(self, bc):
         f = jump_field(bc)
-        cfg = SolverConfig(hamiltonian=self.H, monotone=LLF, highorder="rkc4",
+        cfg = SolverConfig(hamiltonian=self.H, monotone=LLF, scheme="af-rkc4",
                            indicator=Indicator2DConfig(), K=self.K)
         dt, ind = self.dt(f), cfg.indicator
         u1, diag1 = af_evolve(f, cfg, dt, 1)
@@ -174,7 +174,7 @@ class TestGhostColumns:
         f = jump_field(bc)
         out = monotone_step(f, LLF, self.H, self.dt(f))
         assert np.all(np.isfinite(out.values))
-        cfg = SolverConfig(hamiltonian=self.H, monotone=LLF, highorder="rkc4")
+        cfg = SolverConfig(hamiltonian=self.H, monotone=LLF, scheme="af-rkc4")
         af_evolve(f, cfg, 3 * self.dt(f), 3)
 
 
