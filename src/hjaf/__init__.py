@@ -11,8 +11,8 @@ from .hamiltonians import (Hamiltonian, eikonal_hamiltonian,
                            rotation_hamiltonian, shifted_quadratic_hamiltonian,
                            transport_hamiltonian)
 from .indicators1d import (Indicator1DConfig, Smoothness1D, Variant1D,
-                           beta_fields_1d, flagged_cells_1d, map_g,
-                           omega_field_1d, phi_1d, smoothness_1d)
+                           beta_fields_1d, map_g, omega_field_1d, phi_1d,
+                           smoothness_1d)
 from .indicators2d import (Formula2D, Indicator2DConfig, Smoothness2D,
                            omega_field_2d, omega_split_field, phi_2d,
                            quadrant_beta_fields, smoothness_2d)
@@ -21,7 +21,7 @@ from .monotone import (CflReport, CflViolation, MonotoneKind, cfl_check,
 from .highorder import (SCHEME_ORDERS, hc_step, high_order_step, lw2_step,
                         lw_step, richtmyer_step, rkc4_step)
 from .filtering import (SCHEME_NAMES, Diagnostics, EvolutionError,
-                        SolverConfig, af_evolve, af_step, epsilon_n, filter_F)
+                        SolverConfig, af_evolve, af_step, epsilon_n)
 from .problems import (ALL_TEST_IDS, IndicatorCase, ProblemSpec, disc_min,
                        hopf_lax_min_1d, make_test)
 from .reporting import (RunReport, RunRow, error_norms, observed_order,

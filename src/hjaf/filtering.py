@@ -40,7 +40,7 @@ from .indicators2d import Indicator2DConfig, smoothness_2d
 # (perfbench/tracer.py) wraps this module's name for it.
 from .monotone import (CflViolation, MonotoneKind,  # noqa: F401
                        htilde_differences, monotone_hamiltonian, monotone_step,
-                       one_sided_slopes)
+                       one_sided_slopes, require_runnable)
 
 
 # The runs a SolverConfig names: the monotone step alone, each high-order
@@ -52,14 +52,6 @@ SCHEME_NAMES = ("monotone", *SCHEME_ORDERS,
 # Switching scales at or below this count as zero: the step keeps the
 # monotone update rather than divide by eps*dt in the filter argument.
 EPS_FLOOR = 1e-14
-
-
-def filter_F(rho):
-    """Hard-cutoff filter: identity for |rho| <= 1 (boundary included),
-    zero outside."""
-    rho = np.asarray(rho, dtype=np.float64)
-    out = np.where(np.abs(rho) <= 1.0, rho, 0.0)
-    return out if out.ndim else float(out)
 
 
 def epsilon_n(field: GridField, H: Hamiltonian, kind: MonotoneKind,
@@ -121,6 +113,7 @@ class SolverConfig:
     switching scale epsilon_fixed and phi forced to one.  An option the
     scheme would ignore is refused: epsilon_fixed belongs to f-hc-fixed
     (which needs it), lw2_corrected to lw2, richtmyer and their af- forms.
+    So is a monotone form its hamiltonian cannot run, whatever the scheme.
     """
 
     hamiltonian: Hamiltonian
@@ -152,6 +145,7 @@ class SolverConfig:
             raise ValueError(f"safety factor K must be finite and > 1/2, got {self.K}")
         if name == "richtmyer" and self.hamiltonian.space_dependent:
             raise ValueError("Richtmyer form requires H independent of (x, y)")
+        require_runnable(self.monotone, self.hamiltonian)
 
 
 @dataclass

@@ -10,7 +10,9 @@ pads a derived array (a curvature or a beta) instead.
 
 A field's values are read-only, and :meth:`GridField.memo` keeps what
 is built from them: the padded copy (:meth:`GridField.neighbors`,
-``STENCIL_REACH`` ghost nodes wide), the slopes several kernels read and,
+``STENCIL_REACH`` ghost nodes wide), its undivided second differences
+(:meth:`GridField.second_differences`, read by the quadrant betas, the
+time curvature and the 1D betas), the slopes several kernels read and,
 per hamiltonian, the time curvature.
 So no kernel pads its own input, and one step of the solver pads its
 field once.  A multi-stage step makes each later stage a field of its
@@ -224,6 +226,20 @@ def _padded(field: "GridField") -> Neighbors:
     return Neighbors(field.values, field.bc, STENCIL_REACH)
 
 
+def _second_differences(field: "GridField") -> tuple[dict, ...]:
+    at = field.neighbors()
+    u, n, axes = at.flat, at.flat.size, []
+    for s in (1,) if field.ndim == 1 else (1, at.row):
+        twice = np.multiply(2.0, u[s:n - s])
+        axes.append({})
+        for z in (1, -1):
+            # (u[+z] - 2 u) + u[-z], summed left to right
+            d = np.subtract(u[s + z * s:n - s + z * s], twice)
+            d += u[s - z * s:n - s - z * s]
+            axes[-1][z] = read_only(d)[0]
+    return tuple(axes)
+
+
 class GridField:
     """Scalar values on a grid plus the boundary rule used to read past it.
 
@@ -270,6 +286,12 @@ class GridField:
         """The runs of the field's one padded copy, ``at(dj, di)`` for
         ``|dj|, |di| <= STENCIL_REACH`` (a :meth:`memo` entry)."""
         return self.memo(_padded)
+
+    def second_differences(self) -> tuple[dict, ...]:
+        """Per axis (x, y), ``{z: (u[+z] - 2 u) + u[-z]}`` for z = +1, -1 over
+        the flat padded copy (a :meth:`memo` entry).  Element k centers on
+        flat index k + (dj + di*row): ``at.grid(d, -dj, -di, grow=at.width)``."""
+        return self.memo(_second_differences)
 
     def shifted(self, dj: int = 0, di: int = 0) -> np.ndarray:
         """Whole-grid array of ``u[i + di, j + dj]`` with the boundary rule

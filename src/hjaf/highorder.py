@@ -13,8 +13,8 @@ Runge-Kutta over fourth-order central slopes (RKC4), whose composed
 stencil spans 17x17 nodes.
 
 Every stencil reads runs of its field's padded copy (the run layout of
-:mod:`hjaf.grids`): a step reads its field's own copy and centered
-slopes, memo entries of the field that every kernel reading it shares.
+:mod:`hjaf.grids`): a step reads its field's own copy, centered slopes
+and second differences, memo entries every kernel reading it shares.
 Each later stage of a multi-stage step (Heun's predictor, RKC4's stages
 2-4) is a field of its own, padded through its own memo.
 
@@ -50,16 +50,11 @@ def centered_slopes(field: GridField):
 
 
 def second_diffs(field: GridField):
-    dx, dy = field.grid.dx, field.grid.dy
+    """(uxx, uyy): the field's (+1, 0, -1) second differences over h^2."""
     at = field.neighbors()
-
-    def second(dj, di, h):
-        # (u[+1] - 2 u + u[-1]) / h^2, summed left to right
-        d = np.multiply(2.0, at())
-        np.subtract(at(dj, di), d, out=d)
-        d += at(-dj, -di)
-        return at.grid(d) / h ** 2
-    return second(1, 0, dx), second(0, 1, dy)
+    d2x, d2y = field.second_differences()
+    return (at.grid(d2x[1], -1, 0, grow=at.width) / field.grid.dx ** 2,
+            at.grid(d2y[1], 0, -1, grow=at.width) / field.grid.dy ** 2)
 
 
 def cross_diff(field: GridField):

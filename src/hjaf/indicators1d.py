@@ -7,7 +7,8 @@ The building block is the squared, once-rescaled second difference
 which is O(dx^2) where the data is C^2 with nonzero curvature and O(1)
 across a kink in the first derivative.  Stencils that reach past the grid
 read ghost data under the field's boundary rule, the one rule the 2D
-indicator and the schemes use too.  Left/right pairs of these feed a
+indicator and the schemes use too; each is a cut of the field's second
+differences, a memo entry they share.  Left/right pairs of these feed a
 WENO-style normalized weight ``omega`` (:func:`weno_weight`, built from
 :func:`weno_term` and :func:`normalized_weight`, which the 2D quadrant
 weights share) that sits near 1/2 on smooth data and collapses
@@ -87,13 +88,14 @@ def beta_fields_1d(field: GridField, axis: str = "x") -> tuple[np.ndarray, ...]:
     ((f_{c+1} - 2 f_c + f_{c-1}) / h)**2 on the stencil centered at
     c = j-1+k; beta+_k the one centered at c = j+k, so beta+ at j
     coincides with beta- at j+1 and the center stencil is shared between
-    the two sides.  All three stencils read runs of the field's padded
-    copy, as every other stencil does.
+    the two sides.  The three are shifted cuts of the (+1, 0, -1) listing
+    of :meth:`hjaf.grids.GridField.second_differences`.
     """
     (dj, di), h = _axis_step(field, axis)
     at = field.neighbors()
-    u = [at(k * dj, k * di) for k in (-2, -1, 0, 1, 2)]
-    s = [(at.grid(u[c + 1] - 2.0 * u[c] + u[c - 1]) / h) ** 2 for c in (1, 2, 3)]
+    d2 = field.second_differences()[di][1]
+    s = [(at.grid(d2, (c - 1) * dj, (c - 1) * di, grow=at.width) / h) ** 2
+         for c in (-1, 0, 1)]
     return s[0], s[1], s[1], s[2]
 
 
@@ -146,13 +148,6 @@ def omega_field_1d(field: GridField, cfg: Indicator1DConfig,
 def phi_1d(omega: np.ndarray, cfg: Indicator1DConfig) -> np.ndarray:
     """Binary trust mask: 1 where omega >= M, else 0.  No smoothing."""
     return (np.asarray(omega) >= cfg.M).astype(np.int8)
-
-
-def flagged_cells_1d(phi: np.ndarray) -> np.ndarray:
-    """Cell-interval report: cell (x_j, x_{j+1}) is flagged iff either of
-    its endpoint nodes is untrusted.  Length n-1 boolean array."""
-    phi = np.asarray(phi)
-    return (phi[:-1] == 0) | (phi[1:] == 0)
 
 
 def smoothness_1d(field: GridField, cfg: Indicator1DConfig) -> Smoothness1D:

@@ -20,8 +20,10 @@ the same order, so the two betas agree bit for bit.  The field kernel
 therefore evaluates only the four inner betas, on the grid extended by one
 node per side, and reads every outer beta as a shifted view.  Every kernel
 works in the run layout of :mod:`hjaf.grids`: the betas are runs over one
-array padded by two nodes under the field's boundary rule, the WENO terms
-and weights runs over the grid, and only the combined weight is cut back
+array padded by two nodes under the field's boundary rule, cut from the
+field's second differences (a memo entry the time curvature and the 1D
+betas read too), the WENO terms and weights runs over the grid, and only
+the combined weight is cut back
 to the grid's shape; the trust mask's neighbor ring reads runs of one
 padded mask the same way.
 
@@ -150,29 +152,19 @@ def quadrant_beta_fields(field: GridField, formula: Formula2D = Formula2D.FULL,
     # are runs over the flat padded copy u: element m of a run is extended
     # node (m // row - 1, m % row - 1), flat index e + m.
     u, row = at.flat, at.row
-    n = u.size
     e = (at.width - 1) * (row + 1)
     le = at.length + 2 * row + 2
 
     def run(k):
         return u[k:k + le]
 
-    # Second differences along a stencil listed (z, 0, -z): the listing
-    # fixes the rounding, so each sign has its own array.  d2x covers flat
-    # indices 1..n-2 and d2y row..n-row-1, every offset read below.
-    d2x, d2y = {}, {}
-    for d2, step in ((d2x, 1), (d2y, row)):
-        twice = np.multiply(2.0, u[step:n - step])
-        for z in (-1, 1):
-            lo, hi = step - z * step, step + z * step
-            d = np.subtract(u[lo:n - 2 * step + lo], twice)
-            d += u[hi:n - 2 * step + hi]
-            d2[z] = d
+    # element k of a listing is centered at flat index k + 1 (x), k + row (y)
+    d2x, d2y = field.second_differences()
     inner = {}
     for z1, z2 in QUADRANTS.values():
-        # Inner stencil listed (z1, 0, -z1) in x and (z2, 0, -z2) in y.
-        dxx = [d2x[z1][e - 1 + b * row:e - 1 + b * row + le] for b in (z2, 0, -z2)]
-        dyy = [d2y[z2][e - row + a:e - row + a + le] for a in (z1, 0)]
+        # Inner stencil (z1, 0, -z1) x (z2, 0, -z2): listings -z1 and -z2.
+        dxx = [d2x[-z1][e - 1 + b * row:e - 1 + b * row + le] for b in (z2, 0, -z2)]
+        dyy = [d2y[-z2][e - row + a:e - row + a + le] for a in (z1, 0)]
         u11 = run(e) - run(e + z1)
         u11 -= run(e + z2 * row)
         u11 += run(e + z1 + z2 * row)

@@ -49,9 +49,16 @@ class CflViolation(RuntimeError):
     pass
 
 
-def _require_eikonal(H: Hamiltonian) -> None:
-    if not H.is_eikonal:
+def require_runnable(kind: MonotoneKind, H: Hamiltonian) -> None:
+    """Refuse a form H cannot run: the upwind eikonal form needs
+    H = |grad u|, the local Lax-Friedrichs form both interval bounds."""
+    if kind is MonotoneKind.EIKONAL and not H.is_eikonal:
         raise ValueError("eikonal monotone scheme only applies to H = |grad u|")
+    if kind is MonotoneKind.LOCAL_LAX_FRIEDRICHS:
+        for name in ("alpha_p", "alpha_q"):
+            if getattr(H, name) is None:
+                raise ValueError(f"the local Lax-Friedrichs scheme needs "
+                                 f"H.{name}, the interval bound of its speed")
 
 
 def h_eikonal(pm, pp, qm, qp):
@@ -68,12 +75,7 @@ def h_eikonal(pm, pp, qm, qp):
 def _speed_bound(H: Hamiltonian, x, y, a, b, other, along_p: bool):
     """max|H_p| over p between ``a`` and ``b`` with q frozen at ``other``
     (``along_p``), else the q analog, from H's interval closure."""
-    name = "alpha_p" if along_p else "alpha_q"
-    bound = getattr(H, name)
-    if bound is None:
-        raise ValueError(f"the local Lax-Friedrichs scheme needs H.{name}, "
-                         "the interval bound of its speed")
-    return bound(x, y, a, b, other)
+    return (H.alpha_p if along_p else H.alpha_q)(x, y, a, b, other)
 
 
 def _llf(H: Hamiltonian, x, y, pm, pp, qm, qp):
@@ -132,10 +134,10 @@ def htilde_differences(kind: MonotoneKind, H: Hamiltonian,
     the local Lax-Friedrichs form needs four evaluations of H and four
     speed bounds, bitwise equal to its eight calls.
     """
+    require_runnable(kind, H)
     pc = 0.5 * (pm + pp)
     qc = 0.5 * (qm + qp)
     if kind is MonotoneKind.EIKONAL:
-        _require_eikonal(H)
         h = h_eikonal
         return ((h(pc, pp, qc, qc) - h(pc, pm, qc, qc))
                 - (h(pp, pc, qc, qc) - h(pm, pc, qc, qc)),
@@ -163,8 +165,8 @@ def monotone_hamiltonian(kind: MonotoneKind, H: Hamiltonian,
     """(h, speeds): the numerical hamiltonian of form ``kind`` and, for the
     local Lax-Friedrichs form, the dissipation coefficients (ax, ay) it
     used; ``speeds`` is None for the upwind eikonal form."""
+    require_runnable(kind, H)
     if kind is MonotoneKind.EIKONAL:
-        _require_eikonal(H)
         return h_eikonal(pm, pp, qm, qp), None
     value, ax, ay = _llf(H, x, y, pm, pp, qm, qp)
     return value, (ax, ay)

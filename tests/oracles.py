@@ -17,6 +17,10 @@ the closed forms need not.
 ``ghost_value`` is the boundary rule applied to one scalar index, the
 reference for the library's ghost padding (``hjaf.grids.pad_ghosts``).
 
+``filter_F`` is the hard-cutoff filter of the blend formula, which the
+library's blended step implements as a selection; ``flagged_cells_1d``
+reads a 1D trust mask as a report on grid cells.
+
 The ``view_*`` kernels are the 2D-view forms the library used before it
 moved to the run layout: every stencil offset is a 2D view of one
 ``np.pad`` copy, and the operations are the library's, in its order.
@@ -201,6 +205,21 @@ def swapped_slot_differences(h, pm, pp, qm, qp):
     hq_plus = h(pc, pc, qc, qp) - h(pc, pc, qc, qm)
     hq_minus = h(pc, pc, qp, qc) - h(pc, pc, qm, qc)
     return hp_plus - hp_minus, hq_plus - hq_minus
+
+
+def filter_F(rho):
+    """Hard-cutoff filter: identity for |rho| <= 1 (boundary included),
+    zero outside."""
+    rho = np.asarray(rho, dtype=np.float64)
+    out = np.where(np.abs(rho) <= 1.0, rho, 0.0)
+    return out if out.ndim else float(out)
+
+
+def flagged_cells_1d(phi: np.ndarray) -> np.ndarray:
+    """Cell-interval report: cell (x_j, x_{j+1}) is flagged iff either of
+    its endpoint nodes is untrusted.  Length n-1 boolean array."""
+    phi = np.asarray(phi)
+    return (phi[:-1] == 0) | (phi[1:] == 0)
 
 
 def scan_max_abs(deriv, x, y, lo, hi, other, other_is_q: bool) -> np.ndarray:

@@ -17,14 +17,14 @@ from hjaf.filtering import SolverConfig, af_evolve, af_step, epsilon_n
 from hjaf.grids import BoundaryCondition, Grid2D, GridField
 from hjaf.hamiltonians import eikonal_hamiltonian, transport_hamiltonian
 from hjaf.highorder import high_order_step
-from hjaf.indicators1d import Indicator1DConfig, Variant1D, omega_field_1d, phi_1d, flagged_cells_1d
+from hjaf.indicators1d import Indicator1DConfig, Variant1D, omega_field_1d, phi_1d
 from hjaf.indicators2d import (Formula2D, Indicator2DConfig, omega_field_2d,
                                omega_split_field, phi_2d, quadrant_beta_fields)
 from hjaf.monotone import MonotoneKind, monotone_step
 from hjaf.problems import make_test
 from hjaf.reporting import error_norms, observed_order
 
-from oracles import beta_quadrature_both
+from oracles import beta_quadrature_both, flagged_cells_1d
 
 NEU = BoundaryCondition.NEUMANN_ZERO
 PER = BoundaryCondition.PERIODIC
@@ -198,25 +198,27 @@ def test_criterion_4_strict_origin_node_reading():
 
 @functools.lru_cache(maxsize=None)
 def _evolve_table(test_id, scheme, levels):
-    """(errors per level, final fields) for one scheme on one problem."""
+    """(errors, final fields, diagnostics) per level for one scheme on one
+    problem."""
     prob = make_test(test_id)
-    errs, finals = [], []
+    errs, finals, diags = [], [], []
     for level in range(levels):
         cfg = SolverConfig(hamiltonian=prob.hamiltonian, monotone=prob.monotone,
                            scheme=scheme)
-        u, _ = af_evolve(prob.initial_field(level), cfg, prob.T_final,
-                         prob.n_steps(level))
+        u, diag = af_evolve(prob.initial_field(level), cfg, prob.T_final,
+                            prob.n_steps(level))
         exact = prob.exact_field(prob.T_final, level).values
         errs.append(error_norms(u, exact))
         finals.append(u)
-    return errs, finals
+        diags.append(diag)
+    return errs, finals, diags
 
 
 def test_criterion_5_transport_tables():
     t0 = time.perf_counter()
-    hc_errs, hc_finals = _evolve_table("5", "hc", 4)
-    af_hc_errs, af_hc_finals = _evolve_table("5", "af-hc", 4)
-    af_rk_errs, _ = _evolve_table("5", "af-rkc4", 4)
+    hc_errs, hc_finals, _ = _evolve_table("5", "hc", 4)
+    af_hc_errs, af_hc_finals, _ = _evolve_table("5", "af-hc", 4)
+    af_rk_errs, _, _ = _evolve_table("5", "af-rkc4", 4)
 
     ord_hc = [observed_order(af_hc_errs[i][0], af_hc_errs[i + 1][0])
               for i in (1, 2)]  # Linf orders at the last two refinements
@@ -244,10 +246,21 @@ def test_criterion_5_transport_tables():
            f"{elapsed:.0f}s (< 300s)")
 
 
+def test_transport_switching_scale_decays_with_dx():
+    # The filtered scheme converges when eps -> 0 with the mesh.  On test 5
+    # af-rkc4 the largest eps over the steps was 1.96, 0.846, 0.424 and
+    # 0.212 at N = 40 to 320, about 17 dx: each halving of dx should at
+    # least nearly halve it.  Reads criterion 5's cached evolves.
+    _, _, diags = _evolve_table("5", "af-rkc4", 4)
+    max_eps = [max(eps for _, _, eps, _ in diag.rows) for diag in diags]
+    ratios = [fine / coarse for coarse, fine in zip(max_eps, max_eps[1:])]
+    assert all(r <= 0.55 for r in ratios), (max_eps, ratios)
+
+
 def test_criterion_6_rotation_table_and_oscillation():
     prob = make_test("6")
-    af_hc_errs, _ = _evolve_table("6", "af-hc", 4)
-    af_rk_errs, _ = _evolve_table("6", "af-rkc4", 4)
+    af_hc_errs, _, _ = _evolve_table("6", "af-hc", 4)
+    af_rk_errs, _, _ = _evolve_table("6", "af-rkc4", 4)
 
     ord_hc_l1 = observed_order(af_hc_errs[2][1], af_hc_errs[3][1])
     ord_rk_l1 = observed_order(af_rk_errs[2][1], af_rk_errs[3][1])
@@ -298,14 +311,14 @@ def test_criterion_6_rotation_table_and_oscillation():
            "the band.  A band consistent with the criterion's own 3x error "
            "tolerance would be 3.93 +/- log2(9).")
 def test_criterion_6_strict_fourth_order_band():
-    af_rk_errs, _ = _evolve_table("6", "af-rkc4", 4)
+    af_rk_errs, _, _ = _evolve_table("6", "af-rkc4", 4)
     ord_rk_l1 = observed_order(af_rk_errs[2][1], af_rk_errs[3][1])
     assert 3.5 <= ord_rk_l1 <= 4.3
 
 
 def test_criterion_7_burgers_like_orders():
-    reg_errs, _ = _evolve_table("8-regular", "af-rkc4", 4)
-    sing_errs, _ = _evolve_table("8", "af-rkc4", 4)
+    reg_errs, _, _ = _evolve_table("8-regular", "af-rkc4", 4)
+    sing_errs, _, _ = _evolve_table("8", "af-rkc4", 4)
     ord_reg = observed_order(reg_errs[2][1], reg_errs[3][1])
     ord_sing = observed_order(sing_errs[2][1], sing_errs[3][1])
     # absolute gating enabled: the variational oracle reduces to the initial

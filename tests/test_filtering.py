@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from hjaf.filtering import (EPS_FLOOR, SCHEME_NAMES, Diagnostics,
                             EvolutionError, SolverConfig, af_evolve, af_step,
-                            epsilon_n, filter_F)
+                            epsilon_n)
 from hjaf.grids import BoundaryCondition, Grid2D, GridField
 from hjaf.hamiltonians import (eikonal_hamiltonian, rotation_hamiltonian,
                                shifted_quadratic_hamiltonian,
@@ -19,7 +19,7 @@ from hjaf.monotone import (CflViolation, MonotoneKind, monotone_hamiltonian,
                            monotone_step)
 from hjaf.problems import make_test
 
-from oracles import scalar_switching_integrand, scan_bounds
+from oracles import filter_F, scalar_switching_integrand, scan_bounds
 
 PER = BoundaryCondition.PERIODIC
 NEU = BoundaryCondition.NEUMANN_ZERO
@@ -436,3 +436,19 @@ class TestSchemeVocabulary:
         with pytest.raises(ValueError, match=r"requires H independent of \(x, y\)"):
             SolverConfig(hamiltonian=rotation_hamiltonian(2.0), monotone=LLF,
                          scheme=scheme)
+
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    @pytest.mark.parametrize("H, kind", [
+        (eikonal_hamiltonian(), LLF),
+        (transport_hamiltonian(), MonotoneKind.EIKONAL)])
+    def test_monotone_form_refused_when_h_cannot_run_it(self, H, kind, scheme):
+        # the monotone step would refuse only once it ran; the config refuses
+        # up front, with the step's own message
+        g = Grid2D(0.0, 0.0, 0.1, 0.1, 5, 5)
+        with pytest.raises(ValueError) as step:
+            monotone_step(GridField(g, np.zeros(g.shape), PER), kind, H, 0.01)
+        eps = 0.1 if scheme == "f-hc-fixed" else None
+        with pytest.raises(ValueError) as config:
+            SolverConfig(hamiltonian=H, monotone=kind, scheme=scheme,
+                         epsilon_fixed=eps)
+        assert str(config.value) == str(step.value)

@@ -3,11 +3,11 @@ import pytest
 
 from hjaf.grids import BoundaryCondition, Grid1D, GridField
 from hjaf.indicators1d import (Indicator1DConfig, Variant1D, beta_fields_1d,
-                               flagged_cells_1d, map_g, omega_field_1d, phi_1d,
-                               smoothness_1d, weno_weight)
+                               map_g, omega_field_1d, phi_1d, smoothness_1d,
+                               weno_weight)
 from hjaf.problems import make_test
 
-from oracles import divided_difference, ghost_value
+from oracles import divided_difference, flagged_cells_1d, ghost_value
 
 PER = BoundaryCondition.PERIODIC
 

@@ -241,21 +241,25 @@ class TestGhostFills:
 
 
 class TestSharedStencils:
-    """The slopes and the time curvature several kernels of a step read are
-    memo entries of the field: one adaptive step takes u's one-sided and
-    centered slopes and its time curvature once each (af-lw reads the
-    curvature in the switching scale and in lw_step), and hands them out
-    read-only."""
+    """The slopes, second differences and time curvature several kernels of
+    a step read are memo entries of the field: one adaptive step takes u's
+    one-sided and centered slopes, its second differences (read by the
+    indicator, full or split, and the time curvature) and its time
+    curvature once each (af-lw reads the curvature in the switching scale
+    and in lw_step), and hands them out read-only."""
 
     @pytest.mark.parametrize("scheme", sorted(TestGhostFills.STAGE_FILLS))
-    def test_each_slope_kernel_runs_once_on_u(self, monkeypatch, scheme):
+    @pytest.mark.parametrize("variant", ["full", "split"])
+    def test_each_slope_kernel_runs_once_on_u(self, monkeypatch, scheme,
+                                              variant):
         prob = make_test("8")
         sc = solver_config(CliConfig(test_id="8", scheme=f"af-{scheme}",
-                                     refinements=1), prob, 0)
+                                     refinements=1, indicator=variant), prob, 0)
         u = prob.initial_field(0)
         runs = []
         for module, name in ((monotone, "_one_sided_slopes"),
                              (highorder, "_centered_slopes"),
+                             (grids, "_second_differences"),
                              (highorder, "_time_curvature")):
             def counting(field, *args, kernel=getattr(module, name), name=name):
                 if field is u:
@@ -266,7 +270,7 @@ class TestSharedStencils:
                                    prob.T_final / prob.n_steps(0))
         assert eps > EPS_FLOOR          # the high-order step ran
         assert sorted(runs) == ["_centered_slopes", "_one_sided_slopes",
-                                "_time_curvature"]
+                                "_second_differences", "_time_curvature"]
 
     def test_time_curvature_is_kept_per_hamiltonian(self):
         f = jump_field(PER)
@@ -284,13 +288,15 @@ class TestSharedStencils:
 
     def test_memo_arrays_are_shared_and_read_only(self):
         f = jump_field(PER)
-        for kernel in (one_sided_slopes, centered_slopes):
+        for kernel in (one_sided_slopes, centered_slopes,
+                       GridField.second_differences):
             assert kernel(f) is kernel(f)
-            for a in kernel(f):
-                with pytest.raises(ValueError):
-                    a[0, 0] = 1.0
-                with pytest.raises(ValueError):
-                    a += 1.0
+        second = [d[z] for d in f.second_differences() for z in (1, -1)]
+        for a in (*one_sided_slopes(f), *centered_slopes(f), *second):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+            with pytest.raises(ValueError):
+                a += 1.0
 
     def test_evolve_frees_the_initial_memo_after_step_1(self, monkeypatch):
         # af_evolve steps an alias of the initial field, so the slopes it
