@@ -5,7 +5,7 @@ accuracy, and a per-step blend switches between them node by node, driven
 by genuinely two-dimensional smoothness indicators and an automatically
 tuned switching scale.
 """
-from .grids import (BoundaryCondition, GHOST_REACH, Grid1D, Grid2D, GridField,
+from .grids import (BoundaryCondition, Grid1D, Grid2D, GridField,
                     write_field_csv)
 from .hamiltonians import (Hamiltonian, eikonal_hamiltonian,
                            rotation_hamiltonian, shifted_quadratic_hamiltonian,

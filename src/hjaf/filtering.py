@@ -181,8 +181,8 @@ def af_evolve(initial: GridField, config: SolverConfig, T: float,
     step violates its stability bound (at step 1, before ``u`` changes,
     when the declared bounds already fail).
     """
-    if T <= 0:
-        raise ValueError(f"final time must be positive, got {T}")
+    if not 0 < T < np.inf:
+        raise ValueError(f"final time must be finite and positive, got {T}")
     if n_steps < 1:
         raise ValueError(f"need at least one step, got {n_steps}")
     dt = T / n_steps

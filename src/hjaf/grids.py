@@ -5,8 +5,10 @@ schemes) reads neighbor values through the ghost machinery defined here,
 so boundary handling lives in exactly one place.  One rule, periodic wrap
 or clamp-to-edge, maps an out-of-range index back into the grid, and it
 is applied in one place: :func:`pad_ghosts` fills a ghost layer around a
-fresh copy of an array.  Ghost nodes always carry data values: no stencil
-pads a derived array (a curvature or a beta) instead.
+fresh copy of an array.  Ghost nodes carry the field's data values, or,
+for the trust mask's neighbor ring, the mask's own; no stencil pads a
+derived float array (a curvature or a beta).  Those are laid out like a
+padded copy instead, and read the same way.
 
 A field's values are read-only, and :meth:`GridField.memo` keeps what
 is built from them: the padded copy (:meth:`GridField.neighbors`,
@@ -21,19 +23,18 @@ own, which pads itself the same way.
 Whole-grid stencils read a padded copy in the *run layout*
 (:class:`Neighbors`).  The copy, padded by ``w`` ghost nodes, is read as
 one flat buffer whose rows are ``row = nx + 2w`` long.  Every stencil
-offset (dj, di) is then one contiguous slice of it, a run,
-
-    flat[start + di*row + dj : start + di*row + dj + length],
-    start = w*row + w,  length = (ny - 1)*row + nx,
-
-whose element ``i*row + j`` is ``u[i + di, j + dj]`` for every node
-(i, j).  Kernels do their arithmetic on runs, where numpy runs one inner
-loop over the whole grid instead of one per grid row, and cut only their
-result back to the (ny, nx) interior (:meth:`Neighbors.grid`).  The
-``row - nx`` elements a run holds between two grid rows are throw-away
-values computed from ghost columns; only the cut reaches a reduction, a
-selection or a hamiltonian.  A 1D field is one row: its runs are the
-grid-shaped arrays themselves.
+offset (dj, di) over the grid grown by ``g`` nodes per side is then one
+contiguous slice of it, a run, whose element ``(i + g)*row + j + g`` is
+``u[i + di, j + dj]`` for every node (i, j) of the grown grid.  Kernels
+name a run by its node offset, ``at(dj, di, grow=g)``, read arrays laid
+out like a run the same way (``at.of``), do their arithmetic on runs,
+where numpy runs one inner loop over the whole grid instead of one per
+grid row, and cut only their result back to the (ny, nx) interior
+(:meth:`Neighbors.grid`).  The elements a run holds between two grid rows
+are throw-away values computed from ghost columns; only the cut reaches
+a reduction, a selection or a hamiltonian.  A 1D field is one row: its
+runs are the grid-shaped arrays themselves.  Only :class:`Neighbors`
+computes a flat position.
 """
 from __future__ import annotations
 
@@ -49,9 +50,6 @@ import numpy as np
 # betas).  No stencil composes across Runge-Kutta stages: each stage is
 # a field that pads its own values.
 STENCIL_REACH = 2
-
-# Largest offset per side that GridField.shifted accepts.
-GHOST_REACH = 8
 
 
 class BoundaryCondition(Enum):
@@ -139,7 +137,10 @@ def pad_ghosts(values: np.ndarray, bc: BoundaryCondition,
                width: int) -> np.ndarray:
     """Copy of ``values`` with ``width`` ghost nodes on every side, filled by
     the boundary rule: a ghost node holds the value at its index wrapped
-    around the grid (periodic) or clamped to its edge (Neumann-zero)."""
+    around the grid (periodic) or clamped to its edge (Neumann-zero).
+    ``width`` is at most the node count of every axis."""
+    if any(width > n for n in values.shape):
+        raise ValueError(f"ghost width {width} exceeds the grid {values.shape}")
     out = np.empty(tuple(n + 2 * width for n in values.shape), values.dtype)
     out[tuple(slice(width, width + n) for n in values.shape)] = values
     # Axis by axis, each ghost slab copies the slab the rule maps it to; a
@@ -152,16 +153,9 @@ def pad_ghosts(values: np.ndarray, bc: BoundaryCondition,
             out[lead + (slice(*dst),)] = out[lead + (slice(*src),)]
 
         if bc is BoundaryCondition.PERIODIC:
-            # Ghost p holds padded node p + n below the grid and p - n above
-            # it.  Copying at most n nodes at a time, nearest the grid
-            # first, reads only nodes already filled (widths past n wrap
-            # more than once).
-            for k in range(width, 0, -n):
-                a = max(k - n, 0)
-                copy((a, k), (a + n, k + n))
-            for k in range(n + width, n + 2 * width, n):
-                b = min(k + n, n + 2 * width)
-                copy((k, b), (k - n, b - n))
+            # ghost p holds padded node p + n below the grid, p - n above it
+            copy((0, width), (n, n + width))
+            copy((n + width, n + 2 * width), (width, 2 * width))
         else:
             copy((0, width), (width, width + 1))
             copy((n + width, n + 2 * width), (n + width - 1, n + width))
@@ -171,49 +165,52 @@ def pad_ghosts(values: np.ndarray, bc: BoundaryCondition,
 class Neighbors:
     """Runs of one ghost-padded copy of an array (the module's run layout).
 
-    ``at(dj, di)`` is the read-only run of offset (dj, di), for
-    ``|dj|, |di| <= width``; :meth:`grid` cuts a run, or any array laid out
-    like one, back to the grid's shape.  ``flat`` is the whole padded copy
-    as one read-only row-major buffer, ``row`` its row length.
+    ``at(dj, di, grow=0)`` is the read-only run of offset (dj, di) over the
+    grid grown by ``grow`` nodes per side; a read past the padding,
+    ``|dj|`` or ``|di|`` above ``width - grow``, raises ``IndexError``.
+    ``at.of(array, width)`` reads the runs of another array the same way:
+    one laid out like a run over the grid grown by ``width`` nodes per side
+    (by default the padded copy's own ``width``, so an array laid out like
+    the copy itself).  :meth:`grid` cuts a run over the grid back to the
+    grid's shape.  ``flat`` is the array read, ``row`` its row length.
     """
 
-    __slots__ = ("flat", "width", "shape", "row", "start", "length")
+    __slots__ = ("flat", "width", "shape", "row")
 
     def __init__(self, values: np.ndarray, bc: BoundaryCondition, width: int):
         padded = pad_ghosts(values, bc, width)
-        self.width = width
-        self.shape = values.shape
-        self.row = padded.shape[-1]
-        if values.ndim == 1:
-            self.start, self.length = width, values.shape[0]
-        else:
-            ny, nx = values.shape
-            self.start = width * self.row + width
-            self.length = (ny - 1) * self.row + nx
         self.flat = padded.reshape(-1)
         self.flat.flags.writeable = False
+        self.width, self.shape, self.row = width, values.shape, padded.shape[-1]
 
-    def __call__(self, dj: int = 0, di: int = 0) -> np.ndarray:
-        if abs(dj) > self.width or abs(di) > self.width:
-            raise IndexError(f"shift ({dj}, {di}) exceeds padding {self.width}")
-        if len(self.shape) == 1 and di != 0:
-            raise ValueError("di shift on a 1D field")
-        k = self.start + di * self.row + dj
-        return self.flat[k:k + self.length]
+    def of(self, array: np.ndarray, width: int | None = None) -> "Neighbors":
+        """The runs of ``array``, a flat array laid out like a run over the
+        grid grown by ``width`` nodes per side (default: this copy's)."""
+        other = object.__new__(Neighbors)
+        other.flat, other.shape, other.row = array, self.shape, self.row
+        other.width = self.width if width is None else width
+        return other
 
-    def grid(self, run: np.ndarray, dj: int = 0, di: int = 0,
-             grow: int = 0) -> np.ndarray:
-        """View of ``run`` at the grid's nodes shifted by (dj, di).  ``run``
-        is laid out like a run over the grid grown by ``grow`` nodes per
-        side (``grow <= width``); its element ``(i + grow)*row + j + grow``
-        is node (i, j).  The view's ``base`` is the array that owns
-        ``run``'s memory."""
+    def __call__(self, dj: int = 0, di: int = 0, grow: int = 0) -> np.ndarray:
+        reach = self.width - grow
+        if abs(dj) > reach or abs(di) > reach:
+            raise IndexError(f"shift ({dj}, {di}) on the grid grown by {grow} "
+                             f"exceeds padding {self.width}")
         if len(self.shape) == 1:
-            return run[grow + dj:grow + dj + self.shape[0]]
-        offset = (grow + di) * self.row + grow + dj
+            if di != 0:
+                raise ValueError("di shift on a 1D field")
+            return self.flat[reach + dj:reach + dj + self.shape[0] + 2 * grow]
+        ny, nx = self.shape
+        k = (reach + di) * self.row + reach + dj
+        return self.flat[k:k + (ny + 2 * grow - 1) * self.row + nx + 2 * grow]
+
+    def grid(self, run: np.ndarray) -> np.ndarray:
+        """View of a run over the grid, or of any array laid out like one,
+        in the grid's shape.  The view's ``base`` is the array that owns
+        ``run``'s memory."""
         size = run.itemsize
-        return np.ndarray(self.shape, run.dtype, run, offset * size,
-                          (self.row * size, size))
+        return np.ndarray(self.shape, run.dtype, run, 0,
+                          (self.row * size, size)[-len(self.shape):])
 
 
 def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -233,9 +230,12 @@ def _second_differences(field: "GridField") -> tuple[dict, ...]:
         twice = np.multiply(2.0, u[s:n - s])
         axes.append({})
         for z in (1, -1):
+            # laid out like u; the s end elements have no second difference
+            d = np.empty(n)
+            d[:s] = d[n - s:] = np.nan
             # (u[+z] - 2 u) + u[-z], summed left to right
-            d = np.subtract(u[s + z * s:n - s + z * s], twice)
-            d += u[s - z * s:n - s - z * s]
+            mid = np.subtract(u[s + z * s:n - s + z * s], twice, out=d[s:n - s])
+            mid += u[s - z * s:n - s - z * s]
             axes[-1][z] = read_only(d)[0]
     return tuple(axes)
 
@@ -288,17 +288,18 @@ class GridField:
         return self.memo(_padded)
 
     def second_differences(self) -> tuple[dict, ...]:
-        """Per axis (x, y), ``{z: (u[+z] - 2 u) + u[-z]}`` for z = +1, -1 over
-        the flat padded copy (a :meth:`memo` entry).  Element k centers on
-        flat index k + (dj + di*row): ``at.grid(d, -dj, -di, grow=at.width)``."""
+        """Per axis (x, y), ``{z: (u[+z] - 2 u) + u[-z]}`` for z = +1, -1,
+        laid out like the padded copy and read like it, ``at.of(d)(dj, di)``
+        (a :meth:`memo` entry).  An element whose stencil leaves the copy
+        holds NaN: the copy's first and last element (x), its first and
+        last row (y)."""
         return self.memo(_second_differences)
 
     def shifted(self, dj: int = 0, di: int = 0) -> np.ndarray:
         """Whole-grid array of ``u[i + di, j + dj]`` with the boundary rule
-        applied, for ``|dj|, |di| <= GHOST_REACH``."""
-        if abs(dj) > GHOST_REACH or abs(di) > GHOST_REACH:
-            raise IndexError(f"shift ({dj}, {di}) exceeds ghost reach {GHOST_REACH}")
-        at = Neighbors(self.values, self.bc, max(abs(dj), abs(di)))
+        applied, for ``|dj|, |di| <= STENCIL_REACH``: a read-only view of
+        the field's padded copy."""
+        at = self.neighbors()
         return at.grid(at(dj, di))
 
 

@@ -88,14 +88,13 @@ def beta_fields_1d(field: GridField, axis: str = "x") -> tuple[np.ndarray, ...]:
     ((f_{c+1} - 2 f_c + f_{c-1}) / h)**2 on the stencil centered at
     c = j-1+k; beta+_k the one centered at c = j+k, so beta+ at j
     coincides with beta- at j+1 and the center stencil is shared between
-    the two sides.  The three are shifted cuts of the (+1, 0, -1) listing
-    of :meth:`hjaf.grids.GridField.second_differences`.
+    the two sides.  The three read the (+1, 0, -1) listing of
+    :meth:`hjaf.grids.GridField.second_differences` at offset c - j.
     """
     (dj, di), h = _axis_step(field, axis)
     at = field.neighbors()
-    d2 = field.second_differences()[di][1]
-    s = [(at.grid(d2, (c - 1) * dj, (c - 1) * di, grow=at.width) / h) ** 2
-         for c in (-1, 0, 1)]
+    d2 = at.of(field.second_differences()[di][1])
+    s = [(at.grid(d2(c * dj, c * di)) / h) ** 2 for c in (-1, 0, 1)]
     return s[0], s[1], s[1], s[2]
 
 

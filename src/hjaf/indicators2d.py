@@ -19,13 +19,13 @@ the inner stencil of quadrant (-z1, -z2) at node n + (z1, z2), listed in
 the same order, so the two betas agree bit for bit.  The field kernel
 therefore evaluates only the four inner betas, on the grid extended by one
 node per side, and reads every outer beta as a shifted view.  Every kernel
-works in the run layout of :mod:`hjaf.grids`: the betas are runs over one
-array padded by two nodes under the field's boundary rule, cut from the
-field's second differences (a memo entry the time curvature and the 1D
-betas read too), the WENO terms and weights runs over the grid, and only
-the combined weight is cut back
-to the grid's shape; the trust mask's neighbor ring reads runs of one
-padded mask the same way.
+works in the run layout of :mod:`hjaf.grids` and names each read by its
+node offset: the inner betas are runs over the grid grown by one node,
+read from the field's padded copy and its second differences (a memo
+entry the time curvature and the 1D betas read too), the WENO terms are
+read like the inner betas, the weights are runs over the grid, and only
+the combined weight is cut back to the grid's shape; the trust mask's
+neighbor ring reads runs of one padded mask the same way.
 
 Two coefficient sets are provided: FULL keeps every derivative with total
 order >= 2 (per-axis order <= 2); PARTIAL keeps only total order exactly 2.
@@ -144,39 +144,33 @@ def quadrant_beta_fields(field: GridField, formula: Formula2D = Formula2D.FULL,
     """
     if field.ndim != 2:
         raise ValueError("quadrant smoothness coefficients need a 2D field")
+    if formula is Formula2D.SPLIT:
+        raise ValueError("the split formula has no quadrant betas")
     coeffs = FULL_COEFFS if formula is Formula2D.FULL else PARTIAL_COEFFS
     dxdy = field.grid.dx * field.grid.dy
     at = field.neighbors()
-    # Inner betas live on the grid extended by one node per side (nodes
-    # -1..n per axis), whose stencils reach two nodes past the grid.  They
-    # are runs over the flat padded copy u: element m of a run is extended
-    # node (m // row - 1, m % row - 1), flat index e + m.
-    u, row = at.flat, at.row
-    e = (at.width - 1) * (row + 1)
-    le = at.length + 2 * row + 2
-
-    def run(k):
-        return u[k:k + le]
-
-    # element k of a listing is centered at flat index k + 1 (x), k + row (y)
+    # Inner betas live on the grid grown by one node per side (nodes -1..n
+    # per axis), whose stencils reach two nodes past the grid: every read
+    # is a run over that grown grid.
     d2x, d2y = field.second_differences()
     inner = {}
     for z1, z2 in QUADRANTS.values():
-        # Inner stencil (z1, 0, -z1) x (z2, 0, -z2): listings -z1 and -z2.
-        dxx = [d2x[-z1][e - 1 + b * row:e - 1 + b * row + le] for b in (z2, 0, -z2)]
-        dyy = [d2y[-z2][e - row + a:e - row + a + le] for a in (z1, 0)]
-        u11 = run(e) - run(e + z1)
-        u11 -= run(e + z2 * row)
-        u11 += run(e + z1 + z2 * row)
+        # Inner stencil (z1, 0, -z1) x (z2, 0, -z2): listings -z1 and -z2,
+        # the x one read on the stencil's rows b, the y one on its columns a.
+        x, y = at.of(d2x[-z1]), at.of(d2y[-z2])
+        dxx = [x(0, b, grow=1) for b in (z2, 0, -z2)]
+        dyy = [y(a, 0, grow=1) for a in (z1, 0)]
+        u11 = at(0, 0, 1) - at(z1, 0, 1)
+        u11 -= at(0, z2, 1)
+        u11 += at(z1, z2, 1)
         u22 = np.multiply(2.0, dxx[1])
         np.subtract(dxx[2], u22, out=u22)
         u22 += dxx[0]
         beta = _beta_from_diffs(dxx[0], dyy[0], u11, dxx[1] - dxx[0],
                                 dyy[1] - dyy[0], u22, dxdy, coeffs)
         beta.flags.writeable = False
-        inner[z1, z2] = beta
-    return {key: (at.grid(inner[z1, z2], grow=1),
-                  at.grid(inner[-z1, -z2], z1, z2, grow=1))
+        inner[z1, z2] = at.of(beta, 1)
+    return {key: (at.grid(inner[z1, z2]()), at.grid(inner[-z1, -z2](z1, z2)))
             for key, (z1, z2) in QUADRANTS.items()}
 
 
@@ -190,19 +184,16 @@ def omega_field_2d(field: GridField, cfg: Indicator2DConfig) -> np.ndarray:
     betas = quadrant_beta_fields(field, cfg.variant)
     # Every beta0 views its quadrant's inner beta run, which the opposite
     # quadrant's beta1 shares: one WENO term per inner run, taken for one
-    # opposite pair at a time.  Node (i, j) of the grid is element
-    # (i + 1)*row + j + 1 of an inner run.
+    # opposite pair at a time and laid out like the run, over the grid
+    # grown by one node per side.
     at = field.neighbors()
-    row, length = at.row, at.length
-    k = row + 1
     omega = None
     for pair in (("--", "++"), ("+-", "-+")):
-        terms = {key: weno_term(betas[key][0].base, sigma_h) for key in pair}
+        terms = {key: at.of(weno_term(betas[key][0].base, sigma_h), 1)
+                 for key in pair}
         for key, opposite in (pair, pair[::-1]):
             z1, z2 = QUADRANTS[key]
-            s = k + z2 * row + z1
-            w = map_g(normalized_weight(terms[key][k:k + length],
-                                        terms[opposite][s:s + length]))
+            w = map_g(normalized_weight(terms[key](), terms[opposite](z1, z2)))
             omega = w if omega is None else np.minimum(omega, w, out=omega)
     return at.grid(omega)
 
@@ -235,7 +226,7 @@ def phi_2d(omega: np.ndarray, field: GridField, cfg: Indicator2DConfig,
     phi = trusted.astype(np.int8)
     at = Neighbors(trusted, field.bc, 1)
     ring = [at(dj, di) for dj, di in _RING]
-    consec = np.zeros(at.length, dtype=bool)
+    consec = np.zeros_like(ring[0])
     for k in range(len(ring)):
         consec |= ring[k] & ring[(k + 1) % len(ring)]
     untrusted = ~at() & ~consec

@@ -16,7 +16,8 @@ checks the restriction on the dissipation coefficients it actually used.
 evaluates it.  The switching scale probes the monotone hamiltonian by
 swapping one slope slot at a time (:func:`htilde_differences`); for the
 local Lax-Friedrichs form those eight evaluations collapse to four in
-closed form, and both forms take their speed bounds from one helper.
+closed form, with the speed bounds the step takes from H's interval
+closures.
 """
 from __future__ import annotations
 
@@ -72,20 +73,14 @@ def h_eikonal(pm, pp, qm, qp):
     return np.sqrt(a * a + b * b)
 
 
-def _speed_bound(H: Hamiltonian, x, y, a, b, other, along_p: bool):
-    """max|H_p| over p between ``a`` and ``b`` with q frozen at ``other``
-    (``along_p``), else the q analog, from H's interval closure."""
-    return (H.alpha_p if along_p else H.alpha_q)(x, y, a, b, other)
-
-
 def _llf(H: Hamiltonian, x, y, pm, pp, qm, qp):
     """(value, ax, ay): the local Lax-Friedrichs hamiltonian, H at slope
     averages minus the dissipation on each axis scaled by H's interval
     speed bound, and the dissipation coefficient it used on each axis."""
     pc = 0.5 * (np.asarray(pm, dtype=np.float64) + pp)
     qc = 0.5 * (np.asarray(qm, dtype=np.float64) + qp)
-    ax = _speed_bound(H, x, y, pm, pp, qc, along_p=True)
-    ay = _speed_bound(H, x, y, qm, qp, pc, along_p=False)
+    ax = H.alpha_p(x, y, pm, pp, qc)
+    ay = H.alpha_q(x, y, qm, qp, pc)
     value = (H.eval(x, y, pc, qc)
              - 0.5 * ax * (pp - pm) - 0.5 * ay * (qp - qm))
     return value, ax, ay
@@ -101,12 +96,13 @@ def _llf_slot_difference(H: Hamiltonian, x, y, c, fwd, bwd, frozen,
     E + d.  On the frozen axis the average 0.5*(c' + c') is c' exactly and
     the dissipation 0.5*bound'*(c' - c') is +0 (bounds are finite and
     >= 0), so every value rounds exactly as in the eight calls."""
+    alpha = H.alpha_p if along_p else H.alpha_q
     terms = []
     for s in (fwd, bwd):
         mid = c + s
         mid *= 0.5
         e = H.eval(x, y, mid, frozen) if along_p else H.eval(x, y, frozen, mid)
-        bound = _speed_bound(H, x, y, c, s, frozen, along_p)
+        bound = alpha(x, y, c, s, frozen)
         d = s - c
         d *= 0.5 * bound
         terms.append((e, d))

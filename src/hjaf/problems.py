@@ -90,8 +90,9 @@ class ProblemSpec:
     exact: Callable              # (t, X, Y) -> values
 
     def __post_init__(self) -> None:
-        if self.T_final <= 0:
-            raise ValueError("final time must be positive")
+        if not 0 < self.T_final < np.inf:
+            raise ValueError(f"final time must be finite and positive, "
+                             f"got {self.T_final}")
         if self.exact is None:
             raise ValueError(f"problem {self.id} ({self.name}) needs an "
                              "exact-solution oracle")

@@ -31,7 +31,10 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from hjaf.grids import GHOST_REACH, BoundaryCondition, GridField
+from hjaf.grids import BoundaryCondition, GridField
+
+# Largest distance past the grid, per side, that ghost_value reads.
+GHOST_REACH = 8
 
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(3)
 

@@ -291,6 +291,25 @@ class TestEvolve:
         with pytest.raises(ValueError):
             af_evolve(prob.initial_field(0), self._config(), 0.0, 10)
 
+    @pytest.mark.parametrize("T", [np.nan, np.inf])
+    @pytest.mark.parametrize("scheme", ["rkc4", "af-rkc4", "monotone"])
+    def test_rejects_nonfinite_time_before_stepping(self, monkeypatch, T,
+                                                     scheme):
+        # NaN and inf used to reach step 1, which failed with a non-finite
+        # value or a CflViolation on max(lam*vmax) = nan
+        import hjaf.filtering as filtering
+        prob = make_test("8")
+        cfg = SolverConfig(hamiltonian=prob.hamiltonian, monotone=prob.monotone,
+                           scheme=scheme)
+        # a step that ran would call None
+        monkeypatch.setattr(filtering, "_adaptive_step", None)
+        monkeypatch.setattr(filtering, "monotone_step", None)
+        monkeypatch.setattr(filtering, "high_order_step", lambda *a: None)
+        with pytest.raises(ValueError,
+                           match=f"^final time must be finite and positive, "
+                                 f"got {T}$"):
+            af_evolve(prob.initial_field(0), cfg, T, 10)
+
     def test_one_step_equals_af_step(self):
         prob = make_test("5")
         u0 = prob.initial_field(0)

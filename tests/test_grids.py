@@ -2,12 +2,12 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hjaf.grids import (BoundaryCondition, GHOST_REACH, STENCIL_REACH, Grid1D,
-                        Grid2D, GridField, Neighbors, pad_ghosts,
-                        write_field_csv)
+from hjaf.grids import (BoundaryCondition, STENCIL_REACH, Grid1D, Grid2D,
+                        GridField, Neighbors, pad_ghosts, write_field_csv)
 
-from oracles import ghost_value
+from oracles import GHOST_REACH, ghost_value
 
 
 PER = BoundaryCondition.PERIODIC
@@ -74,14 +74,13 @@ def ghost_array(f, dj, di):
 
 class TestShifted:
     def test_matches_ghost_value(self):
-        # widths past the node count read ghosts that wrap more than once
         rng = np.random.default_rng(0)
         g = Grid2D(0, 0, 1.0, 1.0, 5, 4)
         vals = rng.normal(size=(4, 5))
         line = rng.normal(size=5)
         for bc in (PER, NEU):
             for f in (field_1d(line, bc), GridField(g, vals, bc)):
-                for w in (0, 1, 2, GHOST_REACH):
+                for w in range(STENCIL_REACH + 1):
                     at = Neighbors(f.values, bc, w)
                     for di in (range(-w, w + 1) if f.ndim == 2 else (0,)):
                         for dj in range(-w, w + 1):
@@ -95,6 +94,8 @@ class TestShifted:
                 s = f.shifted(dj, di)
                 assert not s.flags.writeable
                 assert np.array_equal(s, ghost_array(f, dj, di))
+                # a view of the field's own padded copy
+                assert np.shares_memory(s, f.neighbors().flat)
 
     def test_1d_rejects_di(self):
         f = field_1d(np.zeros(6), NEU)
@@ -104,23 +105,33 @@ class TestShifted:
             f.shifted(0, 1)
 
     def test_padding_matches_ghost_value(self):
-        # widths past the node count wrap more than once
         rng = np.random.default_rng(1)
         g = Grid2D(0, 0, 1.0, 1.0, 4, 3)
         vals = rng.normal(size=(3, 4))
         for bc in (PER, NEU):
             f = GridField(g, vals, bc)
-            for w in (0, 1, 2, GHOST_REACH):
+            for w in range(STENCIL_REACH + 2):
                 p = pad_ghosts(vals, bc, w)
                 assert p.shape == (3 + 2 * w, 4 + 2 * w)
                 for i in range(-w, 3 + w):
                     for j in range(-w, 4 + w):
                         assert p[i + w, j + w] == ghost_value(f, j, i)
 
+    def test_padding_wider_than_the_grid_refused(self):
+        for bc in (PER, NEU):
+            pad_ghosts(np.zeros(3), bc, 3)
+            with pytest.raises(ValueError, match="exceeds the grid"):
+                pad_ghosts(np.zeros(3), bc, 4)
+            with pytest.raises(ValueError, match="exceeds the grid"):
+                pad_ghosts(np.zeros((3, 5)), bc, 4)
+
     def test_reach_limit(self):
         f = field_1d(np.zeros(12), PER)
         with pytest.raises(IndexError):
-            f.shifted(GHOST_REACH + 1)
+            f.shifted(STENCIL_REACH + 1)
+        g = GridField(Grid2D(0, 0, 1.0, 1.0, 12, 12), np.zeros((12, 12)), PER)
+        with pytest.raises(IndexError):
+            g.shifted(0, -STENCIL_REACH - 1)
 
     def test_field_keeps_one_read_only_padded_copy(self):
         vals = np.arange(12.0).reshape(3, 4)
@@ -138,6 +149,89 @@ class TestShifted:
         # caller's own array stays writable, and a read-only one is kept
         assert np.shares_memory(f.values, vals) and vals.flags.writeable
         assert f.like(f.values).values is f.values
+
+
+@st.composite
+def run_reads(draw):
+    """A 1D or 2D field of 3..12 nodes per axis (nx and ny drawn apart)
+    under either boundary rule, a padding width and a read (dj, di, grow)
+    that stays inside it."""
+    bc = draw(st.sampled_from([PER, NEU]))
+    nx = draw(st.integers(3, 12))
+    vals = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        f = field_1d(vals.normal(size=nx), bc)
+    else:
+        ny = draw(st.integers(3, 12))
+        f = GridField(Grid2D(0, 0, 1.0, 1.0, nx, ny), vals.normal(size=(ny, nx)),
+                      bc)
+    width = draw(st.integers(0, STENCIL_REACH))
+    grow = draw(st.integers(0, width))
+    reach = width - grow
+    dj = draw(st.integers(-reach, reach))
+    di = draw(st.integers(-reach, reach)) if f.ndim == 2 else 0
+    return f, width, (dj, di, grow)
+
+
+def grown_view(at, run, grow):
+    """``run``, a run over the grid grown by ``grow`` nodes per side, in the
+    grown grid's shape: element (i + grow, j + grow) is node (i, j)."""
+    shape = tuple(n + 2 * grow for n in at.shape)
+    return np.ndarray(shape, run.dtype, run, 0,
+                      (at.row * run.itemsize, run.itemsize)[-len(shape):])
+
+
+def grown_ghost_array(f, dj, di, grow):
+    """``u[i + di, j + dj]`` for every node (i, j) of the grid grown by
+    ``grow`` nodes per side, one ghost_value per node."""
+    if f.ndim == 1:
+        return np.array([ghost_value(f, j + dj)
+                         for j in range(-grow, f.grid.n + grow)])
+    ny, nx = f.values.shape
+    return np.array([[ghost_value(f, j + dj, i + di)
+                      for j in range(-grow, nx + grow)]
+                     for i in range(-grow, ny + grow)])
+
+
+class TestRunAccessor:
+    """``at(dj, di, grow)`` and ``at.of(array, width)`` against the scalar
+    boundary rule, node by node."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(run_reads())
+    def test_run_is_the_offset_over_the_grown_grid(self, case):
+        f, width, (dj, di, grow) = case
+        at = Neighbors(f.values, f.bc, width)
+        run = at(dj, di, grow)
+        assert not run.flags.writeable
+        want = grown_ghost_array(f, dj, di, grow)
+        assert np.array_equal(grown_view(at, run, grow), want)
+        if grow == 0:
+            assert np.array_equal(at.grid(run), want)
+        # the run of an offset past the padding is refused
+        with pytest.raises(IndexError):
+            at(width - grow + 1, 0, grow)
+        if f.ndim == 2:
+            with pytest.raises(IndexError):
+                at(0, -(width - grow + 1), grow)
+
+    @settings(max_examples=200, deadline=None)
+    @given(run_reads())
+    def test_of_reads_an_array_laid_out_like_a_run(self, case):
+        f, width, (dj, di, grow) = case
+        at = f.neighbors()
+        want = grown_ghost_array(f, dj, di, grow)
+        # a copy of the run over the grid grown by ``width``, and one of the
+        # whole padded copy, each read by node offset
+        laid_out = np.array(at(0, 0, width))
+        copy = np.array(at.flat)
+        for array, reader in ((laid_out, at.of(laid_out, width)),
+                              (copy, at.of(copy))):
+            got = reader(dj, di, grow)
+            assert np.shares_memory(got, array)
+            assert np.array_equal(grown_view(at, got, grow), want)
+        with pytest.raises(IndexError):
+            at.of(laid_out, width)(width - grow + 1, 0, grow)
 
 
 class TestGridValidation:

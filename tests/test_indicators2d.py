@@ -44,6 +44,13 @@ def sampled(fn, dx, half_extent, bc=NEU, center=(0.0, 0.0)):
 
 
 class TestQuadrantBetas:
+    def test_split_formula_refused(self):
+        # the split baseline has no quadrant betas; it used to get the
+        # PARTIAL ones
+        f = make_test("8").initial_field(0)
+        with pytest.raises(ValueError, match="split"):
+            quadrant_beta_fields(f, Formula2D.SPLIT)
+
     def test_constant_field_vanishes(self):
         f = patch_field(np.full((5, 5), 7.0))
         for formula in (Formula2D.FULL, Formula2D.PARTIAL):

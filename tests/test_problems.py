@@ -61,6 +61,14 @@ class TestRegistry:
         with pytest.raises(ValueError, match="problem 5 "):
             dataclasses.replace(make_test("5"), exact=None)
 
+    @pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf])
+    def test_final_time_finite_and_positive(self, T):
+        # inf used to be reported as a CFL pairing error, and NaN passed
+        with pytest.raises(ValueError,
+                           match=f"^final time must be finite and positive, "
+                                 f"got {T}$"):
+            dataclasses.replace(make_test("8"), T_final=T)
+
     def test_grid_refinement_halves_spacing(self):
         prob = make_test("5")
         g0, g1 = prob.grid(0), prob.grid(1)

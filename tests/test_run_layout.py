@@ -16,11 +16,12 @@ import hjaf.highorder as highorder
 import hjaf.monotone as monotone
 from hjaf.filtering import (EPS_FLOOR, SolverConfig, _adaptive_step,
                             af_evolve, epsilon_n)
-from hjaf.grids import BoundaryCondition, Grid2D, GridField
+from hjaf.grids import BoundaryCondition, Grid1D, Grid2D, GridField
 from hjaf.hamiltonians import shifted_quadratic_hamiltonian
 from hjaf.harness import CliConfig, solver_config
 from hjaf.highorder import (centered_slopes, cross_diff, fourth_order_slopes,
                             high_order_step, second_diffs)
+from hjaf.indicators1d import beta_fields_1d
 from hjaf.indicators2d import (Formula2D, Indicator2DConfig, omega_field_2d,
                                quadrant_beta_fields, smoothness_2d)
 from hjaf.monotone import (CFL_LIMIT, MonotoneKind, monotone_hamiltonian,
@@ -93,6 +94,34 @@ class TestIndicator:
         assert_bitwise(sm.omega, omega, "omega from the shared copy")
         assert_bitwise(sm.phi, phi, "phi")
         assert_bitwise(sm.untrusted, untrusted, "untrusted")
+
+
+class TestSecondDifferenceEnds:
+    """The second differences are laid out like the padded copy, and each
+    element whose stencil leaves the copy holds NaN.  On finite data no
+    kernel that reads them returns a NaN, not even in the throw-away
+    elements of an inner beta run."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(fields())
+    def test_readers_return_finite_arrays(self, f):
+        at = f.neighbors()
+        for d, s in zip(f.second_differences(), (1, at.row)):
+            for z in (1, -1):
+                assert np.isnan(d[z][:s]).all() and np.isnan(d[z][-s:]).all()
+                assert np.isfinite(d[z][s:-s]).all()
+        line = GridField(Grid1D(0.0, f.grid.dx, f.grid.nx), f.values[0], f.bc)
+        outputs = [*second_diffs(f),
+                   highorder.time_curvature(f, shifted_quadratic_hamiltonian(1.5)),
+                   *beta_fields_1d(f, "x"), *beta_fields_1d(f, "y"),
+                   *beta_fields_1d(line)]
+        for formula in (Formula2D.FULL, Formula2D.PARTIAL):
+            for b0, b1 in quadrant_beta_fields(f, formula).values():
+                outputs += [b0, b1, b0.base]
+        for variant in Formula2D:
+            outputs.append(omega_field_2d(f, Indicator2DConfig(variant=variant)))
+        for a in outputs:
+            assert np.isfinite(a).all()
 
 
 def jump_field(bc, nx=13, ny=9):
