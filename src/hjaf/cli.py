@@ -2,8 +2,9 @@
 
 ``solve`` runs a refinement study of an evolution problem; ``indicators``
 dumps detection maps for one of the fixed singular functions.  Exit code 0
-on success, nonzero with a message on configuration, stability or oracle
-failures.  Every CSV uses '.' decimals, comma separators and a header row.
+on success, nonzero with a message on configuration, stability, oracle or
+output-directory failures.  Every CSV uses '.' decimals, comma separators
+and a header row.
 
 Each option's destination is a field of the run config (``CliConfig``,
 ``IndicatorRunConfig``) and an option left out is not set, so every
@@ -79,7 +80,7 @@ def main(argv=None) -> int:
             flagged = int((result.phi == 0).sum())
             print(f"nodes={result.phi.size} flagged={flagged}")
         return 0
-    except (ValueError, KeyError, CflViolation, EvolutionError) as exc:
+    except (ValueError, KeyError, OSError, CflViolation, EvolutionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -113,11 +113,10 @@ class SolverConfig:
     switching scale epsilon_fixed and phi forced to one.  An option the
     scheme would ignore is refused: epsilon_fixed belongs to f-hc-fixed
     (which needs it), lw2_corrected to lw2, richtmyer and their af- forms.
-    So is a monotone form its hamiltonian cannot run, whatever the scheme.
+    So is a hamiltonian that cannot run its own monotone form (:attr:`monotone`).
     """
 
     hamiltonian: Hamiltonian
-    monotone: MonotoneKind
     scheme: str = "af-hc"
     indicator: Indicator2DConfig = dc_field(default_factory=Indicator2DConfig)
     K: float = 1.0
@@ -146,6 +145,12 @@ class SolverConfig:
         if name == "richtmyer" and self.hamiltonian.space_dependent:
             raise ValueError("Richtmyer form requires H independent of (x, y)")
         require_runnable(self.monotone, self.hamiltonian)
+
+    @property
+    def monotone(self) -> MonotoneKind:
+        """The upwind form for the eikonal H, local Lax-Friedrichs otherwise."""
+        return (MonotoneKind.EIKONAL if self.hamiltonian.is_eikonal
+                else MonotoneKind.LOCAL_LAX_FRIEDRICHS)
 
 
 @dataclass

@@ -1,13 +1,11 @@
 """Hamiltonian evaluation interface H(x, y, p, q) with derivative closures.
 
 Every hamiltonian brings the closures the solver calls: analytic partial
-derivatives (H_x and H_y may be left out only when H does not depend on
-(x, y), and are then exact zeros) and, for the local Lax-Friedrichs
-scheme, the interval bounds max|H_p| and max|H_q| in closed form.  The
-global velocity bounds vmax_p >= max|H_p| and vmax_q >= max|H_q| (over the
-relevant state range) feed the time-step restriction check.  A
-``Hamiltonian`` checks on construction that both velocity bounds are
-finite and positive and that a space-dependent H brings H_x and H_y.
+derivatives (H_x, H_y exactly when H depends on (x, y): ``space_dependent``)
+and, for local Lax-Friedrichs (every H but the eikonal one), the interval
+bounds max|H_p|, max|H_q| in closed form.  Velocity bounds vmax_p >= max|H_p|,
+vmax_q >= max|H_q| feed the step restriction check; construction checks
+that both are finite and positive, and that H brings H_x and H_y or neither.
 """
 from __future__ import annotations
 
@@ -19,20 +17,15 @@ import numpy as np
 ArrayFn = Callable[..., np.ndarray]
 
 
-def _zero(x, y, p, q):
-    return np.zeros(np.broadcast(x, y, p, q).shape)
-
-
 @dataclass(frozen=True, kw_only=True)
 class Hamiltonian:
     eval: ArrayFn                 # (x, y, p, q) -> value
     dp: ArrayFn                   # dH/dp
     dq: ArrayFn                   # dH/dq
-    dx_: ArrayFn = _zero          # dH/dx at frozen (p, q)
-    dy_: ArrayFn = _zero          # dH/dy at frozen (p, q)
+    dx_: ArrayFn | None = None    # dH/dx at frozen (p, q); None: H is
+    dy_: ArrayFn | None = None    # independent of (x, y), and so is dH/dy
     vmax_p: float
     vmax_q: float
-    space_dependent: bool = False
     is_eikonal: bool = False
     # Interval bounds: the exact maximum of |H_p| over p between a and b,
     # in either order, at frozen q (and the q analog), in closed form; the
@@ -45,8 +38,13 @@ class Hamiltonian:
         if not (0 < self.vmax_p < np.inf and 0 < self.vmax_q < np.inf):
             raise ValueError("velocity bounds must be finite and positive, "
                              f"got {self.vmax_p}, {self.vmax_q}")
-        if self.space_dependent and (self.dx_ is _zero or self.dy_ is _zero):
+        if (self.dx_ is None) != (self.dy_ is None):
             raise ValueError("a space-dependent hamiltonian needs dx_ and dy_")
+
+    @property
+    def space_dependent(self) -> bool:
+        """Whether H depends on (x, y): it brings dx_ and dy_."""
+        return self.dx_ is not None
 
 
 def transport_hamiltonian() -> Hamiltonian:
@@ -94,7 +92,7 @@ def rotation_hamiltonian(radius: float) -> Hamiltonian:
                                                np.broadcast(x, y, p, q).shape),
         dy_=lambda x, y, p, q: np.broadcast_to(np.asarray(-p, dtype=float),
                                                np.broadcast(x, y, p, q).shape),
-        vmax_p=radius, vmax_q=radius, space_dependent=True,
+        vmax_p=radius, vmax_q=radius,
         alpha_p=lambda x, y, a, b, other: np.broadcast_to(
             np.abs(np.asarray(y, dtype=float)), np.broadcast(y, a).shape),
         alpha_q=lambda x, y, a, b, other: np.broadcast_to(

@@ -30,13 +30,13 @@ from .reporting import RunReport, error_norms
 @dataclass(frozen=True)
 class CliConfig:
     test_id: str
-    scheme: str = "af-hc"                # one of filtering.SCHEME_NAMES
-    indicator: str = "full"
+    scheme: str = SolverConfig.scheme    # one of filtering.SCHEME_NAMES
+    indicator: str = Indicator2DConfig.variant.value
     refinements: int = 4
     out_dir: str | None = None
-    K: float = 1.0
-    M: float = 0.2
-    sigma: float = 2.0
+    K: float = SolverConfig.K
+    M: float = Indicator2DConfig.M
+    sigma: float = Indicator2DConfig.sigma
     epsilon_fixed: float | None = None   # f-hc-fixed default: 20 * dx per level
     lw2_corrected: bool = False          # symmetric staggered secants
 
@@ -53,8 +53,7 @@ def solver_config(cfg: CliConfig, problem: ProblemSpec, level: int) -> SolverCon
         epsilon_fixed = 20.0 * problem.grid(level).dx
     ind = Indicator2DConfig(sigma=cfg.sigma, M=cfg.M,
                             variant=Formula2D(cfg.indicator))
-    return SolverConfig(hamiltonian=problem.hamiltonian,
-                        monotone=problem.monotone, scheme=cfg.scheme,
+    return SolverConfig(hamiltonian=problem.hamiltonian, scheme=cfg.scheme,
                         indicator=ind, K=cfg.K, epsilon_fixed=epsilon_fixed,
                         lw2_corrected=cfg.lw2_corrected)
 
@@ -70,6 +69,9 @@ def run_convergence(cfg: CliConfig, problem: ProblemSpec | None = None) -> RunRe
     if not isinstance(problem, ProblemSpec):
         raise ValueError(f"test {cfg.test_id} is a detection case; "
                          "use run_indicators")
+    if cfg.out_dir is not None:
+        solver_config(cfg, problem, 0)   # a refused run makes no directory
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     report = RunReport()
     for level in range(cfg.refinements):
         u0 = problem.initial_field(level)
@@ -91,7 +93,6 @@ def _write_convergence_outputs(cfg: CliConfig, problem: ProblemSpec,
                                indicator: Indicator2DConfig) -> None:
     """The finest level's files; ``indicator`` is the config it ran with."""
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     with open(out / "table.csv", "w") as f:
         report.write_csv(f)
     with open(out / "field_final.csv", "w") as f:
@@ -125,8 +126,8 @@ class IndicatorRunConfig:
     # 2D: full|partial|split; 1D: raw|mapped-g|weno-z|weno-z-new;
     # None picks the dimension's default (full / mapped-g)
     variant: str | None = None
-    M: float = 0.2
-    sigma: float | None = None    # default: 1 in 1D, 2 in 2D
+    M: float = Indicator2DConfig.M    # the 1D default too
+    sigma: float | None = None    # None: the dimension's config default
     out_dir: str | None = None
 
 
@@ -153,16 +154,14 @@ def run_indicators(cfg: IndicatorRunConfig) -> IndicatorRunResult:
         raise ValueError(f"test {cfg.test_id} is an evolution problem; "
                          "use run_convergence")
     field = case.build_field(cfg.dx, cfg.placement)
-    if case.dims == 1:
+    knobs = {"M": cfg.M} | ({} if cfg.sigma is None else {"sigma": cfg.sigma})
+    if case.dims == 1:   # mapped-g, not the library's raw default
         variant = _member(Variant1D, cfg.variant, "mapped-g", "1D variant")
-        sm = smoothness_1d(field, Indicator1DConfig(
-            sigma=cfg.sigma if cfg.sigma is not None else 1.0, M=cfg.M,
-            variant=variant))
+        sm = smoothness_1d(field, Indicator1DConfig(variant=variant, **knobs))
     else:
-        variant = _member(Formula2D, cfg.variant, "full", "2D variant")
-        sm = smoothness_2d(field, Indicator2DConfig(
-            sigma=cfg.sigma if cfg.sigma is not None else 2.0, M=cfg.M,
-            variant=variant))
+        variant = _member(Formula2D, cfg.variant,
+                          Indicator2DConfig.variant.value, "2D variant")
+        sm = smoothness_2d(field, Indicator2DConfig(variant=variant, **knobs))
     if cfg.out_dir is not None:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)

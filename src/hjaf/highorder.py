@@ -90,15 +90,20 @@ def hc_step(field: GridField, H: Hamiltonian, dt: float) -> GridField:
     return field.like(out)
 
 
+def _centered_derivatives(field: GridField, H: Hamiltonian):
+    """(H_p, H_q, H_x, H_y) at the centered slopes, H_x and H_y the scalar
+    +0.0 for an H independent of (x, y): it rounds like an array of +0.0."""
+    args = (*field.grid.meshes(), *centered_slopes(field))
+    hp, hq = H.dp(*args), H.dq(*args)
+    if not H.space_dependent:
+        return hp, hq, 0.0, 0.0
+    return hp, hq, H.dx_(*args), H.dy_(*args)
+
+
 def _time_curvature(field: GridField, H: Hamiltonian):
-    x, y = field.grid.meshes()
-    dxu, dyu = centered_slopes(field)
     d2x, d2y = second_diffs(field)
     dxy = cross_diff(field)
-    hp = H.dp(x, y, dxu, dyu)
-    hq = H.dq(x, y, dxu, dyu)
-    hx = H.dx_(x, y, dxu, dyu)
-    hy = H.dy_(x, y, dxu, dyu)
+    hp, hq, hx, hy = _centered_derivatives(field, H)
     # summed left to right as written, in two arrays of its own (the
     # hamiltonian's arrays are read, never written)
     a = hp * d2x
@@ -168,10 +173,7 @@ def lw2_step(field: GridField, H: Hamiltonian, dt: float,
     place of the expanded curvature terms."""
     x, y = field.grid.meshes()
     dxu, dyu = centered_slopes(field)
-    hp = H.dp(x, y, dxu, dyu)
-    hq = H.dq(x, y, dxu, dyu)
-    hx = H.dx_(x, y, dxu, dyu)
-    hy = H.dy_(x, y, dxu, dyu)
+    hp, hq, hx, hy = _centered_derivatives(field, H)
     hx_star, hy_star = _staggered_secants(field, H, corrected)
     h = (H.eval(x, y, dxu, dyu)
          - 0.5 * dt * hp * (hx_star + hx)
@@ -228,14 +230,9 @@ def high_order_step(kind: str, corrected: bool = False,
                     ) -> Callable[..., GridField]:
     """Step function ``(field, H, dt)`` for a scheme name in
     SCHEME_ORDERS."""
-    if kind == "hc":
-        return hc_step
-    if kind == "lw":
-        return lw_step
-    if kind == "lw2":
-        return functools.partial(lw2_step, corrected=corrected)
-    if kind == "richtmyer":
-        return functools.partial(richtmyer_step, corrected=corrected)
-    if kind == "rkc4":
-        return rkc4_step
-    raise ValueError(f"unknown high-order scheme {kind!r}")
+    steps = {"hc": hc_step, "lw": lw_step, "rkc4": rkc4_step,
+             "lw2": functools.partial(lw2_step, corrected=corrected),
+             "richtmyer": functools.partial(richtmyer_step, corrected=corrected)}
+    if kind not in steps:
+        raise ValueError(f"unknown high-order scheme {kind!r}")
+    return steps[kind]

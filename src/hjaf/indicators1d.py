@@ -53,6 +53,8 @@ class Indicator1DConfig:
             raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if not 0 < self.M < 0.5:
             raise ValueError(f"threshold M must lie in (0, 1/2), got {self.M}")
+        if not isinstance(self.variant, Variant1D):
+            raise ValueError(f"variant must be a Variant1D member, got {self.variant!r}")
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,8 @@ class Indicator2DConfig:
             raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if not 0 < self.M < 0.5:
             raise ValueError(f"threshold M must lie in (0, 1/2), got {self.M}")
+        if not isinstance(self.variant, Formula2D):
+            raise ValueError(f"variant must be a Formula2D member, got {self.variant!r}")
 
 
 @dataclass(frozen=True)
@@ -144,9 +146,10 @@ def quadrant_beta_fields(field: GridField, formula: Formula2D = Formula2D.FULL,
     """
     if field.ndim != 2:
         raise ValueError("quadrant smoothness coefficients need a 2D field")
-    if formula is Formula2D.SPLIT:
-        raise ValueError("the split formula has no quadrant betas")
-    coeffs = FULL_COEFFS if formula is Formula2D.FULL else PARTIAL_COEFFS
+    coeffs = {Formula2D.FULL: FULL_COEFFS,
+              Formula2D.PARTIAL: PARTIAL_COEFFS}.get(formula)
+    if coeffs is None:     # the split baseline, or not a formula at all
+        raise ValueError(f"the formula {formula!r} has no quadrant betas")
     dxdy = field.grid.dx * field.grid.dy
     at = field.neighbors()
     # Inner betas live on the grid grown by one node per side (nodes -1..n

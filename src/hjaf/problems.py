@@ -19,7 +19,7 @@ from .grids import BoundaryCondition, Grid1D, Grid2D, GridField
 from .hamiltonians import (Hamiltonian, eikonal_hamiltonian,
                            rotation_hamiltonian, shifted_quadratic_hamiltonian,
                            transport_hamiltonian)
-from .monotone import CFL_LIMIT, MonotoneKind, cfl_check
+from .monotone import CFL_LIMIT, cfl_check
 
 SQRT2_HALF = math.sqrt(2.0) / 2.0
 
@@ -81,7 +81,6 @@ class ProblemSpec:
     xlim: tuple[float, float]
     ylim: tuple[float, float]
     hamiltonian: Hamiltonian
-    monotone: MonotoneKind
     initial: Callable            # (X, Y) -> values
     bc: BoundaryCondition
     T_final: float
@@ -344,7 +343,6 @@ def _spec_transport() -> ProblemSpec:
     return ProblemSpec(
         id="5", name="transport-bump", xlim=(-2.0, 2.0), ylim=(-2.0, 2.0),
         hamiltonian=transport_hamiltonian(),
-        monotone=MonotoneKind.LOCAL_LAX_FRIEDRICHS,
         initial=bump_quintic, bc=BoundaryCondition.NEUMANN_ZERO,
         T_final=0.9, base_nx=40, base_nt=30,
         exact=exact_translation)
@@ -354,7 +352,6 @@ def _spec_rotation() -> ProblemSpec:
     return ProblemSpec(
         id="6", name="rotating-paraboloid", xlim=(-2.5, 2.5), ylim=(-2.5, 2.5),
         hamiltonian=rotation_hamiltonian(radius=2.5),
-        monotone=MonotoneKind.LOCAL_LAX_FRIEDRICHS,
         initial=steep_paraboloid, bc=BoundaryCondition.NEUMANN_ZERO,
         T_final=2.0 * math.pi, base_nx=20, base_nt=128,
         exact=exact_rotation)
@@ -367,7 +364,6 @@ def _spec_fronts(case: str) -> ProblemSpec:
     return ProblemSpec(
         id=f"7{case}", name=f"merging-fronts-{case}", xlim=(-3.0, 3.0),
         ylim=(-3.0, 3.0), hamiltonian=eikonal_hamiltonian(),
-        monotone=MonotoneKind.EIKONAL,
         initial=v0, bc=BoundaryCondition.NEUMANN_ZERO,
         T_final=T, base_nx=30, base_nt=nt,
         exact=lambda t, x, y: disc_min(v0, t, x, y))
@@ -380,7 +376,6 @@ def _spec_burgers_like(regular_time: bool) -> ProblemSpec:
         name="burgers-like" + ("-regular" if regular_time else ""),
         xlim=(0.0, 2.0), ylim=(0.0, 2.0),
         hamiltonian=shifted_quadratic_hamiltonian(slope_bound=math.pi / 2.0),
-        monotone=MonotoneKind.LOCAL_LAX_FRIEDRICHS,
         initial=cosine_sum, bc=BoundaryCondition.PERIODIC,
         T_final=T_sing / 2.0 if regular_time else T_sing,
         base_nx=20, base_nt=10 if regular_time else 20,

@@ -184,8 +184,9 @@ def scalar_switching_integrand(field: GridField, H, h_mono, dt: float,
 
     hp = float(H.dp(x, y, pc, qc))
     hq = float(H.dq(x, y, pc, qc))
-    hx = float(H.dx_(x, y, pc, qc))
-    hy = float(H.dy_(x, y, pc, qc))
+    # an H independent of (x, y) has exact-zero H_x, H_y
+    hx = float(H.dx_(x, y, pc, qc)) if H.space_dependent else 0.0
+    hy = float(H.dy_(x, y, pc, qc)) if H.space_dependent else 0.0
     bracket = hp * (hx + hp * d2x) + hq * (hy + hq * d2y) + 2 * hp * hq * dxy
 
     hp_plus = h_mono(x, y, pc, pp, qc, qc) - h_mono(x, y, pc, pm, qc, qc)
@@ -388,6 +389,16 @@ def view_phi_2d(omega: np.ndarray, field: GridField,
     return trusted.astype(np.int8), ~trusted & ~consec
 
 
+def space_derivatives(H, x, y, p, q):
+    """(H_x, H_y) at (x, y, p, q); for an H independent of (x, y), arrays
+    of +0.0 of the broadcast shape, which the library replaces by the
+    scalar +0.0."""
+    if H.space_dependent:
+        return H.dx_(x, y, p, q), H.dy_(x, y, p, q)
+    zeros = np.zeros(np.broadcast(x, y, p, q).shape)
+    return zeros, zeros.copy()
+
+
 def view_epsilon_n(field: GridField, H, h, dt: float, mask: np.ndarray,
                    K: float = 1.0) -> float:
     """Switching scale from 2D-view stencils: the integrand
@@ -405,8 +416,7 @@ def view_epsilon_n(field: GridField, H, h, dt: float, mask: np.ndarray,
     (dxy,) = st["cross"]
     hp = H.dp(x, y, dxu, dyu)
     hq = H.dq(x, y, dxu, dyu)
-    hx = H.dx_(x, y, dxu, dyu)
-    hy = H.dy_(x, y, dxu, dyu)
+    hx, hy = space_derivatives(H, x, y, dxu, dyu)
     bracket = (hp * (hp * d2x + hx) + hq * (hq * d2y + hy)
                + 2.0 * hp * hq * dxy)
     vals = K * np.abs(0.5 * dt * bracket + dp_term + dq_term)

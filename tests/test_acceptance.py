@@ -203,8 +203,7 @@ def _evolve_table(test_id, scheme, levels):
     prob = make_test(test_id)
     errs, finals, diags = [], [], []
     for level in range(levels):
-        cfg = SolverConfig(hamiltonian=prob.hamiltonian, monotone=prob.monotone,
-                           scheme=scheme)
+        cfg = SolverConfig(hamiltonian=prob.hamiltonian, scheme=scheme)
         u, diag = af_evolve(prob.initial_field(level), cfg, prob.T_final,
                             prob.n_steps(level))
         exact = prob.exact_field(prob.T_final, level).values
@@ -275,10 +274,9 @@ def test_criterion_6_rotation_table_and_oscillation():
     # oscillation manifests as below-zero ripples around the bump base)
     level = 2
     u0 = prob.initial_field(level)
-    af = SolverConfig(hamiltonian=prob.hamiltonian, monotone=prob.monotone,
-                      scheme="af-hc")
+    af = SolverConfig(hamiltonian=prob.hamiltonian, scheme="af-hc")
     u_af, _ = af_evolve(u0, af, prob.T_final, prob.n_steps(level))
-    fixed = SolverConfig(hamiltonian=prob.hamiltonian, monotone=prob.monotone,
+    fixed = SolverConfig(hamiltonian=prob.hamiltonian,
                          scheme="f-hc-fixed",
                          epsilon_fixed=20.0 * prob.grid(level).dx)
     u_fx, _ = af_evolve(u0, fixed, prob.T_final, prob.n_steps(level))
@@ -358,9 +356,9 @@ def test_criterion_8_monotonicity_and_sandwich():
     from hjaf.indicators2d import smoothness_2d
     for _ in range(prob.n_steps(level)):
         sm = smoothness_2d(u, icfg)
-        eps = epsilon_n(u, prob.hamiltonian, prob.monotone, dtb, sm.phi == 1, 1.0)
-        um = monotone_step(u, prob.monotone, prob.hamiltonian, dtb)
-        u_next = af_step(u, prob.monotone, step_fn, prob.hamiltonian, dtb,
+        eps = epsilon_n(u, prob.hamiltonian, eik, dtb, sm.phi == 1, 1.0)
+        um = monotone_step(u, eik, prob.hamiltonian, dtb)
+        u_next = af_step(u, eik, step_fn, prob.hamiltonian, dtb,
                          sm.phi == 1, eps)
         worst = max(worst, float(np.abs(u_next.values - um.values).max() - eps * dtb))
         u = u_next

@@ -16,8 +16,8 @@ from hjaf.hamiltonians import (eikonal_hamiltonian, rotation_hamiltonian,
 from hjaf.harness import CliConfig, solver_config
 from hjaf.highorder import SCHEME_ORDERS, hc_step, high_order_step
 from hjaf.monotone import (CflViolation, MonotoneKind, monotone_hamiltonian,
-                           monotone_step)
-from hjaf.problems import make_test
+                           monotone_step, require_runnable)
+from hjaf.problems import PROBLEM_IDS, make_test
 
 from oracles import filter_F, scalar_switching_integrand, scan_bounds
 
@@ -283,8 +283,7 @@ class TestBlendedStepProperties:
 
 class TestEvolve:
     def _config(self, **kw):
-        return SolverConfig(hamiltonian=transport_hamiltonian(),
-                            monotone=LLF, **kw)
+        return SolverConfig(hamiltonian=transport_hamiltonian(), **kw)
 
     def test_rejects_nonpositive_time(self):
         prob = make_test("5")
@@ -299,8 +298,7 @@ class TestEvolve:
         # value or a CflViolation on max(lam*vmax) = nan
         import hjaf.filtering as filtering
         prob = make_test("8")
-        cfg = SolverConfig(hamiltonian=prob.hamiltonian, monotone=prob.monotone,
-                           scheme=scheme)
+        cfg = SolverConfig(hamiltonian=prob.hamiltonian, scheme=scheme)
         # a step that ran would call None
         monkeypatch.setattr(filtering, "_adaptive_step", None)
         monkeypatch.setattr(filtering, "monotone_step", None)
@@ -314,12 +312,12 @@ class TestEvolve:
         prob = make_test("5")
         u0 = prob.initial_field(0)
         dt = 0.01
-        cfg = SolverConfig(hamiltonian=prob.hamiltonian, monotone=prob.monotone)
+        cfg = SolverConfig(hamiltonian=prob.hamiltonian)
         u1, diag = af_evolve(u0, cfg, dt, 1)
         from hjaf.indicators2d import Indicator2DConfig, smoothness_2d
         sm = smoothness_2d(u0, Indicator2DConfig())
-        eps = epsilon_n(u0, prob.hamiltonian, prob.monotone, dt, sm.phi == 1, 1.0)
-        ref = af_step(u0, prob.monotone, hc_step, prob.hamiltonian, dt,
+        eps = epsilon_n(u0, prob.hamiltonian, LLF, dt, sm.phi == 1, 1.0)
+        ref = af_step(u0, LLF, hc_step, prob.hamiltonian, dt,
                       sm.phi == 1, eps)
         assert np.array_equal(u1.values, ref.values)
         assert len(diag.rows) == 1
@@ -344,7 +342,7 @@ class TestEvolve:
         X, Y = g.meshes()
         f = GridField(g, 3.0 * (X + Y), NEU)
         cfg = SolverConfig(hamiltonian=shifted_quadratic_hamiltonian(0.1),
-                           monotone=LLF, scheme=scheme)
+                           scheme=scheme)
         with pytest.raises(CflViolation, match=r"^step 1 \(t = 0.02\): .*node"):
             af_evolve(f, cfg, 0.04, 2)
 
@@ -374,8 +372,7 @@ class TestEvolve:
         # while the profile steepens, then collapses once the steep nodes
         # are excluded from the trusted region
         prob = make_test("8")
-        cfg = SolverConfig(hamiltonian=prob.hamiltonian,
-                           monotone=prob.monotone, scheme="af-rkc4")
+        cfg = SolverConfig(hamiltonian=prob.hamiltonian, scheme="af-rkc4")
         _, diag = af_evolve(prob.initial_field(1), cfg, prob.T_final,
                             prob.n_steps(1))
         eps = np.array([r[2] for r in diag.rows])
@@ -436,8 +433,7 @@ class TestSchemeVocabulary:
                        lw2_corrected=lw2_corrected)
         case = tuple(options.values())
         assert self._accepts(lambda: SolverConfig(
-            hamiltonian=prob.hamiltonian, monotone=prob.monotone,
-            **options)) == (case in self.ACCEPTED)
+            hamiltonian=prob.hamiltonian, **options)) == (case in self.ACCEPTED)
         # the CLI fills f-hc-fixed's missing scale with 20 dx per level
         cli_accepts = case in self.ACCEPTED or case == ("f-hc-fixed", None, False)
         assert self._accepts(lambda: solver_config(
@@ -445,7 +441,7 @@ class TestSchemeVocabulary:
 
     def test_unknown_scheme_refused(self):
         with pytest.raises(ValueError, match="unknown scheme 'af-monotone'"):
-            SolverConfig(hamiltonian=transport_hamiltonian(), monotone=LLF,
+            SolverConfig(hamiltonian=transport_hamiltonian(),
                          scheme="af-monotone")
 
     @pytest.mark.parametrize("scheme", ["richtmyer", "af-richtmyer"])
@@ -453,21 +449,47 @@ class TestSchemeVocabulary:
         # on constant data af_step never calls the high-order step (eps = 0),
         # so only the config can refuse
         with pytest.raises(ValueError, match=r"requires H independent of \(x, y\)"):
-            SolverConfig(hamiltonian=rotation_hamiltonian(2.0), monotone=LLF,
-                         scheme=scheme)
+            SolverConfig(hamiltonian=rotation_hamiltonian(2.0), scheme=scheme)
 
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
-    @pytest.mark.parametrize("H, kind", [
+    @pytest.mark.parametrize("H, other", [
         (eikonal_hamiltonian(), LLF),
         (transport_hamiltonian(), MonotoneKind.EIKONAL)])
-    def test_monotone_form_refused_when_h_cannot_run_it(self, H, kind, scheme):
-        # the monotone step would refuse only once it ran; the config refuses
-        # up front, with the step's own message
+    def test_monotone_form_refused_when_h_cannot_run_it(self, H, other, scheme):
+        # the config derives the form H runs, whatever the scheme; the
+        # monotone step given the other form refuses, with the message of
+        # the check a config makes
+        eps = 0.1 if scheme == "f-hc-fixed" else None
+        cfg = SolverConfig(hamiltonian=H, scheme=scheme, epsilon_fixed=eps)
+        assert cfg.monotone is not other
+        require_runnable(cfg.monotone, H)
         g = Grid2D(0.0, 0.0, 0.1, 0.1, 5, 5)
         with pytest.raises(ValueError) as step:
-            monotone_step(GridField(g, np.zeros(g.shape), PER), kind, H, 0.01)
-        eps = 0.1 if scheme == "f-hc-fixed" else None
+            monotone_step(GridField(g, np.zeros(g.shape), PER), other, H, 0.01)
+        with pytest.raises(ValueError) as check:
+            require_runnable(other, H)
+        assert str(step.value) == str(check.value)
+
+    @pytest.mark.parametrize("bound", ["alpha_p", "alpha_q"])
+    def test_config_refuses_h_without_interval_bounds(self, bound):
+        # the one form an H can lack: LLF for a non-eikonal H without an
+        # interval bound; the config refuses with the step's message
+        H = dataclasses.replace(transport_hamiltonian(), **{bound: None})
+        g = Grid2D(0.0, 0.0, 0.1, 0.1, 5, 5)
+        with pytest.raises(ValueError) as step:
+            monotone_step(GridField(g, np.zeros(g.shape), PER), LLF, H, 0.01)
         with pytest.raises(ValueError) as config:
-            SolverConfig(hamiltonian=H, monotone=kind, scheme=scheme,
-                         epsilon_fixed=eps)
+            SolverConfig(hamiltonian=H)
         assert str(config.value) == str(step.value)
+        assert f"H.{bound}" in str(config.value)
+
+    # the monotone form each registry problem declared beside its
+    # hamiltonian before the form was read from H
+    DECLARED_FORMS = {"5": LLF, "6": LLF, "7a": MonotoneKind.EIKONAL,
+                      "7b": MonotoneKind.EIKONAL, "8": LLF, "8-regular": LLF}
+
+    @pytest.mark.parametrize("test_id", PROBLEM_IDS)
+    def test_registry_problems_run_their_declared_form(self, test_id):
+        assert set(self.DECLARED_FORMS) == set(PROBLEM_IDS)
+        cfg = solver_config(CliConfig(test_id=test_id), make_test(test_id), 0)
+        assert cfg.monotone is self.DECLARED_FORMS[test_id]

@@ -12,6 +12,9 @@ from hjaf.cli import _build_parser as build_parser, main as cli_main
 from hjaf.grids import BoundaryCondition, Grid2D, GridField
 from hjaf.harness import (CliConfig, IndicatorRunConfig, run_convergence,
                           run_indicators)
+from hjaf.indicators1d import Indicator1DConfig, Variant1D, omega_field_1d
+from hjaf.indicators2d import Indicator2DConfig, omega_field_2d
+from hjaf.problems import make_test
 from hjaf.reporting import (RunReport, error_norms, observed_order,
                             parse_report_csv)
 
@@ -322,6 +325,23 @@ class TestCli:
         assert code == 1
         assert "error: dx must be finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--test", "8", "--scheme", "af-rkc4", "--refinements", "3"],
+        ["indicators", "--test", "2"]], ids=["solve", "indicators"])
+    def test_unusable_out_fails_before_the_study(self, argv, below, tmp_path,
+                                                 monkeypatch, capsys):
+        # it used to evolve every level, then die with a traceback
+        blocker = tmp_path / "F"
+        blocker.write_text("")
+
+        def evolve(*args, **kwargs):
+            raise AssertionError("the study ran")
+        monkeypatch.setattr(harness, "af_evolve", evolve)
+        out = blocker / "sub" if below else blocker
+        assert cli_main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("argv, run, config", [
         (["solve", "--test", "5", "--refinements", "1"], run_convergence,
          lambda out: CliConfig(test_id="5", refinements=1, out_dir=out)),
@@ -343,6 +363,20 @@ class TestCli:
     def test_parser_sets_only_the_options_given(self, argv):
         args = vars(build_parser().parse_args(argv))
         assert args == {"command": argv[0], "test_id": argv[2]}
+
+
+def test_cli_defaults_are_the_library_defaults():
+    # a study's solver config, and a detection run's maps, with no option
+    # set are the library's own defaults
+    prob = make_test("8")
+    assert (harness.solver_config(CliConfig(test_id="8"), prob, 0)
+            == filtering.SolverConfig(hamiltonian=prob.hamiltonian))
+    for test_id, omega in (
+            ("1", lambda f: omega_field_1d(f, Indicator1DConfig(
+                variant=Variant1D.MAPPED_G))),
+            ("2", lambda f: omega_field_2d(f, Indicator2DConfig()))):
+        result = run_indicators(IndicatorRunConfig(test_id=test_id))
+        assert np.array_equal(result.omega, omega(result.field))
 
 
 def test_readme_library_example_runs():

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hjaf.grids import BoundaryCondition, Grid2D, GridField
 from hjaf.hamiltonians import (eikonal_hamiltonian, rotation_hamiltonian,
+                               shifted_quadratic_hamiltonian,
                                transport_hamiltonian)
-from hjaf.highorder import (SCHEME_ORDERS, fourth_order_slopes, hc_step,
-                            high_order_step, lw2_step, lw_step,
-                            richtmyer_step, rkc4_step, _staggered_secants)
+from hjaf.highorder import (SCHEME_ORDERS, centered_slopes, cross_diff,
+                            fourth_order_slopes, hc_step, high_order_step,
+                            lw2_step, lw_step, richtmyer_step, rkc4_step,
+                            second_diffs, time_curvature, _staggered_secants)
+
+from oracles import space_derivatives
 
 PER = BoundaryCondition.PERIODIC
 NEU = BoundaryCondition.NEUMANN_ZERO
@@ -148,8 +154,7 @@ class TestGlobalOrder:
         prob = make_test("8-regular")
         errs = []
         for level in (0, 1, 2):
-            cfg = SolverConfig(hamiltonian=prob.hamiltonian,
-                               monotone=prob.monotone, scheme="lw2",
+            cfg = SolverConfig(hamiltonian=prob.hamiltonian, scheme="lw2",
                                lw2_corrected=True)
             u, _ = af_evolve(prob.initial_field(level), cfg, prob.T_final,
                              prob.n_steps(level))
@@ -187,6 +192,95 @@ class TestRichtmyerPrecondition:
         f = GridField(g, np.zeros((10, 10)), NEU)
         with pytest.raises(ValueError):
             richtmyer_step(f, rotation_hamiltonian(2.5), 0.01)
+
+
+def zeros_time_curvature(field, H):
+    """The time curvature in the library's operation order, with H_x and
+    H_y as arrays of +0.0 for an H independent of (x, y)."""
+    x, y = field.grid.meshes()
+    dxu, dyu = centered_slopes(field)
+    d2x, d2y = second_diffs(field)
+    hp, hq = H.dp(x, y, dxu, dyu), H.dq(x, y, dxu, dyu)
+    hx, hy = space_derivatives(H, x, y, dxu, dyu)
+    return (hp * d2x + hx) * hp + (hq * d2y + hy) * hq \
+        + 2.0 * hp * hq * cross_diff(field)
+
+
+def zeros_lw2_values(field, H, dt, corrected):
+    """lw2_step's values, with H_x and H_y as arrays of +0.0 for an H
+    independent of (x, y)."""
+    x, y = field.grid.meshes()
+    dxu, dyu = centered_slopes(field)
+    hp, hq = H.dp(x, y, dxu, dyu), H.dq(x, y, dxu, dyu)
+    hx, hy = space_derivatives(H, x, y, dxu, dyu)
+    hx_star, hy_star = _staggered_secants(field, H, corrected)
+    h = (H.eval(x, y, dxu, dyu)
+         - 0.5 * dt * hp * (hx_star + hx)
+         - 0.5 * dt * hq * (hy_star + hy))
+    return field.values - dt * h
+
+
+def same_bits(a, b) -> bool:
+    """Bitwise equality of two float64 arrays: signs of zeros count."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+@st.composite
+def zero_curvature_fields(draw):
+    """A field on a 3x3..10x10 grid under either boundary rule whose
+    interior second differences are exact zeros: an integer ramp, each of
+    whose zeros is +0.0 or -0.0.  A slope below -1 makes H_p < 0 (or
+    H_q < 0) on the shifted quadratic, so that H_p * uxx = -0; a ramp along
+    one axis only, through a row of signed zeros, carries that sign into
+    the time curvature's sum."""
+    ny, nx = draw(st.integers(3, 10)), draw(st.integers(3, 10))
+    dx, dy = (draw(st.floats(0.05, 0.9)) for _ in range(2))
+    g = Grid2D(-0.5 * nx * dx, -0.5 * ny * dy, dx, dy, nx, ny)
+    sx, sy = draw(st.integers(-3, 1)), draw(st.integers(-3, 1))
+    X, Y = np.meshgrid(np.arange(nx), np.arange(ny))
+    values = (sx * X + sy * Y + draw(st.integers(-2, 2))).astype(float)
+    negative = draw(arrays(np.bool_, (ny, nx)))
+    values[(values == 0) & negative] = -0.0
+    return GridField(g, values, draw(st.sampled_from([PER, NEU])))
+
+
+# A ramp of slope -2 in y through a row of alternating signed zeros: at
+# the row's +0 nodes H_p > 0, H_q < 0, uxx = -0 and uyy = uxy = +0.  Its
+# transpose swaps the axes.
+SIGNED_ROW = np.array([[2.0] * 5, [1.0] * 5, [-0.0, 0.0, -0.0, 0.0, -0.0],
+                       [-1.0] * 5, [-2.0] * 5])
+# Signed zeros around a +0 centre with uxx = uyy = uxy = -0: on transport
+# (H_p = H_q = 1) the sign of H_x + H_y's zeros reaches the sum.
+SIGNED_CROSS = np.zeros((5, 5))
+SIGNED_CROSS[1:4, 1:4] = [[-0.0, -0.0, 0.0], [-0.0, 0.0, -0.0],
+                          [0.0, -0.0, -0.0]]
+
+
+class TestExactZeroSpaceDerivatives:
+    """For an H independent of (x, y) the time curvature and the LW2 step
+    add the scalar +0.0 where H_x, H_y enter: bitwise what adding arrays
+    of +0.0 gives, signs of zeros included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(zero_curvature_fields(),
+           st.sampled_from(["transport", "shifted-quadratic"]))
+    @example(GridField(Grid2D(0.0, 0.0, 0.5, 0.5, 5, 5), SIGNED_ROW, NEU),
+             "shifted-quadratic")
+    @example(GridField(Grid2D(0.0, 0.0, 0.5, 0.5, 5, 5), SIGNED_ROW.T, PER),
+             "shifted-quadratic")
+    @example(GridField(Grid2D(0.0, 0.0, 0.5, 0.5, 5, 5), SIGNED_CROSS, NEU),
+             "transport")
+    def test_scalar_zero_rounds_like_zero_arrays(self, f, name):
+        H = (transport_hamiltonian() if name == "transport"
+             else shifted_quadratic_hamiltonian(8.0))
+        assert not H.space_dependent
+        assert same_bits(time_curvature(f, H), zeros_time_curvature(f, H))
+        dt = 0.1 * min(f.grid.dx, f.grid.dy)
+        for corrected in (False, True):
+            assert same_bits(lw2_step(f, H, dt, corrected).values,
+                             zeros_lw2_values(f, H, dt, corrected))
 
 
 class TestQuadraticTaylor:

@@ -234,3 +234,9 @@ class TestConfigValidation:
         for sigma in (0.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="finite and positive"):
                 Indicator1DConfig(sigma=sigma)
+
+    @pytest.mark.parametrize("variant", ["mapped-g", "raw", 42, None])
+    def test_variant_must_be_a_member(self, variant):
+        # "mapped-g" used to run the weno-z-new weight
+        with pytest.raises(ValueError, match="Variant1D member"):
+            Indicator1DConfig(variant=variant)

@@ -51,6 +51,13 @@ class TestQuadrantBetas:
         with pytest.raises(ValueError, match="split"):
             quadrant_beta_fields(f, Formula2D.SPLIT)
 
+    @pytest.mark.parametrize("formula", ["full", "partial", None])
+    def test_formula_must_be_a_member(self, formula):
+        # any value but FULL used to get the PARTIAL coefficients
+        f = make_test("8").initial_field(0)
+        with pytest.raises(ValueError, match="no quadrant betas"):
+            quadrant_beta_fields(f, formula)
+
     def test_constant_field_vanishes(self):
         f = patch_field(np.full((5, 5), 7.0))
         for formula in (Formula2D.FULL, Formula2D.PARTIAL):
@@ -351,3 +358,9 @@ class TestConfig:
         for sigma in (-1.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="finite and positive"):
                 Indicator2DConfig(sigma=sigma)
+
+    @pytest.mark.parametrize("variant", ["full", "split", 42, None])
+    def test_variant_must_be_a_member(self, variant):
+        # "full" used to run the partial betas, and "split" too
+        with pytest.raises(ValueError, match="Formula2D member"):
+            Indicator2DConfig(variant=variant)

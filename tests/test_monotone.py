@@ -36,7 +36,7 @@ def scanned_hamiltonian():
         dq=lambda x, y, p, q: q + x * np.ones(np.broadcast(x, y, p, q).shape),
         dx_=lambda x, y, p, q: q * np.ones(np.broadcast(x, y, p, q).shape),
         dy_=lambda x, y, p, q: np.zeros(np.broadcast(x, y, p, q).shape),
-        vmax_p=1.0, vmax_q=1.0, space_dependent=True)
+        vmax_p=1.0, vmax_q=1.0)
     alpha_p, alpha_q = scan_bounds(H)
     return dataclasses.replace(H, alpha_p=alpha_p, alpha_q=alpha_q)
 
@@ -115,11 +115,13 @@ class TestLlfHamiltonian:
         assert float(v) == pytest.approx(-3.0)
 
     def test_interval_bound_overrides_match_scan(self):
-        # every registry problem stepped by LLF: the closed-form interval
-        # bounds equal the sampled scan, bitwise
+        # every registry problem stepped by LLF (every H but the eikonal
+        # one): the closed-form interval bounds equal the sampled scan,
+        # bitwise
         rng = np.random.default_rng(22)
         problems = [p for p in map(make_test, ALL_TEST_IDS)
-                    if isinstance(p, ProblemSpec) and p.monotone == LLF]
+                    if isinstance(p, ProblemSpec)
+                    and not p.hamiltonian.is_eikonal]
         assert {p.id for p in problems} >= {"5", "6", "8"}
         for problem in problems:
             H = problem.hamiltonian
@@ -300,13 +302,25 @@ class TestMonotoneStep:
 
 class TestMakeHamiltonian:
     def test_space_dependent_needs_space_derivatives(self):
+        # one of dx_, dy_ without the other is refused
         closures = {name: (lambda x, y, p, q: x * p)
                     for name in ("dp", "dq", "dx_", "dy_")}
         for missing in ("dx_", "dy_"):
             kwargs = {k: v for k, v in closures.items() if k != missing}
             with pytest.raises(ValueError, match="dx_ and dy_"):
                 Hamiltonian(eval=lambda x, y, p, q: x * p, vmax_p=1.0,
-                            vmax_q=1.0, space_dependent=True, **kwargs)
+                            vmax_q=1.0, **kwargs)
+
+    def test_space_dependence_is_read_from_the_closures(self):
+        # among the registry hamiltonians only the rotation depends on (x, y)
+        problems = [p for p in map(make_test, ALL_TEST_IDS)
+                    if isinstance(p, ProblemSpec)]
+        dependent = {p.id for p in problems if p.hamiltonian.space_dependent}
+        assert dependent == {"6"}
+        for p in problems:
+            H = p.hamiltonian
+            assert H.space_dependent == (H.dx_ is not None) == (H.dy_ is not None)
+        assert scanned_hamiltonian().space_dependent
 
     @pytest.mark.parametrize("bounds", [(0.0, 1.0), (1.0, -1.0), (1.0, np.nan),
                                         (np.nan, 1.0), (1.0, np.inf)])
@@ -318,10 +332,15 @@ class TestMakeHamiltonian:
                         vmax_p=bounds[0], vmax_q=bounds[1])
 
     def test_space_independent_derivatives_are_exact_zeros(self):
-        H = transport_hamiltonian()
-        p = np.linspace(-3.0, 3.0, 7)
-        assert np.array_equal(H.dx_(0.3, 0.4, p, p), np.zeros(7))
-        assert np.array_equal(H.dy_(0.3, 0.4, p, p), np.zeros(7))
+        # an H that leaves dx_, dy_ out has H_x = H_y = +0.0 at every node
+        from hjaf.highorder import _centered_derivatives
+        f = GridField(grid(), np.arange(144.0).reshape(12, 12), NEU)
+        for H in (transport_hamiltonian(), eikonal_hamiltonian(),
+                  shifted_quadratic_hamiltonian(1.0)):
+            assert H.dx_ is None and H.dy_ is None
+            hx, hy = _centered_derivatives(f, H)[2:]
+            for zero in (hx, hy):
+                assert zero == 0.0 and np.copysign(1.0, zero) == 1.0
 
     def test_constant_factor_closures_match_allocating_forms(self):
         # the closures return broadcast views; values, signs of zeros and
