@@ -77,7 +77,7 @@ def main(argv=None) -> int:
             run_convergence(CliConfig(**options)).write_csv(sys.stdout)
         else:
             result = run_indicators(IndicatorRunConfig(**options))
-            flagged = int((result.phi == 0).sum())
+            flagged = result.phi.size - int(result.phi.sum())
             print(f"nodes={result.phi.size} flagged={flagged}")
         return 0
     except (ValueError, KeyError, OSError, CflViolation, EvolutionError) as exc:

@@ -5,7 +5,7 @@ One step writes
     u_next = S_M(u) + phi * eps * dt * F((S_A(u) - S_M(u)) / (eps * dt)),
 
 with F the hard-cutoff filter (identity on [-1, 1], zero outside), phi the
-binary smoothness mask, and eps a switching scale (:func:`epsilon_n`)
+boolean trust mask, and eps a switching scale (:func:`epsilon_n`)
 recomputed once per time step over the detected region of regularity.
 The output therefore never strays more than eps * dt from the monotone
 update, and on every node it equals either the high-order or the
@@ -112,7 +112,8 @@ class SolverConfig:
     monotone step with it; 'f-hc-fixed', the blend with HC at the constant
     switching scale epsilon_fixed and phi forced to one.  An option the
     scheme would ignore is refused: epsilon_fixed belongs to f-hc-fixed
-    (which needs it), lw2_corrected to lw2, richtmyer and their af- forms.
+    (which needs it), lw2_corrected to lw2, richtmyer and their af- forms,
+    a K other than the default to the af- schemes (only epsilon_n reads it).
     So is a hamiltonian that cannot run its own monotone form (:attr:`monotone`).
     """
 
@@ -142,6 +143,9 @@ class SolverConfig:
                              f"positive, got {self.epsilon_fixed}")
         if not 0.5 < self.K < np.inf:
             raise ValueError(f"safety factor K must be finite and > 1/2, got {self.K}")
+        if self.K != SolverConfig.K and not self.scheme.startswith("af-"):
+            raise ValueError("safety factor K applies only to the af- "
+                             f"schemes, not {self.scheme!r}")
         if name == "richtmyer" and self.hamiltonian.space_dependent:
             raise ValueError("Richtmyer form requires H independent of (x, y)")
         require_runnable(self.monotone, self.hamiltonian)
@@ -170,9 +174,8 @@ def _adaptive_step(u: GridField, config: SolverConfig, step_fn, dt: float):
     """(u_next, eps, phi) of one adaptive step."""
     H = config.hamiltonian
     phi = smoothness_2d(u, config.indicator).phi
-    trusted = phi == 1
-    eps = epsilon_n(u, H, config.monotone, dt, trusted, config.K)
-    u_next = af_step(u, config.monotone, step_fn, H, dt, trusted, eps)
+    eps = epsilon_n(u, H, config.monotone, dt, phi, config.K)
+    u_next = af_step(u, config.monotone, step_fn, H, dt, phi, eps)
     return u_next, eps, phi
 
 
@@ -200,18 +203,18 @@ def af_evolve(initial: GridField, config: SolverConfig, T: float,
 
     u = initial.like(initial.values)    # an alias: its memo goes after step 1
     diag = Diagnostics()
-    ones = np.ones(initial.grid.shape, dtype=np.int8)
+    trusted = np.ones(initial.grid.shape, dtype=bool)
     for step in range(1, n_steps + 1):
         try:
             if scheme == "monotone":
                 u_next = monotone_step(u, config.monotone, H, dt)
-                eps, phi = 0.0, ones
+                eps, phi = 0.0, trusted
             elif scheme in SCHEME_ORDERS:
                 u_next = step_fn(u, H, dt)
-                eps, phi = 0.0, ones
+                eps, phi = 0.0, trusted
             elif scheme == "f-hc-fixed":
-                eps, phi = config.epsilon_fixed, ones
-                u_next = af_step(u, config.monotone, step_fn, H, dt, phi == 1, eps)
+                eps, phi = config.epsilon_fixed, trusted
+                u_next = af_step(u, config.monotone, step_fn, H, dt, phi, eps)
             else:
                 u_next, eps, phi = _adaptive_step(u, config, step_fn, dt)
         except CflViolation as exc:
@@ -219,5 +222,6 @@ def af_evolve(initial: GridField, config: SolverConfig, T: float,
         if not np.all(np.isfinite(u_next.values)):
             raise EvolutionError(f"non-finite values at step {step} (t = {step * dt:.6g})")
         u = u_next
-        diag.rows.append((step, step * dt, float(eps), int(np.sum(phi == 0))))
+        diag.rows.append((step, step * dt, float(eps),
+                          phi.size - np.count_nonzero(phi)))
     return u, diag

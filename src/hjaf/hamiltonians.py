@@ -6,6 +6,7 @@ and, for local Lax-Friedrichs (every H but the eikonal one), the interval
 bounds max|H_p|, max|H_q| in closed form.  Velocity bounds vmax_p >= max|H_p|,
 vmax_q >= max|H_q| feed the step restriction check; construction checks
 that both are finite and positive, and that H brings H_x and H_y or neither.
+A closure returns its formula, broadcast by its reader (a constant: a float).
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-ArrayFn = Callable[..., np.ndarray]
+ArrayFn = Callable[..., "np.ndarray | float"]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -30,7 +31,7 @@ class Hamiltonian:
     # Interval bounds: the exact maximum of |H_p| over p between a and b,
     # in either order, at frozen q (and the q analog), in closed form; the
     # local Lax-Friedrichs scheme needs both, the eikonal scheme neither.
-    # Signature (x, y, a, b, frozen_other) -> array.
+    # Signature (x, y, a, b, frozen_other) -> value, broadcast as for dp.
     alpha_p: ArrayFn | None = None
     alpha_q: ArrayFn | None = None
 
@@ -49,12 +50,9 @@ class Hamiltonian:
 
 def transport_hamiltonian() -> Hamiltonian:
     """H = p + q: translation at unit speed along both axes."""
-    one = lambda x, y, p, q: np.broadcast_to(1.0, np.broadcast(x, y, p, q).shape)
-    unit_bound = lambda x, y, a, b, other: np.broadcast_to(
-        1.0, np.broadcast(a, b).shape)
+    one = lambda *args: 1.0      # H_p = H_q = 1, and so are both bounds
     return Hamiltonian(eval=lambda x, y, p, q: p + q, dp=one, dq=one,
-                       vmax_p=1.0, vmax_q=1.0,
-                       alpha_p=unit_bound, alpha_q=unit_bound)
+                       vmax_p=1.0, vmax_q=1.0, alpha_p=one, alpha_q=one)
 
 
 def eikonal_hamiltonian() -> Hamiltonian:
@@ -84,19 +82,11 @@ def rotation_hamiltonian(radius: float) -> Hamiltonian:
     |x|, |y| over the computational domain for the velocity bounds."""
     return Hamiltonian(
         eval=lambda x, y, p, q: -y * p + x * q,
-        dp=lambda x, y, p, q: np.broadcast_to(np.asarray(-y, dtype=float),
-                                              np.broadcast(x, y, p, q).shape),
-        dq=lambda x, y, p, q: np.broadcast_to(np.asarray(x, dtype=float),
-                                              np.broadcast(x, y, p, q).shape),
-        dx_=lambda x, y, p, q: np.broadcast_to(np.asarray(q, dtype=float),
-                                               np.broadcast(x, y, p, q).shape),
-        dy_=lambda x, y, p, q: np.broadcast_to(np.asarray(-p, dtype=float),
-                                               np.broadcast(x, y, p, q).shape),
+        dp=lambda x, y, p, q: -y, dq=lambda x, y, p, q: x,
+        dx_=lambda x, y, p, q: q, dy_=lambda x, y, p, q: -p,
         vmax_p=radius, vmax_q=radius,
-        alpha_p=lambda x, y, a, b, other: np.broadcast_to(
-            np.abs(np.asarray(y, dtype=float)), np.broadcast(y, a).shape),
-        alpha_q=lambda x, y, a, b, other: np.broadcast_to(
-            np.abs(np.asarray(x, dtype=float)), np.broadcast(x, a).shape),
+        alpha_p=lambda x, y, a, b, other: np.abs(y),
+        alpha_q=lambda x, y, a, b, other: np.abs(x),
     )
 
 
@@ -109,10 +99,8 @@ def shifted_quadratic_hamiltonian(slope_bound: float) -> Hamiltonian:
 
     return Hamiltonian(
         eval=lambda x, y, p, q: (p + 1.0) ** 2 + (q + 1.0) ** 2,
-        dp=lambda x, y, p, q: np.broadcast_to(2.0 * (p + 1.0),
-                                              np.broadcast(x, y, p, q).shape),
-        dq=lambda x, y, p, q: np.broadcast_to(2.0 * (q + 1.0),
-                                              np.broadcast(x, y, p, q).shape),
+        dp=lambda x, y, p, q: 2.0 * (p + 1.0),
+        dq=lambda x, y, p, q: 2.0 * (q + 1.0),
         vmax_p=2.0 * (1.0 + slope_bound), vmax_q=2.0 * (1.0 + slope_bound),
         alpha_p=endpoint_bound, alpha_q=endpoint_bound,
     )

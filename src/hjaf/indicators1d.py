@@ -60,7 +60,7 @@ class Indicator1DConfig:
 @dataclass(frozen=True)
 class Smoothness1D:
     omega: np.ndarray
-    phi: np.ndarray
+    phi: np.ndarray         # the boolean trust mask, omega >= M
 
     def __post_init__(self) -> None:
         if self.omega.shape != self.phi.shape:
@@ -147,8 +147,8 @@ def omega_field_1d(field: GridField, cfg: Indicator1DConfig,
 
 
 def phi_1d(omega: np.ndarray, cfg: Indicator1DConfig) -> np.ndarray:
-    """Binary trust mask: 1 where omega >= M, else 0.  No smoothing."""
-    return (np.asarray(omega) >= cfg.M).astype(np.int8)
+    """Boolean trust mask: omega >= M.  No smoothing."""
+    return np.asarray(omega) >= cfg.M
 
 
 def smoothness_1d(field: GridField, cfg: Indicator1DConfig) -> Smoothness1D:

@@ -96,7 +96,7 @@ class Indicator2DConfig:
 @dataclass(frozen=True)
 class Smoothness2D:
     omega: np.ndarray
-    phi: np.ndarray
+    phi: np.ndarray         # the boolean trust mask, omega >= M
     untrusted: np.ndarray
 
 
@@ -216,18 +216,17 @@ _RING = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 
 def phi_2d(omega: np.ndarray, field: GridField, cfg: Indicator2DConfig,
            ) -> tuple[np.ndarray, np.ndarray]:
-    """Binary trust mask, plus an 'untrusted' diagnostic.
+    """Boolean trust mask, plus an 'untrusted' diagnostic.
 
-    phi is the plain threshold omega >= M.  Where phi = 0 and no two
+    phi is the plain threshold omega >= M.  Where phi is false and no two
     cyclically consecutive ring neighbors are trusted, the node likely sits
     at a crossing of singularity curves: every quadrant stencil is polluted,
-    so the weight itself carries no usable information.  phi stays 0 there
+    so the weight itself carries no usable information.  phi stays false there
     (conservative: the blend falls back to the monotone scheme) and the node
     is reported in the untrusted mask.
     """
-    trusted = np.asarray(omega) >= cfg.M
-    phi = trusted.astype(np.int8)
-    at = Neighbors(trusted, field.bc, 1)
+    phi = np.asarray(omega) >= cfg.M
+    at = Neighbors(phi, field.bc, 1)
     ring = [at(dj, di) for dj, di in _RING]
     consec = np.zeros_like(ring[0])
     for k in range(len(ring)):

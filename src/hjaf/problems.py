@@ -194,11 +194,36 @@ def two_circles(x, y):
 
 
 def two_squares(x, y):
-    f1 = np.maximum(np.abs(x - SQRT2_HALF), np.abs(y - SQRT2_HALF))
+    return eroded_two_squares(0.0, x, y)
+
+
+def eroded_max_norm(wx, wy, t: float):
+    """min of max(|wx + dx|, |wy + dy|) over the closed disc
+    dx^2 + dy^2 <= t^2: with a >= b the sorted |w_i|, a - t while that
+    stays >= b, else the level s with (a - s)^2 + (b - s)^2 = t^2; 0
+    once the disc holds the origin.  At t = 0 it is a, exactly."""
+    a = np.maximum(np.abs(wx), np.abs(wy))
+    b = np.minimum(np.abs(wx), np.abs(wy))
+    # 2t^2 - (a - b)^2 >= t^2 > 0 wherever the level s is read
+    root = np.sqrt(np.maximum(2.0 * t * t - (a - b) ** 2, 0.0))
+    s = np.where(a - t >= b, a - t, 0.5 * ((a + b) - root))
+    return np.maximum(s, 0.0)
+
+
+def eroded_two_squares(t, x, y):
+    """Exact solution of test 7b: two_squares eroded by the closed disc
+    of radius t (Hopf-Lax for H = |grad u|), one piece at a time, since
+    the minimum of a min is the min of the minima.  Each square is a
+    max-norm ball, of x - c1 with c1 = (sqrt2/2, sqrt2/2) and of
+    M (x - c2) with c2 = (-1, -1), M = sqrt(R0) [[1, 1], [1, -1]]; M is
+    orthogonal since R0 = 1/2, so it maps the disc onto itself."""
+    if t < 0:
+        raise ValueError("time must be nonnegative")
     sx = np.sqrt(_R0) * x + SQRT2_HALF
     sy = np.sqrt(_R0) * y + SQRT2_HALF
-    f2 = np.maximum(np.abs(sx + sy), np.abs(sx - sy))
-    return np.minimum(np.minimum(f1 - _R0, f2 - _R0), 0.5 * _R0 ** 2)
+    s1 = eroded_max_norm(x - SQRT2_HALF, y - SQRT2_HALF, t)
+    s2 = eroded_max_norm(sx + sy, sx - sy, t)
+    return np.minimum(np.minimum(s1 - _R0, s2 - _R0), 0.5 * _R0 ** 2)
 
 
 def cosine_sum(x, y):
@@ -358,15 +383,16 @@ def _spec_rotation() -> ProblemSpec:
 
 
 def _spec_fronts(case: str) -> ProblemSpec:
-    v0 = two_circles if case == "a" else two_squares
-    T = 0.6 if case == "a" else 0.7
-    nt = 12 if case == "a" else 14
+    if case == "a":
+        v0, T, nt = two_circles, 0.6, 12
+        exact = lambda t, x, y: disc_min(two_circles, t, x, y)
+    else:
+        v0, T, nt, exact = two_squares, 0.7, 14, eroded_two_squares
     return ProblemSpec(
         id=f"7{case}", name=f"merging-fronts-{case}", xlim=(-3.0, 3.0),
         ylim=(-3.0, 3.0), hamiltonian=eikonal_hamiltonian(),
         initial=v0, bc=BoundaryCondition.NEUMANN_ZERO,
-        T_final=T, base_nx=30, base_nt=nt,
-        exact=lambda t, x, y: disc_min(v0, t, x, y))
+        T_final=T, base_nx=30, base_nt=nt, exact=exact)
 
 
 def _spec_burgers_like(regular_time: bool) -> ProblemSpec:

@@ -12,7 +12,9 @@ scale's slot differences, the bitwise reference for the library's closed
 form.  ``scan_max_abs`` is the sampled interval maximum that every
 hamiltonian's closed-form speed bounds (``alpha_p``/``alpha_q``) must
 reproduce bitwise; ``scan_bounds`` orders the endpoints it is given, as
-the closed forms need not.
+the closed forms need not.  ``broadcasting_hamiltonian`` is a copy of H
+whose closures return arrays of their arguments' shape, the earlier
+contract every solver call is pinned to bitwise.
 
 ``ghost_value`` is the boundary rule applied to one scalar index, the
 reference for the library's ghost padding (``hjaf.grids.pad_ghosts``).
@@ -27,6 +29,8 @@ moved to the run layout: every stencil offset is a 2D view of one
 They are the bitwise references for the run-layout kernels.
 """
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -230,15 +234,54 @@ def scan_max_abs(deriv, x, y, lo, hi, other, other_is_q: bool) -> np.ndarray:
     """max of |deriv| over 33 equispaced points of the interval [lo, hi] of
     one slope, the other slope frozen at ``other``.  The interval maximum
     whenever |deriv| is monotone or convex on it, up to the rounding of
-    the sample points."""
+    the sample points.  The closure's value is broadcast to the samples'
+    shape, since a closure may return a float or an array of x's shape."""
     t = np.linspace(0.0, 1.0, 33)
     t = t.reshape((-1,) + (1,) * np.ndim(lo))
     points = lo + t * (hi - lo)
-    if other_is_q:
-        vals = np.abs(deriv(x, y, points, other))
-    else:
-        vals = np.abs(deriv(x, y, other, points))
+    args = (x, y, points, other) if other_is_q else (x, y, other, points)
+    vals = np.abs(np.broadcast_to(deriv(*args), np.broadcast(*args).shape))
     return vals.max(axis=0)
+
+
+def _wide(formula):
+    """A closure that returns ``formula(*args)`` as a read-only float64
+    view of its arguments' broadcast shape."""
+    def closure(*args):
+        return np.broadcast_to(np.asarray(formula(*args), dtype=float),
+                               np.broadcast(*args).shape)
+    return closure
+
+
+def _endpoint_bound(x, y, a, b, other):
+    return np.maximum(np.abs(2.0 * (a + 1.0)), np.abs(2.0 * (b + 1.0)))
+
+
+# The derivative and speed closures of the registry's LLF hamiltonians,
+# written out here, each returning an array of its arguments' shape.
+_BROADCAST_CLOSURES = {
+    "transport": dict(
+        dp=_wide(lambda x, y, p, q: 1.0), dq=_wide(lambda x, y, p, q: 1.0),
+        alpha_p=_wide(lambda x, y, a, b, other: 1.0),
+        alpha_q=_wide(lambda x, y, a, b, other: 1.0)),
+    "rotation": dict(
+        dp=_wide(lambda x, y, p, q: -y), dq=_wide(lambda x, y, p, q: x),
+        dx_=_wide(lambda x, y, p, q: q), dy_=_wide(lambda x, y, p, q: -p),
+        alpha_p=_wide(lambda x, y, a, b, other: np.abs(y)),
+        alpha_q=_wide(lambda x, y, a, b, other: np.abs(x))),
+    "shifted-quadratic": dict(
+        dp=_wide(lambda x, y, p, q: 2.0 * (p + 1.0)),
+        dq=_wide(lambda x, y, p, q: 2.0 * (q + 1.0)),
+        alpha_p=_endpoint_bound, alpha_q=_endpoint_bound),
+}
+
+
+def broadcasting_hamiltonian(H, name: str):
+    """Copy of H (``name``, a key of ``_BROADCAST_CLOSURES``) with the
+    closures written out above: each returns a read-only float64 view of
+    its arguments' broadcast shape, the contract the closures kept before
+    they returned their formula (a float for a constant)."""
+    return dataclasses.replace(H, **_BROADCAST_CLOSURES[name])
 
 
 def scan_bounds(H):

@@ -423,21 +423,26 @@ class TestSchemeVocabulary:
             return False
         return True
 
+    @pytest.mark.parametrize("K", [SolverConfig.K, 2.0])
     @pytest.mark.parametrize("lw2_corrected", [False, True])
     @pytest.mark.parametrize("epsilon_fixed", [None, 0.1])
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     def test_config_accepts_exactly_what_the_cli_accepts(
-            self, scheme, epsilon_fixed, lw2_corrected):
+            self, scheme, epsilon_fixed, lw2_corrected, K):
         prob = make_test("8")
         options = dict(scheme=scheme, epsilon_fixed=epsilon_fixed,
                        lw2_corrected=lw2_corrected)
         case = tuple(options.values())
+        # a K other than the default only where epsilon_n reads it
+        k_read = K == SolverConfig.K or scheme.startswith("af-")
         assert self._accepts(lambda: SolverConfig(
-            hamiltonian=prob.hamiltonian, **options)) == (case in self.ACCEPTED)
+            hamiltonian=prob.hamiltonian, K=K, **options)) == (
+                case in self.ACCEPTED and k_read)
         # the CLI fills f-hc-fixed's missing scale with 20 dx per level
-        cli_accepts = case in self.ACCEPTED or case == ("f-hc-fixed", None, False)
+        cli_accepts = k_read and (case in self.ACCEPTED
+                                  or case == ("f-hc-fixed", None, False))
         assert self._accepts(lambda: solver_config(
-            CliConfig(test_id="8", **options), prob, 0)) == cli_accepts
+            CliConfig(test_id="8", K=K, **options), prob, 0)) == cli_accepts
 
     def test_unknown_scheme_refused(self):
         with pytest.raises(ValueError, match="unknown scheme 'af-monotone'"):

@@ -215,7 +215,7 @@ class TestRunIndicators:
         assert len(om) == 1 + res.omega.size
         ph = (out / "phi.csv").read_text().splitlines()
         assert ph[0] == "x,y,phi"
-        assert [ln.split(",")[2] for ln in ph[1:]] == [str(p) for p in res.phi.ravel()]
+        assert [ln.split(",")[2] for ln in ph[1:]] == [str(int(p)) for p in res.phi.ravel()]
 
     def test_damped_radial_origin_detected(self):
         res = run_indicators(IndicatorRunConfig(test_id="3", dx=0.05))
@@ -311,6 +311,20 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "lw2_corrected" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scheme, K", [
+        ("rkc4", "5"), ("monotone", "2"), ("f-hc-fixed", "3")])
+    def test_K_refused_off_the_adaptive_schemes(self, scheme, K, tmp_path,
+                                                capsys):
+        # only epsilon_n reads K, and only the af- schemes call it
+        out = tmp_path / "out"
+        code = cli_main(["solve", "--test", "8", "--scheme", scheme,
+                         "--K", K, "--refinements", "1", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "safety factor K" in err
+        assert scheme in err
         assert not out.exists()
 
     @pytest.mark.parametrize("scheme", ["lw2", "richtmyer", "af-lw2",

@@ -11,8 +11,10 @@ from hjaf.highorder import (SCHEME_ORDERS, centered_slopes, cross_diff,
                             fourth_order_slopes, hc_step, high_order_step,
                             lw2_step, lw_step, richtmyer_step, rkc4_step,
                             second_diffs, time_curvature, _staggered_secants)
+from hjaf.monotone import (CflViolation, MonotoneKind, htilde_differences,
+                           monotone_step, one_sided_slopes)
 
-from oracles import space_derivatives
+from oracles import broadcasting_hamiltonian, space_derivatives
 
 PER = BoundaryCondition.PERIODIC
 NEU = BoundaryCondition.NEUMANN_ZERO
@@ -281,6 +283,92 @@ class TestExactZeroSpaceDerivatives:
         for corrected in (False, True):
             assert same_bits(lw2_step(f, H, dt, corrected).values,
                              zeros_lw2_values(f, H, dt, corrected))
+
+
+@st.composite
+def closure_fields(draw):
+    """A field on 3..8 nodes per axis under either boundary rule, with one
+    node column on x = 0 and one node row on y = 0, where the rotation's
+    H_p = -y and H_q = x are signed zeros: noise, or small integers whose
+    zeros carry either sign."""
+    ny, nx = draw(st.integers(3, 8)), draw(st.integers(3, 8))
+    dx, dy = (draw(st.floats(0.05, 0.9)) for _ in range(2))
+    kx, ky = draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))
+    g = Grid2D(-(kx * dx), -(ky * dy), dx, dy, nx, ny)
+    if draw(st.booleans()):
+        elements = st.floats(-1e3, 1e3, allow_subnormal=False)
+    else:
+        elements = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0])
+    values = draw(arrays(np.float64, (ny, nx), elements=elements))
+    return GridField(g, values, draw(st.sampled_from([PER, NEU])))
+
+
+def same_bits_or_nan(a, b) -> bool:
+    """Bitwise equality, signs of zeros included; NaN at the same places
+    (an IEEE operation may pass on either NaN payload)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a.view(np.uint64)[~nan],
+                               b.view(np.uint64)[~nan]))
+
+
+def outcome(call, H):
+    """The arrays ``call(H)`` returns, or the refusal it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            out = call(H)
+    except CflViolation as exc:
+        return str(exc)
+    return out if isinstance(out, tuple) else (out,)
+
+
+# At (x, y) = (-0.5, 0): H_p = -y = -0.0 and H_x = q = -0.0 there, so the
+# sign of H_x's zero reaches the time curvature.
+SIGNED_AXIS = np.array([[0.0, 0.0, 0.0], [-0.0, 0.0, 0.0], [0.0, -0.0, -0.0]])
+
+CLOSURE_HS = {"transport": transport_hamiltonian(),
+              "rotation": rotation_hamiltonian(2.5),
+              "shifted-quadratic": shifted_quadratic_hamiltonian(8.0)}
+
+
+class TestClosuresReturnTheirFormula:
+    """Closures that return their formula (a float for a constant) give
+    every solver call the bits that closures broadcast to their arguments'
+    shape gave (``oracles.broadcasting_hamiltonian``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(closure_fields(), st.sampled_from(sorted(CLOSURE_HS)))
+    @example(GridField(Grid2D(-1.0, -1.0, 0.5, 0.5, 3, 3), SIGNED_AXIS, NEU),
+             "rotation")
+    def test_solver_calls_match_broadcast_closures(self, f, name):
+        H = CLOSURE_HS[name]
+        wide = broadcasting_hamiltonian(H, name)
+        dt = 0.4 * min(f.grid.dx, f.grid.dy) / max(H.vmax_p, H.vmax_q)
+        x, y = f.grid.meshes()
+        llf = MonotoneKind.LOCAL_LAX_FRIEDRICHS
+        calls = {
+            "time_curvature": lambda H: time_curvature(f, H),
+            "monotone_step": lambda H: monotone_step(f, llf, H, dt).values,
+            "htilde_differences": lambda H: htilde_differences(
+                llf, H, x, y, *one_sided_slopes(f)),
+        }
+        steps = {"lw2": lw2_step}
+        if not H.space_dependent:
+            steps["richtmyer"] = richtmyer_step
+        for step_name, step in steps.items():
+            for corrected in (False, True):
+                calls[f"{step_name}-{corrected}"] = (
+                    lambda H, step=step, corrected=corrected:
+                    step(f, H, dt, corrected).values)
+        for call_name, call in calls.items():
+            got, want = outcome(call, H), outcome(call, wide)
+            if isinstance(want, str):
+                assert got == want, call_name
+                continue
+            assert len(got) == len(want), call_name
+            for a, b in zip(got, want):
+                assert same_bits_or_nan(a, b), call_name
 
 
 class TestQuadraticTaylor:

@@ -198,6 +198,16 @@ class TestPhi:
         assert phi_1d(np.array([0.2]), cfg)[0] == 1
         assert phi_1d(np.array([0.19]), cfg)[0] == 0
 
+    @pytest.mark.parametrize("variant", list(Variant1D))
+    def test_phi_is_the_boolean_threshold(self, variant):
+        # the trust mask is omega >= M itself, no integer copy of it
+        f = make_test("1").build_field(0.1)
+        cfg = Indicator1DConfig(variant=variant)
+        sm = smoothness_1d(f, cfg)
+        assert sm.phi.dtype == np.bool_
+        assert np.array_equal(sm.phi, sm.omega >= cfg.M)
+        assert not sm.phi.all() and sm.phi.any()
+
     def test_piecewise_function_detection(self):
         # kink at 0, jumps at 2 and 4 all flagged; smooth interior clean
         case = make_test("1")

@@ -297,6 +297,16 @@ class TestSplit:
 
 
 class TestPhi2D:
+    @pytest.mark.parametrize("variant", list(Formula2D))
+    def test_phi_is_the_boolean_threshold(self, variant):
+        # the trust mask is omega >= M itself, no integer copy of it
+        f = make_test("2").build_field(0.1)
+        cfg = Indicator2DConfig(variant=variant)
+        sm = smoothness_2d(f, cfg)
+        assert sm.phi.dtype == np.bool_
+        assert np.array_equal(sm.phi, sm.omega >= cfg.M)
+        assert not sm.phi.all() and sm.phi.any()
+
     def test_all_trusted(self):
         f = patch_field(np.zeros((6, 6)))
         cfg = Indicator2DConfig()

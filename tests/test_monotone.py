@@ -131,9 +131,11 @@ class TestLlfHamiltonian:
             hi = lo + np.abs(rng.normal(size=(9, 9)))
             other = rng.normal(size=(9, 9))
             scan = scan_max_abs(H.dp, x, y, lo, hi, other, other_is_q=True)
-            assert np.array_equal(H.alpha_p(x, y, lo, hi, other), scan)
+            assert np.array_equal(np.broadcast_to(
+                H.alpha_p(x, y, lo, hi, other), scan.shape), scan)
             scan_q = scan_max_abs(H.dq, x, y, lo, hi, other, other_is_q=False)
-            assert np.array_equal(H.alpha_q(x, y, lo, hi, other), scan_q)
+            assert np.array_equal(np.broadcast_to(
+                H.alpha_q(x, y, lo, hi, other), scan_q.shape), scan_q)
 
     @pytest.mark.parametrize("missing", ["alpha_p", "alpha_q"])
     def test_missing_interval_bound_refused(self, missing):
@@ -183,10 +185,10 @@ class TestSpeedBoundSymmetry:
     def test_registry_bounds_are_bitwise_symmetric(self, tid, slot, a, b,
                                                    x, y, other):
         bound = getattr(BOUNDED[tid], slot)
+        shape = np.broadcast(x, y, a, b, other).shape
         with np.errstate(invalid="ignore", over="ignore"):
-            ab = np.array(bound(x, y, a, b, other))
-            ba = np.array(bound(x, y, b, a, other))
-        assert ab.shape == ba.shape
+            ab = np.array(np.broadcast_to(bound(x, y, a, b, other), shape))
+            ba = np.array(np.broadcast_to(bound(x, y, b, a, other), shape))
         # Bitwise, except that where both endpoints are NaN the result need
         # only be NaN: which of two NaN payloads an IEEE operation passes on
         # is left open by the standard.
@@ -343,13 +345,14 @@ class TestMakeHamiltonian:
                 assert zero == 0.0 and np.copysign(1.0, zero) == 1.0
 
     def test_constant_factor_closures_match_allocating_forms(self):
-        # the closures return broadcast views; values, signs of zeros and
-        # shapes equal the forms that multiplied by a fresh np.ones
+        # the closures return their formula; broadcast to the arguments'
+        # shape, values and signs of zeros equal the forms that multiplied
+        # by a fresh np.ones
         def ones(*args):
             return np.ones(np.broadcast(*args).shape)
 
         def same(got, want):
-            assert got.shape == want.shape
+            got = np.broadcast_to(got, want.shape)
             assert np.array_equal(got, want, equal_nan=True)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 

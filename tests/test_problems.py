@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hjaf.grids import BoundaryCondition
 from hjaf.problems import (ALL_TEST_IDS, IndicatorCase, ProblemSpec, disc_min,
-                           exact_burgers_like, exact_rotation,
-                           exact_translation, hopf_lax_min_1d, make_test,
-                           two_circles, _hopf_lax_objective)
+                           eroded_two_squares, exact_burgers_like,
+                           exact_rotation, exact_translation, hopf_lax_min_1d,
+                           make_test, two_circles, two_squares,
+                           _hopf_lax_objective)
 
 SQ2H = math.sqrt(2) / 2
 
@@ -206,6 +208,69 @@ class TestErosionOracle:
         for t in (0.25, 0.6):
             got = disc_min(two_circles, t, X, Y)
             assert got == pytest.approx(closed(t, X, Y), abs=1e-6)
+
+
+def squares_u0(x, y):
+    """Test 7b's initial data written out: an axis-aligned square around
+    (sqrt2/2, sqrt2/2) and a diamond around (-1, -1), capped at 1/8."""
+    sx, sy = np.sqrt(0.5) * x + SQ2H, np.sqrt(0.5) * y + SQ2H
+    f1 = np.maximum(np.abs(x - SQ2H), np.abs(y - SQ2H))
+    f2 = np.maximum(np.abs(sx + sy), np.abs(sx - sy))
+    return np.minimum(np.minimum(f1 - 0.5, f2 - 0.5), 0.125)
+
+
+class TestSquaresErosion:
+    """Test 7b's oracle: two_squares eroded by the disc of radius t in
+    closed form, one max-norm piece at a time."""
+
+    T = 0.7    # test 7b's final time
+
+    def test_registry_oracle_is_the_closed_form(self):
+        prob = make_test("7b")
+        X, Y = prob.grid(1).meshes()
+        assert np.array_equal(prob.exact(self.T, X, Y),
+                              eroded_two_squares(self.T, X, Y))
+        # at t = 0 the erosion is the initial data, bitwise
+        u0 = squares_u0(X, Y)
+        for got in (prob.initial(X, Y), two_squares(X, Y),
+                    prob.exact(0.0, X, Y)):
+            assert np.array_equal(got.view(np.uint64), u0.view(np.uint64))
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_never_above_the_sampled_minimum(self, level):
+        # disc_min samples the disc, so it bounds the true minimum from above
+        X, Y = make_test("7b").grid(level).meshes()
+        closed = eroded_two_squares(self.T, X, Y)
+        assert np.all(closed <= disc_min(squares_u0, self.T, X, Y) + 1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.01, 1.0))
+    def test_certified_bounds(self, x, y, t):
+        # Every piece and the cap are 1-Lipschitz, so is their min.  On a
+        # lattice of spacing h the point nearest the true minimizer lies
+        # within h/sqrt2 of it, inside the disc of radius t + h: the true
+        # minimum is at least that sample's minimum - h/sqrt2; and every
+        # sample inside the disc of radius t bounds it from above.
+        h = t / 40.0
+        k = np.arange(-41, 42) * h
+        DX, DY = np.meshgrid(k, k)
+        r = np.hypot(DX, DY)
+        v = squares_u0(x + DX, y + DY)
+        closed = float(eroded_two_squares(t, np.array(x), np.array(y)))
+        assert closed >= v[r <= t + h].min() - h / math.sqrt(2.0) - 1e-12
+        assert closed <= v[r <= t].min() + 1e-12
+
+    def test_value_where_the_sampled_oracle_returned_the_cap(self):
+        # at (1.7, -0.5) the first square's corner piece attains the min:
+        # a + b = 2.2, a - b = sqrt2 - 1.2, s = (2.2 - sqrt(2 t^2 -
+        # (a - b)^2)) / 2, minus R0; the polar samples returned the cap 0.125
+        want = 0.5 * (2.2 - math.sqrt(2 * 0.49 - (math.sqrt(2) - 1.2) ** 2)) - 0.5
+        got = float(eroded_two_squares(self.T, np.array(1.7), np.array(-0.5)))
+        assert got == pytest.approx(want, abs=1e-15)
+        assert got == pytest.approx(0.1167525091386, abs=1e-12)
+        # two_squares is symmetric in x and y, and so is its erosion
+        assert float(eroded_two_squares(self.T, np.array(-0.5),
+                                        np.array(1.7))) == pytest.approx(got)
 
 
 class TestCflGuard:

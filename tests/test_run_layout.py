@@ -189,6 +189,10 @@ class TestGhostColumns:
         for step, u in ((1, f), (2, u1)):
             omega = view_omega_field_2d(u, ind.sigma, ind.variant.value)
             phi, _ = view_phi_2d(omega, u, ind.M)
+            # the step's mask is the oracle's, as a boolean
+            trusted = smoothness_2d(u, ind).phi
+            assert trusted.dtype == np.bool_
+            assert np.array_equal(trusted, phi == 1)
             eps = view_epsilon_n(u, self.H, llf_h(self.H, x, y), dt, phi == 1,
                                  self.K)
             assert 0 < eps < 1e3
