@@ -16,8 +16,8 @@ from .indicators1d import (Indicator1DConfig, Smoothness1D, Variant1D,
 from .indicators2d import (Formula2D, Indicator2DConfig, Smoothness2D,
                            omega_field_2d, omega_split_field, phi_2d,
                            quadrant_beta_fields, smoothness_2d)
-from .monotone import (CflReport, CflViolation, MonotoneKind, cfl_check,
-                       h_eikonal, monotone_hamiltonian, monotone_step)
+from .monotone import (CflViolation, MonotoneKind, h_eikonal,
+                       monotone_hamiltonian, monotone_step)
 from .highorder import (SCHEME_ORDERS, hc_step, high_order_step, lw2_step,
                         lw_step, richtmyer_step, rkc4_step)
 from .filtering import (SCHEME_NAMES, Diagnostics, EvolutionError,

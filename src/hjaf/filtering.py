@@ -186,8 +186,8 @@ def af_evolve(initial: GridField, config: SolverConfig, T: float,
     The smoothness mask and the switching scale are recomputed once per
     time step (never per Runge-Kutta stage).  Aborts with the offending
     step number if the solution leaves the finite range or a monotone
-    step violates its stability bound (at step 1, before ``u`` changes,
-    when the declared bounds already fail).
+    step violates its stability bound on the speeds it used (at step 1
+    when the grid/step pairing is too coarse for the initial data).
     """
     if not 0 < T < np.inf:
         raise ValueError(f"final time must be finite and positive, got {T}")

@@ -21,7 +21,8 @@ import numpy as np
 from . import filtering
 from .filtering import Diagnostics, SolverConfig, af_evolve
 from .grids import GridField, write_field_csv
-from .indicators2d import Formula2D, Indicator2DConfig, smoothness_2d
+from .indicators2d import (Formula2D, Indicator2DConfig, Smoothness2D,
+                           smoothness_2d)
 from .indicators1d import Indicator1DConfig, Variant1D, smoothness_1d
 from .problems import IndicatorCase, ProblemSpec, make_test
 from .reporting import RunReport, error_norms
@@ -99,13 +100,18 @@ def _write_convergence_outputs(cfg: CliConfig, problem: ProblemSpec,
         write_field_csv(final, f)
     # The maps of u^N, which no step evaluates: reached through the name
     # every adaptive step calls, so a trace of the study counts it too.
-    sm = filtering.smoothness_2d(final, indicator)
-    for name, values in (("omega", sm.omega), ("phi", sm.phi)):
-        with open(out / f"{name}.csv", "w") as f:
-            write_field_csv(final.like(values), f, name)
+    _write_maps(out, final, filtering.smoothness_2d(final, indicator))
     with open(out / "epsilon.csv", "w") as f:
         diag.write_csv(f)
     _write_meta(out, cfg, problem=problem.name)
+
+
+def _write_maps(out: Path, field: GridField, sm: Smoothness2D) -> None:
+    """``omega.csv`` and ``phi.csv``: the 2D smoothness maps ``sm`` of
+    ``field``, on its grid."""
+    for name, values in (("omega", sm.omega), ("phi", sm.phi)):
+        with open(out / f"{name}.csv", "w") as f:
+            write_field_csv(field.like(values), f, name)
 
 
 def _write_meta(out: Path, cfg, **extra) -> None:
@@ -169,8 +175,6 @@ def run_indicators(cfg: IndicatorRunConfig) -> IndicatorRunResult:
             with open(out / "indicators.csv", "w") as f:
                 write_field_csv(field.like(sm.omega), f, "omega", phi=sm.phi)
         else:
-            for name, values in (("omega", sm.omega), ("phi", sm.phi)):
-                with open(out / f"{name}.csv", "w") as f:
-                    write_field_csv(field.like(values), f, name)
+            _write_maps(out, field, sm)
         _write_meta(out, cfg)
     return IndicatorRunResult(field=field, omega=sm.omega, phi=sm.phi)

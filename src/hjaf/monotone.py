@@ -4,13 +4,14 @@ The update is u - dt * h(x, y, Dx-, Dx+, Dy-, Dy+) with one-sided slope
 quotients.  Two numerical hamiltonians are provided: the upwind form for
 the eikonal equation, and the local Lax-Friedrichs form for general H.
 Both reproduce H exactly on matched slopes, and both are monotone under
-the simplified step restriction max(lam_x * vmax_p, lam_y * vmax_q) <= 1/2.
-The local Lax-Friedrichs dissipation on each axis is the exact maximum
-of |H_p| (|H_q|) between the two slopes, in either order, which the
-hamiltonian supplies in closed form (``alpha_p``/``alpha_q``); the scheme
-refuses an H without them.  The declared bounds vmax_p, vmax_q can be
-exceeded by the data a run reaches, so the local Lax-Friedrichs step also
-checks the restriction on the dissipation coefficients it actually used.
+the step restriction max(lam_x * ax, lam_y * ay) <= 1/2 on the speeds
+(ax, ay) the update used.  The local Lax-Friedrichs dissipation on each
+axis is the exact maximum of |H_p| (|H_q|) between the two slopes, in
+either order, which the hamiltonian supplies in closed form
+(``alpha_p``/``alpha_q``); the scheme refuses an H without them.  Each
+slot weight of the upwind eikonal form is at most 1, whatever the data,
+so its speeds are (1, 1).  Every step checks the restriction on the
+speeds of the data it reached, and refuses rather than clip dt.
 
 :class:`MonotoneKind` names the form, and :func:`monotone_hamiltonian`
 evaluates it.  The switching scale probes the monotone hamiltonian by
@@ -21,7 +22,6 @@ closures.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -35,15 +35,6 @@ CFL_LIMIT = 0.5
 class MonotoneKind(Enum):
     EIKONAL = "eikonal"
     LOCAL_LAX_FRIEDRICHS = "llf"
-
-
-@dataclass(frozen=True)
-class CflReport:
-    passed: bool
-    value: float          # max(lam_x * vmax_p, lam_y * vmax_q)
-    margin: float         # CFL_LIMIT - value
-    lam_x: float
-    lam_y: float
 
 
 class CflViolation(RuntimeError):
@@ -158,57 +149,42 @@ def one_sided_slopes(field: GridField):
 
 def monotone_hamiltonian(kind: MonotoneKind, H: Hamiltonian,
                          x, y, pm, pp, qm, qp):
-    """(h, speeds): the numerical hamiltonian of form ``kind`` and, for the
-    local Lax-Friedrichs form, the dissipation coefficients (ax, ay) it
-    used; ``speeds`` is None for the upwind eikonal form."""
+    """(h, speeds): the numerical hamiltonian of form ``kind`` and the
+    speeds (ax, ay) it used: the local Lax-Friedrichs dissipation
+    coefficients, or (1.0, 1.0) for the upwind eikonal form, whose slot
+    weights are at most 1."""
     require_runnable(kind, H)
     if kind is MonotoneKind.EIKONAL:
-        return h_eikonal(pm, pp, qm, qp), None
+        return h_eikonal(pm, pp, qm, qp), (1.0, 1.0)
     value, ax, ay = _llf(H, x, y, pm, pp, qm, qp)
     return value, (ax, ay)
 
 
-def cfl_check(H: Hamiltonian, dt: float, grid: Grid2D) -> CflReport:
-    """Simplified step-restriction test max(lam * vmax) <= 1/2."""
-    lam_x = dt / grid.dx
-    lam_y = dt / grid.dy
-    value = max(lam_x * H.vmax_p, lam_y * H.vmax_q)
-    return CflReport(passed=value <= CFL_LIMIT + 1e-12, value=value,
-                     margin=CFL_LIMIT - value, lam_x=lam_x, lam_y=lam_y)
-
-
-def _check_realized_speeds(report: CflReport, speeds, grid: Grid2D) -> None:
-    """Raise CflViolation when max(lam_x * ax, lam_y * ay) over the
-    dissipation coefficients a step used exceeds the limit, naming the
-    node where it is largest."""
+def _check_realized_speeds(dt: float, speeds, grid: Grid2D) -> None:
+    """Raise CflViolation unless lam_x * ax and lam_y * ay, over the speeds
+    a step used, both stay within the limit (a NaN does not), naming the
+    node of the worse axis where it is largest (or first NaN)."""
     ax, ay = speeds
-    vx = report.lam_x * float(np.max(ax))
-    vy = report.lam_y * float(np.max(ay))
-    value = max(vx, vy)
-    if not value > CFL_LIMIT + 1e-12:
+    vx = dt / grid.dx * float(np.max(ax))
+    vy = dt / grid.dy * float(np.max(ay))
+    if vx <= CFL_LIMIT + 1e-12 and vy <= CFL_LIMIT + 1e-12:
         return
-    worst = np.broadcast_to(ax if vx >= vy else ay, grid.shape)
+    on_x = vx >= vy or np.isnan(vx)
+    worst = np.broadcast_to(ax if on_x else ay, grid.shape)
     i, j = np.unravel_index(int(np.argmax(worst)), grid.shape)
     x, y = grid.xnodes()[j], grid.ynodes()[i]
     raise CflViolation(
         f"realized speeds violate the stability bound at node (i, j) = "
         f"({i}, {j}), (x, y) = ({x:.6g}, {y:.6g}): "
-        f"max(lam*alpha) = {value:.4g} > {CFL_LIMIT}")
+        f"max(lam*speed) = {vx if on_x else vy:.4g} > {CFL_LIMIT}")
 
 
 def monotone_step(field: GridField, kind: MonotoneKind, H: Hamiltonian,
                   dt: float) -> GridField:
     """One forward step of the monotone scheme.  Refuses to run when the
-    step restriction fails rather than silently clipping dt: before the
-    update on the declared velocity bounds, after it (local Lax-Friedrichs
-    form) on the dissipation coefficients the update used."""
-    report = cfl_check(H, dt, field.grid)
-    if not report.passed:
-        raise CflViolation(
-            f"time step violates the stability bound: "
-            f"max(lam*vmax) = {report.value:.4g} > {CFL_LIMIT}")
+    step restriction fails on the speeds the update used, rather than
+    silently clipping dt."""
     x, y = field.grid.meshes()
     h, speeds = monotone_hamiltonian(kind, H, x, y, *one_sided_slopes(field))
-    if speeds is not None:
-        _check_realized_speeds(report, speeds, field.grid)
+    _check_realized_speeds(dt, speeds, field.grid)
     return field.like(field.values - dt * h)

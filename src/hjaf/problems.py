@@ -19,7 +19,6 @@ from .grids import BoundaryCondition, Grid1D, Grid2D, GridField
 from .hamiltonians import (Hamiltonian, eikonal_hamiltonian,
                            rotation_hamiltonian, shifted_quadratic_hamiltonian,
                            transport_hamiltonian)
-from .monotone import CFL_LIMIT, cfl_check
 
 SQRT2_HALF = math.sqrt(2.0) / 2.0
 
@@ -95,11 +94,6 @@ class ProblemSpec:
         if self.exact is None:
             raise ValueError(f"problem {self.id} ({self.name}) needs an "
                              "exact-solution oracle")
-        report = cfl_check(self.hamiltonian, self.T_final / self.n_steps(0),
-                           self.grid(0))
-        if not report.passed:
-            raise ValueError(f"base grid/step pairing violates the CFL bound "
-                             f"({report.value:.4g} > {CFL_LIMIT})")
 
     def grid(self, level: int = 0) -> Grid2D:
         nx = self.base_nx * 2 ** level
@@ -376,7 +370,7 @@ def _spec_transport() -> ProblemSpec:
 def _spec_rotation() -> ProblemSpec:
     return ProblemSpec(
         id="6", name="rotating-paraboloid", xlim=(-2.5, 2.5), ylim=(-2.5, 2.5),
-        hamiltonian=rotation_hamiltonian(radius=2.5),
+        hamiltonian=rotation_hamiltonian(),
         initial=steep_paraboloid, bc=BoundaryCondition.NEUMANN_ZERO,
         T_final=2.0 * math.pi, base_nx=20, base_nt=128,
         exact=exact_rotation)
@@ -401,7 +395,7 @@ def _spec_burgers_like(regular_time: bool) -> ProblemSpec:
         id="8" if not regular_time else "8-regular",
         name="burgers-like" + ("-regular" if regular_time else ""),
         xlim=(0.0, 2.0), ylim=(0.0, 2.0),
-        hamiltonian=shifted_quadratic_hamiltonian(slope_bound=math.pi / 2.0),
+        hamiltonian=shifted_quadratic_hamiltonian(),
         initial=cosine_sum, bc=BoundaryCondition.PERIODIC,
         T_final=T_sing / 2.0 if regular_time else T_sing,
         base_nx=20, base_nt=10 if regular_time else 20,

@@ -204,15 +204,16 @@ def blend_cases(draw, constant=False):
     bc = draw(st.sampled_from([PER, NEU]))
     g = Grid2D(-0.5 * nx * dx, -0.5 * ny * dy, dx, dy, nx, ny)
     kind = draw(st.sampled_from(["transport", "eikonal", "rotation"]))
+    # speed: a bound on max|H_p|, max|H_q| over the grid
     if kind == "transport":
-        H, scheme = transport_hamiltonian(), LLF
+        H, scheme, speed = transport_hamiltonian(), LLF, 1.0
     elif kind == "eikonal":
-        H, scheme = eikonal_hamiltonian(), MonotoneKind.EIKONAL
+        H, scheme, speed = eikonal_hamiltonian(), MonotoneKind.EIKONAL, 1.0
     else:
-        H, scheme = rotation_hamiltonian(max(nx * dx, ny * dy)), LLF
+        H, scheme, speed = rotation_hamiltonian(), LLF, max(nx * dx, ny * dy)
     name = draw(st.sampled_from(sorted(SCHEME_ORDERS)))
     assume(not (name == "richtmyer" and H.space_dependent))
-    dt = draw(st.floats(0.05, 0.5)) * min(dx / H.vmax_p, dy / H.vmax_q)
+    dt = draw(st.floats(0.05, 0.5)) * min(dx / speed, dy / speed)
     if constant:
         values = np.full((ny, nx), draw(st.floats(-1e3, 1e3)))
     else:
@@ -295,7 +296,7 @@ class TestEvolve:
     def test_rejects_nonfinite_time_before_stepping(self, monkeypatch, T,
                                                      scheme):
         # NaN and inf used to reach step 1, which failed with a non-finite
-        # value or a CflViolation on max(lam*vmax) = nan
+        # value or a CflViolation on a NaN step restriction
         import hjaf.filtering as filtering
         prob = make_test("8")
         cfg = SolverConfig(hamiltonian=prob.hamiltonian, scheme=scheme)
@@ -330,20 +331,33 @@ class TestEvolve:
         for kw in ({}, {"scheme": "monotone"},
                    {"scheme": "f-hc-fixed", "epsilon_fixed": 1.0}):
             with pytest.raises(CflViolation, match=r"^step 1 \(t = 0.5\): "
-                               r".*max\(lam\*vmax\) = 5 > 0.5"):
+                               r".*max\(lam\*speed\) = 5 > 0.5"):
                 af_evolve(f, self._config(**kw), 1.0, 2)  # dt/dx = 5
 
     @pytest.mark.parametrize("scheme", ["monotone", "af-hc"],
                              ids=["monotone", "af"])
     def test_realized_speed_violation_names_step(self, scheme):
-        # declared bounds 2*(1 + 0.1) pass at lam = 0.2, the data's LLF
-        # coefficients 2*(3 + 1) do not
+        # at lam = 0.2 the data's LLF coefficients 2*(3 + 1) break the bound
         g = Grid2D(0, 0, 0.1, 0.1, 10, 10)
         X, Y = g.meshes()
         f = GridField(g, 3.0 * (X + Y), NEU)
-        cfg = SolverConfig(hamiltonian=shifted_quadratic_hamiltonian(0.1),
+        cfg = SolverConfig(hamiltonian=shifted_quadratic_hamiltonian(),
                            scheme=scheme)
         with pytest.raises(CflViolation, match=r"^step 1 \(t = 0.02\): .*node"):
+            af_evolve(f, cfg, 0.04, 2)
+
+    @pytest.mark.parametrize("slot", ["alpha_p", "alpha_q"])
+    def test_nan_speed_names_step(self, slot):
+        def alpha(x, y, a, b, other):
+            out = np.ones(np.broadcast(x, y, a, b, other).shape)
+            out[3, 4] = np.nan
+            return out
+
+        H = dataclasses.replace(transport_hamiltonian(), **{slot: alpha})
+        f = GridField(Grid2D(0, 0, 0.1, 0.1, 10, 10), np.zeros((10, 10)), NEU)
+        cfg = SolverConfig(hamiltonian=H, scheme="monotone")
+        with pytest.raises(CflViolation, match=r"^step 1 \(t = 0.02\): .*"
+                           r"node \(i, j\) = \(3, 4\),.* = nan > 0.5"):
             af_evolve(f, cfg, 0.04, 2)
 
     def test_nonfinite_aborts_with_step_number(self):
@@ -454,7 +468,7 @@ class TestSchemeVocabulary:
         # on constant data af_step never calls the high-order step (eps = 0),
         # so only the config can refuse
         with pytest.raises(ValueError, match=r"requires H independent of \(x, y\)"):
-            SolverConfig(hamiltonian=rotation_hamiltonian(2.0), scheme=scheme)
+            SolverConfig(hamiltonian=rotation_hamiltonian(), scheme=scheme)
 
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     @pytest.mark.parametrize("H, other", [

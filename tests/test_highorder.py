@@ -193,7 +193,7 @@ class TestRichtmyerPrecondition:
         g = Grid2D(0, 0, 0.1, 0.1, 10, 10)
         f = GridField(g, np.zeros((10, 10)), NEU)
         with pytest.raises(ValueError):
-            richtmyer_step(f, rotation_hamiltonian(2.5), 0.01)
+            richtmyer_step(f, rotation_hamiltonian(), 0.01)
 
 
 def zeros_time_curvature(field, H):
@@ -276,7 +276,7 @@ class TestExactZeroSpaceDerivatives:
              "transport")
     def test_scalar_zero_rounds_like_zero_arrays(self, f, name):
         H = (transport_hamiltonian() if name == "transport"
-             else shifted_quadratic_hamiltonian(8.0))
+             else shifted_quadratic_hamiltonian())
         assert not H.space_dependent
         assert same_bits(time_curvature(f, H), zeros_time_curvature(f, H))
         dt = 0.1 * min(f.grid.dx, f.grid.dy)
@@ -328,8 +328,13 @@ def outcome(call, H):
 SIGNED_AXIS = np.array([[0.0, 0.0, 0.0], [-0.0, 0.0, 0.0], [0.0, -0.0, -0.0]])
 
 CLOSURE_HS = {"transport": transport_hamiltonian(),
-              "rotation": rotation_hamiltonian(2.5),
-              "shifted-quadratic": shifted_quadratic_hamiltonian(8.0)}
+              "rotation": rotation_hamiltonian(),
+              "shifted-quadratic": shifted_quadratic_hamiltonian()}
+# the speed that fixes each hamiltonian's dt: transport's 1, the rotation's
+# max(|x|, |y|) for |x|, |y| <= 2.5, the shifted quadratic's 2(1 + |p|) for
+# |p| <= 8
+CLOSURE_SPEEDS = {"transport": 1.0, "rotation": 2.5,
+                  "shifted-quadratic": 2.0 * (1.0 + 8.0)}
 
 
 class TestClosuresReturnTheirFormula:
@@ -344,7 +349,7 @@ class TestClosuresReturnTheirFormula:
     def test_solver_calls_match_broadcast_closures(self, f, name):
         H = CLOSURE_HS[name]
         wide = broadcasting_hamiltonian(H, name)
-        dt = 0.4 * min(f.grid.dx, f.grid.dy) / max(H.vmax_p, H.vmax_q)
+        dt = 0.4 * min(f.grid.dx, f.grid.dy) / CLOSURE_SPEEDS[name]
         x, y = f.grid.meshes()
         llf = MonotoneKind.LOCAL_LAX_FRIEDRICHS
         calls = {

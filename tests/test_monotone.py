@@ -10,7 +10,7 @@ from hjaf.hamiltonians import (Hamiltonian, eikonal_hamiltonian,
                                rotation_hamiltonian,
                                shifted_quadratic_hamiltonian,
                                transport_hamiltonian)
-from hjaf.monotone import (CflViolation, MonotoneKind, cfl_check, h_eikonal,
+from hjaf.monotone import (CflViolation, MonotoneKind, h_eikonal,
                            htilde_differences, monotone_hamiltonian,
                            monotone_step, one_sided_slopes)
 from hjaf.problems import ALL_TEST_IDS, ProblemSpec, make_test
@@ -35,8 +35,7 @@ def scanned_hamiltonian():
         dp=lambda x, y, p, q: np.cos(p) * np.ones(np.broadcast(x, y, p, q).shape),
         dq=lambda x, y, p, q: q + x * np.ones(np.broadcast(x, y, p, q).shape),
         dx_=lambda x, y, p, q: q * np.ones(np.broadcast(x, y, p, q).shape),
-        dy_=lambda x, y, p, q: np.zeros(np.broadcast(x, y, p, q).shape),
-        vmax_p=1.0, vmax_q=1.0)
+        dy_=lambda x, y, p, q: np.zeros(np.broadcast(x, y, p, q).shape))
     alpha_p, alpha_q = scan_bounds(H)
     return dataclasses.replace(H, alpha_p=alpha_p, alpha_q=alpha_q)
 
@@ -56,11 +55,10 @@ def grid_fields(draw):
     return GridField(g, values, draw(st.sampled_from([PER, NEU])))
 
 
-def scheme_and_hamiltonian(kind: str, g: Grid2D):
-    radius = max(abs(g.x0), abs(g.y0)) + max(g.dx, g.dy)
+def scheme_and_hamiltonian(kind: str):
     return {"transport": (LLF, transport_hamiltonian()),
-            "quadratic": (LLF, shifted_quadratic_hamiltonian(2.0)),
-            "rotation": (LLF, rotation_hamiltonian(radius)),
+            "quadratic": (LLF, shifted_quadratic_hamiltonian()),
+            "rotation": (LLF, rotation_hamiltonian()),
             "scanned": (LLF, scanned_hamiltonian()),
             "eikonal": (EIK, eikonal_hamiltonian())}[kind]
 
@@ -92,8 +90,8 @@ class TestLlfHamiltonian:
 
     def test_consistency_on_matched_slopes(self):
         rng = np.random.default_rng(21)
-        for H in (transport_hamiltonian(), shifted_quadratic_hamiltonian(2.0),
-                  rotation_hamiltonian(2.5)):
+        for H in (transport_hamiltonian(), shifted_quadratic_hamiltonian(),
+                  rotation_hamiltonian()):
             x, y = rng.normal(size=20), rng.normal(size=20)
             p, q = rng.normal(size=20), rng.normal(size=20)
             got, _ = monotone_hamiltonian(LLF, H, x, y, p, p, q, q)
@@ -107,7 +105,7 @@ class TestLlfHamiltonian:
             eval=lambda x, y, p, q: p * p + q * q,
             dp=lambda x, y, p, q: 2 * p * np.ones(np.broadcast(x, y, p, q).shape),
             dq=lambda x, y, p, q: 2 * q * np.ones(np.broadcast(x, y, p, q).shape),
-            vmax_p=4.0, vmax_q=4.0, alpha_p=bound, alpha_q=bound)
+            alpha_p=bound, alpha_q=bound)
         v, _ = monotone_hamiltonian(LLF, H, 0.0, 0.0, np.float64(0.0),
                                     np.float64(2.0), np.float64(0.0),
                                     np.float64(0.0))
@@ -150,7 +148,7 @@ class TestSlotDifferences:
     @given(grid_fields(), st.sampled_from(["transport", "quadratic", "rotation",
                                            "scanned", "eikonal"]))
     def test_closed_form_matches_eight_calls(self, f, kind):
-        scheme, H = scheme_and_hamiltonian(kind, f.grid)
+        scheme, H = scheme_and_hamiltonian(kind)
         x, y = f.grid.meshes()
         slopes = one_sided_slopes(f)
 
@@ -226,21 +224,18 @@ class TestMonotoneStep:
         # grows with the slopes: at a sonic rarefaction its step is
         # monotone only while lam_x*ax + lam_y*ay <= 1/2, so that H draws
         # dt under the sum; slope-independent bounds use the max.
-        scheme, H = scheme_and_hamiltonian(kind, f.grid)
+        scheme, H = scheme_and_hamiltonian(kind)
         g, u = f.grid, f.values
         bump = data.draw(arrays(np.float64, u.shape,
                                 elements=st.floats(0.0, 5.0), fill=st.nothing()))
         v = GridField(g, u + bump, f.bc)
-        rates = [H.vmax_p / g.dx, H.vmax_q / g.dy]
-        if scheme is LLF:
-            x, y = g.meshes()
-            speeds = [monotone_hamiltonian(scheme, H, x, y, *one_sided_slopes(w))[1]
-                      for w in (f, v)]
-            rates = [max(float(np.max(s[k])) for s in speeds) / d
-                     for k, d in ((0, g.dx), (1, g.dy))]
+        x, y = g.meshes()
+        speeds = [monotone_hamiltonian(scheme, H, x, y, *one_sided_slopes(w))[1]
+                  for w in (f, v)]
+        rates = [max(float(np.max(s[k])) for s in speeds) / d
+                 for k, d in ((0, g.dx), (1, g.dy))]
         limit = 0.5 / (sum(rates) if kind == "quadratic" else max(rates))
-        dt = data.draw(st.floats(0.01, 1.0)) * min(
-            limit, 0.5 * g.dx / H.vmax_p, 0.5 * g.dy / H.vmax_q)
+        dt = data.draw(st.floats(0.01, 1.0)) * limit
         su = monotone_step(f, scheme, H, dt).values
         sv = monotone_step(v, scheme, H, dt).values
         scale = 1.0 + np.abs(u).max() + np.abs(v.values).max() + (
@@ -278,13 +273,12 @@ class TestMonotoneStep:
             assert 1.7 <= r <= 2.3
 
     def test_realized_speed_violation_refuses(self):
-        # declared bounds 2*(1 + 0.1) pass at lam = 0.2; the data's slopes
-        # of 3 need LLF coefficients 2*(3 + 1) = 8, so lam*8 = 1.6
+        # the data's slopes of 3 need LLF coefficients 2*(3 + 1) = 8, so
+        # lam = 0.2 gives lam*8 = 1.6
         g = grid()
         X, Y = g.meshes()
         f = GridField(g, 3.0 * (X + Y), NEU)
-        H = shifted_quadratic_hamiltonian(0.1)
-        assert cfl_check(H, 0.02, g).passed
+        H = shifted_quadratic_hamiltonian()
         with pytest.raises(CflViolation, match=r"node \(i, j\) = \(\d+, \d+\)"):
             monotone_step(f, LLF, H, 0.02)
         monotone_step(f, LLF, H, 0.005)  # lam*8 = 0.4 passes
@@ -294,6 +288,41 @@ class TestMonotoneStep:
         f = GridField(g, np.zeros((12, 12)), NEU)
         with pytest.raises(CflViolation):
             monotone_step(f, LLF, transport_hamiltonian(), 0.6 * g.dx)
+
+    @pytest.mark.parametrize("slot", ["alpha_p", "alpha_q"])
+    def test_nan_speed_refuses(self, slot):
+        # max(lam_x*ax, nan) is lam_x*ax and nan > limit is false, so a
+        # guard that tests for excess lets a NaN speed through
+        def alpha(x, y, a, b, other):
+            out = np.ones(np.broadcast(x, y, a, b, other).shape)
+            out[3, 4] = np.nan
+            return out
+
+        H = dataclasses.replace(transport_hamiltonian(), **{slot: alpha})
+        f = GridField(grid(), np.zeros((12, 12)), NEU)
+        with pytest.raises(CflViolation, match=r"node \(i, j\) = \(3, 4\),"
+                           r".*max\(lam\*speed\) = nan > 0.5"):
+            monotone_step(f, LLF, H, 0.02)
+
+    @pytest.mark.parametrize("scheme, H", [(LLF, transport_hamiltonian()),
+                                           (EIK, eikonal_hamiltonian())],
+                             ids=["llf", "eikonal"])
+    def test_nan_dt_refuses(self, scheme, H):
+        f = GridField(grid(), np.zeros((12, 12)), NEU)
+        with pytest.raises(CflViolation, match=r"max\(lam\*speed\) = nan"):
+            monotone_step(f, scheme, H, np.nan)
+
+    @pytest.mark.parametrize("dx, dy", [(0.1, 0.2), (0.2, 0.1)])
+    def test_eikonal_speeds_are_one(self, dx, dy):
+        # each slot weight of the upwind form is at most 1: the finer axis
+        # binds at lam = 1/2, whatever the data
+        g = Grid2D(0.0, 0.0, dx, dy, 12, 12)
+        rng = np.random.default_rng(25)
+        f = GridField(g, rng.normal(size=(12, 12)), NEU)
+        dt = 0.5 * min(dx, dy)
+        monotone_step(f, EIK, eikonal_hamiltonian(), dt)
+        with pytest.raises(CflViolation, match=r"max\(lam\*speed\) = 0.5 > 0.5"):
+            monotone_step(f, EIK, eikonal_hamiltonian(), dt * (1 + 1e-9))
 
     def test_eikonal_scheme_requires_eikonal_h(self):
         g = grid()
@@ -310,8 +339,7 @@ class TestMakeHamiltonian:
         for missing in ("dx_", "dy_"):
             kwargs = {k: v for k, v in closures.items() if k != missing}
             with pytest.raises(ValueError, match="dx_ and dy_"):
-                Hamiltonian(eval=lambda x, y, p, q: x * p, vmax_p=1.0,
-                            vmax_q=1.0, **kwargs)
+                Hamiltonian(eval=lambda x, y, p, q: x * p, **kwargs)
 
     def test_space_dependence_is_read_from_the_closures(self):
         # among the registry hamiltonians only the rotation depends on (x, y)
@@ -324,21 +352,12 @@ class TestMakeHamiltonian:
             assert H.space_dependent == (H.dx_ is not None) == (H.dy_ is not None)
         assert scanned_hamiltonian().space_dependent
 
-    @pytest.mark.parametrize("bounds", [(0.0, 1.0), (1.0, -1.0), (1.0, np.nan),
-                                        (np.nan, 1.0), (1.0, np.inf)])
-    def test_velocity_bounds_must_be_positive(self, bounds):
-        # a NaN bound would pass cfl_check: max(x, nan) is x
-        one = lambda x, y, p, q: np.ones(np.broadcast(x, y, p, q).shape)
-        with pytest.raises(ValueError, match="velocity bounds must be finite"):
-            Hamiltonian(eval=lambda x, y, p, q: p + q, dp=one, dq=one,
-                        vmax_p=bounds[0], vmax_q=bounds[1])
-
     def test_space_independent_derivatives_are_exact_zeros(self):
         # an H that leaves dx_, dy_ out has H_x = H_y = +0.0 at every node
         from hjaf.highorder import _centered_derivatives
         f = GridField(grid(), np.arange(144.0).reshape(12, 12), NEU)
         for H in (transport_hamiltonian(), eikonal_hamiltonian(),
-                  shifted_quadratic_hamiltonian(1.0)):
+                  shifted_quadratic_hamiltonian()):
             assert H.dx_ is None and H.dy_ is None
             hx, hy = _centered_derivatives(f, H)[2:]
             for zero in (hx, hy):
@@ -359,7 +378,7 @@ class TestMakeHamiltonian:
         p = np.array([[-1.0, -0.0, 0.0, np.nan], [2.5, -3.0, 1e300, -1.0]])
         q = p[::-1, ::-1].copy()
         x, y = np.meshgrid(np.linspace(0, 1, 4), np.linspace(0, 1, 2))
-        Hs = shifted_quadratic_hamiltonian(1.5)
+        Hs = shifted_quadratic_hamiltonian()
         Ht = transport_hamiltonian()
         for args in ((x, y, p, q), (0.3, 0.4, p, q), (x, y, 0.5, -1.0),
                      (x, y, p[0], q[0])):
@@ -372,21 +391,22 @@ class TestMakeHamiltonian:
             same(Ht.alpha_q(x, y, lo, hi, p), ones(lo, hi))
 
 
-class TestCflCheck:
+class TestStepGuard:
+    """The step restriction, checked on the speeds the step used."""
+
     def test_transport_pass(self):
-        g = grid(dx=0.1)
-        rep = cfl_check(transport_hamiltonian(), 0.02, g)
-        assert rep.passed and rep.value == pytest.approx(0.2)
-        assert rep.margin == pytest.approx(0.3)
+        f = GridField(grid(dx=0.1), np.zeros((12, 12)), NEU)
+        monotone_step(f, LLF, transport_hamiltonian(), 0.02)   # lam 0.2
 
     def test_fail_above_half(self):
-        g = grid(dx=0.1)
-        rep = cfl_check(transport_hamiltonian(), 0.06, g)
-        assert not rep.passed
+        f = GridField(grid(dx=0.1), np.zeros((12, 12)), NEU)
+        with pytest.raises(CflViolation, match=r"max\(lam\*speed\) = 0.6 > 0.5"):
+            monotone_step(f, LLF, transport_hamiltonian(), 0.06)
 
     def test_rotation_case(self):
-        # dt/dx = pi/16 with velocity bound 2.5 sits just under the limit
+        # dt/dx = pi/16 with max|y| = 2.5 on the grid sits just under the
+        # limit
         g = Grid2D(-2.5, -2.5, 0.25, 0.25, 21, 21)
-        rep = cfl_check(rotation_hamiltonian(2.5), (np.pi / 16) * 0.25, g)
-        assert rep.passed
-        assert rep.value == pytest.approx(2.5 * np.pi / 16)
+        X, Y = g.meshes()
+        f = GridField(g, X * X + Y * Y, NEU)
+        monotone_step(f, LLF, rotation_hamiltonian(), (np.pi / 16) * 0.25)

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hjaf.grids import BoundaryCondition
-from hjaf.problems import (ALL_TEST_IDS, IndicatorCase, ProblemSpec, disc_min,
-                           eroded_two_squares, exact_burgers_like,
-                           exact_rotation, exact_translation, hopf_lax_min_1d,
-                           make_test, two_circles, two_squares,
-                           _hopf_lax_objective)
+from hjaf.harness import CliConfig, run_convergence
+from hjaf.monotone import CflViolation
+from hjaf.problems import (ALL_TEST_IDS, PROBLEM_IDS, IndicatorCase,
+                           ProblemSpec, disc_min, eroded_two_squares,
+                           exact_burgers_like, exact_rotation,
+                           exact_translation, hopf_lax_min_1d, make_test,
+                           two_circles, two_squares, _hopf_lax_objective)
 
 SQ2H = math.sqrt(2) / 2
 
@@ -273,19 +275,23 @@ class TestSquaresErosion:
                                         np.array(1.7))) == pytest.approx(got)
 
 
-class TestCflGuard:
-    def test_base_pairings_satisfy_bound(self):
-        # each axis with its own spacing and velocity bound
-        for tid in ("5", "6", "7a", "7b", "8", "8-regular"):
-            prob = make_test(tid)
-            g, H = prob.grid(0), prob.hamiltonian
-            dt = prob.T_final / prob.n_steps(0)
-            assert max(dt / g.dx * H.vmax_p, dt / g.dy * H.vmax_q) <= 0.5 + 1e-12
+class TestMonotoneRuns:
+    """A problem's base grid/step pairing is checked where the monotone
+    step runs, on the speeds of the data it reaches."""
+
+    @pytest.mark.parametrize("tid", PROBLEM_IDS)
+    def test_monotone_runs_on_two_levels(self, tid):
+        report = run_convergence(CliConfig(test_id=tid, scheme="monotone",
+                                           refinements=2))
+        assert len(report.rows) == 2
 
     @pytest.mark.parametrize("tid", ["5", "6", "8", "8-regular"])
-    def test_halved_step_count_refused(self, tid):
+    def test_halved_step_count_refused_at_step_1(self, tid):
         # each of these pairs sits above half the limit, so half the
-        # steps (twice dt) breaks it
+        # steps (twice dt) breaks it: the problem builds, its monotone
+        # run refuses before u moves
         problem = make_test(tid)
-        with pytest.raises(ValueError, match="violates the CFL bound"):
-            dataclasses.replace(problem, base_nt=problem.base_nt // 2)
+        halved = dataclasses.replace(problem, base_nt=problem.base_nt // 2)
+        with pytest.raises(CflViolation, match=r"^step 1 \("):
+            run_convergence(CliConfig(test_id=tid, scheme="monotone",
+                                      refinements=1), halved)

@@ -112,7 +112,7 @@ class TestSecondDifferenceEnds:
                 assert np.isfinite(d[z][s:-s]).all()
         line = GridField(Grid1D(0.0, f.grid.dx, f.grid.nx), f.values[0], f.bc)
         outputs = [*second_diffs(f),
-                   highorder.time_curvature(f, shifted_quadratic_hamiltonian(1.5)),
+                   highorder.time_curvature(f, shifted_quadratic_hamiltonian()),
                    *beta_fields_1d(f, "x"), *beta_fields_1d(f, "y"),
                    *beta_fields_1d(line)]
         for formula in (Formula2D.FULL, Formula2D.PARTIAL):
@@ -158,11 +158,12 @@ class TestGhostColumns:
     """No throw-away ghost-column value reaches a reduction: the switching
     scale's max, the trust count, the realized-speed guard."""
 
-    H = shifted_quadratic_hamiltonian(1.5)     # vmax 5 per axis
+    H = shifted_quadratic_hamiltonian()
+    SPEED = 2.0 * (1.0 + 1.5)     # H's speed 2(1 + |p|) at |p| = 1.5
     K = 1.0
 
     def dt(self, f):
-        return 0.4 * f.grid.dx / self.H.vmax_p
+        return 0.4 * f.grid.dx / self.SPEED
 
     @pytest.mark.parametrize("bc", [PER, NEU])
     def test_throw_away_values_would_trip_the_guard(self, bc):
@@ -307,11 +308,11 @@ class TestSharedStencils:
 
     def test_time_curvature_is_kept_per_hamiltonian(self):
         f = jump_field(PER)
-        H = shifted_quadratic_hamiltonian(2.0)
+        H = shifted_quadratic_hamiltonian()
         bracket = highorder.time_curvature(f, H)
         assert highorder.time_curvature(f, H) is bracket
         assert not bracket.flags.writeable
-        other = highorder.time_curvature(f, shifted_quadratic_hamiltonian(3.0))
+        other = highorder.time_curvature(f, shifted_quadratic_hamiltonian())
         assert other is not bracket
         # the switching scale reads the bracket and leaves it as it was
         want = bracket.copy()
