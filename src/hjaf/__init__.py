@@ -10,12 +10,12 @@ from .grids import (BoundaryCondition, Grid1D, Grid2D, GridField,
 from .hamiltonians import (Hamiltonian, eikonal_hamiltonian,
                            rotation_hamiltonian, shifted_quadratic_hamiltonian,
                            transport_hamiltonian)
-from .indicators1d import (Indicator1DConfig, Smoothness1D, Variant1D,
+from .indicators1d import (Indicator1DConfig, Smoothness, Variant1D,
                            beta_fields_1d, map_g, omega_field_1d, phi_1d,
                            smoothness_1d)
-from .indicators2d import (Formula2D, Indicator2DConfig, Smoothness2D,
-                           omega_field_2d, omega_split_field, phi_2d,
-                           quadrant_beta_fields, smoothness_2d)
+from .indicators2d import (Formula2D, Indicator2DConfig, omega_field_2d,
+                           omega_split_field, phi_2d, quadrant_beta_fields,
+                           smoothness_2d)
 from .monotone import (CflViolation, MonotoneKind, h_eikonal,
                        monotone_hamiltonian, monotone_step)
 from .highorder import (SCHEME_ORDERS, hc_step, high_order_step, lw2_step,

@@ -5,10 +5,9 @@ schemes) reads neighbor values through the ghost machinery defined here,
 so boundary handling lives in exactly one place.  One rule, periodic wrap
 or clamp-to-edge, maps an out-of-range index back into the grid, and it
 is applied in one place: :func:`pad_ghosts` fills a ghost layer around a
-fresh copy of an array.  Ghost nodes carry the field's data values, or,
-for the trust mask's neighbor ring, the mask's own; no stencil pads a
-derived float array (a curvature or a beta).  Those are laid out like a
-padded copy instead, and read the same way.
+fresh copy of an array.  Ghost nodes carry the field's data values; no
+stencil pads a derived array (a curvature or a beta).  Those are laid out
+like a padded copy instead, and read the same way.
 
 A field's values are read-only, and :meth:`GridField.memo` keeps what
 is built from them: the padded copy (:meth:`GridField.neighbors`,

@@ -21,9 +21,9 @@ import numpy as np
 from . import filtering
 from .filtering import Diagnostics, SolverConfig, af_evolve
 from .grids import GridField, write_field_csv
-from .indicators2d import (Formula2D, Indicator2DConfig, Smoothness2D,
-                           smoothness_2d)
-from .indicators1d import Indicator1DConfig, Variant1D, smoothness_1d
+from .indicators2d import Formula2D, Indicator2DConfig, smoothness_2d
+from .indicators1d import (Indicator1DConfig, Smoothness, Variant1D,
+                           smoothness_1d)
 from .problems import IndicatorCase, ProblemSpec, make_test
 from .reporting import RunReport, error_norms
 
@@ -106,7 +106,7 @@ def _write_convergence_outputs(cfg: CliConfig, problem: ProblemSpec,
     _write_meta(out, cfg, problem=problem.name)
 
 
-def _write_maps(out: Path, field: GridField, sm: Smoothness2D) -> None:
+def _write_maps(out: Path, field: GridField, sm: Smoothness) -> None:
     """``omega.csv`` and ``phi.csv``: the 2D smoothness maps ``sm`` of
     ``field``, on its grid."""
     for name, values in (("omega", sm.omega), ("phi", sm.phi)):

@@ -58,7 +58,9 @@ class Indicator1DConfig:
 
 
 @dataclass(frozen=True)
-class Smoothness1D:
+class Smoothness:
+    """A field's smoothness weight and its trust mask, in 1D or 2D."""
+
     omega: np.ndarray
     phi: np.ndarray         # the boolean trust mask, omega >= M
 
@@ -146,11 +148,12 @@ def omega_field_1d(field: GridField, cfg: Indicator1DConfig,
     return np.minimum(wm, wp)
 
 
-def phi_1d(omega: np.ndarray, cfg: Indicator1DConfig) -> np.ndarray:
-    """Boolean trust mask: omega >= M.  No smoothing."""
+def phi_1d(omega: np.ndarray, cfg) -> np.ndarray:
+    """Boolean trust mask: omega >= M, for the threshold M of a 1D or 2D
+    indicator config.  No smoothing."""
     return np.asarray(omega) >= cfg.M
 
 
-def smoothness_1d(field: GridField, cfg: Indicator1DConfig) -> Smoothness1D:
+def smoothness_1d(field: GridField, cfg: Indicator1DConfig) -> Smoothness:
     omega = omega_field_1d(field, cfg)
-    return Smoothness1D(omega=omega, phi=phi_1d(omega, cfg))
+    return Smoothness(omega=omega, phi=phi_1d(omega, cfg))

@@ -24,17 +24,18 @@ node offset: the inner betas are runs over the grid grown by one node,
 read from the field's padded copy and its second differences (a memo
 entry the time curvature and the 1D betas read too), the WENO terms are
 read like the inner betas, the weights are runs over the grid, and only
-the combined weight is cut back to the grid's shape; the trust mask's
-neighbor ring reads runs of one padded mask the same way.
+the combined weight is cut back to the grid's shape.
 
 Two coefficient sets are provided: FULL keeps every derivative with total
 order >= 2 (per-axis order <= 2); PARTIAL keeps only total order exactly 2.
 Each quadrant's pair gives the 1D WENO weight
 (:func:`hjaf.indicators1d.weno_weight`) remapped by g, and the combined
-weight is the minimum over the quadrants, thresholded at M.  The WENO
-term 1 / (beta + sigma_h)**2 is evaluated once on each of the four inner
-beta runs, one opposite pair of quadrants at a time, and both terms of
-every quadrant are read as slices of them.
+weight is the minimum over the quadrants.  The WENO term
+1 / (beta + sigma_h)**2 is evaluated once on each of the four inner beta
+runs, one opposite pair of quadrants at a time, and both terms of every
+quadrant are read as slices of them.  The trust mask is the 1D one, the
+plain threshold omega >= M (:func:`phi_2d`), and both dimensions return
+one result, :class:`hjaf.indicators1d.Smoothness`.
 A dimensional-splitting baseline built from the remapped 1D indicator is
 included for comparison; it is blind to singularities whose axis
 restrictions look smooth (e.g. a non-differentiable point with vanishing
@@ -47,9 +48,10 @@ from enum import Enum
 
 import numpy as np
 
-from .grids import GridField, Neighbors
-from .indicators1d import (Indicator1DConfig, Variant1D, map_g,
-                           normalized_weight, omega_field_1d, weno_term)
+from .grids import GridField
+from .indicators1d import (Indicator1DConfig, Smoothness, Variant1D, map_g,
+                           normalized_weight, omega_field_1d, phi_1d,
+                           weno_term)
 
 # Quadrants keyed by the sign of the subcell relative to the node,
 # (z1, z2) = (x side, y side).
@@ -91,13 +93,6 @@ class Indicator2DConfig:
             raise ValueError(f"threshold M must lie in (0, 1/2), got {self.M}")
         if not isinstance(self.variant, Formula2D):
             raise ValueError(f"variant must be a Formula2D member, got {self.variant!r}")
-
-
-@dataclass(frozen=True)
-class Smoothness2D:
-    omega: np.ndarray
-    phi: np.ndarray         # the boolean trust mask, omega >= M
-    untrusted: np.ndarray
 
 
 def _beta_from_diffs(u20, u02, u11, u21, u12, u22, dxdy, coeffs):
@@ -210,33 +205,11 @@ def omega_split_field(field: GridField, cfg: Indicator2DConfig) -> np.ndarray:
                       omega_field_1d(field, axis_cfg, "y"))
 
 
-# Cyclic walk around a node's eight neighbors, as (dj, di) steps.
-_RING = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
+# The trust mask is the plain threshold omega >= M in 2D as in 1D.
+phi_2d = phi_1d
 
 
-def phi_2d(omega: np.ndarray, field: GridField, cfg: Indicator2DConfig,
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean trust mask, plus an 'untrusted' diagnostic.
-
-    phi is the plain threshold omega >= M.  Where phi is false and no two
-    cyclically consecutive ring neighbors are trusted, the node likely sits
-    at a crossing of singularity curves: every quadrant stencil is polluted,
-    so the weight itself carries no usable information.  phi stays false there
-    (conservative: the blend falls back to the monotone scheme) and the node
-    is reported in the untrusted mask.
-    """
-    phi = np.asarray(omega) >= cfg.M
-    at = Neighbors(phi, field.bc, 1)
-    ring = [at(dj, di) for dj, di in _RING]
-    consec = np.zeros_like(ring[0])
-    for k in range(len(ring)):
-        consec |= ring[k] & ring[(k + 1) % len(ring)]
-    untrusted = ~at() & ~consec
-    return phi, at.grid(untrusted)
-
-
-def smoothness_2d(field: GridField, cfg: Indicator2DConfig) -> Smoothness2D:
-    """Weight, trust mask and untrusted diagnostic of ``field``."""
+def smoothness_2d(field: GridField, cfg: Indicator2DConfig) -> Smoothness:
+    """Weight and trust mask of ``field``."""
     omega = omega_field_2d(field, cfg)
-    phi, untrusted = phi_2d(omega, field, cfg)
-    return Smoothness2D(omega=omega, phi=phi, untrusted=untrusted)
+    return Smoothness(omega=omega, phi=phi_2d(omega, cfg))

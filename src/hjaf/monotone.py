@@ -160,23 +160,39 @@ def monotone_hamiltonian(kind: MonotoneKind, H: Hamiltonian,
     return value, (ax, ay)
 
 
+def _above(value: float, limit: float) -> str:
+    """``value`` to the fewest significant digits, at least 4, that still
+    read above ``limit`` (a NaN reads nan)."""
+    for digits in range(4, 18):
+        text = f"{value:.{digits}g}"
+        if float(text) > limit:
+            return text
+    return f"{value}"
+
+
 def _check_realized_speeds(dt: float, speeds, grid: Grid2D) -> None:
     """Raise CflViolation unless lam_x * ax and lam_y * ay, over the speeds
-    a step used, both stay within the limit (a NaN does not), naming the
-    node of the worse axis where it is largest (or first NaN)."""
+    a step used, both stay within the limit (a NaN does not).  The message
+    names the worse axis, and the node where its speed is largest (or
+    first NaN) unless that speed is one scalar for every node."""
     ax, ay = speeds
     vx = dt / grid.dx * float(np.max(ax))
     vy = dt / grid.dy * float(np.max(ay))
     if vx <= CFL_LIMIT + 1e-12 and vy <= CFL_LIMIT + 1e-12:
         return
     on_x = vx >= vy or np.isnan(vx)
-    worst = np.broadcast_to(ax if on_x else ay, grid.shape)
-    i, j = np.unravel_index(int(np.argmax(worst)), grid.shape)
-    x, y = grid.xnodes()[j], grid.ynodes()[i]
+    axis, speed, v = ("x", ax, vx) if on_x else ("y", ay, vy)
+    if np.ndim(speed) == 0:
+        where = f"on axis {axis}, whose speed is the same at every node"
+    else:
+        worst = np.broadcast_to(speed, grid.shape)
+        i, j = np.unravel_index(int(np.argmax(worst)), grid.shape)
+        x, y = grid.xnodes()[j], grid.ynodes()[i]
+        where = (f"on axis {axis} at node (i, j) = ({i}, {j}), "
+                 f"(x, y) = ({x:.6g}, {y:.6g})")
     raise CflViolation(
-        f"realized speeds violate the stability bound at node (i, j) = "
-        f"({i}, {j}), (x, y) = ({x:.6g}, {y:.6g}): "
-        f"max(lam*speed) = {vx if on_x else vy:.4g} > {CFL_LIMIT}")
+        f"realized speeds violate the stability bound {where}: "
+        f"max(lam*speed) = {_above(v, CFL_LIMIT)} > {CFL_LIMIT}")
 
 
 def monotone_step(field: GridField, kind: MonotoneKind, H: Hamiltonian,

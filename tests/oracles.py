@@ -309,9 +309,6 @@ def _beta_from_diffs(u20, u02, u11, u21, u12, u22, dxdy, coeffs):
     return v / dxdy
 
 
-RING = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
-
-
 def quadrant_min_weight(betas: dict[str, tuple[np.ndarray, np.ndarray]],
                         sigma_h: float) -> np.ndarray:
     """Minimum over the quadrants of the remapped WENO weight
@@ -417,19 +414,9 @@ def view_omega_field_2d(field: GridField, sigma: float,
     return quadrant_min_weight(betas, sigma * field.grid.delta ** 2)
 
 
-def view_phi_2d(omega: np.ndarray, field: GridField,
-                M: float) -> tuple[np.ndarray, np.ndarray]:
-    """Trust mask and untrusted diagnostic, reading the eight ring
-    neighbors as 2D views of one padded boolean mask."""
-    trusted = np.asarray(omega) >= M
-    mode = "wrap" if field.bc is BoundaryCondition.PERIODIC else "edge"
-    ny, nx = trusted.shape
-    t = np.pad(trusted, 1, mode=mode)
-    ring = [t[1 + di:ny + 1 + di, 1 + dj:nx + 1 + dj] for dj, di in RING]
-    consec = np.zeros(trusted.shape, dtype=bool)
-    for k in range(len(ring)):
-        consec |= ring[k] & ring[(k + 1) % len(ring)]
-    return trusted.astype(np.int8), ~trusted & ~consec
+def view_phi_2d(omega: np.ndarray, M: float) -> np.ndarray:
+    """Trust mask as 0/1 integers: 1 where omega >= M."""
+    return (np.asarray(omega) >= M).astype(np.int8)
 
 
 def space_derivatives(H, x, y, p, q):

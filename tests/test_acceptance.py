@@ -145,7 +145,7 @@ def test_criterion_4_detection_maps():
     spurious = {}
     for shift in ("node", "cell"):
         f = make_test("2").build_field(0.05, shift)
-        phi, _ = phi_2d(omega_field_2d(f, cfg), f, cfg)
+        phi = phi_2d(omega_field_2d(f, cfg), cfg)
         X, Y = f.grid.meshes()
         R = np.hypot(X, Y)
         corners = np.stack([R[:-1, :-1], R[:-1, 1:], R[1:, :-1], R[1:, 1:]])
@@ -159,10 +159,10 @@ def test_criterion_4_detection_maps():
     f4 = make_test("4").build_field(0.05)
     i0, j0 = _origin_node(f4)
     w_split = omega_split_field(f4, Indicator2DConfig(variant=Formula2D.SPLIT))[i0, j0]
-    split_phi, _ = phi_2d(omega_field_2d(f4, Indicator2DConfig(variant=Formula2D.SPLIT)),
-                          f4, cfg)
+    split_phi = phi_2d(omega_field_2d(
+        f4, Indicator2DConfig(variant=Formula2D.SPLIT)), cfg)
     w_full = omega_field_2d(f4, cfg)[i0, j0]
-    full_phi, _ = phi_2d(omega_field_2d(f4, cfg), f4, cfg)
+    full_phi = phi_2d(omega_field_2d(f4, cfg), cfg)
     origin_cell_flagged = (full_phi[i0 - 1:i0 + 2, j0 - 1:j0 + 2] == 0).any()
 
     elapsed = time.perf_counter() - t0
@@ -192,7 +192,7 @@ def test_criterion_4_strict_origin_node_reading():
     cfg = Indicator2DConfig()
     f4 = make_test("4").build_field(0.05)
     i0, j0 = _origin_node(f4)
-    phi, _ = phi_2d(omega_field_2d(f4, cfg), f4, cfg)
+    phi = phi_2d(omega_field_2d(f4, cfg), cfg)
     assert phi[i0, j0] == 0
 
 

@@ -331,7 +331,8 @@ class TestEvolve:
         for kw in ({}, {"scheme": "monotone"},
                    {"scheme": "f-hc-fixed", "epsilon_fixed": 1.0}):
             with pytest.raises(CflViolation, match=r"^step 1 \(t = 0.5\): "
-                               r".*max\(lam\*speed\) = 5 > 0.5"):
+                               r".* on axis x, whose speed is the same at "
+                               r"every node: max\(lam\*speed\) = 5 > 0.5$"):
                 af_evolve(f, self._config(**kw), 1.0, 2)  # dt/dx = 5
 
     @pytest.mark.parametrize("scheme", ["monotone", "af-hc"],

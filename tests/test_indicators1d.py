@@ -5,6 +5,7 @@ from hjaf.grids import BoundaryCondition, Grid1D, GridField
 from hjaf.indicators1d import (Indicator1DConfig, Variant1D, beta_fields_1d,
                                map_g, omega_field_1d, phi_1d, smoothness_1d,
                                weno_weight)
+from hjaf.indicators2d import Indicator2DConfig
 from hjaf.problems import make_test
 
 from oracles import divided_difference, flagged_cells_1d, ghost_value
@@ -192,8 +193,10 @@ class TestScalingLaw:
 
 
 class TestPhi:
-    def test_threshold_inclusive(self):
-        cfg = Indicator1DConfig(M=0.2)
+    @pytest.mark.parametrize("config", [Indicator1DConfig, Indicator2DConfig])
+    def test_threshold_inclusive(self, config):
+        # one threshold serves both dimensions, inclusive at M
+        cfg = config(M=0.2)
         assert phi_1d(np.array([0.5]), cfg)[0] == 1
         assert phi_1d(np.array([0.2]), cfg)[0] == 1
         assert phi_1d(np.array([0.19]), cfg)[0] == 0

@@ -200,7 +200,7 @@ class TestOmega2D:
         assert strong_kink.sum() > 100 and strong_smooth.sum() > 1000
         for c in (0.5, 2.0):
             f = base.like(c * base.values)
-            phi, _ = phi_2d(omega_field_2d(f, cfg), f, cfg)
+            phi = phi_2d(omega_field_2d(f, cfg), cfg)
             assert (phi[strong_kink] == 0).all()
             assert (phi[strong_smooth] == 1).all()
 
@@ -235,7 +235,7 @@ class TestOmega2D:
         devs = {}
         for mapped in (True, False):
             om = np.minimum.reduce([map_g(w) if mapped else w for w in weights])
-            phi, _ = phi_2d(om, f, cfg)
+            phi = phi_2d(om, cfg)
             assert (phi[near] == 0).mean() > 0.9
             assert (phi[far] == 1).all()
             devs[mapped] = np.abs(om[far] - 0.5).max()
@@ -308,32 +308,8 @@ class TestPhi2D:
         assert not sm.phi.all() and sm.phi.any()
 
     def test_all_trusted(self):
-        f = patch_field(np.zeros((6, 6)))
-        cfg = Indicator2DConfig()
-        phi, untrusted = phi_2d(np.full((6, 6), 0.5), f, cfg)
-        assert (phi == 1).all() and not untrusted.any()
-
-    def test_isolated_zero_marked_untrusted(self):
-        f = patch_field(np.zeros((7, 7)), bc=PER)
-        om = np.full((7, 7), 0.5)
-        om[3, 3] = 0.0  # flagged node fully surrounded by trusted ring
-        cfg = Indicator2DConfig()
-        phi, untrusted = phi_2d(om, f, cfg)
-        assert phi[3, 3] == 0
-        assert not untrusted[3, 3]  # ring has consecutive trusted pairs
-
-    def test_crossing_core_keeps_zero_and_reports(self):
-        # flagged node whose ring alternates: no two consecutive trusted
-        f = patch_field(np.zeros((7, 7)), bc=PER)
-        om = np.zeros((7, 7))
-        om[3, 3] = 0.0
-        ring = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
-        for k, (dj, di) in enumerate(ring):
-            om[3 + di, 3 + dj] = 0.5 if k % 2 == 0 else 0.0
-        cfg = Indicator2DConfig()
-        phi, untrusted = phi_2d(om, f, cfg)
-        assert phi[3, 3] == 0          # decision is conservative
-        assert untrusted[3, 3]
+        phi = phi_2d(np.full((6, 6), 0.5), Indicator2DConfig())
+        assert phi.all()
 
     def test_pyramid_kinks_flagged_faces_trusted(self):
         # the square-front pyramid is kinked along its diagonals, at its
@@ -357,8 +333,6 @@ class TestPhi2D:
         second = np.abs(np.sqrt(0.5) * (X + 1)) + np.abs(np.sqrt(0.5) * (Y + 1))
         plateau = (linf > 0.85) & (second > 0.9)
         assert (sm.phi[plateau] == 1).all()
-        # crossing cores exist where the diagonal kinks intersect
-        assert sm.untrusted.sum() > 0
 
 
 class TestConfig:

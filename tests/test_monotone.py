@@ -283,6 +283,23 @@ class TestMonotoneStep:
             monotone_step(f, LLF, H, 0.02)
         monotone_step(f, LLF, H, 0.005)  # lam*8 = 0.4 passes
 
+    def test_per_node_speed_names_its_worst_node(self):
+        # the shifted quadratic's speeds differ from node to node: the
+        # refusal names the node where the worse axis's speed peaks (the
+        # first one, as two nodes share each slope's bound)
+        g = grid()
+        rng = np.random.default_rng(26)
+        f = GridField(g, rng.normal(size=(12, 12)), NEU)
+        H = shifted_quadratic_hamiltonian()
+        x, y = g.meshes()
+        _, (ax, ay) = monotone_hamiltonian(LLF, H, x, y, *one_sided_slopes(f))
+        axis, speed = ("x", ax) if ax.max() >= ay.max() else ("y", ay)
+        i, j = np.unravel_index(np.argmax(speed), g.shape)
+        assert (i, j) != (0, 0)        # not the tie-breaking corner
+        with pytest.raises(CflViolation, match=rf"on axis {axis} at node "
+                           rf"\(i, j\) = \({i}, {j}\),"):
+            monotone_step(f, LLF, H, 0.02)
+
     def test_cfl_violation_refuses(self):
         g = grid()
         f = GridField(g, np.zeros((12, 12)), NEU)
@@ -300,7 +317,9 @@ class TestMonotoneStep:
 
         H = dataclasses.replace(transport_hamiltonian(), **{slot: alpha})
         f = GridField(grid(), np.zeros((12, 12)), NEU)
-        with pytest.raises(CflViolation, match=r"node \(i, j\) = \(3, 4\),"
+        axis = {"alpha_p": "x", "alpha_q": "y"}[slot]
+        with pytest.raises(CflViolation, match=rf"on axis {axis} at node "
+                           r"\(i, j\) = \(3, 4\),"
                            r".*max\(lam\*speed\) = nan > 0.5"):
             monotone_step(f, LLF, H, 0.02)
 
@@ -315,14 +334,20 @@ class TestMonotoneStep:
     @pytest.mark.parametrize("dx, dy", [(0.1, 0.2), (0.2, 0.1)])
     def test_eikonal_speeds_are_one(self, dx, dy):
         # each slot weight of the upwind form is at most 1: the finer axis
-        # binds at lam = 1/2, whatever the data
+        # binds at lam = 1/2, whatever the data; the refusal names that
+        # axis and prints enough digits to read above the limit
         g = Grid2D(0.0, 0.0, dx, dy, 12, 12)
         rng = np.random.default_rng(25)
         f = GridField(g, rng.normal(size=(12, 12)), NEU)
         dt = 0.5 * min(dx, dy)
         monotone_step(f, EIK, eikonal_hamiltonian(), dt)
-        with pytest.raises(CflViolation, match=r"max\(lam\*speed\) = 0.5 > 0.5"):
+        finer = "x" if dx < dy else "y"
+        with pytest.raises(CflViolation, match=rf"on axis {finer}, whose "
+                           r"speed is the same at every node: "
+                           r"max\(lam\*speed\) = \S+ > 0.5$") as err:
             monotone_step(f, EIK, eikonal_hamiltonian(), dt * (1 + 1e-9))
+        printed = str(err.value).split(" = ")[-1].split(" > ")[0]
+        assert float(printed) > 0.5
 
     def test_eikonal_scheme_requires_eikonal_h(self):
         g = grid()
@@ -399,9 +424,15 @@ class TestStepGuard:
         monotone_step(f, LLF, transport_hamiltonian(), 0.02)   # lam 0.2
 
     def test_fail_above_half(self):
-        f = GridField(grid(dx=0.1), np.zeros((12, 12)), NEU)
-        with pytest.raises(CflViolation, match=r"max\(lam\*speed\) = 0.6 > 0.5"):
+        # transport's speed is the scalar 1 on both axes: every node ties,
+        # so the refusal names the axis and no node
+        rng = np.random.default_rng(27)
+        f = GridField(grid(dx=0.1), rng.normal(size=(12, 12)), NEU)
+        with pytest.raises(CflViolation) as err:
             monotone_step(f, LLF, transport_hamiltonian(), 0.06)
+        assert str(err.value) == (
+            "realized speeds violate the stability bound on axis x, whose "
+            "speed is the same at every node: max(lam*speed) = 0.6 > 0.5")
 
     def test_rotation_case(self):
         # dt/dx = pi/16 with max|y| = 2.5 on the grid sits just under the

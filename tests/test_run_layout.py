@@ -88,12 +88,12 @@ class TestIndicator:
     def test_omega_and_phi(self, f, variant, M, sigma):
         cfg = Indicator2DConfig(sigma=sigma, M=M, variant=variant)
         omega = view_omega_field_2d(f, sigma, variant.value)
-        phi, untrusted = view_phi_2d(omega, f, M)
+        phi = view_phi_2d(omega, M)
         assert_bitwise(omega_field_2d(f, cfg), omega, "omega")
         sm = smoothness_2d(f, cfg)
         assert_bitwise(sm.omega, omega, "omega from the shared copy")
+        assert sm.phi.dtype == np.bool_
         assert_bitwise(sm.phi, phi, "phi")
-        assert_bitwise(sm.untrusted, untrusted, "untrusted")
 
 
 class TestSecondDifferenceEnds:
@@ -189,7 +189,7 @@ class TestGhostColumns:
         x, y = f.grid.meshes()
         for step, u in ((1, f), (2, u1)):
             omega = view_omega_field_2d(u, ind.sigma, ind.variant.value)
-            phi, _ = view_phi_2d(omega, u, ind.M)
+            phi = view_phi_2d(omega, ind.M)
             # the step's mask is the oracle's, as a boolean
             trusted = smoothness_2d(u, ind).phi
             assert trusted.dtype == np.bool_
@@ -213,10 +213,10 @@ class TestGhostColumns:
 
 
 class TestGhostFills:
-    """One step in any mode pads u once, by two ghost nodes, and an
-    adaptive step's trust mask ring pads the mask.  The only other ghost
-    fills are the later stages of the high-order step, each a field of its
-    own that pads its values once, two ghost nodes wide."""
+    """One step in any mode pads u once, by two ghost nodes, and pads no
+    boolean array (the trust mask is read at its own node only).  The only
+    other ghost fills are the later stages of the high-order step, each a
+    field of its own that pads its values once, two ghost nodes wide."""
 
     STAGE_FILLS = {"hc": 1, "lw": 0, "lw2": 0, "richtmyer": 0, "rkc4": 3}
 
@@ -244,9 +244,9 @@ class TestGhostFills:
             pads = [w for values, w in calls if values is u.values]
             assert pads == [2]
             rings = [w for values, w in calls if values.dtype == bool]
-            assert rings == [1]
+            assert rings == []
             stages = [(values, w) for values, w in calls
-                      if values is not u.values and values.dtype != bool]
+                      if values is not u.values]
             assert [w for _, w in stages] == [2] * self.STAGE_FILLS[scheme]
             # each stage pads the read-only values of a field of its own
             assert len({id(values) for values, _ in stages}) == len(stages)
