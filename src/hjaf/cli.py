@@ -76,9 +76,9 @@ def main(argv=None) -> int:
         if command == "solve":
             run_convergence(CliConfig(**options)).write_csv(sys.stdout)
         else:
-            result = run_indicators(IndicatorRunConfig(**options))
-            flagged = result.phi.size - int(result.phi.sum())
-            print(f"nodes={result.phi.size} flagged={flagged}")
+            _, sm = run_indicators(IndicatorRunConfig(**options))
+            flagged = sm.phi.size - int(sm.phi.sum())
+            print(f"nodes={sm.phi.size} flagged={flagged}")
         return 0
     except (ValueError, KeyError, OSError, CflViolation, EvolutionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

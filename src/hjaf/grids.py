@@ -32,8 +32,9 @@ grid row, and cut only their result back to the (ny, nx) interior
 (:meth:`Neighbors.grid`).  The elements a run holds between two grid rows
 are throw-away values computed from ghost columns; only the cut reaches
 a reduction, a selection or a hamiltonian.  A 1D field is one row: its
-runs are the grid-shaped arrays themselves.  Only :class:`Neighbors`
-computes a flat position.
+runs are the grid-shaped arrays themselves.  Flat positions are computed
+by :class:`Neighbors` and by :func:`_second_differences`, which slices
+the flat padded copy by its row length itself.
 """
 from __future__ import annotations
 
@@ -302,24 +303,27 @@ class GridField:
         return at.grid(at(dj, di))
 
 
-def write_field_csv(field: GridField, out: TextIO, column: str = "value",
-                    **columns: np.ndarray) -> None:
-    """Plain-text dump, one row per node, row-major, 17 significant digits.
-    The field's values fill the value column named ``column``; each keyword
-    adds a value column of that name, an array of the grid's shape."""
-    names = (column, *columns)
-    cols = (field.values, *columns.values())
-    if field.ndim == 1:
+def write_field_csv(grid: Grid, out: TextIO, **columns: np.ndarray) -> None:
+    """Plain-text dump, one row per node, row-major, 17 significant digits:
+    the node coordinates, then one value column per keyword, named by it,
+    an array of the grid's shape (any other shape raises ValueError).  A
+    boolean column prints 1 and 0."""
+    names, cols = tuple(columns), tuple(columns.values())
+    for name, c in columns.items():
+        if c.shape != grid.shape:
+            raise ValueError(f"column {name!r} has shape {c.shape}, "
+                             f"not the grid's {grid.shape}")
+    if isinstance(grid, Grid1D):
         out.write(",".join(("x", *names)) + "\n")
         fmt = ",".join(["%.17g"] * (1 + len(cols))) + "\n"
-        out.writelines([fmt % t for t in zip(field.grid.nodes().tolist(),
+        out.writelines([fmt % t for t in zip(grid.nodes().tolist(),
                                              *(c.tolist() for c in cols))])
         return
     out.write(",".join(("x", "y", *names)) + "\n")
     # Python numbers from tolist() format about twice as fast as numpy
     # scalars, to the same digits; one grid row at a time keeps few alive,
     # and each row's y is formatted once.
-    xs = field.grid.xnodes().tolist()
-    for y, *rows in zip(field.grid.ynodes().tolist(), *cols):
+    xs = grid.xnodes().tolist()
+    for y, *rows in zip(grid.ynodes().tolist(), *cols):
         fmt = f"%.17g,{y:.17g}" + ",%.17g" * len(rows) + "\n"
         out.writelines([fmt % t for t in zip(xs, *(r.tolist() for r in rows))])

@@ -16,14 +16,11 @@ import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import filtering
 from .filtering import Diagnostics, SolverConfig, af_evolve
-from .grids import GridField, write_field_csv
+from .grids import Grid2D, GridField, write_field_csv
 from .indicators2d import Formula2D, Indicator2DConfig, smoothness_2d
-from .indicators1d import (Indicator1DConfig, Smoothness, Variant1D,
-                           smoothness_1d)
+from .indicators1d import Indicator1DConfig, Smoothness, smoothness_1d
 from .problems import IndicatorCase, ProblemSpec, make_test
 from .reporting import RunReport, error_norms
 
@@ -97,21 +94,21 @@ def _write_convergence_outputs(cfg: CliConfig, problem: ProblemSpec,
     with open(out / "table.csv", "w") as f:
         report.write_csv(f)
     with open(out / "field_final.csv", "w") as f:
-        write_field_csv(final, f)
+        write_field_csv(final.grid, f, value=final.values)
     # The maps of u^N, which no step evaluates: reached through the name
     # every adaptive step calls, so a trace of the study counts it too.
-    _write_maps(out, final, filtering.smoothness_2d(final, indicator))
+    _write_maps(out, final.grid, filtering.smoothness_2d(final, indicator))
     with open(out / "epsilon.csv", "w") as f:
         diag.write_csv(f)
     _write_meta(out, cfg, problem=problem.name)
 
 
-def _write_maps(out: Path, field: GridField, sm: Smoothness) -> None:
-    """``omega.csv`` and ``phi.csv``: the 2D smoothness maps ``sm`` of
-    ``field``, on its grid."""
+def _write_maps(out: Path, grid: Grid2D, sm: Smoothness) -> None:
+    """``omega.csv`` and ``phi.csv``: the 2D smoothness maps ``sm``, each
+    a column on ``grid``."""
     for name, values in (("omega", sm.omega), ("phi", sm.phi)):
         with open(out / f"{name}.csv", "w") as f:
-            write_field_csv(field.like(values), f, name)
+            write_field_csv(grid, f, **{name: values})
 
 
 def _write_meta(out: Path, cfg, **extra) -> None:
@@ -130,51 +127,43 @@ class IndicatorRunConfig:
     dx: float = 0.05
     placement: str = "node"       # one of problems.PLACEMENTS
     # 2D: full|partial|split; 1D: raw|mapped-g|weno-z|weno-z-new;
-    # None picks the dimension's default (full / mapped-g)
+    # None picks the dimension's config default (full / mapped-g)
     variant: str | None = None
     M: float = Indicator2DConfig.M    # the 1D default too
     sigma: float | None = None    # None: the dimension's config default
     out_dir: str | None = None
 
 
-@dataclass(frozen=True)
-class IndicatorRunResult:
-    field: GridField
-    omega: np.ndarray
-    phi: np.ndarray
-
-
-def _member(kind, value: str | None, default: str, what: str):
-    """The member of enum ``kind`` with ``value`` (``default`` for None)."""
-    value = default if value is None else value
-    choices = sorted(member.value for member in kind)
-    if value not in choices:
-        raise ValueError(f"{what} must be one of {choices}")
-    return kind(value)
-
-
-def run_indicators(cfg: IndicatorRunConfig) -> IndicatorRunResult:
-    """Evaluate the configured detection case and dump omega/phi maps."""
+def run_indicators(cfg: IndicatorRunConfig) -> tuple[GridField, Smoothness]:
+    """The configured detection case's field and its smoothness maps, made
+    with the dimension's indicator config (``Indicator1DConfig`` or
+    ``Indicator2DConfig``), whose defaults fill the options left at None.
+    With ``out_dir`` set, writes the maps (``indicators.csv`` in 1D;
+    ``omega.csv`` and ``phi.csv`` in 2D) and ``meta``."""
     case = make_test(cfg.test_id)
     if not isinstance(case, IndicatorCase):
         raise ValueError(f"test {cfg.test_id} is an evolution problem; "
                          "use run_convergence")
     field = case.build_field(cfg.dx, cfg.placement)
     knobs = {"M": cfg.M} | ({} if cfg.sigma is None else {"sigma": cfg.sigma})
-    if case.dims == 1:   # mapped-g, not the library's raw default
-        variant = _member(Variant1D, cfg.variant, "mapped-g", "1D variant")
-        sm = smoothness_1d(field, Indicator1DConfig(variant=variant, **knobs))
-    else:
-        variant = _member(Formula2D, cfg.variant,
-                          Indicator2DConfig.variant.value, "2D variant")
-        sm = smoothness_2d(field, Indicator2DConfig(variant=variant, **knobs))
+    config, smoothness = ((Indicator1DConfig, smoothness_1d) if case.dims == 1
+                          else (Indicator2DConfig, smoothness_2d))
+    kind = type(config.variant)
+    variant = config.variant.value if cfg.variant is None else cfg.variant
+    choices = sorted(member.value for member in kind)
+    if variant not in choices:
+        raise ValueError(f"{case.dims}D variant must be one of {choices}")
+    indicator = config(variant=kind(variant), **knobs)
+    sm = smoothness(field, indicator)
     if cfg.out_dir is not None:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         if case.dims == 1:
             with open(out / "indicators.csv", "w") as f:
-                write_field_csv(field.like(sm.omega), f, "omega", phi=sm.phi)
+                write_field_csv(field.grid, f, omega=sm.omega, phi=sm.phi)
         else:
-            _write_maps(out, field, sm)
-        _write_meta(out, cfg)
-    return IndicatorRunResult(field=field, omega=sm.omega, phi=sm.phi)
+            _write_maps(out, field.grid, sm)
+        # the variant and sigma the maps were made with, None resolved
+        _write_meta(out, cfg, resolved_variant=variant,
+                    resolved_sigma=indicator.sigma)
+    return field, sm

@@ -46,7 +46,7 @@ class Indicator1DConfig:
 
     sigma: float = 1.0
     M: float = 0.2
-    variant: Variant1D = Variant1D.RAW
+    variant: Variant1D = Variant1D.MAPPED_G
 
     def __post_init__(self) -> None:
         if not 0 < self.sigma < np.inf:
@@ -63,10 +63,6 @@ class Smoothness:
 
     omega: np.ndarray
     phi: np.ndarray         # the boolean trust mask, omega >= M
-
-    def __post_init__(self) -> None:
-        if self.omega.shape != self.phi.shape:
-            raise ValueError("omega and phi shapes differ")
 
 
 def map_g(omega):

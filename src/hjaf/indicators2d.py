@@ -49,7 +49,7 @@ from enum import Enum
 import numpy as np
 
 from .grids import GridField
-from .indicators1d import (Indicator1DConfig, Smoothness, Variant1D, map_g,
+from .indicators1d import (Indicator1DConfig, Smoothness, map_g,
                            normalized_weight, omega_field_1d, phi_1d,
                            weno_term)
 
@@ -198,9 +198,9 @@ def omega_field_2d(field: GridField, cfg: Indicator2DConfig) -> np.ndarray:
 
 def omega_split_field(field: GridField, cfg: Indicator2DConfig) -> np.ndarray:
     """Dimensional-splitting baseline: min of the two axis-wise remapped
-    1D weights, each with the other axis frozen."""
-    axis_cfg = Indicator1DConfig(sigma=cfg.sigma, M=cfg.M,
-                                 variant=Variant1D.MAPPED_G)
+    1D weights (the 1D config's default variant), each with the other axis
+    frozen."""
+    axis_cfg = Indicator1DConfig(sigma=cfg.sigma, M=cfg.M)
     return np.minimum(omega_field_1d(field, axis_cfg, "x"),
                       omega_field_1d(field, axis_cfg, "y"))
 

@@ -259,7 +259,7 @@ class TestCsvDump:
     def test_1d_header_and_rows(self):
         f = field_1d([1.0, 2.0, 3.0], NEU, dx=0.5)
         buf = io.StringIO()
-        write_field_csv(f, buf)
+        write_field_csv(f.grid, buf, value=f.values)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "x,value"
         assert len(lines) == 4
@@ -267,9 +267,8 @@ class TestCsvDump:
 
     def test_2d_row_major(self):
         g = Grid2D(0, 0, 1.0, 2.0, 3, 3)
-        f = GridField(g, np.arange(1.0, 10.0).reshape(3, 3), NEU)
         buf = io.StringIO()
-        write_field_csv(f, buf)
+        write_field_csv(g, buf, value=np.arange(1.0, 10.0).reshape(3, 3))
         lines = buf.getvalue().splitlines()
         assert lines[0] == "x,y,value"
         assert [ln.split(",")[2] for ln in lines[1:]] == [str(k) for k in range(1, 10)]
@@ -279,32 +278,51 @@ class TestCsvDump:
 
     def test_column_header(self):
         buf = io.StringIO()
-        write_field_csv(field_1d([1.0, 2.0, 3.0], NEU), buf, "omega")
+        write_field_csv(Grid1D(0, 1.0, 3), buf, omega=np.zeros(3))
         assert buf.getvalue().splitlines()[0] == "x,omega"
         buf = io.StringIO()
-        write_field_csv(GridField(Grid2D(0, 0, 1.0, 1.0, 3, 3), np.zeros((3, 3)), NEU),
-                        buf, "phi")
+        write_field_csv(Grid2D(0, 0, 1.0, 1.0, 3, 3), buf, phi=np.zeros((3, 3)))
         assert buf.getvalue().splitlines()[0] == "x,y,phi"
 
     def test_named_columns(self):
         buf = io.StringIO()
-        write_field_csv(field_1d([0.25, 2.0, 3.0], NEU), buf, "omega",
+        write_field_csv(Grid1D(0, 0.5, 3), buf, omega=np.array([0.25, 2.0, 3.0]),
                         phi=np.array([0, 1, 1], dtype=np.int8))
         assert buf.getvalue().splitlines() == [
             "x,omega,phi", "0,0.25,0", "0.5,2,1", "1,3,1"]
         buf = io.StringIO()
         g = Grid2D(0, 0, 1.0, 2.0, 3, 3)
         b = np.arange(9.0).reshape(3, 3) / 3.0 + 1e-13
-        write_field_csv(GridField(g, np.zeros((3, 3)), NEU), buf, "a", b=b)
+        write_field_csv(g, buf, a=np.zeros((3, 3)), b=b)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "x,y,a,b"
         assert lines[4].split(",")[:3] == ["0", "2", "0"]
         assert [float(ln.split(",")[3]) for ln in lines[1:]] == b.ravel().tolist()
 
+    @pytest.mark.parametrize("grid", [Grid1D(0, 0.5, 4), Grid2D(0, 0, 1.0, 2.0, 4, 3)],
+                             ids=["1d", "2d"])
+    def test_boolean_column_prints_as_its_float_copy(self, grid):
+        mask = np.arange(np.prod(grid.shape)).reshape(grid.shape) % 3 == 0
+        as_bool, as_float = io.StringIO(), io.StringIO()
+        write_field_csv(grid, as_bool, phi=mask)
+        write_field_csv(grid, as_float, phi=mask.astype(np.float64))
+        assert as_bool.getvalue() == as_float.getvalue()
+        assert {ln.rsplit(",", 1)[1]
+                for ln in as_bool.getvalue().splitlines()[1:]} == {"0", "1"}
+
+    @pytest.mark.parametrize("grid,shape", [(Grid1D(0, 1.0, 3), (2,)),
+                                            (Grid2D(0, 0, 1.0, 1.0, 3, 4), (3, 3))],
+                             ids=["1d", "2d"])
+    def test_misshaped_column_refused(self, grid, shape):
+        # zip would cut the rows short without a word
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="column 'value' has shape"):
+            write_field_csv(grid, buf, value=np.zeros(shape))
+        assert buf.getvalue() == ""
+
     def test_17_digit_round_trip(self):
         v = 1.0 / 3.0 + 1e-13
-        f = field_1d([v, v, v], NEU)
         buf = io.StringIO()
-        write_field_csv(f, buf)
+        write_field_csv(Grid1D(0, 1.0, 3), buf, value=np.full(3, v))
         back = float(buf.getvalue().splitlines()[1].split(",")[1])
         assert back == v

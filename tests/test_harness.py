@@ -12,7 +12,7 @@ from hjaf.cli import _build_parser as build_parser, main as cli_main
 from hjaf.grids import BoundaryCondition, Grid2D, GridField
 from hjaf.harness import (CliConfig, IndicatorRunConfig, run_convergence,
                           run_indicators)
-from hjaf.indicators1d import Indicator1DConfig, Variant1D, omega_field_1d
+from hjaf.indicators1d import Indicator1DConfig, omega_field_1d
 from hjaf.indicators2d import Indicator2DConfig, omega_field_2d
 from hjaf.problems import make_test
 from hjaf.reporting import (RunReport, error_norms, observed_order,
@@ -196,48 +196,46 @@ class TestRunConvergence:
 class TestRunIndicators:
     def test_1d_dump(self, tmp_path):
         out = tmp_path / "ind1"
-        res = run_indicators(IndicatorRunConfig(test_id="1", dx=0.1,
-                                                placement="node",
-                                                variant="weno-z-new",
-                                                out_dir=str(out)))
+        field, _ = run_indicators(IndicatorRunConfig(test_id="1", dx=0.1,
+                                                     placement="node",
+                                                     variant="weno-z-new",
+                                                     out_dir=str(out)))
         lines = (out / "indicators.csv").read_text().splitlines()
         assert lines[0] == "x,omega,phi"
-        assert len(lines) == 1 + res.field.grid.n
+        assert len(lines) == 1 + field.grid.n
 
     def test_2d_dump(self, tmp_path):
         out = tmp_path / "ind2"
-        res = run_indicators(IndicatorRunConfig(test_id="2", dx=0.2,
-                                                placement="cell",
-                                                variant="full",
-                                                out_dir=str(out)))
+        _, sm = run_indicators(IndicatorRunConfig(test_id="2", dx=0.2,
+                                                  placement="cell",
+                                                  variant="full",
+                                                  out_dir=str(out)))
         om = (out / "omega.csv").read_text().splitlines()
         assert om[0] == "x,y,omega"
-        assert len(om) == 1 + res.omega.size
+        assert len(om) == 1 + sm.omega.size
         ph = (out / "phi.csv").read_text().splitlines()
         assert ph[0] == "x,y,phi"
-        assert [ln.split(",")[2] for ln in ph[1:]] == [str(int(p)) for p in res.phi.ravel()]
+        assert [ln.split(",")[2] for ln in ph[1:]] == [str(int(p)) for p in sm.phi.ravel()]
 
     def test_damped_radial_origin_detected(self):
-        res = run_indicators(IndicatorRunConfig(test_id="3", dx=0.05))
-        f = res.field
+        f, sm = run_indicators(IndicatorRunConfig(test_id="3", dx=0.05))
         j0 = int(round((0 - f.grid.x0) / f.grid.dx))
         i0 = int(round((0 - f.grid.y0) / f.grid.dy))
-        block = res.phi[i0 - 1:i0 + 2, j0 - 1:j0 + 2]
+        block = sm.phi[i0 - 1:i0 + 2, j0 - 1:j0 + 2]
         assert (block == 0).any()
         # detection runs use periodic indexing even for non-periodic
         # functions: the gradient jump across the domain seam is flagged
         # (an accepted artifact of that convention)
-        assert (res.phi[0, :] == 0).any()
-        assert (res.phi[:, 0] == 0).any()
+        assert (sm.phi[0, :] == 0).any()
+        assert (sm.phi[:, 0] == 0).any()
 
     def test_split_misses_ridge_origin(self):
-        res_split = run_indicators(IndicatorRunConfig(test_id="4", dx=0.1,
-                                                      variant="split"))
-        f = res_split.field
+        f, split = run_indicators(IndicatorRunConfig(test_id="4", dx=0.1,
+                                                     variant="split"))
         j0 = int(round((0 - f.grid.x0) / f.grid.dx))
         i0 = int(round((0 - f.grid.y0) / f.grid.dy))
-        assert res_split.phi[i0, j0] == 1
-        assert res_split.omega[i0, j0] == 0.5
+        assert split.phi[i0, j0] == 1
+        assert split.omega[i0, j0] == 0.5
 
     def test_evolution_id_rejected(self):
         with pytest.raises(ValueError):
@@ -371,6 +369,21 @@ class TestCli:
         assert ((tmp_path / "cli" / "meta").read_text()
                 == (tmp_path / "lib" / "meta").read_text())
 
+    @pytest.mark.parametrize("test_id, variant, sigma",
+                             [("1", "mapped-g", 1.0), ("2", "full", 2.0)])
+    def test_indicators_meta_names_the_indicator_used(self, test_id, variant,
+                                                      sigma, tmp_path):
+        # the config echo keeps variant and sigma at None; the lines after
+        # it say what the maps were made with
+        out = tmp_path / "cli"
+        assert cli_main(["indicators", "--test", test_id, "--out", str(out)]) == 0
+        lines = (out / "meta").read_text().splitlines()
+        assert [ln.split(" = ")[0] for ln in lines[:-2]] == [
+            f.name for f in fields(IndicatorRunConfig) if f.name != "out_dir"]
+        assert "variant = None" in lines and "sigma = None" in lines
+        assert lines[-2:] == [f"resolved_variant = {variant!r}",
+                              f"resolved_sigma = {sigma!r}"]
+
     @pytest.mark.parametrize("argv", [["solve", "--test", "5"],
                                       ["indicators", "--test", "2"]],
                              ids=["solve", "indicators"])
@@ -386,11 +399,10 @@ def test_cli_defaults_are_the_library_defaults():
     assert (harness.solver_config(CliConfig(test_id="8"), prob, 0)
             == filtering.SolverConfig(hamiltonian=prob.hamiltonian))
     for test_id, omega in (
-            ("1", lambda f: omega_field_1d(f, Indicator1DConfig(
-                variant=Variant1D.MAPPED_G))),
+            ("1", lambda f: omega_field_1d(f, Indicator1DConfig())),
             ("2", lambda f: omega_field_2d(f, Indicator2DConfig()))):
-        result = run_indicators(IndicatorRunConfig(test_id=test_id))
-        assert np.array_equal(result.omega, omega(result.field))
+        field, sm = run_indicators(IndicatorRunConfig(test_id=test_id))
+        assert np.array_equal(sm.omega, omega(field))
 
 
 def test_readme_library_example_runs():

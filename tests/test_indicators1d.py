@@ -73,7 +73,8 @@ class TestBetaPairs:
         f = sampled(lambda x: np.array([0, 1, 3, 2, 5, 1, 0, 2], float),
                     0.0, 1.0, 8, BoundaryCondition.NEUMANN_ZERO)
         assert betas_at(f, 0) == (0.0, 1.0, 1.0, 1.0)
-        assert omega_field_1d(f, Indicator1DConfig())[0] == pytest.approx(0.2)
+        raw = Indicator1DConfig(variant=Variant1D.RAW)
+        assert omega_field_1d(f, raw)[0] == pytest.approx(0.2)
 
 
 class TestMapping:
@@ -125,7 +126,8 @@ class TestOmega:
                       BoundaryCondition.NEUMANN_ZERO)
         b = betas_at(f, 3)
         assert b[0] == b[1] == b[2] == b[3]
-        assert omega_field_1d(f, Indicator1DConfig())[3] == 0.5
+        raw = Indicator1DConfig(variant=Variant1D.RAW)
+        assert omega_field_1d(f, raw)[3] == 0.5
 
     def test_smooth_deviation_orders(self):
         # on a smooth segment with nonzero curvature: raw O(dx),
@@ -150,7 +152,7 @@ class TestOmega:
             n = int(round(2.0 / h)) + 2
             f = sampled(np.abs, -1.0 - h / 2, h, n, BoundaryCondition.NEUMANN_ZERO)
             j = int(round((h / 2 - f.grid.x0) / h))
-            return omega_field_1d(f, Indicator1DConfig())[j]
+            return omega_field_1d(f, Indicator1DConfig(variant=Variant1D.RAW))[j]
 
         w1, w2 = omega_at_kink(0.1), omega_at_kink(0.05)
         assert w1 < 0.2

@@ -66,6 +66,8 @@ FULL = (
       for p in ("node", "cell")),
     *(_indicators(t, v, p) for t in ("2", "3", "4")
       for v in ("full", "partial", "split") for p in ("node", "cell")),
+    # no options: the config defaults of each dimension
+    ("indicators", "--test", "1"), ("indicators", "--test", "2"),
 )
 
 SETS = {"quick": QUICK, "full": FULL}
