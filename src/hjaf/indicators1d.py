@@ -21,6 +21,7 @@ reweightings (the second of which uses the full 5-point stencil).
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -57,12 +58,23 @@ class Indicator1DConfig:
             raise ValueError(f"variant must be a Variant1D member, got {self.variant!r}")
 
 
-@dataclass(frozen=True)
 class Smoothness:
-    """A field's smoothness weight and its trust mask, in 1D or 2D."""
+    """A field's smoothness weight and its trust mask, in 1D or 2D.
 
-    omega: np.ndarray
-    phi: np.ndarray         # the boolean trust mask, omega >= M
+    ``phi`` is the boolean trust mask, omega >= M.  ``omega`` is given as
+    an array, or as a function of no arguments that builds it on first
+    read: an adaptive step reads phi alone.
+    """
+
+    def __init__(self, omega: np.ndarray | Callable[[], np.ndarray],
+                 phi: np.ndarray) -> None:
+        self._omega, self.phi = omega, phi
+
+    @property
+    def omega(self) -> np.ndarray:
+        if callable(self._omega):
+            self._omega = self._omega()
+        return self._omega
 
 
 def map_g(omega):

@@ -36,6 +36,15 @@ runs, one opposite pair of quadrants at a time, and both terms of every
 quadrant are read as slices of them.  The trust mask is the 1D one, the
 plain threshold omega >= M (:func:`phi_2d`), and both dimensions return
 one result, :class:`hjaf.indicators1d.Smoothness`.
+
+What a step computes: an adaptive step reads the trust mask alone.  g is
+non-decreasing, so where the rounded test g(w) >= M is w >= w* on every
+double w (:func:`weight_threshold`, certified once per M at first use),
+the mask is the threshold of g at the smallest raw quadrant weight: one
+g pass instead of four, bitwise the same mask.  The combined weight
+omega is then built only when it is read (the written maps, ``hjaf
+indicators``).  An M that is not certified (such as 0.49, near the flat
+point of g) and the splitting baseline build omega on every step.
 A dimensional-splitting baseline built from the remapped 1D indicator is
 included for comparison; it is blind to singularities whose axis
 restrictions look smooth (e.g. a non-differentiable point with vanishing
@@ -43,6 +52,7 @@ axis slopes).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -172,12 +182,9 @@ def quadrant_beta_fields(field: GridField, formula: Formula2D = Formula2D.FULL,
             for key, (z1, z2) in QUADRANTS.items()}
 
 
-def omega_field_2d(field: GridField, cfg: Indicator2DConfig) -> np.ndarray:
-    """Combined smoothness weight at every node: min over the four
-    remapped quadrant weights g(w(beta0, beta1)) (splitting baseline when
-    so configured)."""
-    if cfg.variant is Formula2D.SPLIT:
-        return omega_split_field(field, cfg)
+def _quadrant_weights(field: GridField, cfg: Indicator2DConfig):
+    """The raw weight w(beta0, beta1) of each quadrant in turn, a run over
+    the grid in the layout of ``field.neighbors()``."""
     sigma_h = cfg.sigma * field.grid.delta ** 2
     betas = quadrant_beta_fields(field, cfg.variant)
     # Every beta0 views its quadrant's inner beta run, which the opposite
@@ -185,15 +192,31 @@ def omega_field_2d(field: GridField, cfg: Indicator2DConfig) -> np.ndarray:
     # opposite pair at a time and laid out like the run, over the grid
     # grown by one node per side.
     at = field.neighbors()
-    omega = None
     for pair in (("--", "++"), ("+-", "-+")):
         terms = {key: at.of(weno_term(betas[key][0].base, sigma_h), 1)
                  for key in pair}
         for key, opposite in (pair, pair[::-1]):
             z1, z2 = QUADRANTS[key]
-            w = map_g(normalized_weight(terms[key](), terms[opposite](z1, z2)))
-            omega = w if omega is None else np.minimum(omega, w, out=omega)
-    return at.grid(omega)
+            yield normalized_weight(terms[key](), terms[opposite](z1, z2))
+
+
+def _least(runs):
+    """Elementwise minimum of fresh arrays, kept in the first (a NaN
+    anywhere gives NaN)."""
+    least = None
+    for run in runs:
+        least = run if least is None else np.minimum(least, run, out=least)
+    return least
+
+
+def omega_field_2d(field: GridField, cfg: Indicator2DConfig) -> np.ndarray:
+    """Combined smoothness weight at every node: min over the four
+    remapped quadrant weights g(w(beta0, beta1)) (splitting baseline when
+    so configured)."""
+    if cfg.variant is Formula2D.SPLIT:
+        return omega_split_field(field, cfg)
+    return field.neighbors().grid(
+        _least(map_g(w) for w in _quadrant_weights(field, cfg)))
 
 
 def omega_split_field(field: GridField, cfg: Indicator2DConfig) -> np.ndarray:
@@ -209,7 +232,77 @@ def omega_split_field(field: GridField, cfg: Indicator2DConfig) -> np.ndarray:
 phi_2d = phi_1d
 
 
+# The crossing of a threshold M is checked double by double over this many
+# doubles on each side of it (a 32 KB band), and by the rounding error of
+# map_g beyond them.
+CROSSING_BAND = 2048
+
+
+@functools.lru_cache(maxsize=16)
+def weight_threshold(M: float) -> float | None:
+    """The smallest double w* with map_g(w*) >= M, if the rounded test
+    map_g(w) >= M is w >= w* on every double w; else None.
+
+    The exact g is non-decreasing, but its rounded value wobbles where g'
+    is small, near w = 1/2 (M = 0.49 is refused).  Certified in three
+    steps:
+
+    - bisect the doubles of [0, 1/2], which map_g takes to 0 and 1/2, for
+      a crossing w*;
+    - the test must read w >= w* on each of the ``CROSSING_BAND`` doubles
+      on either side of it;
+    - beyond the band, the rounding error of map_g as written decides: on
+      [0, 1], where map_g clips every input, it lies within
+      23 u g(w) + 12 eta of the exact g(w) (u = 2^-53, eta = 2^-1075 for
+      underflow; 4 w is exact, five operations round, and
+      3/4 - 3/2 w + w^2 >= 3/16).  The exact g at each end of the band
+      must clear M by 2^-48 g + 2^-1071 (:func:`_g_clears`).
+    """
+    def double(bits):
+        return np.int64(bits).view(np.float64)
+
+    lo, hi = 0, int(np.float64(0.5).view(np.int64))
+    while hi - lo > 1:      # map_g(double(lo)) < M <= map_g(double(hi))
+        mid = (lo + hi) // 2
+        if map_g(double(mid)) >= M:
+            hi = mid
+        else:
+            lo = mid
+    w_star = double(hi)
+    band = np.arange(max(hi - CROSSING_BAND, 0), hi + CROSSING_BAND,
+                     dtype=np.int64).view(np.float64)
+    certified = (np.array_equal(map_g(band) >= M, band >= w_star)
+                 and _g_clears(band[0], M, -1) and _g_clears(band[-1], M, 1))
+    return float(w_star) if certified else None
+
+
+def _g_clears(w: float, M: float, side: int) -> bool:
+    """Whether the exact g(w), moved towards M by map_g's rounding bound
+    2^-48 g + 2^-1071, stays below M (``side`` -1) or at or above it (+1).
+
+    Exact: with w = n/d and M = p/q, g(w) = (3 n d^2 - 6 n^2 d + 4 n^3)/d^3,
+    and both sides are integers once scaled by 2^1071 d^3 q.
+    """
+    n, d = float(w).as_integer_ratio()
+    p, q = float(M).as_integer_ratio()
+    g_num, g_den = 3 * n * d * d - 6 * n * n * d + 4 * n ** 3, d ** 3
+    moved = g_num * q * (2 ** 1071 - side * 2 ** 1023) - side * g_den * q
+    bar = p * g_den * 2 ** 1071
+    return moved < bar if side < 0 else moved >= bar
+
+
 def smoothness_2d(field: GridField, cfg: Indicator2DConfig) -> Smoothness:
-    """Weight and trust mask of ``field``."""
-    omega = omega_field_2d(field, cfg)
-    return Smoothness(omega=omega, phi=phi_2d(omega, cfg))
+    """Weight and trust mask of ``field``.
+
+    Where the threshold is certified (:func:`weight_threshold`), the mask
+    is taken from the smallest raw quadrant weight, one map_g pass instead
+    of four, and is bitwise the threshold of the combined weight; that
+    weight is then built only when ``omega`` is read.  The splitting
+    baseline and an uncertified M threshold the combined weight.
+    """
+    if cfg.variant is Formula2D.SPLIT or weight_threshold(cfg.M) is None:
+        omega = omega_field_2d(field, cfg)
+        return Smoothness(omega=omega, phi=phi_2d(omega, cfg))
+    least = field.neighbors().grid(_least(_quadrant_weights(field, cfg)))
+    return Smoothness(omega=functools.partial(omega_field_2d, field, cfg),
+                      phi=phi_2d(map_g(least), cfg))

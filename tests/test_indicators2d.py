@@ -1,16 +1,25 @@
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+import hjaf.indicators2d as indicators2d
+from hjaf.cli import main
+from hjaf.filtering import _adaptive_step
 from hjaf.grids import BoundaryCondition, Grid1D, Grid2D, GridField
 from hjaf.indicators1d import (Indicator1DConfig, Variant1D, map_g,
                                omega_field_1d, weno_weight)
 from hjaf.indicators2d import (Formula2D, Indicator2DConfig, omega_field_2d,
                                omega_split_field, phi_2d, quadrant_beta_fields,
-                               smoothness_2d)
+                               smoothness_2d, weight_threshold)
+from hjaf.harness import CliConfig, solver_config
+from hjaf.highorder import high_order_step
 from hjaf.problems import make_test
 
-from oracles import beta_quadrature
+from oracles import beta_quadrature, view_omega_field_2d, view_phi_2d
 
 PER = BoundaryCondition.PERIODIC
 NEU = BoundaryCondition.NEUMANN_ZERO
@@ -348,3 +357,138 @@ class TestConfig:
         # "full" used to run the partial betas, and "split" too
         with pytest.raises(ValueError, match="Formula2D member"):
             Indicator2DConfig(variant=variant)
+
+
+def double(bits):
+    return np.asarray(bits, dtype=np.int64).view(np.float64)
+
+
+def bits(w):
+    return int(np.float64(w).view(np.int64))
+
+
+@st.composite
+def scaled_fields(draw):
+    """Noise, or a kinked surface with a little noise, on 3..9 nodes per
+    axis under either boundary rule, scaled by 1 or by about 1e200 (where
+    the betas overflow and the weights are NaN)."""
+    ny, nx = draw(st.integers(3, 9)), draw(st.integers(3, 9))
+    dx, dy = (draw(st.floats(0.01, 2.0)) for _ in range(2))
+    noise = draw(arrays(np.float64, (ny, nx),
+                        elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
+    g = Grid2D(-0.5 * nx * dx, -0.5 * ny * dy, dx, dy, nx, ny)
+    X, Y = g.meshes()
+    values = draw(st.sampled_from([noise, np.abs(X) + np.abs(Y) + 1e-6 * noise]))
+    scale = draw(st.sampled_from([1.0, 1e200, 3e199]))
+    return GridField(g, scale * values, draw(st.sampled_from([PER, NEU])))
+
+
+class TestMaskFromLeastWeight:
+    """A certified threshold takes the trust mask from the smallest raw
+    quadrant weight; the mask and the maps stay bitwise those of the
+    combined remapped weight."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scaled_fields(),
+           st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+           st.sampled_from([Formula2D.FULL, Formula2D.PARTIAL]),
+           st.floats(0.1, 5.0))
+    @example(patch_field(np.abs(np.arange(25.0) - 12.0).reshape(5, 5)), 0.2,
+             Formula2D.FULL, 2.0)
+    @example(patch_field(np.abs(np.arange(25.0) - 12.0).reshape(5, 5)), 0.49,
+             Formula2D.FULL, 2.0)
+    def test_mask_and_maps_are_the_mapped_ones(self, f, M, formula, sigma):
+        cfg = Indicator2DConfig(sigma=sigma, M=M, variant=formula)
+        with np.errstate(all="ignore"):
+            sm = smoothness_2d(f, cfg)
+            omega = omega_field_2d(f, cfg)
+            view = view_omega_field_2d(f, sigma, formula.value)
+            assert sm.phi.dtype == np.bool_
+            assert np.array_equal(sm.phi, phi_2d(omega, cfg))
+            assert np.array_equal(sm.phi, view_phi_2d(view, M))
+            assert np.array_equal(sm.omega, omega, equal_nan=True)
+        # overflowed betas leave NaN weights, and those nodes untrusted
+        assert not sm.phi[np.isnan(omega)].any()
+
+    @pytest.mark.parametrize("M", [0.2, 0.49])
+    def test_overflowed_nodes_are_untrusted(self, M):
+        f = patch_field(1e200 * np.abs(np.arange(25.0) - 12.0).reshape(5, 5))
+        with np.errstate(all="ignore"):
+            sm = smoothness_2d(f, Indicator2DConfig(M=M))
+            assert np.isnan(sm.omega).any()
+        assert not sm.phi[np.isnan(sm.omega)].any()
+
+    def test_default_threshold_is_certified(self):
+        # an independent scan, 32 times wider than the certificate's band,
+        # finds the rounded test map_g(w) >= M to be w >= w* around w*
+        M = Indicator2DConfig().M
+        w_star = weight_threshold(M)
+        assert w_star is not None and 0.0 < w_star < 0.5
+        assert map_g(np.nextafter(w_star, 0.0)) < M <= map_g(w_star)
+        n = 2 ** 16
+        assert n >= 32 * indicators2d.CROSSING_BAND
+        scan = double(np.arange(bits(w_star) - n, bits(w_star) + n))
+        assert np.array_equal(map_g(scan) >= M, scan >= w_star)
+
+    def test_threshold_near_one_half_is_refused(self):
+        # g' vanishes at 1/2: near its crossing the rounded test wobbles
+        assert weight_threshold(0.49) is None
+        lo, hi = 0, bits(0.5)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if map_g(double(mid)) >= 0.49 else (mid, hi)
+        scan = double(np.arange(hi - 2 ** 16, hi + 2 ** 16))
+        flips = np.count_nonzero(np.diff(map_g(scan) >= 0.49))
+        assert flips > 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 0.5, exclude_min=True,
+                                          exclude_max=True))
+    @example(0.07828366734912538, 0.2)
+    def test_bound_check_is_exact(self, w, M):
+        # the integer form of the check against rationals
+        g = 4 * Fraction(w) * (Fraction(3, 4) - Fraction(3, 2) * Fraction(w)
+                               + Fraction(w) ** 2)
+        rel, absolute = Fraction(1, 2 ** 48), Fraction(1, 2 ** 1071)
+        assert indicators2d._g_clears(w, M, -1) == (
+            g * (1 + rel) + absolute < M)
+        assert indicators2d._g_clears(w, M, 1) == (
+            g * (1 - rel) - absolute >= M)
+
+    @pytest.mark.parametrize("M, calls", [(0.2, 1), (0.49, 4)])
+    def test_map_g_calls_per_step(self, monkeypatch, M, calls):
+        prob = make_test("8")
+        cfg = CliConfig(test_id="8", scheme="af-rkc4", refinements=1, M=M)
+        sc = solver_config(cfg, prob, 0)
+        u = prob.initial_field(0)
+        dt = prob.T_final / prob.n_steps(0)
+        weight_threshold(M)     # certified once per M, at first use
+        counted = []
+
+        def counting(w):
+            counted.append(w.shape)
+            return map_g(w)
+
+        monkeypatch.setattr(indicators2d, "map_g", counting)
+        _adaptive_step(u, sc, high_order_step("rkc4"), dt)
+        assert len(counted) == calls
+
+    @pytest.mark.parametrize("M", [0.2, 0.49])
+    def test_study_builds_the_combined_weight_only_when_read(
+            self, monkeypatch, tmp_path, M):
+        # an uncertified M builds it on every step, a certified one only
+        # for the final maps
+        built = []
+
+        def spy(field, cfg):
+            built.append(cfg.M)
+            return omega_field_2d(field, cfg)
+
+        monkeypatch.setattr(indicators2d, "omega_field_2d", spy)
+        assert main(["solve", "--test", "8", "--scheme", "af-rkc4",
+                     "--refinements", "1", "--M", str(M),
+                     "--out", str(tmp_path)]) == 0
+        steps = make_test("8").n_steps(0)
+        assert built == [M] * (steps + 1 if M == 0.49 else 1)
+        for name in ("omega.csv", "phi.csv", "epsilon.csv"):
+            assert (tmp_path / name).stat().st_size > 0
