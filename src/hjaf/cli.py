@@ -9,10 +9,15 @@ and a header row.
 Each option's destination is a field of the run config (``CliConfig``,
 ``IndicatorRunConfig``) and an option left out is not set, so every
 default lives in the config dataclass alone.
+
+Run as the program (``hjaf``, ``python -m hjaf.cli``), ``main()`` tunes
+glibc's allocator; ``main(argv)`` leaves its host process's alone.
 """
 from __future__ import annotations
 
 import argparse
+import ctypes
+import platform
 import sys
 
 from .filtering import SCHEME_NAMES, EvolutionError
@@ -21,6 +26,26 @@ from .harness import (CliConfig, IndicatorRunConfig, run_convergence,
 from .indicators2d import Formula2D
 from .monotone import CflViolation
 from .problems import INDICATOR_IDS, PLACEMENTS, PROBLEM_IDS
+
+
+# glibc mallopt parameters and their values, those of perfbench/env.py's
+# MALLOC_VARS (M_<NAME> is set by the variable MALLOC_<NAME>_): serve
+# large arrays from a heap that is never trimmed, rather than from fresh
+# mmaps that the kernel zeroes page by page and unmaps on free.
+MALLOPT = {"MMAP_THRESHOLD": (-3, 32 << 20), "TRIM_THRESHOLD": (-1, 1 << 30),
+           "TOP_PAD": (-2, 64 << 20)}
+
+
+def _tune_allocator() -> None:
+    """Set MALLOPT for this process; nothing off glibc or if a call fails."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        for param, value in MALLOPT.values():
+            mallopt(param, value)
+    except (OSError, AttributeError):
+        pass
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,6 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        _tune_allocator()
     options = vars(_build_parser().parse_args(argv))
     command = options.pop("command")
     try:

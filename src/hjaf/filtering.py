@@ -87,8 +87,8 @@ def af_step(field: GridField, kind: MonotoneKind, highorder, H: Hamiltonian,
     eps*dt of the monotone value, monotone everywhere else', and the
     selection keeps the chosen branch bit-exact.  When eps is at or below
     ``EPS_FLOOR`` the two schemes agree on the trusted data anyway, so the
-    step falls back to the monotone update (avoids 0/0 in the filter
-    argument).
+    step returns the monotone update itself and never calls ``highorder``
+    (at eps = 0 it is the monotone scheme; no 0/0 in the filter argument).
     """
     u_m = monotone_step(field, kind, H, dt)
     if eps <= EPS_FLOOR:
@@ -107,14 +107,15 @@ class EvolutionError(RuntimeError):
 class SolverConfig:
     """Everything af_evolve needs besides the initial field.
 
-    scheme, one of SCHEME_NAMES: 'monotone' alone; a name in SCHEME_ORDERS,
-    that high-order scheme alone; 'af-<name>', the adaptive blend of the
-    monotone step with it; 'f-hc-fixed', the blend with HC at the constant
-    switching scale epsilon_fixed and phi forced to one.  An option the
-    scheme would ignore is refused: epsilon_fixed belongs to f-hc-fixed
-    (which needs it), lw2_corrected to lw2, richtmyer and their af- forms,
-    a K other than the default to the af- schemes (only epsilon_n reads it).
-    So is a hamiltonian that cannot run its own monotone form (:attr:`monotone`).
+    scheme, one of SCHEME_NAMES: 'monotone' alone (the blend at eps = 0);
+    a name in SCHEME_ORDERS, that high-order scheme alone; 'af-<name>', the
+    adaptive blend of the monotone step with it; 'f-hc-fixed', the blend
+    with HC at the constant switching scale epsilon_fixed and phi forced to
+    one.  An option the scheme would ignore is refused: epsilon_fixed
+    belongs to f-hc-fixed (which needs it), lw2_corrected to lw2, richtmyer
+    and their af- forms, a K other than the default to the af- schemes
+    (only epsilon_n reads it).  So is a hamiltonian that cannot run its own
+    monotone form (:attr:`monotone`).
     """
 
     hamiltonian: Hamiltonian
@@ -127,7 +128,7 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEME_NAMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        fixed, name = self.scheme == "f-hc-fixed", self.scheme.removeprefix("af-")
+        fixed, name = self.scheme == "f-hc-fixed", self.highorder
         if self.epsilon_fixed is not None and not fixed:
             raise ValueError("epsilon_fixed applies only to scheme "
                              f"'f-hc-fixed', not {self.scheme!r}")
@@ -149,6 +150,13 @@ class SolverConfig:
         if name == "richtmyer" and self.hamiltonian.space_dependent:
             raise ValueError("Richtmyer form requires H independent of (x, y)")
         require_runnable(self.monotone, self.hamiltonian)
+
+    @property
+    def highorder(self) -> str | None:
+        """The name in SCHEME_ORDERS the run steps or blends with (None for
+        'monotone')."""
+        return {"monotone": None, "f-hc-fixed": "hc"}.get(
+            self.scheme, self.scheme.removeprefix("af-"))
 
     @property
     def monotone(self) -> MonotoneKind:
@@ -195,28 +203,22 @@ def af_evolve(initial: GridField, config: SolverConfig, T: float,
         raise ValueError(f"need at least one step, got {n_steps}")
     dt = T / n_steps
     H = config.hamiltonian
-    scheme = config.scheme
-    step_fn = None
-    if scheme != "monotone":
-        name = "hc" if scheme == "f-hc-fixed" else scheme.removeprefix("af-")
-        step_fn = high_order_step(name, config.lw2_corrected)
+    scheme, name = config.scheme, config.highorder
+    step_fn = None if name is None else high_order_step(name, config.lw2_corrected)
 
     u = initial.like(initial.values)    # an alias: its memo goes after step 1
     diag = Diagnostics()
     trusted = np.ones(initial.grid.shape, dtype=bool)
     for step in range(1, n_steps + 1):
         try:
-            if scheme == "monotone":
-                u_next = monotone_step(u, config.monotone, H, dt)
-                eps, phi = 0.0, trusted
-            elif scheme in SCHEME_ORDERS:
+            if scheme in SCHEME_ORDERS:
                 u_next = step_fn(u, H, dt)
                 eps, phi = 0.0, trusted
-            elif scheme == "f-hc-fixed":
-                eps, phi = config.epsilon_fixed, trusted
-                u_next = af_step(u, config.monotone, step_fn, H, dt, phi, eps)
-            else:
+            elif scheme.startswith("af-"):
                 u_next, eps, phi = _adaptive_step(u, config, step_fn, dt)
+            else:   # f-hc-fixed at its fixed scale, monotone at eps = 0
+                eps, phi = config.epsilon_fixed or 0.0, trusted
+                u_next = af_step(u, config.monotone, step_fn, H, dt, phi, eps)
         except CflViolation as exc:
             raise CflViolation(f"step {step} (t = {step * dt:.6g}): {exc}") from exc
         if not np.all(np.isfinite(u_next.values)):

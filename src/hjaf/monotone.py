@@ -64,19 +64,6 @@ def h_eikonal(pm, pp, qm, qp):
     return np.sqrt(a * a + b * b)
 
 
-def _llf(H: Hamiltonian, x, y, pm, pp, qm, qp):
-    """(value, ax, ay): the local Lax-Friedrichs hamiltonian, H at slope
-    averages minus the dissipation on each axis scaled by H's interval
-    speed bound, and the dissipation coefficient it used on each axis."""
-    pc = 0.5 * (np.asarray(pm, dtype=np.float64) + pp)
-    qc = 0.5 * (np.asarray(qm, dtype=np.float64) + qp)
-    ax = H.alpha_p(x, y, pm, pp, qc)
-    ay = H.alpha_q(x, y, qm, qp, pc)
-    value = (H.eval(x, y, pc, qc)
-             - 0.5 * ax * (pp - pm) - 0.5 * ay * (qp - qm))
-    return value, ax, ay
-
-
 def _llf_slot_difference(H: Hamiltonian, x, y, c, fwd, bwd, frozen,
                          along_p: bool):
     """Closed form of one slot difference of the local Lax-Friedrichs
@@ -156,7 +143,14 @@ def monotone_hamiltonian(kind: MonotoneKind, H: Hamiltonian,
     require_runnable(kind, H)
     if kind is MonotoneKind.EIKONAL:
         return h_eikonal(pm, pp, qm, qp), (1.0, 1.0)
-    value, ax, ay = _llf(H, x, y, pm, pp, qm, qp)
+    # local Lax-Friedrichs: H at the slope averages minus the dissipation
+    # on each axis, scaled by H's interval speed bound
+    pc = 0.5 * (np.asarray(pm, dtype=np.float64) + pp)
+    qc = 0.5 * (np.asarray(qm, dtype=np.float64) + qp)
+    ax = H.alpha_p(x, y, pm, pp, qc)
+    ay = H.alpha_q(x, y, qm, qp, pc)
+    value = (H.eval(x, y, pc, qc)
+             - 0.5 * ax * (pp - pm) - 0.5 * ay * (qp - qm))
     return value, (ax, ay)
 
 

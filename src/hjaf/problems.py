@@ -97,13 +97,10 @@ class ProblemSpec:
 
     def grid(self, level: int = 0) -> Grid2D:
         nx = self.base_nx * 2 ** level
-        a, b = self.xlim
-        c, d = self.ylim
-        dx = (b - a) / nx
-        dy = (d - c) / nx
-        if self.bc is BoundaryCondition.PERIODIC:
-            return Grid2D(x0=a, y0=c, dx=dx, dy=dy, nx=nx, ny=nx)
-        return Grid2D(x0=a, y0=c, dx=dx, dy=dy, nx=nx + 1, ny=nx + 1)
+        (a, b), (c, d) = self.xlim, self.ylim
+        # a periodic grid leaves out the node that repeats the first one
+        n = nx if self.bc is BoundaryCondition.PERIODIC else nx + 1
+        return Grid2D(x0=a, y0=c, dx=(b - a) / nx, dy=(d - c) / nx, nx=n, ny=n)
 
     def n_steps(self, level: int = 0) -> int:
         return self.base_nt * 2 ** level
@@ -358,50 +355,6 @@ def disc_min(v0: Callable, t: float, x, y, chunk: int = 2048) -> np.ndarray:
 # ----------------------------------------------------------------------
 # registry
 
-def _spec_transport() -> ProblemSpec:
-    return ProblemSpec(
-        id="5", name="transport-bump", xlim=(-2.0, 2.0), ylim=(-2.0, 2.0),
-        hamiltonian=transport_hamiltonian(),
-        initial=bump_quintic, bc=BoundaryCondition.NEUMANN_ZERO,
-        T_final=0.9, base_nx=40, base_nt=30,
-        exact=exact_translation)
-
-
-def _spec_rotation() -> ProblemSpec:
-    return ProblemSpec(
-        id="6", name="rotating-paraboloid", xlim=(-2.5, 2.5), ylim=(-2.5, 2.5),
-        hamiltonian=rotation_hamiltonian(),
-        initial=steep_paraboloid, bc=BoundaryCondition.NEUMANN_ZERO,
-        T_final=2.0 * math.pi, base_nx=20, base_nt=128,
-        exact=exact_rotation)
-
-
-def _spec_fronts(case: str) -> ProblemSpec:
-    if case == "a":
-        v0, T, nt = two_circles, 0.6, 12
-        exact = lambda t, x, y: disc_min(two_circles, t, x, y)
-    else:
-        v0, T, nt, exact = two_squares, 0.7, 14, eroded_two_squares
-    return ProblemSpec(
-        id=f"7{case}", name=f"merging-fronts-{case}", xlim=(-3.0, 3.0),
-        ylim=(-3.0, 3.0), hamiltonian=eikonal_hamiltonian(),
-        initial=v0, bc=BoundaryCondition.NEUMANN_ZERO,
-        T_final=T, base_nx=30, base_nt=nt, exact=exact)
-
-
-def _spec_burgers_like(regular_time: bool) -> ProblemSpec:
-    T_sing = 3.0 / (2.0 * math.pi ** 2)
-    return ProblemSpec(
-        id="8" if not regular_time else "8-regular",
-        name="burgers-like" + ("-regular" if regular_time else ""),
-        xlim=(0.0, 2.0), ylim=(0.0, 2.0),
-        hamiltonian=shifted_quadratic_hamiltonian(),
-        initial=cosine_sum, bc=BoundaryCondition.PERIODIC,
-        T_final=T_sing / 2.0 if regular_time else T_sing,
-        base_nx=20, base_nt=10 if regular_time else 20,
-        exact=exact_burgers_like)
-
-
 _INDICATOR_CASES = {
     "1": IndicatorCase("1", "piecewise-1d", piecewise_1d, (-1.5, 4.5), None),
     "2": IndicatorCase("2", "cone", cone_2d, (-2.0, 2.0), (-2.0, 2.0)),
@@ -409,26 +362,47 @@ _INDICATOR_CASES = {
     "4": IndicatorCase("4", "axis-blind-ridge", ridge_2d, (-2.0, 2.0), (-2.0, 2.0)),
 }
 
-_PROBLEM_BUILDERS = {
-    "5": _spec_transport,
-    "6": _spec_rotation,
-    "7a": lambda: _spec_fronts("a"),
-    "7b": lambda: _spec_fronts("b"),
-    "8": lambda: _spec_burgers_like(False),
-    "8-regular": lambda: _spec_burgers_like(True),
-}
+# the fields the two merging-fronts problems share, and the two
+# Burgers-like ones (8-regular stops at half of test 8's final time)
+_FRONTS = dict(xlim=(-3.0, 3.0), ylim=(-3.0, 3.0),
+               hamiltonian=eikonal_hamiltonian(),
+               bc=BoundaryCondition.NEUMANN_ZERO, base_nx=30)
+_BURGERS = dict(xlim=(0.0, 2.0), ylim=(0.0, 2.0), initial=cosine_sum,
+                hamiltonian=shifted_quadratic_hamiltonian(), base_nx=20,
+                bc=BoundaryCondition.PERIODIC, exact=exact_burgers_like)
+_T_SING = 3.0 / (2.0 * math.pi ** 2)
+
+_PROBLEMS = {p.id: p for p in (
+    ProblemSpec(id="5", name="transport-bump", xlim=(-2.0, 2.0),
+                ylim=(-2.0, 2.0), hamiltonian=transport_hamiltonian(),
+                initial=bump_quintic, bc=BoundaryCondition.NEUMANN_ZERO,
+                T_final=0.9, base_nx=40, base_nt=30, exact=exact_translation),
+    ProblemSpec(id="6", name="rotating-paraboloid", xlim=(-2.5, 2.5),
+                ylim=(-2.5, 2.5), hamiltonian=rotation_hamiltonian(),
+                initial=steep_paraboloid, bc=BoundaryCondition.NEUMANN_ZERO,
+                T_final=2.0 * math.pi, base_nx=20, base_nt=128, exact=exact_rotation),
+    ProblemSpec(id="7a", name="merging-fronts-a", initial=two_circles,
+                T_final=0.6, base_nt=12, **_FRONTS,
+                exact=lambda t, x, y: disc_min(two_circles, t, x, y)),
+    ProblemSpec(id="7b", name="merging-fronts-b", initial=two_squares,
+                T_final=0.7, base_nt=14, exact=eroded_two_squares, **_FRONTS),
+    ProblemSpec(id="8", name="burgers-like", T_final=_T_SING, base_nt=20,
+                **_BURGERS),
+    ProblemSpec(id="8-regular", name="burgers-like-regular",
+                T_final=_T_SING / 2.0, base_nt=10, **_BURGERS),
+)}
+_TESTS = {**_INDICATOR_CASES, **_PROBLEMS}
 
 INDICATOR_IDS = tuple(_INDICATOR_CASES)
-PROBLEM_IDS = tuple(_PROBLEM_BUILDERS)
+PROBLEM_IDS = tuple(_PROBLEMS)
 ALL_TEST_IDS = INDICATOR_IDS + PROBLEM_IDS
 
 
 def make_test(test_id: str):
     """Problem registry: detection cases for ids 1-4, evolution problems
-    for 5, 6, 7a, 7b, 8 (and the pre-kink variant 8-regular)."""
-    key = str(test_id)
-    if key in _INDICATOR_CASES:
-        return _INDICATOR_CASES[key]
-    if key in _PROBLEM_BUILDERS:
-        return _PROBLEM_BUILDERS[key]()
-    raise KeyError(f"unknown test id {test_id!r}; choose from {ALL_TEST_IDS}")
+    for 5, 6, 7a, 7b, 8 (and the pre-kink variant 8-regular).  Each is a
+    frozen value built once at import; every call returns that value."""
+    test = _TESTS.get(str(test_id))
+    if test is None:
+        raise KeyError(f"unknown test id {test_id!r}; choose from {ALL_TEST_IDS}")
+    return test

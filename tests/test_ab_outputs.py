@@ -6,6 +6,9 @@ import math
 import shutil
 from pathlib import Path
 
+from hjaf.filtering import SCHEME_NAMES
+from hjaf.problems import PROBLEM_IDS
+
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location(
     "ab_outputs", ROOT / "tools" / "ab_outputs.py")
@@ -51,3 +54,11 @@ def test_one_ulp_is_reported(tmp_path, capsys):
     assert rkc4 and {m.split("/")[0] for m in moved} == rkc4
     for rid in rkc4:
         assert f"{rid}/out/field_final.csv" in moved
+
+
+def test_full_set_names_every_problem_and_scheme():
+    # both lists are kept by hand; every registry value runs end to end
+    solved = {argv[argv.index("--test") + 1]
+              for argv in ab_outputs.FULL if argv[0] == "solve"}
+    assert solved == set(PROBLEM_IDS)
+    assert set(ab_outputs.SCHEMES) == set(SCHEME_NAMES)

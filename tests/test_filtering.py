@@ -324,6 +324,22 @@ class TestEvolve:
         assert len(diag.rows) == 1
         assert diag.rows[0][2] == eps
 
+    @pytest.mark.parametrize("test_id", ["5", "7b", "8"])
+    def test_monotone_scheme_is_the_monotone_step(self, test_id):
+        # the blend at eps = 0: n monotone steps, bit for bit, with no
+        # switching scale and no untrusted node in any row
+        prob = make_test(test_id)
+        cfg = SolverConfig(hamiltonian=prob.hamiltonian, scheme="monotone")
+        n = prob.n_steps(0)
+        dt = prob.T_final / n
+        u = prob.initial_field(0)
+        out, diag = af_evolve(u, cfg, prob.T_final, n)
+        for _ in range(n):
+            u = monotone_step(u, cfg.monotone, prob.hamiltonian, dt)
+        assert np.array_equal(out.values, u.values)
+        assert [row[0] for row in diag.rows] == list(range(1, n + 1))
+        assert all(row[2] == 0.0 and row[3] == 0 for row in diag.rows)
+
     def test_cfl_rejected_before_stepping(self):
         g = Grid2D(0, 0, 0.1, 0.1, 10, 10)
         f = GridField(g, np.zeros((10, 10)), NEU)
@@ -458,6 +474,19 @@ class TestSchemeVocabulary:
                                   or case == ("f-hc-fixed", None, False))
         assert self._accepts(lambda: solver_config(
             CliConfig(test_id="8", K=K, **options), prob, 0)) == cli_accepts
+
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_highorder_names_the_scheme_run_or_blended(self, scheme):
+        expected = {"monotone": None, "hc": "hc", "lw": "lw", "lw2": "lw2",
+                    "richtmyer": "richtmyer", "rkc4": "rkc4", "af-hc": "hc",
+                    "af-lw": "lw", "af-lw2": "lw2",
+                    "af-richtmyer": "richtmyer", "af-rkc4": "rkc4",
+                    "f-hc-fixed": "hc"}
+        assert set(expected) == set(SCHEME_NAMES)
+        eps = 0.1 if scheme == "f-hc-fixed" else None
+        cfg = SolverConfig(hamiltonian=transport_hamiltonian(), scheme=scheme,
+                           epsilon_fixed=eps)
+        assert cfg.highorder == expected[scheme]
 
     def test_unknown_scheme_refused(self):
         with pytest.raises(ValueError, match="unknown scheme 'af-monotone'"):

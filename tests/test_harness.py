@@ -1,11 +1,15 @@
+import importlib.util
 import io
 import re
+import sys
+import types
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hjaf.cli as cli
 import hjaf.filtering as filtering
 import hjaf.harness as harness
 from hjaf.cli import _build_parser as build_parser, main as cli_main
@@ -390,6 +394,55 @@ class TestCli:
     def test_parser_sets_only_the_options_given(self, argv):
         args = vars(build_parser().parse_args(argv))
         assert args == {"command": argv[0], "test_id": argv[2]}
+
+
+class TestAllocator:
+    """The program tunes glibc's allocator as the benchmark does; a caller
+    of ``main([...])`` keeps its own."""
+
+    def test_values_are_the_benchmarks(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "env.py"
+        spec = importlib.util.spec_from_file_location("bench_env", path)
+        env = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(env)
+        assert {f"MALLOC_{name}_": str(value)
+                for name, (_, value) in cli.MALLOPT.items()} == env.MALLOC_VARS
+
+    def test_only_the_program_tunes(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "_tune_allocator", lambda: calls.append(1))
+        argv = ["indicators", "--test", "2", "--dx", "0"]    # exits 1 early
+        assert cli.main(argv) == 1
+        assert calls == []
+        monkeypatch.setattr(sys, "argv", ["hjaf", *argv])
+        assert cli.main() == 1
+        assert calls == [1]
+
+    @staticmethod
+    def _libc(monkeypatch, name, cdll):
+        monkeypatch.setattr(cli.platform, "libc_ver", lambda: (name, "2.35"))
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+
+    def test_glibc_gets_the_three_parameters(self, monkeypatch):
+        calls = []
+        mallopt = lambda *args: calls.append(args) or 1
+        self._libc(monkeypatch, "glibc",
+                   lambda path: types.SimpleNamespace(mallopt=mallopt))
+        cli._tune_allocator()
+        # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD, M_TOP_PAD of glibc's malloc.h
+        assert sorted(calls) == [(-3, 32 << 20), (-2, 64 << 20), (-1, 1 << 30)]
+
+    def test_no_op_off_glibc(self, monkeypatch):
+        def cdll(path):
+            raise AssertionError("the C library was opened off glibc")
+        self._libc(monkeypatch, "musl", cdll)
+        cli._tune_allocator()
+
+    def test_failed_call_is_ignored(self, monkeypatch):
+        def cdll(path):
+            raise OSError("no C library")
+        self._libc(monkeypatch, "glibc", cdll)
+        cli._tune_allocator()
 
 
 def test_cli_defaults_are_the_library_defaults():

@@ -27,6 +27,11 @@ class TestRegistry:
         with pytest.raises(KeyError):
             make_test("77")
 
+    @pytest.mark.parametrize("tid", ALL_TEST_IDS)
+    def test_every_id_names_one_value(self, tid):
+        # built once at import, not on every call
+        assert make_test(tid) is make_test(tid)
+
     def test_detection_vs_evolution_split(self):
         assert isinstance(make_test("1"), IndicatorCase)
         assert isinstance(make_test("5"), ProblemSpec)

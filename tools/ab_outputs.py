@@ -57,6 +57,7 @@ FULL = (
     *(_solve(t, s, 1) for t in ("5", "6", "7b", "8") for s in SCHEMES),
     _solve("5", "af-rkc4", 2), _solve("8", "af-rkc4", 3),
     _solve("6", "af-lw", 2), _solve("7a", "af-hc", 1),
+    _solve("8-regular", "af-rkc4", 2),
     _solve("8", "af-rkc4", 2, "--indicator", "split"),
     _solve("8", "af-rkc4", 2, "--indicator", "partial"),
     _solve("8", "af-lw2", 2, "--lw2-corrected"),
