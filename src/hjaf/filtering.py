@@ -16,8 +16,8 @@ numerical hamiltonians: the one-shot time-curvature correction of the
 high-order family plus the antidiffusion content of the monotone
 hamiltonian, probed by swapping one-sided slopes into one argument slot
 at a time (:func:`hjaf.monotone.htilde_differences`; for the local
-Lax-Friedrichs form, four evaluations of H in closed form instead of
-eight calls).  Every kernel reads the field's own padded copy
+Lax-Friedrichs form the values of H cancel, and the probe is a closed
+form in four speed bounds).  Every kernel reads the field's own padded copy
 (``field.neighbors()``, the run layout of :mod:`hjaf.grids`), so one step
 of any scheme pads the field once: the smoothness indicator, the switching
 scale (its one-sided, centered, second and cross differences), the

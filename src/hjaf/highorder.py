@@ -69,15 +69,20 @@ def cross_diff(field: GridField):
 def fourth_order_slopes(field: GridField):
     dx, dy = field.grid.dx, field.grid.dy
     at = field.neighbors()
+    eight = at.of(np.multiply(8.0, at.flat))     # 8 u, read by both axes
 
-    def slope(dj, di, h):
-        # (u[-2] - 8 u[-1] + 8 u[+1] - u[+2]) / (12 h), summed left to right
-        d = np.multiply(8.0, at(-dj, -di))
-        np.subtract(at(-2 * dj, -2 * di), d, out=d)
-        d += np.multiply(8.0, at(dj, di))
+    def run(dj, di):
+        # u[-2] - 8 u[-1] + 8 u[+1] - u[+2], summed left to right
+        d = np.subtract(at(-2 * dj, -2 * di), eight(-dj, -di))
+        d += eight(dj, di)
         d -= at(2 * dj, 2 * di)
-        return at.grid(d) / (12.0 * h)
-    return slope(1, 0, dx), slope(0, 1, dy)
+        return d
+    x_run, y_run = run(1, 0), run(0, 1)
+    # at most three such arrays live at once, as when each axis took 8 u
+    del eight
+    x_slope = at.grid(x_run) / (12.0 * dx)
+    del x_run
+    return x_slope, at.grid(y_run) / (12.0 * dy)
 
 
 def hc_step(field: GridField, H: Hamiltonian, dt: float) -> GridField:

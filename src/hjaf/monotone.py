@@ -16,9 +16,9 @@ speeds of the data it reached, and refuses rather than clip dt.
 :class:`MonotoneKind` names the form, and :func:`monotone_hamiltonian`
 evaluates it.  The switching scale probes the monotone hamiltonian by
 swapping one slope slot at a time (:func:`htilde_differences`); for the
-local Lax-Friedrichs form those eight evaluations collapse to four in
-closed form, with the speed bounds the step takes from H's interval
-closures.
+local Lax-Friedrichs form the values of H cancel from those eight calls,
+and each slot difference is a closed form in two of the speed bounds the
+step takes from H's interval closures.
 """
 from __future__ import annotations
 
@@ -64,34 +64,16 @@ def h_eikonal(pm, pp, qm, qp):
     return np.sqrt(a * a + b * b)
 
 
-def _llf_slot_difference(H: Hamiltonian, x, y, c, fwd, bwd, frozen,
-                         along_p: bool):
-    """Closed form of one slot difference of the local Lax-Friedrichs
-    hamiltonian h (see :func:`htilde_differences`).  With the swapped
-    slot's partner held at the centered slope c, h(c, s) and h(s, c) share
-    E = H at 0.5*(c + s), the speed bound between c and s and the
-    dissipation d = 0.5*bound*(s - c), which enters them as E - d and
-    E + d.  On the frozen axis the average 0.5*(c' + c') is c' exactly and
-    the dissipation 0.5*bound'*(c' - c') is +0 (bounds are finite and
-    >= 0), so every value rounds exactly as in the eight calls."""
-    alpha = H.alpha_p if along_p else H.alpha_q
-    terms = []
-    for s in (fwd, bwd):
-        mid = c + s
-        mid *= 0.5
-        e = H.eval(x, y, mid, frozen) if along_p else H.eval(x, y, frozen, mid)
-        bound = alpha(x, y, c, s, frozen)
-        d = s - c
-        d *= 0.5 * bound
-        terms.append((e, d))
-    (e_f, d_f), (e_b, d_b) = terms
-    # ((e_f - d_f) - (e_b - d_b)) - ((e_f + d_f) - (e_b + d_b)), writing
-    # only arrays of its own (e_f and e_b are the hamiltonian's)
-    out = e_f - d_f
-    out -= e_b - d_b
-    np.add(e_f, d_f, out=d_f)
-    d_f -= np.add(e_b, d_b, out=d_b)
-    out -= d_f
+def _llf_slot_difference(alpha, x, y, c, fwd, bwd, frozen):
+    """One slot difference of the local Lax-Friedrichs hamiltonian (see
+    :func:`htilde_differences`).  h(c, s) and h(s, c) share H at the
+    average of c and s and differ in the sign of the dissipation
+    0.5*alpha(c, s)*(s - c), so H cancels: at c = (fwd + bwd)/2 the
+    difference is -0.5 (fwd - bwd)(alpha(c, fwd) + alpha(c, bwd)), taken
+    here with no cancellation error of the size of |H|."""
+    out = fwd - bwd
+    out *= alpha(x, y, c, fwd, frozen) + alpha(x, y, c, bwd, frozen)
+    out *= -0.5
     return out
 
 
@@ -105,8 +87,9 @@ def htilde_differences(kind: MonotoneKind, H: Hamiltonian,
             - [h(pp, pc, qc, qc) - h(pm, pc, qc, qc)]
 
     and the same in q.  The upwind eikonal form makes those eight calls;
-    the local Lax-Friedrichs form needs four evaluations of H and four
-    speed bounds, bitwise equal to its eight calls.
+    for the local Lax-Friedrichs form the values of H cancel, and each
+    slot difference is a closed form in two speed bounds
+    (:func:`_llf_slot_difference`): four bounds, no evaluation of H.
     """
     require_runnable(kind, H)
     pc = 0.5 * (pm + pp)
@@ -117,8 +100,8 @@ def htilde_differences(kind: MonotoneKind, H: Hamiltonian,
                 - (h(pp, pc, qc, qc) - h(pm, pc, qc, qc)),
                 (h(pc, pc, qc, qp) - h(pc, pc, qc, qm))
                 - (h(pc, pc, qp, qc) - h(pc, pc, qm, qc)))
-    return (_llf_slot_difference(H, x, y, pc, pp, pm, qc, along_p=True),
-            _llf_slot_difference(H, x, y, qc, qp, qm, pc, along_p=False))
+    return (_llf_slot_difference(H.alpha_p, x, y, pc, pp, pm, qc),
+            _llf_slot_difference(H.alpha_q, x, y, qc, qp, qm, pc))
 
 
 def _one_sided_slopes(field: GridField):

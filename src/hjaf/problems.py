@@ -226,6 +226,8 @@ def cosine_sum(x, y):
 HOPF_LAX_WINDOW = (-6.0, 6.0)
 HOPF_LAX_SCAN = 2401
 GOLDEN_TOL = 1e-10
+# columns of the scan's objective built at once: HOPF_LAX_SCAN values each
+HOPF_LAX_BLOCK = 32
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -233,6 +235,15 @@ def _hopf_lax_objective(a, t, xi):
     """Per-axis variational objective: initial profile carried back along a
     candidate characteristic speed a, plus the convex dual of (p+1)^2."""
     return -0.5 * np.cos(np.pi * (xi - a * t)) + t * (0.25 * a * a - a)
+
+
+def _hopf_lax_scan(grid, t, xi):
+    """Index into ``grid`` of the smallest objective at each xi, taken
+    HOPF_LAX_BLOCK columns at a time, so that memory does not grow with xi."""
+    return np.concatenate([
+        np.argmin(_hopf_lax_objective(grid[:, None], t,
+                                      xi[None, k:k + HOPF_LAX_BLOCK]), axis=0)
+        for k in range(0, xi.size, HOPF_LAX_BLOCK)])
 
 
 def hopf_lax_min_1d(t: float, xi, return_argmin: bool = False):
@@ -251,8 +262,7 @@ def hopf_lax_min_1d(t: float, xi, return_argmin: bool = False):
         arg = np.full_like(xi, 2.0)  # limit minimizer of the dual term
         return (vals, arg) if return_argmin else vals
     grid = np.linspace(lo, hi, HOPF_LAX_SCAN)
-    obj = _hopf_lax_objective(grid[:, None], t, xi[None, :])
-    best = np.argmin(obj, axis=0)
+    best = _hopf_lax_scan(grid, t, xi)
     step = grid[1] - grid[0]
     a = np.maximum(grid[best] - step, lo)
     b = np.minimum(grid[best] + step, hi)

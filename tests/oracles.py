@@ -8,16 +8,24 @@ transcription.  None of them import the vectorized production kernels they
 are checking.
 
 ``swapped_slot_differences`` is the eight-call form of the switching
-scale's slot differences, the bitwise reference for the library's closed
-form.  ``scan_max_abs`` is the sampled interval maximum that every
-hamiltonian's closed-form speed bounds (``alpha_p``/``alpha_q``) must
-reproduce bitwise; ``scan_bounds`` orders the endpoints it is given, as
+scale's slot differences: the bitwise reference for the upwind eikonal
+form, and for the local Lax-Friedrichs form a comparison within
+``eight_call_bounds``, a bound derived from the arithmetic of both forms.
+``closed_form_slot_differences`` is the local Lax-Friedrichs closed form
+in two speed bounds per slot, in the library's operation order, its
+bitwise reference.  ``scan_max_abs`` is the sampled interval maximum that
+every hamiltonian's closed-form speed bounds (``alpha_p``/``alpha_q``)
+must reproduce bitwise; ``scan_bounds`` orders the endpoints it is given, as
 the closed forms need not.  ``broadcasting_hamiltonian`` is a copy of H
 whose closures return arrays of their arguments' shape, the earlier
 contract every solver call is pinned to bitwise.
 
 ``ghost_value`` is the boundary rule applied to one scalar index, the
 reference for the library's ghost padding (``hjaf.grids.pad_ghosts``).
+
+``hopf_lax_scan_argmin`` is the dense scan of the Burgers oracle
+(``hjaf.problems.hopf_lax_min_1d``) over every column at once, the bitwise
+reference for the library's scan in column blocks.
 
 ``filter_F`` is the hard-cutoff filter of the blend formula, which the
 library's blended step implements as a selection; ``flagged_cells_1d``
@@ -213,6 +221,62 @@ def swapped_slot_differences(h, pm, pp, qm, qp):
     hq_plus = h(pc, pc, qc, qp) - h(pc, pc, qc, qm)
     hq_minus = h(pc, pc, qp, qc) - h(pc, pc, qm, qc)
     return hp_plus - hp_minus, hq_plus - hq_minus
+
+
+def closed_form_slot_differences(H, x, y, pm, pp, qm, qp):
+    """(p-slot, q-slot) differences of the local Lax-Friedrichs
+    hamiltonian in closed form: -0.5 (fwd - bwd)(alpha(c, fwd) +
+    alpha(c, bwd)) per slot, c the centered slope and the other axis
+    frozen at its centered slope, in the library's operation order."""
+    pc, qc = 0.5 * (pm + pp), 0.5 * (qm + qp)
+    return ((pp - pm) * (H.alpha_p(x, y, pc, pp, qc)
+                         + H.alpha_p(x, y, pc, pm, qc)) * -0.5,
+            (qp - qm) * (H.alpha_q(x, y, qc, qp, pc)
+                         + H.alpha_q(x, y, qc, qm, pc)) * -0.5)
+
+
+UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+
+
+def eight_call_bounds(H, x, y, pm, pp, qm, qp):
+    """(p-slot, q-slot) per-node bounds on |eight calls - closed form| for
+    the local Lax-Friedrichs hamiltonian, from the arithmetic of the two.
+
+    Per slot, with c the rounded centered slope, s in {fwd, bwd}, E_s = H
+    at 0.5*(c + s) and D_s = 0.5*alpha(c, s)*(s - c): the calls h(c, s)
+    and h(s, c) share E_s and the bound bitwise and round E_s - D_s and
+    E_s + D_s.  The eight calls are 2 (D_bwd - D_fwd) to within 6 u Sigma,
+    Sigma = |E_fwd| + |E_bwd| + |D_fwd| + |D_bwd| (four roundings of
+    E -+ D, two inner subtractions and the last one), and rounding D_s
+    adds 4 u Sigma.  In real arithmetic 2 (D_bwd - D_fwd) is the closed
+    form plus delta (alpha(c, fwd) - alpha(c, bwd)), delta = c - (fwd +
+    bwd)/2 the rounding of c (|delta| <= u |c|), and the closed form
+    rounds three times, <= 3 u (2 Sigma).  So the bound is 16 u Sigma +
+    u |c| |alpha_fwd - alpha_bwd|, to first order; the factors 17 and 2
+    below cover the second-order terms.  A product that underflows is off
+    by up to half the smallest subnormal instead: at most 5 of them, with
+    D doubled, and 8 are allowed."""
+    pc, qc = 0.5 * (pm + pp), 0.5 * (qm + qp)
+
+    def slot(alpha, c, fwd, bwd, frozen, along_p):
+        a_f = alpha(x, y, c, fwd, frozen)
+        a_b = alpha(x, y, c, bwd, frozen)
+        sigma = 0.0
+        for s, a in ((fwd, a_f), (bwd, a_b)):
+            mid = 0.5 * (c + s)
+            e = H.eval(x, y, mid, frozen) if along_p else H.eval(x, y, frozen, mid)
+            sigma = sigma + np.abs(e) + np.abs(0.5 * a * (s - c))
+        return (UNIT_ROUNDOFF * (17.0 * sigma + 2.0 * np.abs(c) * np.abs(a_f - a_b))
+                + 8 * np.finfo(np.float64).smallest_subnormal)
+
+    return (slot(H.alpha_p, pc, pp, pm, qc, True),
+            slot(H.alpha_q, qc, qp, qm, pc, False))
+
+
+def hopf_lax_scan_argmin(objective, grid, t, xi):
+    """Index into ``grid`` of the smallest ``objective(a, t, xi)`` at each
+    xi, from one (len(grid), len(xi)) array of every value."""
+    return np.argmin(objective(grid[:, None], t, xi[None, :]), axis=0)
 
 
 def filter_F(rho):
@@ -429,18 +493,19 @@ def space_derivatives(H, x, y, p, q):
     return zeros, zeros.copy()
 
 
-def view_epsilon_n(field: GridField, H, h, dt: float, mask: np.ndarray,
+def view_epsilon_n(field: GridField, H, slots, dt: float, mask: np.ndarray,
                    K: float = 1.0) -> float:
     """Switching scale from 2D-view stencils: the integrand
     K |0.5 dt bracket + p-slot + q-slot| in the library's operation order,
-    with the slot differences by eight calls of the numerical hamiltonian
-    ``h(pm, pp, qm, qp)``, maximized over the trusted nodes (boolean
-    indexing); 0 when none is trusted."""
+    with the slot differences ``slots(pm, pp, qm, qp)`` of the one-sided
+    slopes (``closed_form_slot_differences`` or
+    ``swapped_slot_differences``), maximized over the trusted nodes
+    (boolean indexing); 0 when none is trusted."""
     if not mask.any():
         return 0.0
     x, y = field.grid.meshes()
     st = view_stencils(field)
-    dp_term, dq_term = swapped_slot_differences(h, *st["one_sided"])
+    dp_term, dq_term = slots(*st["one_sided"])
     dxu, dyu = st["centered"]
     d2x, d2y = st["second"]
     (dxy,) = st["cross"]

@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from hjaf.monotone import (CflViolation, MonotoneKind, h_eikonal,
                            monotone_step, one_sided_slopes)
 from hjaf.problems import ALL_TEST_IDS, ProblemSpec, make_test
 
-from oracles import scan_bounds, scan_max_abs, swapped_slot_differences
+from oracles import (UNIT_ROUNDOFF, closed_form_slot_differences,
+                     eight_call_bounds, scan_bounds, scan_max_abs,
+                     swapped_slot_differences)
 
 PER = BoundaryCondition.PERIODIC
 NEU = BoundaryCondition.NEUMANN_ZERO
@@ -143,24 +146,98 @@ class TestLlfHamiltonian:
             monotone_step(f, LLF, H, 0.02)
 
 
+def eight_calls(H, x, y, slopes):
+    """The slot differences by eight calls of H's LLF hamiltonian."""
+    return swapped_slot_differences(
+        lambda pm, pp, qm, qp: monotone_hamiltonian(LLF, H, x, y, pm, pp,
+                                                    qm, qp)[0], *slopes)
+
+
+def exact_llf_slot_difference(H, pm, pp, qc):
+    """The p-slot difference of H's LLF hamiltonian by its eight calls in
+    rational arithmetic, the centered slopes exact averages.  ``H`` takes
+    (p, q) and ``alpha`` (a, b, q) on Fractions."""
+    H_, alpha = H
+
+    def h(a, b):
+        # the frozen axis adds no dissipation: its slopes are both qc
+        return H_((a + b) / 2, qc) - Fraction(1, 2) * alpha(a, b, qc) * (b - a)
+
+    pc = (pm + pp) / 2
+    return (h(pc, pp) - h(pc, pm)) - (h(pp, pc) - h(pm, pc))
+
+
+# test 8's shifted quadratic and its speed bound, on Fractions
+EXACT_QUADRATIC = (lambda p, q: (p + 1) ** 2 + (q + 1) ** 2,
+                   lambda a, b, q: max(abs(2 * (a + 1)), abs(2 * (b + 1))))
+
+
 class TestSlotDifferences:
     @settings(max_examples=200, deadline=None)
     @given(grid_fields(), st.sampled_from(["transport", "quadratic", "rotation",
-                                           "scanned", "eikonal"]))
-    def test_closed_form_matches_eight_calls(self, f, kind):
+                                           "scanned"]))
+    def test_llf_matches_closed_form_oracle(self, f, kind):
         scheme, H = scheme_and_hamiltonian(kind)
         x, y = f.grid.meshes()
         slopes = one_sided_slopes(f)
-
-        def h(pm, pp, qm, qp):
-            if scheme is EIK:
-                return h_eikonal(pm, pp, qm, qp)
-            return monotone_hamiltonian(LLF, H, x, y, pm, pp, qm, qp)[0]
-
         got = htilde_differences(scheme, H, x, y, *slopes)
-        want = swapped_slot_differences(h, *slopes)
+        want = closed_form_slot_differences(H, x, y, *slopes)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid_fields())
+    def test_eikonal_matches_eight_calls(self, f):
+        scheme, H = scheme_and_hamiltonian("eikonal")
+        x, y = f.grid.meshes()
+        slopes = one_sided_slopes(f)
+        got = htilde_differences(scheme, H, x, y, *slopes)
+        want = swapped_slot_differences(h_eikonal, *slopes)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid_fields(), st.sampled_from(["transport", "quadratic", "rotation",
+                                           "scanned"]))
+    def test_closed_form_matches_eight_calls(self, f, kind):
+        # the eight calls round values of H that cancel; they stay within
+        # the bound their arithmetic and the closed form's give
+        scheme, H = scheme_and_hamiltonian(kind)
+        x, y = f.grid.meshes()
+        slopes = one_sided_slopes(f)
+        got = htilde_differences(scheme, H, x, y, *slopes)
+        want = eight_calls(H, x, y, slopes)
+        for g, w, bound in zip(got, want, eight_call_bounds(H, x, y, *slopes)):
+            assert np.all(np.abs(g - w) <= bound)
+
+    def test_closed_form_exact_where_eight_calls_cancel(self):
+        # |p| ~ 1e3 on test 8's H, forward and backward slopes 1e-7 apart:
+        # H ~ 1e6 and the slot difference ~ 2e-4.  The closed form rounds
+        # pp - pm, the two bounds (2 u: c and c + 1; c + 1 > c > 0 here),
+        # their sum and the product: within 5 u of the exact value to
+        # first order, 6 u with the second-order terms.  The eight calls
+        # round values of H against it.
+        H = shifted_quadratic_hamiltonian()
+        rng = np.random.default_rng(26)
+        pm = rng.uniform(1e3, 2e3, 20)
+        pp = pm + rng.uniform(0.5e-7, 1.5e-7, 20)
+        q = rng.normal(size=20)
+        x = y = np.zeros(20)
+        closed = htilde_differences(LLF, H, x, y, pm, pp, q, q)[0]
+        calls = eight_calls(H, x, y, (pm, pp, q, q))[0]
+        worst_calls = 0.0
+        for k in range(20):
+            Pm, Pp = Fraction(pm[k]), Fraction(pp[k])
+            exact = exact_llf_slot_difference(EXACT_QUADRATIC, Pm, Pp,
+                                              Fraction(q[k]))
+            pc = (Pm + Pp) / 2
+            alpha = EXACT_QUADRATIC[1]
+            assert exact == -(Pp - Pm) * (alpha(pc, Pp, 0) + alpha(pc, Pm, 0)) / 2
+            assert (abs(Fraction(closed[k]) - exact)
+                    <= 6 * Fraction(UNIT_ROUNDOFF) * abs(exact))
+            worst_calls = max(worst_calls,
+                              float(abs(Fraction(calls[k]) - exact) / abs(exact)))
+        assert worst_calls > 1e-6
 
 
 # the hamiltonian of every registry problem with interval bounds, by id

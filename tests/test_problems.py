@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,15 @@ from hypothesis import given, settings, strategies as st
 from hjaf.grids import BoundaryCondition
 from hjaf.harness import CliConfig, run_convergence
 from hjaf.monotone import CflViolation
-from hjaf.problems import (ALL_TEST_IDS, PROBLEM_IDS, IndicatorCase,
-                           ProblemSpec, disc_min, eroded_two_squares,
-                           exact_burgers_like, exact_rotation,
-                           exact_translation, hopf_lax_min_1d, make_test,
-                           two_circles, two_squares, _hopf_lax_objective)
+import hjaf.problems as problems
+from hjaf.problems import (ALL_TEST_IDS, HOPF_LAX_SCAN, HOPF_LAX_WINDOW,
+                           PROBLEM_IDS, IndicatorCase, ProblemSpec, disc_min,
+                           eroded_two_squares, exact_burgers_like,
+                           exact_rotation, exact_translation, hopf_lax_min_1d,
+                           make_test, two_circles, two_squares,
+                           _hopf_lax_objective, _hopf_lax_scan)
+
+from oracles import hopf_lax_scan_argmin
 
 SQ2H = math.sqrt(2) / 2
 
@@ -178,6 +183,36 @@ class TestVariationalOracle:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             hopf_lax_min_1d(-0.1, np.array([0.0]))
+
+    @pytest.mark.parametrize("block", [None, 1, 7, 33])
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 161])
+    def test_blocked_scan_matches_one_array(self, monkeypatch, block, n):
+        # the scan in column blocks picks, bitwise, the grid index of the
+        # scan over one array of every column: for n a multiple of the
+        # block (32 by default) and not, and for other block sizes
+        if block is not None:
+            monkeypatch.setattr(problems, "HOPF_LAX_BLOCK", block)
+        grid = np.linspace(*HOPF_LAX_WINDOW, HOPF_LAX_SCAN)
+        xi = np.random.default_rng(n).uniform(0.0, 2.0, n)
+        for t in (3.0 / (4 * math.pi ** 2), 3.0 / (2 * math.pi ** 2), 0.7):
+            got = _hopf_lax_scan(grid, t, xi)
+            assert np.array_equal(
+                got, hopf_lax_scan_argmin(_hopf_lax_objective, grid, t, xi))
+
+    def test_oracle_memory_does_not_grow_with_the_grid(self):
+        # test 8's exact field on its 160^2 level at the final time peaks
+        # below the one (HOPF_LAX_SCAN x 160) objective array that a scan
+        # of every column at once holds, before its temporaries
+        prob = make_test("8")
+        X, Y = prob.grid(3).meshes()
+        assert X.shape == (160, 160)
+        tracemalloc.start()
+        try:
+            exact_burgers_like(prob.T_final, X, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < HOPF_LAX_SCAN * 160 * 8
 
 
 class TestErosionOracle:

@@ -28,7 +28,9 @@ from hjaf.monotone import (CFL_LIMIT, MonotoneKind, monotone_hamiltonian,
                            monotone_step, one_sided_slopes)
 from hjaf.problems import make_test
 
-from oracles import (view_epsilon_n, view_omega_field_2d, view_phi_2d,
+from oracles import (closed_form_slot_differences, eight_call_bounds,
+                     swapped_slot_differences, view_epsilon_n,
+                     view_omega_field_2d, view_phi_2d,
                      view_quadrant_beta_fields, view_stencils)
 
 PER = BoundaryCondition.PERIODIC
@@ -194,10 +196,19 @@ class TestGhostColumns:
             trusted = smoothness_2d(u, ind).phi
             assert trusted.dtype == np.bool_
             assert np.array_equal(trusted, phi == 1)
-            eps = view_epsilon_n(u, self.H, llf_h(self.H, x, y), dt, phi == 1,
-                                 self.K)
+            eps = view_epsilon_n(
+                u, self.H,
+                lambda *s: closed_form_slot_differences(self.H, x, y, *s),
+                dt, phi == 1, self.K)
             assert 0 < eps < 1e3
             assert epsilon_n(u, self.H, LLF, dt, phi == 1, self.K) == eps
+            # the eight calls, within the bound of their own arithmetic
+            slopes = view_stencils(u)["one_sided"]
+            closed = closed_form_slot_differences(self.H, x, y, *slopes)
+            calls = swapped_slot_differences(llf_h(self.H, x, y), *slopes)
+            bounds = eight_call_bounds(self.H, x, y, *slopes)
+            for a, b, bound in zip(closed, calls, bounds):
+                assert np.all(np.abs(a - b) <= bound)
             assert diag2.rows[step - 1] == (step, step * dt, eps,
                                             int(np.sum(phi == 0)))
         assert diag1.rows == diag2.rows[:1]

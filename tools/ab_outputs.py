@@ -1,6 +1,7 @@
 """Compare the outputs of two trees of hjaf, run by run, byte by byte.
 
     python tools/ab_outputs.py PARENT CHANGE [--set quick|full]
+        [--allow GLOB ...] [--allow-moved REVS]
 
 PARENT and CHANGE are each a git revision of this repository or a
 directory that holds ``src/hjaf`` (the working tree: ``.``).  Revisions
@@ -13,13 +14,21 @@ output directory.  Files are compared byte for byte, except that the
 
 Prints ``runs= files= identical= differ=``; then, for each file that
 differs, the first differing line and the largest |delta| per numeric
-column.  Exits 0 only when nothing differs.  Output bytes depend on the
-machine's libm, so compare two trees on one machine; keep no digests.
+column.  A difference is declared when its ``run_id/file`` path matches
+an ``--allow`` glob (``fnmatch``, so ``*`` also matches ``/``); it is
+printed as ``ALLOWED`` instead of ``DIFF``.  ``--allow-moved REVS`` adds
+one glob per ``Outputs-moved:`` trailer of the commits in the git
+revision range REVS (``BASE..HEAD``), so a commit declares the outputs it
+moves.  Exits 0 only when every difference is declared and every glob
+matches one (a glob that matches none is a stale declaration, printed as
+``STALE``).  Output bytes depend on the machine's libm, so compare two
+trees on one machine; keep no digests.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import fnmatch
 import io
 import itertools
 import math
@@ -35,6 +44,7 @@ REPO = Path(__file__).resolve().parents[1]
 SCHEMES = ("monotone", "hc", "lw", "lw2", "richtmyer", "rkc4", "af-hc",
            "af-lw", "af-lw2", "af-richtmyer", "af-rkc4", "f-hc-fixed")
 MASKED = "cpu_seconds"
+TRAILER = "Outputs-moved"
 
 
 def _solve(test, scheme, levels, *extra):
@@ -167,12 +177,32 @@ def describe(a: bytes | None, b: bytes | None) -> list[str]:
     return out
 
 
+def moved_globs(revs: str, repo: Path = REPO) -> list[str]:
+    """The value of every ``Outputs-moved:`` trailer of the commits in the
+    revision range ``revs``, as git parses trailers."""
+    log = subprocess.run(["git", "-C", str(repo), "log",
+                          f"--format=%(trailers:key={TRAILER},valueonly)",
+                          revs], check=True, capture_output=True, text=True)
+    return [line.strip() for line in log.stdout.splitlines() if line.strip()]
+
+
+def declared(differing, allow) -> tuple[list[str], list[str]]:
+    """(the differing paths no glob of ``allow`` matches, the globs that
+    match no differing path)."""
+    undeclared = [path for path in differing
+                  if not any(fnmatch.fnmatchcase(path, g) for g in allow)]
+    stale = [g for g in allow
+             if not any(fnmatch.fnmatchcase(path, g) for path in differing)]
+    return undeclared, stale
+
+
 def files_of(run_dir: Path) -> dict[str, Path]:
     return {p.relative_to(run_dir).as_posix(): p
             for p in sorted(run_dir.rglob("*")) if p.is_file()}
 
 
-def compare(parent: str, change: str, entries, work: Path) -> int:
+def compare(parent: str, change: str, entries, work: Path,
+            allow=()) -> int:
     # a/ and b/: the two sides' directory names have equal length
     trees = {"a": tree(parent, work / "a" / "tree"),
              "b": tree(change, work / "b" / "tree")}
@@ -180,8 +210,8 @@ def compare(parent: str, change: str, entries, work: Path) -> int:
     with ThreadPoolExecutor(max_workers=2) as pool:   # the two sides at once
         list(pool.map(lambda job: run(trees[job[0]], job[1], work / job[0]
                                       / "runs" / run_id(job[1])), jobs))
-    files = identical = 0
-    report = []
+    files = 0
+    differing = {}
     for argv in entries:
         rid = run_id(argv)
         fa = files_of(work / "a" / "runs" / rid)
@@ -191,16 +221,17 @@ def compare(parent: str, change: str, entries, work: Path) -> int:
             base = rel.rsplit("/", 1)[-1]
             a = masked(base, fa[rel].read_bytes()) if rel in fa else None
             b = masked(base, fb[rel].read_bytes()) if rel in fb else None
-            if a is not None and a == b:
-                identical += 1
-                continue
-            report.append(f"DIFF {rid}/{rel}")
-            report.extend(describe(a, b))
-    differ = files - identical
-    print(f"runs={len(entries)} files={files} identical={identical} "
-          f"differ={differ}")
-    print("\n".join(report), end="\n" if report else "")
-    return 0 if differ == 0 else 1
+            if a is None or a != b:
+                differing[f"{rid}/{rel}"] = describe(a, b)
+    undeclared, stale = declared(differing, allow)
+    print(f"runs={len(entries)} files={files} "
+          f"identical={files - len(differing)} differ={len(differing)}")
+    for path, lines in differing.items():
+        print("DIFF" if path in undeclared else "ALLOWED", path)
+        print(*lines, sep="\n", end="\n" if lines else "")
+    for glob in stale:
+        print(f"STALE --allow {glob!r}: no file differs there")
+    return 0 if not undeclared and not stale else 1
 
 
 def main(argv=None) -> int:
@@ -209,9 +240,19 @@ def main(argv=None) -> int:
     parser.add_argument("change", help="git revision or directory with src/hjaf")
     parser.add_argument("--set", dest="run_set", choices=sorted(SETS),
                         default="quick")
+    parser.add_argument("--allow", action="append", default=[],
+                        metavar="GLOB", help="a declared difference: "
+                        "run_id/file paths it matches may differ")
+    parser.add_argument("--allow-moved", metavar="REVS",
+                        help="every Outputs-moved: trailer of the commits in "
+                        "this git revision range is an --allow glob")
     args = parser.parse_args(argv)
+    allow = args.allow
+    if args.allow_moved:
+        allow = allow + moved_globs(args.allow_moved)
     with tempfile.TemporaryDirectory(prefix="ab_outputs-") as tmp:
-        return compare(args.parent, args.change, SETS[args.run_set], Path(tmp))
+        return compare(args.parent, args.change, SETS[args.run_set], Path(tmp),
+                       allow)
 
 
 if __name__ == "__main__":
