@@ -20,12 +20,12 @@ from .monotone import (CflViolation, MonotoneKind, h_eikonal,
                        monotone_hamiltonian, monotone_step)
 from .highorder import (SCHEME_ORDERS, hc_step, high_order_step, lw2_step,
                         lw_step, richtmyer_step, rkc4_step)
-from .filtering import (SCHEME_NAMES, Diagnostics, EvolutionError,
-                        SolverConfig, af_evolve, af_step, epsilon_n)
+from .filtering import (SCHEME_NAMES, EvolutionError, SolverConfig,
+                        StepRecord, af_evolve, af_step, epsilon_n)
 from .problems import (ALL_TEST_IDS, IndicatorCase, ProblemSpec, disc_min,
                        hopf_lax_min_1d, make_test)
 from .reporting import (RunReport, RunRow, error_norms, observed_order,
-                        parse_report_csv)
+                        parse_report_csv, write_table)
 from .harness import (CliConfig, IndicatorRunConfig, run_convergence,
                       run_indicators)
 

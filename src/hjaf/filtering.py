@@ -165,17 +165,15 @@ class SolverConfig:
                 else MonotoneKind.LOCAL_LAX_FRIEDRICHS)
 
 
-@dataclass
-class Diagnostics:
-    """Per-step record: (step index, time reached, switching scale,
-    number of untrusted nodes)."""
+@dataclass(frozen=True, slots=True)
+class StepRecord:
+    """One step of :func:`af_evolve`: its index (from 1), the time reached,
+    the switching scale and the number of untrusted nodes."""
 
-    rows: list[tuple[int, float, float, int]] = dc_field(default_factory=list)
-
-    def write_csv(self, out) -> None:
-        out.write("step,t,epsilon_n,phi_zero_count\n")
-        for step, t, eps, nz in self.rows:
-            out.write(f"{step},{t:.17g},{eps:.17g},{nz}\n")
+    step: int
+    t: float
+    epsilon_n: float
+    phi_zero_count: int
 
 
 def _adaptive_step(u: GridField, config: SolverConfig, step_fn, dt: float):
@@ -188,14 +186,16 @@ def _adaptive_step(u: GridField, config: SolverConfig, step_fn, dt: float):
 
 
 def af_evolve(initial: GridField, config: SolverConfig, T: float,
-              n_steps: int) -> tuple[GridField, Diagnostics]:
+              n_steps: int) -> tuple[GridField, list[StepRecord]]:
     """March the blended scheme to time T in n_steps equal steps.
 
     The smoothness mask and the switching scale are recomputed once per
     time step (never per Runge-Kutta stage).  Aborts with the offending
     step number if the solution leaves the finite range or a monotone
     step violates its stability bound on the speeds it used (at step 1
-    when the grid/step pairing is too coarse for the initial data).
+    when the grid/step pairing is too coarse for the initial data), or
+    with the step's ``ValueError`` (such as a NaN smoothness weight).
+    Returns the final field and one :class:`StepRecord` per step.
     """
     if not 0 < T < np.inf:
         raise ValueError(f"final time must be finite and positive, got {T}")
@@ -207,7 +207,7 @@ def af_evolve(initial: GridField, config: SolverConfig, T: float,
     step_fn = None if name is None else high_order_step(name, config.lw2_corrected)
 
     u = initial.like(initial.values)    # an alias: its memo goes after step 1
-    diag = Diagnostics()
+    records = []
     trusted = np.ones(initial.grid.shape, dtype=bool)
     for step in range(1, n_steps + 1):
         try:
@@ -219,11 +219,12 @@ def af_evolve(initial: GridField, config: SolverConfig, T: float,
             else:   # f-hc-fixed at its fixed scale, monotone at eps = 0
                 eps, phi = config.epsilon_fixed or 0.0, trusted
                 u_next = af_step(u, config.monotone, step_fn, H, dt, phi, eps)
-        except CflViolation as exc:
-            raise CflViolation(f"step {step} (t = {step * dt:.6g}): {exc}") from exc
+        except (CflViolation, ValueError) as exc:
+            refused = CflViolation if isinstance(exc, CflViolation) else ValueError
+            raise refused(f"step {step} (t = {step * dt:.6g}): {exc}") from exc
         if not np.all(np.isfinite(u_next.values)):
             raise EvolutionError(f"non-finite values at step {step} (t = {step * dt:.6g})")
         u = u_next
-        diag.rows.append((step, step * dt, float(eps),
-                          phi.size - np.count_nonzero(phi)))
-    return u, diag
+        records.append(StepRecord(step, step * dt, float(eps),
+                                  phi.size - np.count_nonzero(phi)))
+    return u, records

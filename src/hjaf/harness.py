@@ -5,24 +5,24 @@ A study runs one loop: per level, evolve, measure against the problem's
 exact oracle, append a table row.  Each run writes one directory:
 ``table.csv`` (errors/orders/timings, one row per level),
 ``field_final.csv`` (finest computed field), ``omega.csv``/``phi.csv``
-(its smoothness maps), ``epsilon.csv`` (the finest level's per-step
-switching-scale trace) and ``meta`` (full config echo).  Wall-clock
+(its smoothness maps), ``epsilon.csv`` (the finest level's step records,
+one row each) and ``meta`` (full config echo).  Wall-clock
 entries time the evolution loop only, single-threaded, excluding setup
 and file output.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 from . import filtering
-from .filtering import Diagnostics, SolverConfig, af_evolve
+from .filtering import SolverConfig, StepRecord, af_evolve
 from .grids import Grid2D, GridField, write_field_csv
 from .indicators2d import Formula2D, Indicator2DConfig, smoothness_2d
 from .indicators1d import Indicator1DConfig, Smoothness, smoothness_1d
 from .problems import IndicatorCase, ProblemSpec, make_test
-from .reporting import RunReport, error_norms
+from .reporting import RunReport, error_norms, write_table
 
 
 @dataclass(frozen=True)
@@ -75,19 +75,19 @@ def run_convergence(cfg: CliConfig, problem: ProblemSpec | None = None) -> RunRe
         u0 = problem.initial_field(level)
         sc = solver_config(cfg, problem, level)
         t0 = time.perf_counter()
-        u, diag = af_evolve(u0, sc, problem.T_final, problem.n_steps(level))
+        u, records = af_evolve(u0, sc, problem.T_final, problem.n_steps(level))
         seconds = time.perf_counter() - t0
         exact = problem.exact_field(problem.T_final, level).values
         report.append_level(problem.base_nx * 2 ** level, problem.n_steps(level),
                             *error_norms(u, exact), seconds)
     if cfg.out_dir is not None:
-        _write_convergence_outputs(cfg, problem, report, u, diag, sc.indicator)
+        _write_convergence_outputs(cfg, problem, report, u, records, sc.indicator)
     return report
 
 
 def _write_convergence_outputs(cfg: CliConfig, problem: ProblemSpec,
                                report: RunReport, final: GridField,
-                               diag: Diagnostics,
+                               records: list[StepRecord],
                                indicator: Indicator2DConfig) -> None:
     """The finest level's files; ``indicator`` is the config it ran with."""
     out = Path(cfg.out_dir)
@@ -99,7 +99,7 @@ def _write_convergence_outputs(cfg: CliConfig, problem: ProblemSpec,
     # every adaptive step calls, so a trace of the study counts it too.
     _write_maps(out, final.grid, filtering.smoothness_2d(final, indicator))
     with open(out / "epsilon.csv", "w") as f:
-        diag.write_csv(f)
+        write_table(f, [c.name for c in fields(StepRecord)], map(astuple, records))
     _write_meta(out, cfg, problem=problem.name)
 
 

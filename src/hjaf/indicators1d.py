@@ -156,6 +156,25 @@ def omega_field_1d(field: GridField, cfg: Indicator1DConfig,
     return np.minimum(wm, wp)
 
 
+def refuse_nan_weight(field: GridField, weight: np.ndarray, **sigma_h) -> None:
+    """Raise ValueError at the first NaN of ``weight`` (shaped like the
+    grid) if ``field`` is finite: (beta + sigma_h)**2 over- or underflowed
+    in :func:`weno_term` and a weight came out 0/0.  The keywords name the
+    sigma_h values the weight used.  One reduction when there is no NaN."""
+    if not np.isnan(weight.min()) or not np.all(np.isfinite(field.values)):
+        return
+    node = np.unravel_index(int(np.argmax(np.isnan(weight))), weight.shape)
+    if field.ndim == 1:
+        where = f"node j = {node[0]}, x = {field.grid.nodes()[node[0]]:.6g}"
+    else:
+        (i, j), grid = node, field.grid
+        where = (f"node (i, j) = ({i}, {j}), (x, y) = "
+                 f"({grid.xnodes()[j]:.6g}, {grid.ynodes()[i]:.6g})")
+    used = ", ".join(f"{name} = {value:.6g}" for name, value in sigma_h.items())
+    raise ValueError(f"NaN smoothness weight at {where}, with {used}: "
+                     "(beta + sigma_h)**2 over- or underflows there")
+
+
 def phi_1d(omega: np.ndarray, cfg) -> np.ndarray:
     """Boolean trust mask: omega >= M, for the threshold M of a 1D or 2D
     indicator config.  No smoothing."""
@@ -164,4 +183,5 @@ def phi_1d(omega: np.ndarray, cfg) -> np.ndarray:
 
 def smoothness_1d(field: GridField, cfg: Indicator1DConfig) -> Smoothness:
     omega = omega_field_1d(field, cfg)
+    refuse_nan_weight(field, omega, sigma_h=cfg.sigma * field.grid.dx ** 2)
     return Smoothness(omega=omega, phi=phi_1d(omega, cfg))

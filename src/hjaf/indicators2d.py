@@ -61,7 +61,7 @@ import numpy as np
 from .grids import GridField
 from .indicators1d import (Indicator1DConfig, Smoothness, map_g,
                            normalized_weight, omega_field_1d, phi_1d,
-                           weno_term)
+                           refuse_nan_weight, weno_term)
 
 # Quadrants keyed by the sign of the subcell relative to the node,
 # (z1, z2) = (x side, y side).
@@ -298,11 +298,21 @@ def smoothness_2d(field: GridField, cfg: Indicator2DConfig) -> Smoothness:
     is taken from the smallest raw quadrant weight, one map_g pass instead
     of four, and is bitwise the threshold of the combined weight; that
     weight is then built only when ``omega`` is read.  The splitting
-    baseline and an uncertified M threshold the combined weight.
+    baseline and an uncertified M threshold the combined weight.  A NaN in
+    the weight thresholded (:func:`refuse_nan_weight`) raises ValueError.
     """
-    if cfg.variant is Formula2D.SPLIT or weight_threshold(cfg.M) is None:
+    grid = field.grid
+    if cfg.variant is Formula2D.SPLIT:
+        omega = omega_split_field(field, cfg)
+        refuse_nan_weight(field, omega, sigma_h_x=cfg.sigma * grid.dx ** 2,
+                          sigma_h_y=cfg.sigma * grid.dy ** 2)
+        return Smoothness(omega=omega, phi=phi_2d(omega, cfg))
+    sigma_h = cfg.sigma * grid.delta ** 2
+    if weight_threshold(cfg.M) is None:
         omega = omega_field_2d(field, cfg)
+        refuse_nan_weight(field, omega, sigma_h=sigma_h)
         return Smoothness(omega=omega, phi=phi_2d(omega, cfg))
     least = field.neighbors().grid(_least(_quadrant_weights(field, cfg)))
+    refuse_nan_weight(field, least, sigma_h=sigma_h)
     return Smoothness(omega=functools.partial(omega_field_2d, field, cfg),
                       phi=phi_2d(map_g(least), cfg))

@@ -1,8 +1,8 @@
-"""Error norms, observed convergence orders, and CSV table round-tripping."""
+"""Error norms, observed convergence orders, and the CSV table format."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import astuple, dataclass, field as dc_field
 from typing import TextIO
 
 import numpy as np
@@ -36,6 +36,15 @@ def observed_order(err_coarse: float, err_fine: float) -> float:
     return math.log2(err_coarse / err_fine)
 
 
+def write_table(out: TextIO, header, rows) -> None:
+    """Every CSV table: the column names, then a line per row of values, a
+    float to 17 significant digits, None empty, an int as it prints."""
+    out.write(",".join(header) + "\n")
+    for row in rows:
+        out.write(",".join("" if v is None else f"{v:.17g}" if isinstance(v, float)
+                           else f"{v}" for v in row) + "\n")
+
+
 @dataclass(frozen=True)
 class RunRow:
     nx: int
@@ -52,6 +61,9 @@ class RunReport:
     """Refinement table; orders are defined from the second row on."""
 
     rows: list[RunRow] = dc_field(default_factory=list)
+    # the columns of table.csv, RunRow's fields in order
+    HEADER = ("N_x", "N_t", "err_Linf", "ord_Linf", "err_L1", "ord_L1",
+              "cpu_seconds")
 
     def append_level(self, nx: int, nt: int, err_linf: float, err_l1: float,
                      cpu_seconds: float) -> RunRow:
@@ -66,12 +78,7 @@ class RunReport:
         return row
 
     def write_csv(self, out: TextIO) -> None:
-        out.write("N_x,N_t,err_Linf,ord_Linf,err_L1,ord_L1,cpu_seconds\n")
-        for r in self.rows:
-            ol = "" if r.ord_linf is None else f"{r.ord_linf:.17g}"
-            o1 = "" if r.ord_l1 is None else f"{r.ord_l1:.17g}"
-            out.write(f"{r.nx},{r.nt},{r.err_linf:.17g},{ol},"
-                      f"{r.err_l1:.17g},{o1},{r.cpu_seconds:.17g}\n")
+        write_table(out, self.HEADER, map(astuple, self.rows))
 
 
 def parse_report_csv(lines) -> RunReport:
@@ -80,7 +87,7 @@ def parse_report_csv(lines) -> RunReport:
         lines = lines.splitlines()
     it = iter(lines)
     header = next(it).strip()
-    if header != "N_x,N_t,err_Linf,ord_Linf,err_L1,ord_L1,cpu_seconds":
+    if header != ",".join(RunReport.HEADER):
         raise ValueError(f"unexpected header {header!r}")
     report = RunReport()
     for line in it:

@@ -198,19 +198,19 @@ def test_criterion_4_strict_origin_node_reading():
 
 @functools.lru_cache(maxsize=None)
 def _evolve_table(test_id, scheme, levels):
-    """(errors, final fields, diagnostics) per level for one scheme on one
+    """(errors, final fields, step records) per level for one scheme on one
     problem."""
     prob = make_test(test_id)
-    errs, finals, diags = [], [], []
+    errs, finals, records = [], [], []
     for level in range(levels):
         cfg = SolverConfig(hamiltonian=prob.hamiltonian, scheme=scheme)
-        u, diag = af_evolve(prob.initial_field(level), cfg, prob.T_final,
-                            prob.n_steps(level))
+        u, steps = af_evolve(prob.initial_field(level), cfg, prob.T_final,
+                             prob.n_steps(level))
         exact = prob.exact_field(prob.T_final, level).values
         errs.append(error_norms(u, exact))
         finals.append(u)
-        diags.append(diag)
-    return errs, finals, diags
+        records.append(steps)
+    return errs, finals, records
 
 
 def test_criterion_5_transport_tables():
@@ -250,8 +250,8 @@ def test_transport_switching_scale_decays_with_dx():
     # af-rkc4 the largest eps over the steps was 1.96, 0.846, 0.424 and
     # 0.212 at N = 40 to 320, about 17 dx: each halving of dx should at
     # least nearly halve it.  Reads criterion 5's cached evolves.
-    _, _, diags = _evolve_table("5", "af-rkc4", 4)
-    max_eps = [max(eps for _, _, eps, _ in diag.rows) for diag in diags]
+    _, _, records = _evolve_table("5", "af-rkc4", 4)
+    max_eps = [max(r.epsilon_n for r in steps) for steps in records]
     ratios = [fine / coarse for coarse, fine in zip(max_eps, max_eps[1:])]
     assert all(r <= 0.55 for r in ratios), (max_eps, ratios)
 

@@ -1,20 +1,27 @@
 import dataclasses
+import math
+import re
+import sys
 from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hjaf.filtering import (EPS_FLOOR, SCHEME_NAMES, Diagnostics,
-                            EvolutionError, SolverConfig, af_evolve, af_step,
-                            epsilon_n)
+import hjaf
+import hjaf.filtering as filtering
+from hjaf.filtering import (EPS_FLOOR, SCHEME_NAMES, EvolutionError,
+                            SolverConfig, af_evolve, af_step, epsilon_n)
 from hjaf.grids import BoundaryCondition, Grid2D, GridField
 from hjaf.hamiltonians import (eikonal_hamiltonian, rotation_hamiltonian,
                                shifted_quadratic_hamiltonian,
                                transport_hamiltonian)
 from hjaf.harness import CliConfig, solver_config
 from hjaf.highorder import SCHEME_ORDERS, hc_step, high_order_step
+from hjaf.indicators2d import Formula2D, Indicator2DConfig, smoothness_2d
 from hjaf.monotone import (CflViolation, MonotoneKind, monotone_hamiltonian,
                            monotone_step, require_runnable)
 from hjaf.problems import PROBLEM_IDS, make_test
@@ -315,15 +322,14 @@ class TestEvolve:
         u0 = prob.initial_field(0)
         dt = 0.01
         cfg = SolverConfig(hamiltonian=prob.hamiltonian)
-        u1, diag = af_evolve(u0, cfg, dt, 1)
-        from hjaf.indicators2d import Indicator2DConfig, smoothness_2d
+        u1, records = af_evolve(u0, cfg, dt, 1)
         sm = smoothness_2d(u0, Indicator2DConfig())
         eps = epsilon_n(u0, prob.hamiltonian, LLF, dt, sm.phi == 1, 1.0)
         ref = af_step(u0, LLF, hc_step, prob.hamiltonian, dt,
                       sm.phi == 1, eps)
         assert np.array_equal(u1.values, ref.values)
-        assert len(diag.rows) == 1
-        assert diag.rows[0][2] == eps
+        assert len(records) == 1
+        assert records[0].epsilon_n == eps
 
     @pytest.mark.parametrize("test_id", ["5", "7b", "8"])
     def test_monotone_scheme_is_the_monotone_step(self, test_id):
@@ -334,12 +340,13 @@ class TestEvolve:
         n = prob.n_steps(0)
         dt = prob.T_final / n
         u = prob.initial_field(0)
-        out, diag = af_evolve(u, cfg, prob.T_final, n)
+        out, records = af_evolve(u, cfg, prob.T_final, n)
         for _ in range(n):
             u = monotone_step(u, cfg.monotone, prob.hamiltonian, dt)
         assert np.array_equal(out.values, u.values)
-        assert [row[0] for row in diag.rows] == list(range(1, n + 1))
-        assert all(row[2] == 0.0 and row[3] == 0 for row in diag.rows)
+        assert [r.step for r in records] == list(range(1, n + 1))
+        assert all(r.epsilon_n == 0.0 and r.phi_zero_count == 0
+                   for r in records)
 
     def test_cfl_rejected_before_stepping(self):
         g = Grid2D(0, 0, 0.1, 0.1, 10, 10)
@@ -388,27 +395,16 @@ class TestEvolve:
             with pytest.raises(EvolutionError, match="step"):
                 af_evolve(f, cfg, 50.0, 500)
 
-    def test_diagnostics_csv(self):
-        import io
-        d = Diagnostics(rows=[(1, 0.1, 0.5, 3), (2, 0.2, 0.25, 0)])
-        buf = io.StringIO()
-        d.write_csv(buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "step,t,epsilon_n,phi_zero_count"
-        assert len(lines) == 3
-        step, t, eps, nz = lines[1].split(",")
-        assert (int(step), float(t), float(eps), int(nz)) == (1, 0.1, 0.5, 3)
-
     def test_switching_scale_drops_after_kink_forms(self):
         # convex-hamiltonian run up to kink formation: the scale grows
         # while the profile steepens, then collapses once the steep nodes
         # are excluded from the trusted region
         prob = make_test("8")
         cfg = SolverConfig(hamiltonian=prob.hamiltonian, scheme="af-rkc4")
-        _, diag = af_evolve(prob.initial_field(1), cfg, prob.T_final,
-                            prob.n_steps(1))
-        eps = np.array([r[2] for r in diag.rows])
-        flagged = np.array([r[3] for r in diag.rows])
+        _, records = af_evolve(prob.initial_field(1), cfg, prob.T_final,
+                               prob.n_steps(1))
+        eps = np.array([r.epsilon_n for r in records])
+        flagged = np.array([r.phi_zero_count for r in records])
         quarter = len(eps) // 4
         assert (flagged[:quarter] == 0).all()       # smooth at first
         assert flagged[-quarter:].mean() > 50       # kink detected later
@@ -430,6 +426,98 @@ class TestEvolve:
         for K in (0.5, np.inf, np.nan):
             with pytest.raises(ValueError, match="finite and > 1/2"):
                 self._config(K=K)
+
+
+# Every value each option's config accepts, extremes and subnormals
+# included: sigma in (0, inf), M in (0, 1/2), K in (1/2, inf), and
+# epsilon_fixed > 0.
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+THRESHOLDS = st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)
+SAFETY_FACTORS = st.floats(min_value=0.5, exclude_min=True,
+                           allow_infinity=False)
+TINY, HUGE = 5e-324, sys.float_info.max
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PROBLEM_IDS),
+       st.sampled_from([s for s in SCHEME_NAMES if s.startswith("af-")]
+                       + ["f-hc-fixed"]),
+       st.sampled_from(Formula2D), POSITIVE, THRESHOLDS, SAFETY_FACTORS,
+       POSITIVE)
+@example("8", "af-rkc4", Formula2D.FULL, 1e300, 0.2, 1.0, 1.0)
+@example("7b", "af-rkc4", Formula2D.FULL, 1e-160, 0.2, 1.0, 1.0)
+@example("8", "af-hc", Formula2D.SPLIT, TINY, 0.49, HUGE, 1.0)
+@example("5", "af-rkc4", Formula2D.PARTIAL, HUGE, TINY, 0.5000000000000001,
+         1.0)
+@example("6", "f-hc-fixed", Formula2D.FULL, 2.0, 0.2, 1.0, HUGE)
+@example("7a", "f-hc-fixed", Formula2D.FULL, 2.0, 0.2, 1.0, TINY)
+def test_every_accepted_option_runs_or_is_refused(test_id, scheme, variant,
+                                                  sigma, M, K, eps_fixed):
+    """Three steps at level 0 complete with finite values, no NaN
+    smoothness weight and a switching scale that is not NaN, or are
+    refused with a message (a step's names the step; the config refuses
+    Richtmyer on test 6); no other exception escapes."""
+    prob = make_test(test_id)
+    fixed = scheme == "f-hc-fixed"
+    steps = min(3, prob.n_steps(0))
+
+    def smoothness(field, indicator):
+        sm = smoothness_2d(field, indicator)
+        assert not np.isnan(sm.omega).any()
+        return sm
+
+    try:
+        cfg = SolverConfig(hamiltonian=prob.hamiltonian, scheme=scheme,
+                           indicator=Indicator2DConfig(sigma=sigma, M=M,
+                                                       variant=variant),
+                           K=SolverConfig.K if fixed else K,
+                           epsilon_fixed=eps_fixed if fixed else None)
+        with (np.errstate(all="ignore"),
+              mock.patch.object(filtering, "smoothness_2d", smoothness)):
+            u, records = af_evolve(prob.initial_field(0), cfg, steps *
+                                   prob.T_final / prob.n_steps(0), steps)
+    except (ValueError, CflViolation, EvolutionError) as exc:
+        assert re.match(r"step \d+ \(t = |Richtmyer form requires", str(exc)), exc
+        return
+    assert np.all(np.isfinite(u.values))
+    assert [r.step for r in records] == list(range(1, steps + 1))
+    assert not any(math.isnan(r.epsilon_n) for r in records)
+
+
+# Python calls per step into code under src/hjaf, in the steady state: a
+# 5-step less a 2-step evolve of test 8 level 0, over 3.  The adaptive
+# schemes' two calls for the NaN-weight check (smoothness_2d) included.
+STEP_CALLS = {"monotone": 44, "hc": 66, "lw": 72, "lw2": 85, "richtmyer": 79,
+              "rkc4": 153, "af-hc": 272, "af-lw": 242, "af-lw2": 278,
+              "af-richtmyer": 272, "af-rkc4": 369, "f-hc-fixed": 97}
+
+
+@pytest.mark.parametrize("scheme", SCHEME_NAMES)
+def test_fixed_cost_of_a_step(scheme):
+    package = str(Path(hjaf.__file__).parent) + "/"
+    prob = make_test("8")
+    config = solver_config(CliConfig(test_id="8", scheme=scheme), prob, 0)
+    dt = prob.T_final / prob.n_steps(0)
+
+    def calls(n_steps):
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                count += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            af_evolve(prob.initial_field(0), config, n_steps * dt, n_steps)
+        finally:
+            sys.setprofile(previous)
+        return count
+
+    calls(2)    # warm-up: the threshold certificate is built once per M
+    per_step = (calls(5) - calls(2)) / 3
+    assert per_step <= STEP_CALLS[scheme]
 
 
 class TestSchemeVocabulary:

@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import io
 import re
@@ -8,19 +9,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import hjaf.cli as cli
 import hjaf.filtering as filtering
 import hjaf.harness as harness
 from hjaf.cli import _build_parser as build_parser, main as cli_main
+from hjaf.filtering import StepRecord, af_evolve
 from hjaf.grids import BoundaryCondition, Grid2D, GridField
 from hjaf.harness import (CliConfig, IndicatorRunConfig, run_convergence,
-                          run_indicators)
-from hjaf.indicators1d import Indicator1DConfig, omega_field_1d
-from hjaf.indicators2d import Indicator2DConfig, omega_field_2d
-from hjaf.problems import make_test
+                          run_indicators, solver_config)
+from hjaf.indicators1d import Indicator1DConfig, Variant1D, omega_field_1d
+from hjaf.indicators2d import Formula2D, Indicator2DConfig, omega_field_2d
+from hjaf.problems import INDICATOR_IDS, PLACEMENTS, make_test
 from hjaf.reporting import (RunReport, error_norms, observed_order,
-                            parse_report_csv)
+                            parse_report_csv, write_table)
 
 
 class TestErrorNorms:
@@ -82,6 +85,14 @@ class TestReportCsv:
         with pytest.raises(ValueError):
             parse_report_csv("bogus\n1,2,3")
 
+    def test_write_table(self):
+        buf = io.StringIO()
+        write_table(buf, ("step", "t", "order", "count"),
+                    [(1, 0.1, None, 3), (2, 1 / 3, float("inf"), 0)])
+        assert buf.getvalue() == ("step,t,order,count\n"
+                                  "1,0.10000000000000001,,3\n"
+                                  "2,0.33333333333333331,inf,0\n")
+
 
 class TestRunConvergence:
     def test_monotone_smoke_single_level(self):
@@ -133,6 +144,31 @@ class TestRunConvergence:
         eps_lines = (out / "epsilon.csv").read_text().splitlines()
         assert eps_lines[0] == "step,t,epsilon_n,phi_zero_count"
         assert len(eps_lines) == 1 + 20  # one row per step
+
+    # one scheme per branch of af_evolve's step: an adaptive blend, a
+    # high-order scheme alone, and af_step at a fixed scale (f-hc-fixed's,
+    # and monotone's eps = 0)
+    @pytest.mark.parametrize("scheme", ["af-rkc4", "rkc4", "f-hc-fixed",
+                                        "monotone"])
+    def test_epsilon_csv_reads_back_as_the_step_records(self, scheme,
+                                                        tmp_path):
+        cfg = CliConfig(test_id="8", scheme=scheme, refinements=1,
+                        out_dir=str(tmp_path))
+        run_convergence(cfg)
+        prob = make_test("8")
+        _, records = af_evolve(prob.initial_field(0),
+                               solver_config(cfg, prob, 0), prob.T_final,
+                               prob.n_steps(0))
+        with open(tmp_path / "epsilon.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [StepRecord(step=int(r["step"]), t=float(r["t"]),
+                           epsilon_n=float(r["epsilon_n"]),
+                           phi_zero_count=int(r["phi_zero_count"]))
+                for r in rows] == records
+        assert len(records) == prob.n_steps(0)
+        if scheme == "af-rkc4":     # the file holds more than zeros
+            assert any(r.epsilon_n > 0 for r in records)
+            assert any(r.phi_zero_count > 0 for r in records)
 
     def test_final_maps_use_solver_indicator(self, tmp_path, monkeypatch):
         # the omega/phi dump reuses the indicator config the solver ran
@@ -249,6 +285,33 @@ class TestRunIndicators:
         with pytest.raises(ValueError):
             run_indicators(IndicatorRunConfig(test_id="2", variant="raw"))
 
+    # every detection case, in each variant of its dimension, over every
+    # sigma in (0, inf) and M in (0, 1/2), extremes and subnormals included
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([(t, v.value) for t in INDICATOR_IDS
+                            for v in (Variant1D if make_test(t).dims == 1
+                                      else Formula2D)]),
+           st.sampled_from(PLACEMENTS),
+           st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+           st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+    @example(("2", "full"), "node", 1e300, 0.2)
+    @example(("1", "weno-z"), "cell", 5e-324, 0.49)
+    def test_every_accepted_option_maps_or_is_refused(self, case, placement,
+                                                      sigma, M):
+        """The maps are finite, or the run is refused with a message that
+        names the NaN weight."""
+        test_id, variant = case
+        cfg = IndicatorRunConfig(test_id=test_id, placement=placement,
+                                 variant=variant, M=M, sigma=sigma)
+        try:
+            with np.errstate(all="ignore"):
+                _, sm = run_indicators(cfg)
+        except ValueError as exc:
+            assert str(exc).startswith("NaN smoothness weight at node "), exc
+            return
+        assert np.all(np.isfinite(sm.omega))
+        assert np.array_equal(sm.phi, sm.omega >= M)
+
 
 class TestCli:
     def test_solve_success(self, tmp_path, capsys):
@@ -281,6 +344,36 @@ class TestCli:
         assert cli_main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "must be finite" in err
+
+    # sigma_h**2 over- or underflows, and a weight is 0/0: each was a
+    # silent run, every NaN node untrusted (the first as the monotone
+    # scheme); one run per path that thresholds a weight
+    @pytest.mark.parametrize("argv, where", [
+        (["solve", "--test", "8", "--scheme", "af-rkc4", "--sigma", "1e300"],
+         r"step 1 \(t = .*\(i, j\) = \(0, 0\), \(x, y\) = \(0, 0\), "
+         r"with sigma_h = 1e\+298"),
+        (["solve", "--test", "7b", "--scheme", "af-rkc4", "--sigma", "1e-160"],
+         r"step 1 \(t = .*with sigma_h = 4e-162"),
+        (["indicators", "--test", "2", "--sigma", "1e300"],
+         r"\(x, y\) = \(-2, -2\), with sigma_h = 2.5e\+297"),
+        (["indicators", "--test", "2", "--sigma", "1e300", "--M", "0.49"],
+         r"with sigma_h = 2.5e\+297"),
+        (["indicators", "--test", "2", "--sigma", "1e300", "--variant",
+          "split"], r"with sigma_h_x = 2.5e\+297, sigma_h_y = 2.5e\+297"),
+        (["indicators", "--test", "1", "--sigma", "1e300"],
+         r"node j = 0, x = -1.5, with sigma_h = 2.5e\+297"),
+    ], ids=["solve-8-overflow", "solve-7b-underflow", "indicators-2d",
+            "indicators-2d-uncertified-M", "indicators-split",
+            "indicators-1d"])
+    def test_nan_weight_is_refused(self, argv, where, capsys):
+        if argv[0] == "solve":
+            argv = argv + ["--refinements", "1"]
+        with np.errstate(all="ignore"):
+            assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert re.match(r"error: (step \d+ .*: )?NaN smoothness weight at "
+                        r"node ", err), err
+        assert re.search(where, err), err
 
     @pytest.mark.parametrize("eps", ["-1", "0", "nan"])
     def test_invalid_fixed_scale_fails_cleanly(self, eps, capsys):

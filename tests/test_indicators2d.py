@@ -1,4 +1,5 @@
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -400,23 +401,34 @@ class TestMaskFromLeastWeight:
     def test_mask_and_maps_are_the_mapped_ones(self, f, M, formula, sigma):
         cfg = Indicator2DConfig(sigma=sigma, M=M, variant=formula)
         with np.errstate(all="ignore"):
-            sm = smoothness_2d(f, cfg)
             omega = omega_field_2d(f, cfg)
+            if np.isnan(omega).any():
+                # overflowed betas leave NaN weights: refused
+                with pytest.raises(ValueError, match="^NaN smoothness weight"):
+                    smoothness_2d(f, cfg)
+                return
+            sm = smoothness_2d(f, cfg)
             view = view_omega_field_2d(f, sigma, formula.value)
             assert sm.phi.dtype == np.bool_
             assert np.array_equal(sm.phi, phi_2d(omega, cfg))
             assert np.array_equal(sm.phi, view_phi_2d(view, M))
-            assert np.array_equal(sm.omega, omega, equal_nan=True)
-        # overflowed betas leave NaN weights, and those nodes untrusted
-        assert not sm.phi[np.isnan(omega)].any()
+            assert np.array_equal(sm.omega, omega)
 
     @pytest.mark.parametrize("M", [0.2, 0.49])
-    def test_overflowed_nodes_are_untrusted(self, M):
+    def test_overflowed_nodes_are_refused(self, M):
+        # 1e200 squared overflows: some quadrant's betas are both inf, and
+        # its weight is inf/inf; the node is named, not left untrusted
         f = patch_field(1e200 * np.abs(np.arange(25.0) - 12.0).reshape(5, 5))
+        cfg = Indicator2DConfig(M=M)
         with np.errstate(all="ignore"):
-            sm = smoothness_2d(f, Indicator2DConfig(M=M))
-            assert np.isnan(sm.omega).any()
-        assert not sm.phi[np.isnan(sm.omega)].any()
+            nan = np.isnan(omega_field_2d(f, cfg))
+            i, j = np.argwhere(nan)[0]
+            x, y = f.grid.xnodes()[j], f.grid.ynodes()[i]
+            with pytest.raises(ValueError, match=re.escape(
+                    f"NaN smoothness weight at node (i, j) = ({i}, {j}), "
+                    f"(x, y) = ({x:.6g}, {y:.6g}), with sigma_h = "
+                    f"{cfg.sigma * f.grid.delta ** 2:.6g}: ")):
+                smoothness_2d(f, cfg)
 
     def test_default_threshold_is_certified(self):
         # an independent scan, 32 times wider than the certificate's band,

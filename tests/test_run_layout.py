@@ -14,8 +14,8 @@ import hjaf.filtering as filtering
 import hjaf.grids as grids
 import hjaf.highorder as highorder
 import hjaf.monotone as monotone
-from hjaf.filtering import (EPS_FLOOR, SolverConfig, _adaptive_step,
-                            af_evolve, epsilon_n)
+from hjaf.filtering import (EPS_FLOOR, SolverConfig, StepRecord,
+                            _adaptive_step, af_evolve, epsilon_n)
 from hjaf.grids import BoundaryCondition, Grid1D, Grid2D, GridField
 from hjaf.hamiltonians import shifted_quadratic_hamiltonian
 from hjaf.harness import CliConfig, solver_config
@@ -186,8 +186,8 @@ class TestGhostColumns:
         cfg = SolverConfig(hamiltonian=self.H, scheme="af-rkc4",
                            indicator=Indicator2DConfig(), K=self.K)
         dt, ind = self.dt(f), cfg.indicator
-        u1, diag1 = af_evolve(f, cfg, dt, 1)
-        _, diag2 = af_evolve(f, cfg, 2 * dt, 2)
+        u1, records1 = af_evolve(f, cfg, dt, 1)
+        _, records2 = af_evolve(f, cfg, 2 * dt, 2)
         x, y = f.grid.meshes()
         for step, u in ((1, f), (2, u1)):
             omega = view_omega_field_2d(u, ind.sigma, ind.variant.value)
@@ -209,10 +209,11 @@ class TestGhostColumns:
             bounds = eight_call_bounds(self.H, x, y, *slopes)
             for a, b, bound in zip(closed, calls, bounds):
                 assert np.all(np.abs(a - b) <= bound)
-            assert diag2.rows[step - 1] == (step, step * dt, eps,
-                                            int(np.sum(phi == 0)))
-        assert diag1.rows == diag2.rows[:1]
-        assert diag2.rows[0][3] > 0          # the kink leaves untrusted nodes
+            assert records2[step - 1] == StepRecord(
+                step=step, t=step * dt, epsilon_n=eps,
+                phi_zero_count=int(np.sum(phi == 0)))
+        assert records1 == records2[:1]
+        assert records2[0].phi_zero_count > 0   # the kink leaves untrusted nodes
 
     @pytest.mark.parametrize("bc", [PER, NEU])
     def test_no_false_cfl_violation(self, bc):
