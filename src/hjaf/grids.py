@@ -12,7 +12,7 @@ like a padded copy instead, and read the same way.
 A field's values are read-only, and :meth:`GridField.memo` keeps what
 is built from them: the padded copy (:meth:`GridField.neighbors`,
 ``STENCIL_REACH`` ghost nodes wide), its undivided second differences
-(:meth:`GridField.second_differences`, read by the quadrant betas, the
+(:meth:`GridField.second_differences`, one listing per axis, read by the
 time curvature and the 1D betas), the slopes several kernels read and,
 per hamiltonian, the time curvature.
 So no kernel pads its own input, and one step of the solver pads its
@@ -33,8 +33,10 @@ grid row, and cut only their result back to the (ny, nx) interior
 are throw-away values computed from ghost columns; only the cut reaches
 a reduction, a selection or a hamiltonian.  A 1D field is one row: its
 runs are the grid-shaped arrays themselves.  Flat positions are computed
-by :class:`Neighbors` and by :func:`_second_differences`, which slices
-the flat padded copy by its row length itself.
+by :class:`Neighbors` and by the kernels that difference the whole flat
+padded copy, slicing it by its row length themselves:
+:func:`_second_differences` and the quadrant betas' first differences
+(:mod:`hjaf.indicators2d`).
 """
 from __future__ import annotations
 
@@ -223,20 +225,18 @@ def _padded(field: "GridField") -> Neighbors:
     return Neighbors(field.values, field.bc, STENCIL_REACH)
 
 
-def _second_differences(field: "GridField") -> tuple[dict, ...]:
+def _second_differences(field: "GridField") -> tuple[np.ndarray, ...]:
     at = field.neighbors()
     u, n, axes = at.flat, at.flat.size, []
     for s in (1,) if field.ndim == 1 else (1, at.row):
-        twice = np.multiply(2.0, u[s:n - s])
-        axes.append({})
-        for z in (1, -1):
-            # laid out like u; the s end elements have no second difference
-            d = np.empty(n)
-            d[:s] = d[n - s:] = np.nan
-            # (u[+z] - 2 u) + u[-z], summed left to right
-            mid = np.subtract(u[s + z * s:n - s + z * s], twice, out=d[s:n - s])
-            mid += u[s - z * s:n - s - z * s]
-            axes[-1][z] = read_only(d)[0]
+        # laid out like u; the s end elements have no second difference
+        d = np.empty(n)
+        d[:s] = d[n - s:] = np.nan
+        # (u[+1] - 2 u) + u[-1], summed left to right
+        mid = np.multiply(2.0, u[s:n - s], out=d[s:n - s])
+        np.subtract(u[2 * s:], mid, out=mid)
+        mid += u[:n - 2 * s]
+        axes.append(read_only(d)[0])
     return tuple(axes)
 
 
@@ -287,12 +287,11 @@ class GridField:
         ``|dj|, |di| <= STENCIL_REACH`` (a :meth:`memo` entry)."""
         return self.memo(_padded)
 
-    def second_differences(self) -> tuple[dict, ...]:
-        """Per axis (x, y), ``{z: (u[+z] - 2 u) + u[-z]}`` for z = +1, -1,
-        laid out like the padded copy and read like it, ``at.of(d)(dj, di)``
-        (a :meth:`memo` entry).  An element whose stencil leaves the copy
-        holds NaN: the copy's first and last element (x), its first and
-        last row (y)."""
+    def second_differences(self) -> tuple[np.ndarray, ...]:
+        """Per axis (x, y), ``(u[+1] - 2 u) + u[-1]``, laid out like the
+        padded copy and read like it, ``at.of(d)(dj, di)`` (a :meth:`memo`
+        entry).  An element whose stencil leaves the copy holds NaN: the
+        copy's first and last element (x), its first and last row (y)."""
         return self.memo(_second_differences)
 
     def shifted(self, dj: int = 0, di: int = 0) -> np.ndarray:

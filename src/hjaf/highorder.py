@@ -53,8 +53,8 @@ def second_diffs(field: GridField):
     """(uxx, uyy): the field's (+1, 0, -1) second differences over h^2."""
     at = field.neighbors()
     d2x, d2y = field.second_differences()
-    return (at.grid(at.of(d2x[1])()) / field.grid.dx ** 2,
-            at.grid(at.of(d2y[1])()) / field.grid.dy ** 2)
+    return (at.grid(at.of(d2x)()) / field.grid.dx ** 2,
+            at.grid(at.of(d2y)()) / field.grid.dy ** 2)
 
 
 def cross_diff(field: GridField):

@@ -105,7 +105,7 @@ def beta_fields_1d(field: GridField, axis: str = "x") -> tuple[np.ndarray, ...]:
     """
     (dj, di), h = _axis_step(field, axis)
     at = field.neighbors()
-    d2 = at.of(field.second_differences()[di][1])
+    d2 = at.of(field.second_differences()[di])
     s = [(at.grid(d2(c * dj, c * di)) / h) ** 2 for c in (-1, 0, 1)]
     return s[0], s[1], s[1], s[2]
 
@@ -156,23 +156,36 @@ def omega_field_1d(field: GridField, cfg: Indicator1DConfig,
     return np.minimum(wm, wp)
 
 
-def refuse_nan_weight(field: GridField, weight: np.ndarray, **sigma_h) -> None:
+def refuse_unusable_weight(field: GridField, weight: np.ndarray,
+                           **sigma_h) -> None:
     """Raise ValueError at the first NaN of ``weight`` (shaped like the
     grid) if ``field`` is finite: (beta + sigma_h)**2 over- or underflowed
     in :func:`weno_term` and a weight came out 0/0.  The keywords name the
-    sigma_h values the weight used.  One reduction when there is no NaN."""
-    if not np.isnan(weight.min()) or not np.all(np.isfinite(field.values)):
-        return
-    node = np.unravel_index(int(np.argmax(np.isnan(weight))), weight.shape)
-    if field.ndim == 1:
-        where = f"node j = {node[0]}, x = {field.grid.nodes()[node[0]]:.6g}"
-    else:
-        (i, j), grid = node, field.grid
-        where = (f"node (i, j) = ({i}, {j}), (x, y) = "
-                 f"({grid.xnodes()[j]:.6g}, {grid.ynodes()[i]:.6g})")
-    used = ", ".join(f"{name} = {value:.6g}" for name, value in sigma_h.items())
-    raise ValueError(f"NaN smoothness weight at {where}, with {used}: "
-                     "(beta + sigma_h)**2 over- or underflows there")
+    sigma_h values the weight used.  One reduction when there is no NaN.
+
+    Then raise ValueError if a sigma_h is so small (below about 1.055e-154)
+    that the sum of two finite WENO terms 1 / sigma_h**2 overflows: where
+    both betas vanish the weight is 1/inf = 0, not 1/2, and no NaN shows
+    it."""
+    if np.isnan(weight.min()) and np.all(np.isfinite(field.values)):
+        node = np.unravel_index(int(np.argmax(np.isnan(weight))), weight.shape)
+        if field.ndim == 1:
+            where = f"node j = {node[0]}, x = {field.grid.nodes()[node[0]]:.6g}"
+        else:
+            (i, j), grid = node, field.grid
+            where = (f"node (i, j) = ({i}, {j}), (x, y) = "
+                     f"({grid.xnodes()[j]:.6g}, {grid.ynodes()[i]:.6g})")
+        used = ", ".join(f"{name} = {value:.6g}"
+                         for name, value in sigma_h.items())
+        raise ValueError(f"NaN smoothness weight at {where}, with {used}: "
+                         "(beta + sigma_h)**2 over- or underflows there")
+    for name, value in sigma_h.items():
+        with np.errstate(over="ignore", divide="ignore"):
+            overflows = not np.isfinite(2.0 * weno_term(0.0, np.float64(value)))
+        if overflows:
+            raise ValueError(f"{name} = {value:.6g} is too small: the sum of "
+                             f"two WENO terms 1 / {name}**2 overflows, and "
+                             "the weight of a node whose betas vanish reads 0")
 
 
 def phi_1d(omega: np.ndarray, cfg) -> np.ndarray:
@@ -183,5 +196,5 @@ def phi_1d(omega: np.ndarray, cfg) -> np.ndarray:
 
 def smoothness_1d(field: GridField, cfg: Indicator1DConfig) -> Smoothness:
     omega = omega_field_1d(field, cfg)
-    refuse_nan_weight(field, omega, sigma_h=cfg.sigma * field.grid.dx ** 2)
+    refuse_unusable_weight(field, omega, sigma_h=cfg.sigma * field.grid.dx ** 2)
     return Smoothness(omega=omega, phi=phi_1d(omega, cfg))

@@ -8,23 +8,50 @@ subcell (index 1).  Each beta is the integral, over the subcell, of scaled
 squared derivatives of total order >= 2 of the interpolant; it is O(delta^2)
 on smooth data and O(1) when a gradient kink crosses the stencil hull.
 
-A single closed-form quadratic in undivided differences evaluates all four
-quadrants: the differences are taken as forward differences along *ordered*
-stencils whose listing order absorbs every sign flip.  With x offsets
-(z1, 0, -z1) / (0, z1, 2*z1) for the inner/outer stencil (same in y with
-z2), one formula serves the four (z1, z2) in {-1, +1}^2.
+One closed-form quadratic in the undivided differences of the inner
+stencil, x offsets (z1, 0, -z1) and y offsets (z2, 0, -z2), serves the
+four quadrants (z1, z2) in {-1, +1}^2:
 
-The ordering also makes the outer stencil of quadrant (z1, z2) at node n
-the inner stencil of quadrant (-z1, -z2) at node n + (z1, z2), listed in
-the same order, so the two betas agree bit for bit.  The field kernel
-therefore evaluates only the four inner betas, on the grid extended by one
-node per side, and reads every outer beta as a shifted view.  Every kernel
-works in the run layout of :mod:`hjaf.grids` and names each read by its
-node offset: the inner betas are runs over the grid grown by one node,
-read from the field's padded copy and its second differences (a memo
-entry the time curvature and the 1D betas read too), the WENO terms are
-read like the inner betas, the weights are runs over the grid, and only
-the combined weight is cut back to the grid's shape.
+    beta = (u20^2 + u02^2 + u11^2 + c21 (u21^2 + u12^2) + c22 u22^2
+            + u20 u21 + u02 u12 - (u20 + u02) u22 / 6
+            - (u21 + u12) u22 / 12) / (dx dy).
+
+Every difference in it comes from the first differences of the field's
+padded copy, Fx(m) = u(m + x) - u(m) and Fy(m) = u(m + y) - u(m), and each
+is one subtraction of two arrays: D(n) = Fx(n) - Fx(n - x) and E(n) =
+Fy(n) - Fy(n - y); the cell cross difference C(m) = Fx(m + y) - Fx(m);
+P(m) = D(m + y) - D(m) and Q(m) = E(m + x) - E(m); G(n) = P(n) - P(n - y).
+Then u20 = D(n + z2 y), u21 = -P(n) for z2 = +1 and P(n - y) for
+z2 = -1, u02 and u12 the same with E, Q and z1, u11 = +-C on the
+quadrant's cell (read squared), and u22 = G in all four quadrants.  The
+beta splits into an x part X(z2) = u20 (u20 + u21 - u22/6) +
+u21 (c21 u21 - u22/12), a y part Y(z1) alike, and two shared terms:
+
+    beta(z1, z2) = (((X(z2) + Y(z1)) + C^2) + c22 G^2) / (dx dy),
+
+two runs per axis part and one per shared term, each summed in this order.
+
+Mirroring the data on an axis negates every first difference along it
+exactly, and every later value is a difference, or a fixed-order sum or
+product, of such values (the sign of u21 is carried by the operation that
+reads it); so the betas of mirrored data are the mirrored betas, with
+their quadrants swapped, bit for bit.  A symmetric sum (u[+1] + u[-1]) - 2u
+would round relative to |u| rather than to the differences, and lose
+digits on near-affine data.  Each first difference rounds once; from
+there the longest path to a beta, the term c21 u21^2, passes 14
+roundings (the coefficients' own included), so a beta is within
+gamma_14 = 14u / (1 - 14u) times the formula evaluated on magnitudes of
+the beta that the rounded first differences give exactly.
+
+The outer stencil of quadrant (z1, z2) at node n is the inner stencil of
+quadrant (-z1, -z2) at node n + (z1, z2), so the field kernel evaluates
+only the four inner betas, on the grid extended by one node per side, and
+reads every outer beta as a shifted view.  Every kernel works in the run
+layout of :mod:`hjaf.grids` and names each read by its node offset: the
+differences are laid out like the padded copy, the inner betas are runs
+over the grid grown by one node, the WENO terms are read like the inner
+betas, the weights are runs over the grid, and only the combined weight
+is cut back to the grid's shape.
 
 Two coefficient sets are provided: FULL keeps every derivative with total
 order >= 2 (per-axis order <= 2); PARTIAL keeps only total order exactly 2.
@@ -61,7 +88,7 @@ import numpy as np
 from .grids import GridField
 from .indicators1d import (Indicator1DConfig, Smoothness, map_g,
                            normalized_weight, omega_field_1d, phi_1d,
-                           refuse_nan_weight, weno_term)
+                           refuse_unusable_weight, weno_term)
 
 # Quadrants keyed by the sign of the subcell relative to the node,
 # (z1, z2) = (x side, y side).
@@ -105,39 +132,41 @@ class Indicator2DConfig:
             raise ValueError(f"variant must be a Formula2D member, got {self.variant!r}")
 
 
-def _beta_from_diffs(u20, u02, u11, u21, u12, u22, dxdy, coeffs):
-    """The closed-form quadratic
+def _forward(a: np.ndarray, s: int) -> np.ndarray:
+    """``a[p + s] - a[p]`` at every position p of ``a``, a flat array laid
+    out like the padded copy; the last s positions, whose stencil leaves
+    the copy, hold NaN."""
+    d = np.empty_like(a)
+    d[a.size - s:] = np.nan
+    np.subtract(a[s:], a[:-s], out=d[:-s])
+    return d
 
-        (u20^2 + u02^2 + u11^2 + c21 (u21^2 + u12^2) + c22 u22^2
-         + u20 u21 + u02 u12 - (u20 + u02) u22 / 6
-         - (u21 + u12) u22 / 12) / dxdy,
 
-    summed left to right as written, into two scratch arrays and the
-    result."""
-    c21, c22 = coeffs
-    v = np.square(u20)
-    a = np.square(u02)
-    v += a
-    v += np.square(u11, out=a)
-    b = np.square(u21)
-    b += np.square(u12, out=a)
-    b *= c21
-    v += b
-    np.square(u22, out=a)
-    a *= c22
-    v += a
-    v += np.multiply(u20, u21, out=a)
-    v += np.multiply(u02, u12, out=a)
-    np.add(u20, u02, out=a)
-    a *= u22
-    a /= 6.0
-    v -= a
-    np.add(u21, u12, out=a)
-    a *= u22
-    a /= 12.0
-    v -= a
-    v /= dxdy
-    return v
+def _axis_parts(second, third, c21_third, g6, g12, along, across):
+    """{z: u20 (u20 + u21 - u22/6) + u21 (c21 u21 - u22/12)} for z = +1, -1,
+    runs over the grid grown by one node: the part of the inner beta that
+    reads one axis, for the quadrants on the z side of the node across it.
+
+    ``second`` holds the axis's second difference one node ``along`` the
+    axis, D(m + along), and ``third`` the difference across it, P(m +
+    along) with P(m) = D(m + across) - D(m); ``c21_third`` holds c21 P.
+    u20 is D(n + z across) and u21 is -z P(n + min(z, 0) across): the sign
+    goes into the two operations that read u21, so no run is negated and
+    every result is bitwise the one from the negated operand."""
+    (aj, ai), (cj, ci), parts = along, across, {}
+    for z in (1, -1):
+        b = min(z, 0)
+        u20 = second(z * cj - aj, z * ci - ai, grow=1)
+        p = third(b * cj - aj, b * ci - ai, grow=1)
+        cp = c21_third(b * cj - aj, b * ci - ai, grow=1)
+        t = (np.subtract if z > 0 else np.add)(u20, p)  # u20 + u21
+        t -= g6
+        t *= u20
+        s = (np.add if z > 0 else np.subtract)(cp, g12)  # -z (c21 u21 - u22/12)
+        s *= p
+        t += s
+        parts[z] = t
+    return parts
 
 
 def quadrant_beta_fields(field: GridField, formula: Formula2D = Formula2D.FULL,
@@ -155,27 +184,39 @@ def quadrant_beta_fields(field: GridField, formula: Formula2D = Formula2D.FULL,
               Formula2D.PARTIAL: PARTIAL_COEFFS}.get(formula)
     if coeffs is None:     # the split baseline, or not a formula at all
         raise ValueError(f"the formula {formula!r} has no quadrant betas")
-    dxdy = field.grid.dx * field.grid.dy
+    c21, c22 = coeffs
     at = field.neighbors()
-    # Inner betas live on the grid grown by one node per side (nodes -1..n
-    # per axis), whose stencils reach two nodes past the grid: every read
-    # is a run over that grown grid.
-    d2x, d2y = field.second_differences()
-    inner = {}
+    u, row = at.flat, at.row
+    # Every difference is one forward subtraction laid out like the padded
+    # copy (_forward), kept under the node it belongs to: d(m) = D(m + x),
+    # p(m) = P(m + x), e(m) = E(m + y), q(m) = Q(m + y).  The inner betas
+    # are runs over the grid grown by one node, each reading a difference
+    # at most one node away.
+    fx = _forward(u, 1)
+    cells = _forward(fx, row)               # C(m) = Fx(m + y) - Fx(m)
+    np.square(cells, out=cells)
+    d = _forward(fx, 1)
+    del fx
+    p = _forward(d, row)
+    third = at.of(p)
+    g = np.subtract(third(-1, 0, grow=1), third(-1, -1, grow=1))  # G(n)
+    g6, g12 = g / 6.0, g / 12.0
+    g2 = np.square(g)
+    g2 *= c22
+    x_parts = _axis_parts(at.of(d), third, at.of(c21 * p), g6, g12,
+                          (1, 0), (0, 1))
+    del d, p, third
+    e = _forward(_forward(u, row), row)
+    q = _forward(e, 1)
+    y_parts = _axis_parts(at.of(e), at.of(q), at.of(c21 * q), g6, g12,
+                          (0, 1), (1, 0))
+    del e, q
+    cells, dxdy, inner = at.of(cells), field.grid.dx * field.grid.dy, {}
     for z1, z2 in QUADRANTS.values():
-        # Inner stencil (z1, 0, -z1) x (z2, 0, -z2): listings -z1 and -z2,
-        # the x one read on the stencil's rows b, the y one on its columns a.
-        x, y = at.of(d2x[-z1]), at.of(d2y[-z2])
-        dxx = [x(0, b, grow=1) for b in (z2, 0, -z2)]
-        dyy = [y(a, 0, grow=1) for a in (z1, 0)]
-        u11 = at(0, 0, 1) - at(z1, 0, 1)
-        u11 -= at(0, z2, 1)
-        u11 += at(z1, z2, 1)
-        u22 = np.multiply(2.0, dxx[1])
-        np.subtract(dxx[2], u22, out=u22)
-        u22 += dxx[0]
-        beta = _beta_from_diffs(dxx[0], dyy[0], u11, dxx[1] - dxx[0],
-                                dyy[1] - dyy[0], u22, dxdy, coeffs)
+        beta = np.add(x_parts[z2], y_parts[z1])
+        beta += cells(min(z1, 0), min(z2, 0), grow=1)
+        beta += g2
+        beta /= dxdy
         beta.flags.writeable = False
         inner[z1, z2] = at.of(beta, 1)
     return {key: (at.grid(inner[z1, z2]()), at.grid(inner[-z1, -z2](z1, z2)))
@@ -299,20 +340,22 @@ def smoothness_2d(field: GridField, cfg: Indicator2DConfig) -> Smoothness:
     of four, and is bitwise the threshold of the combined weight; that
     weight is then built only when ``omega`` is read.  The splitting
     baseline and an uncertified M threshold the combined weight.  A NaN in
-    the weight thresholded (:func:`refuse_nan_weight`) raises ValueError.
+    the weight thresholded, or a sigma_h too small for two WENO terms to
+    sum, raises ValueError (:func:`refuse_unusable_weight`).
     """
     grid = field.grid
     if cfg.variant is Formula2D.SPLIT:
         omega = omega_split_field(field, cfg)
-        refuse_nan_weight(field, omega, sigma_h_x=cfg.sigma * grid.dx ** 2,
-                          sigma_h_y=cfg.sigma * grid.dy ** 2)
+        refuse_unusable_weight(field, omega,
+                               sigma_h_x=cfg.sigma * grid.dx ** 2,
+                               sigma_h_y=cfg.sigma * grid.dy ** 2)
         return Smoothness(omega=omega, phi=phi_2d(omega, cfg))
     sigma_h = cfg.sigma * grid.delta ** 2
     if weight_threshold(cfg.M) is None:
         omega = omega_field_2d(field, cfg)
-        refuse_nan_weight(field, omega, sigma_h=sigma_h)
+        refuse_unusable_weight(field, omega, sigma_h=sigma_h)
         return Smoothness(omega=omega, phi=phi_2d(omega, cfg))
     least = field.neighbors().grid(_least(_quadrant_weights(field, cfg)))
-    refuse_nan_weight(field, least, sigma_h=sigma_h)
+    refuse_unusable_weight(field, least, sigma_h=sigma_h)
     return Smoothness(omega=functools.partial(omega_field_2d, field, cfg),
                       phi=phi_2d(map_g(least), cfg))

@@ -363,16 +363,6 @@ _BETA_COEFFS = {True: (17.0 / 12.0, 857.0 / 720.0),
                 False: (5.0 / 12.0, 17.0 / 720.0)}
 
 
-def _beta_from_diffs(u20, u02, u11, u21, u12, u22, dxdy, coeffs):
-    c21, c22 = coeffs
-    v = (u20 ** 2 + u02 ** 2 + u11 ** 2
-         + c21 * (u21 ** 2 + u12 ** 2) + c22 * u22 ** 2
-         + u20 * u21 + u02 * u12
-         - (u20 + u02) * u22 / 6.0
-         - (u21 + u12) * u22 / 12.0)
-    return v / dxdy
-
-
 def quadrant_min_weight(betas: dict[str, tuple[np.ndarray, np.ndarray]],
                         sigma_h: float) -> np.ndarray:
     """Minimum over the quadrants of the remapped WENO weight
@@ -425,30 +415,38 @@ def view_stencils(field: GridField) -> dict[str, tuple[np.ndarray, ...]]:
 def view_quadrant_beta_fields(field: GridField, full: bool = True,
                               ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """(beta0, beta1) per quadrant: the four inner betas on the grid
-    extended by one node per side, from 2D views of one padded copy, and
-    every outer beta read as a view of the opposite quadrant's inner
-    beta."""
-    coeffs = _BETA_COEFFS[full]
+    extended by one node per side, from first differences over 2D views
+    of one padded copy, and every outer beta read as a view of the
+    opposite quadrant's inner beta."""
+    c21, c22 = _BETA_COEFFS[full]
     dxdy = field.grid.dx * field.grid.dy
     ny, nx = field.values.shape
     mode = "wrap" if field.bc is BoundaryCondition.PERIODIC else "edge"
     u = np.pad(field.values, 2, mode=mode)
 
-    def at(a, b):
-        return u[1 + b:ny + 3 + b, 1 + a:nx + 3 + a]
+    def over(a, origin, dj=0, di=0):
+        """``a`` at n + (dj, di) for n on the grown grid; ``origin`` is the
+        padded (row, column) of a[0, 0]."""
+        oi, oj = origin
+        return a[1 + di - oi:ny + 3 + di - oi, 1 + dj - oj:nx + 3 + dj - oj]
 
-    d2x = {z: u[:, 1 - z:nx + 3 - z] - 2.0 * u[:, 1:nx + 3] + u[:, 1 + z:nx + 3 + z]
-           for z in (-1, 1)}
-    d2y = {z: u[1 - z:ny + 3 - z, :] - 2.0 * u[1:ny + 3, :] + u[1 + z:ny + 3 + z, :]
-           for z in (-1, 1)}
-    inner = {}
-    for z1, z2 in QUADRANT_SIGNS.values():
-        dxx = [d2x[z1][1 + b:ny + 3 + b] for b in (z2, 0, -z2)]
-        dyy = [d2y[z2][:, 1 + a:nx + 3 + a] for a in (z1, 0)]
-        u11 = at(0, 0) - at(z1, 0) - at(0, z2) + at(z1, z2)
-        inner[z1, z2] = _beta_from_diffs(
-            dxx[0], dyy[0], u11, dxx[1] - dxx[0], dyy[1] - dyy[0],
-            dxx[2] - 2.0 * dxx[1] + dxx[0], dxdy, coeffs)
+    fx, fy = u[:, 1:] - u[:, :-1], u[1:] - u[:-1]
+    d, e = fx[:, 1:] - fx[:, :-1], fy[1:] - fy[:-1]     # origins (0, 1), (1, 0)
+    cross = fx[1:] - fx[:-1]
+    p, q = d[1:] - d[:-1], e[:, 1:] - e[:, :-1]         # P(m) = D(m + y) - D(m)
+    g = over(p[1:] - p[:-1], (1, 1))                     # P(n) - P(n - y)
+
+    def part(u20, u21):
+        return u20 * (u20 + u21 - g / 6.0) + u21 * (c21 * u21 - g / 12.0)
+
+    x_part = {z: part(over(d, (0, 1), 0, z), -over(p, (0, 1)) if z > 0
+                      else over(p, (0, 1), 0, -1)) for z in (1, -1)}
+    y_part = {z: part(over(e, (1, 0), z, 0), -over(q, (1, 0)) if z > 0
+                      else over(q, (1, 0), -1, 0)) for z in (1, -1)}
+    inner = {(z1, z2): (x_part[z2] + y_part[z1]
+                        + over(cross, (0, 0), min(z1, 0), min(z2, 0)) ** 2
+                        + c22 * g ** 2) / dxdy
+             for z1, z2 in QUADRANT_SIGNS.values()}
     return {key: (inner[z1, z2][1:ny + 1, 1:nx + 1],
                   inner[-z1, -z2][1 + z2:ny + 1 + z2, 1 + z1:nx + 1 + z1])
             for key, (z1, z2) in QUADRANT_SIGNS.items()}

@@ -299,7 +299,8 @@ class TestRunIndicators:
     def test_every_accepted_option_maps_or_is_refused(self, case, placement,
                                                       sigma, M):
         """The maps are finite, or the run is refused with a message that
-        names the NaN weight."""
+        names the NaN weight or the sigma_h too small for two WENO terms
+        to sum."""
         test_id, variant = case
         cfg = IndicatorRunConfig(test_id=test_id, placement=placement,
                                  variant=variant, M=M, sigma=sigma)
@@ -307,7 +308,8 @@ class TestRunIndicators:
             with np.errstate(all="ignore"):
                 _, sm = run_indicators(cfg)
         except ValueError as exc:
-            assert str(exc).startswith("NaN smoothness weight at node "), exc
+            assert re.match(r"NaN smoothness weight at node |sigma_h(_x)? = "
+                            r"\S+ is too small", str(exc)), exc
             return
         assert np.all(np.isfinite(sm.omega))
         assert np.array_equal(sm.phi, sm.omega >= M)
@@ -374,6 +376,29 @@ class TestCli:
         assert re.match(r"error: (step \d+ .*: )?NaN smoothness weight at "
                         r"node ", err), err
         assert re.search(where, err), err
+
+    # sigma_h so small that two finite WENO terms 1 / sigma_h**2 overflow
+    # their sum: the weight of a node whose betas vanish read 0, not 1/2,
+    # and the run went on silently (5304 of 6400 nodes of test 2 flagged)
+    @pytest.mark.parametrize("argv, used", [
+        (["indicators", "--test", "2", "--sigma", "3.2e-152"],
+         "sigma_h = 8e-155"),
+        (["indicators", "--test", "2", "--sigma", "3.2e-152", "--M", "0.49"],
+         "sigma_h = 8e-155"),
+        (["indicators", "--test", "2", "--sigma", "3.2e-152", "--variant",
+          "split"], "sigma_h_x = 8e-155"),
+        (["indicators", "--test", "1", "--sigma", "4e-152"],
+         "sigma_h = 1e-154"),
+        (["solve", "--test", "8", "--scheme", "af-rkc4", "--sigma", "1e-153",
+          "--refinements", "1"], r"step 1 \(t = .*\): sigma_h = 1e-155"),
+    ], ids=["indicators-2d", "indicators-2d-uncertified-M",
+            "indicators-split", "indicators-1d", "solve-8"])
+    def test_tiny_sigma_h_is_refused(self, argv, used, capsys):
+        with np.errstate(all="ignore"):
+            assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert re.match(rf"error: {used} is too small: the sum of two WENO "
+                        r"terms .* overflows", err), err
 
     @pytest.mark.parametrize("eps", ["-1", "0", "nan"])
     def test_invalid_fixed_scale_fails_cleanly(self, eps, capsys):

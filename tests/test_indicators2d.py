@@ -12,7 +12,7 @@ from hjaf.cli import main
 from hjaf.filtering import _adaptive_step
 from hjaf.grids import BoundaryCondition, Grid1D, Grid2D, GridField
 from hjaf.indicators1d import (Indicator1DConfig, Variant1D, map_g,
-                               omega_field_1d, weno_weight)
+                               omega_field_1d, smoothness_1d, weno_weight)
 from hjaf.indicators2d import (Formula2D, Indicator2DConfig, omega_field_2d,
                                omega_split_field, phi_2d, quadrant_beta_fields,
                                smoothness_2d, weight_threshold)
@@ -154,12 +154,149 @@ class TestQuadrantBetas:
             assert got[z] == pytest.approx(want[z], rel=1e-9, abs=1e-12)
 
 
+# Roundings on the longest path of a beta from the first differences on,
+# as the indicators2d docstring counts them: the term c21 u21**2, with
+# u21 = -+P.  c21 P rounds 4 times (D, P, c21 itself, the product), its
+# sum with u22 / 12 once, the product with P 3 times (P's two and its
+# own), the axis part's sum once, the beta's three sums, dx dy and the
+# division: 14.
+BETA_ROUNDINGS = 14
+UNIT_ROUNDOFF = Fraction(1, 2 ** 53)
+
+
+def _exact_inner_beta(pad, i, j, z1, z2, dx, dy, full, rounded, absolute):
+    """The inner beta of quadrant (z1, z2) at padded node (i, j), in exact
+    arithmetic, in the listing of the library's kernel.
+
+    The leaves D, E and C are differences of first differences: of the
+    exact ones, or (``rounded``) of the doubles the kernel computes, each
+    read exactly.  ``absolute`` evaluates the listing on the leaves'
+    magnitudes with every difference a sum: the bound on the rounding."""
+    def first(a, b):        # u[a] - u[b], a and b (row, column)
+        if rounded:
+            return Fraction(pad[a] - pad[b])
+        return Fraction(pad[a]) - Fraction(pad[b])
+
+    def leaf(a, b, c, d):
+        v = first(a, b) - first(c, d)
+        return abs(v) if absolute else v
+
+    def sub(a, b):
+        return a + b if absolute else a - b
+
+    D = {k: leaf((i + k, j + 1), (i + k, j), (i + k, j), (i + k, j - 1))
+         for k in (-1, 0, 1)}
+    E = {k: leaf((i + 1, j + k), (i, j + k), (i, j + k), (i - 1, j + k))
+         for k in (-1, 0, 1)}
+    m, n = i + min(z2, 0), j + min(z1, 0)
+    C = leaf((m + 1, n + 1), (m + 1, n), (m, n + 1), (m, n))
+    c21, c22 = (Fraction(17, 12), Fraction(857, 720)) if full else (
+        Fraction(5, 12), Fraction(17, 720))
+    G = sub(sub(D[1], D[0]), sub(D[0], D[-1]))
+
+    def part(s, z):
+        # u21 = -P(n) on the + side, P(n - 1) on the - side; read on
+        # magnitudes, the sign does not matter
+        u20, p = s[z], sub(s[1], s[0]) if z > 0 else sub(s[0], s[-1])
+        u21 = p if absolute or z < 0 else -p
+        return (u20 * sub(u20 + u21, G / 6)
+                + u21 * sub(c21 * u21, G / 12))
+
+    return (part(D, z2) + part(E, z1) + C * C + c22 * G * G) / (
+        Fraction(dx) * Fraction(dy))
+
+
+@st.composite
+def accuracy_patches(draw):
+    """Random values, near-affine data (1e-6 noise on an offset up to 1e2)
+    or smooth data plus a constant, on 3..5 nodes per axis, either formula
+    and boundary rule.  Drawn values are 0 or above 1e-100 in magnitude,
+    so no product of differences underflows."""
+    def values_in(bound):
+        return arrays(np.float64, (ny, nx), elements=st.floats(
+            -bound, bound).filter(lambda v: v == 0 or abs(v) > 1e-100))
+
+    ny, nx = draw(st.integers(3, 5)), draw(st.integers(3, 5))
+    dx, dy = (draw(st.floats(0.01, 2.0)) for _ in range(2))
+    g = Grid2D(0.0, 0.0, dx, dy, nx, ny)
+    X, Y = g.meshes()
+    kind = draw(st.sampled_from(["random", "near-affine", "smooth"]))
+    if kind == "random":
+        values = draw(values_in(1e3))
+    else:
+        noise = draw(values_in(1.0))
+        offset = draw(st.floats(-1e2, 1e2))
+        if kind == "near-affine":
+            a, b = draw(st.floats(-10, 10)), draw(st.floats(-10, 10))
+            values = offset + a * X + b * Y + 1e-6 * noise
+        else:
+            values = offset + np.sin(X) * np.cos(2 * Y) + 1e-9 * noise
+    bc = draw(st.sampled_from([PER, NEU]))
+    return GridField(g, values, bc), draw(st.booleans())
+
+
+class TestBetaAccuracy:
+    """Each beta against its exact value on the field's double data.
+
+    The kernel rounds every first difference once; from there on each
+    monomial of a beta passes through at most BETA_ROUNDINGS roundings, so
+    the computed beta is within gamma_K times the listing evaluated on
+    magnitudes of the beta that the rounded first differences give exactly.
+    That beta differs from the exact one only by the first differences'
+    own rounding, which is taken exactly.  A listing that rounds more (a
+    symmetric sum (u[+1] + u[-1]) - 2 u for the second differences) fails
+    on near-affine data, where its rounding is relative to |u|."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(accuracy_patches())
+    def test_betas_within_the_rounding_bound(self, case):
+        f, full = case
+        k = BETA_ROUNDINGS * UNIT_ROUNDOFF
+        gamma = k / (1 - k)
+        mode = "wrap" if f.bc is PER else "edge"
+        pad = np.pad(f.values, 2, mode=mode).tolist()
+        pad = {(i, j): v for i, r in enumerate(pad) for j, v in enumerate(r)}
+        dx, dy = f.grid.dx, f.grid.dy
+        betas = quadrant_beta_fields(
+            f, Formula2D.FULL if full else Formula2D.PARTIAL)
+        for key, (z1, z2) in zip(ZETAS, ((-1, -1), (1, -1), (-1, 1), (1, 1))):
+            for k_, (a, b, s1, s2) in enumerate(((0, 0, z1, z2),
+                                                 (z1, z2, -z1, -z2))):
+                got = betas[key][k_]
+                for (i, j), value in np.ndenumerate(got):
+                    at = (i + 2 + b, j + 2 + a, s1, s2, dx, dy, full)
+                    exact = _exact_inner_beta(pad, *at, False, False)
+                    rounded = _exact_inner_beta(pad, *at, True, False)
+                    bound = _exact_inner_beta(pad, *at, True, True)
+                    err = abs(Fraction(value) - exact)
+                    assert err <= gamma * bound + abs(rounded - exact), (
+                        key, k_, i, j, float(err), float(gamma * bound))
+
+
 class TestOmega2D:
     def test_constant_exactly_half(self):
         f = patch_field(np.zeros((6, 6)))
         for variant in (Formula2D.FULL, Formula2D.PARTIAL, Formula2D.SPLIT):
             om = omega_field_2d(f, Indicator2DConfig(variant=variant))
             assert (om == 0.5).all()
+
+    @pytest.mark.parametrize("variant", list(Formula2D))
+    def test_constant_half_down_to_the_smallest_sigma_h(self, variant):
+        # on unit spacings sigma_h = sigma; below about 1.055e-154 the two
+        # terms 1 / sigma_h**2 of a node whose betas vanish sum to inf and
+        # its weight reads 0: refused, in 1D too
+        f = patch_field(np.zeros((5, 5)), dx=1.0, dy=1.0)
+        line = GridField(Grid1D(0.0, 1.0, 5), np.zeros(5), NEU)
+        sm = smoothness_2d(f, Indicator2DConfig(sigma=1.06e-154, variant=variant))
+        assert (sm.omega == 0.5).all() and sm.phi.all()
+        assert (smoothness_1d(line, Indicator1DConfig(sigma=1.06e-154)).omega
+                == 0.5).all()
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match=r"^sigma_h(_x)? = 1.05e-154 is too small"):
+            smoothness_2d(f, Indicator2DConfig(sigma=1.05e-154, variant=variant))
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match=r"^sigma_h = 1.05e-154 is too small"):
+            smoothness_1d(line, Indicator1DConfig(sigma=1.05e-154))
 
     def test_smooth_deviation_first_order(self):
         # the quadrant weight before the remapping g

@@ -99,7 +99,8 @@ class TestIndicator:
 
 
 class TestSecondDifferenceEnds:
-    """The second differences are laid out like the padded copy, and each
+    """The second differences, one listing per axis, and the quadrant
+    betas' forward differences are laid out like the padded copy, and each
     element whose stencil leaves the copy holds NaN.  On finite data no
     kernel that reads them returns a NaN, not even in the throw-away
     elements of an inner beta run."""
@@ -108,10 +109,9 @@ class TestSecondDifferenceEnds:
     @given(fields())
     def test_readers_return_finite_arrays(self, f):
         at = f.neighbors()
-        for d, s in zip(f.second_differences(), (1, at.row)):
-            for z in (1, -1):
-                assert np.isnan(d[z][:s]).all() and np.isnan(d[z][-s:]).all()
-                assert np.isfinite(d[z][s:-s]).all()
+        for d, s in zip(f.second_differences(), (1, at.row), strict=True):
+            assert np.isnan(d[:s]).all() and np.isnan(d[-s:]).all()
+            assert np.isfinite(d[s:-s]).all()
         line = GridField(Grid1D(0.0, f.grid.dx, f.grid.nx), f.values[0], f.bc)
         outputs = [*second_diffs(f),
                    highorder.time_curvature(f, shifted_quadratic_hamiltonian()),
@@ -337,8 +337,8 @@ class TestSharedStencils:
         for kernel in (one_sided_slopes, centered_slopes,
                        GridField.second_differences):
             assert kernel(f) is kernel(f)
-        second = [d[z] for d in f.second_differences() for z in (1, -1)]
-        for a in (*one_sided_slopes(f), *centered_slopes(f), *second):
+        for a in (*one_sided_slopes(f), *centered_slopes(f),
+                  *f.second_differences()):
             with pytest.raises(ValueError):
                 a[0] = 1.0
             with pytest.raises(ValueError):
