@@ -13,8 +13,8 @@ A field's values are read-only, and :meth:`GridField.memo` keeps what
 is built from them: the padded copy (:meth:`GridField.neighbors`,
 ``STENCIL_REACH`` ghost nodes wide), its undivided second differences
 (:meth:`GridField.second_differences`, one listing per axis, read by the
-time curvature and the 1D betas), the slopes several kernels read and,
-per hamiltonian, the time curvature.
+time curvature and the 1D and quadrant betas), the slopes several kernels
+read and, per hamiltonian, the time curvature.
 So no kernel pads its own input, and one step of the solver pads its
 field once.  A multi-stage step makes each later stage a field of its
 own, which pads itself the same way.
@@ -33,10 +33,10 @@ grid row, and cut only their result back to the (ny, nx) interior
 are throw-away values computed from ghost columns; only the cut reaches
 a reduction, a selection or a hamiltonian.  A 1D field is one row: its
 runs are the grid-shaped arrays themselves.  Flat positions are computed
-by :class:`Neighbors` and by the kernels that difference the whole flat
-padded copy, slicing it by its row length themselves:
-:func:`_second_differences` and the quadrant betas' first differences
-(:mod:`hjaf.indicators2d`).
+by :class:`Neighbors` and by the kernels that difference a whole flat
+array laid out like the padded copy, slicing it by its row length
+themselves: :func:`_second_differences` and the quadrant betas' other
+differences (:mod:`hjaf.indicators2d`).
 """
 from __future__ import annotations
 
@@ -232,10 +232,9 @@ def _second_differences(field: "GridField") -> tuple[np.ndarray, ...]:
         # laid out like u; the s end elements have no second difference
         d = np.empty(n)
         d[:s] = d[n - s:] = np.nan
-        # (u[+1] - 2 u) + u[-1], summed left to right
-        mid = np.multiply(2.0, u[s:n - s], out=d[s:n - s])
-        np.subtract(u[2 * s:], mid, out=mid)
-        mid += u[:n - 2 * s]
+        # D(m) = F(m) - F(m - s), F(m) = u[m + s] - u[m]
+        f = np.subtract(u[s:], u[:n - s])
+        np.subtract(f[s:], f[:n - 2 * s], out=d[s:n - s])
         axes.append(read_only(d)[0])
     return tuple(axes)
 
@@ -288,7 +287,8 @@ class GridField:
         return self.memo(_padded)
 
     def second_differences(self) -> tuple[np.ndarray, ...]:
-        """Per axis (x, y), ``(u[+1] - 2 u) + u[-1]``, laid out like the
+        """Per axis (x, y), ``(u[+1] - u) - (u - u[-1])``: each first
+        difference rounds relative to itself, not to |u|.  Laid out like the
         padded copy and read like it, ``at.of(d)(dj, di)`` (a :meth:`memo`
         entry).  An element whose stencil leaves the copy holds NaN: the
         copy's first and last element (x), its first and last row (y)."""

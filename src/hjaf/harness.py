@@ -90,14 +90,15 @@ def _write_convergence_outputs(cfg: CliConfig, problem: ProblemSpec,
                                records: list[StepRecord],
                                indicator: Indicator2DConfig) -> None:
     """The finest level's files; ``indicator`` is the config it ran with."""
+    # The maps of u^N, checked before any file is opened (a refused weight
+    # leaves none), through the name a step calls, so a trace counts them.
+    sm = filtering.smoothness_2d(final, indicator)
     out = Path(cfg.out_dir)
     with open(out / "table.csv", "w") as f:
         report.write_csv(f)
     with open(out / "field_final.csv", "w") as f:
         write_field_csv(final.grid, f, value=final.values)
-    # The maps of u^N, which no step evaluates: reached through the name
-    # every adaptive step calls, so a trace of the study counts it too.
-    _write_maps(out, final.grid, filtering.smoothness_2d(final, indicator))
+    _write_maps(out, final.grid, sm)
     with open(out / "epsilon.csv", "w") as f:
         write_table(f, [c.name for c in fields(StepRecord)], map(astuple, records))
     _write_meta(out, cfg, problem=problem.name)

@@ -2,13 +2,14 @@
 
 The building block is the squared, once-rescaled second difference
 
-    s_c = ((f_{c+1} - 2 f_c + f_{c-1}) / dx)**2,
+    s_c = (((f_{c+1} - f_c) - (f_c - f_{c-1})) / dx)**2,
 
 which is O(dx^2) where the data is C^2 with nonzero curvature and O(1)
 across a kink in the first derivative.  Stencils that reach past the grid
 read ghost data under the field's boundary rule, the one rule the 2D
 indicator and the schemes use too; each is a cut of the field's second
-differences, a memo entry they share.  Left/right pairs of these feed a
+differences, a memo entry they share with the quadrant betas and the
+time curvature.  Left/right pairs of these feed a
 WENO-style normalized weight ``omega`` (:func:`weno_weight`, built from
 :func:`weno_term` and :func:`normalized_weight`, which the 2D quadrant
 weights share) that sits near 1/2 on smooth data and collapses
@@ -97,7 +98,7 @@ def beta_fields_1d(field: GridField, axis: str = "x") -> tuple[np.ndarray, ...]:
     """(beta0-, beta1-, beta0+, beta1+) arrays for every node, along ``axis``.
 
     beta-_k is the squared rescaled second difference
-    ((f_{c+1} - 2 f_c + f_{c-1}) / h)**2 on the stencil centered at
+    (((f_{c+1} - f_c) - (f_c - f_{c-1})) / h)**2 on the stencil centered at
     c = j-1+k; beta+_k the one centered at c = j+k, so beta+ at j
     coincides with beta- at j+1 and the center stencil is shared between
     the two sides.  The three read the (+1, 0, -1) listing of
@@ -166,7 +167,8 @@ def refuse_unusable_weight(field: GridField, weight: np.ndarray,
     Then raise ValueError if a sigma_h is so small (below about 1.055e-154)
     that the sum of two finite WENO terms 1 / sigma_h**2 overflows: where
     both betas vanish the weight is 1/inf = 0, not 1/2, and no NaN shows
-    it."""
+    it.  Its callers build the weight without numpy's overflow, invalid
+    and divide warnings: this error is the one report."""
     if np.isnan(weight.min()) and np.all(np.isfinite(field.values)):
         node = np.unravel_index(int(np.argmax(np.isnan(weight))), weight.shape)
         if field.ndim == 1:
@@ -195,6 +197,7 @@ def phi_1d(omega: np.ndarray, cfg) -> np.ndarray:
 
 
 def smoothness_1d(field: GridField, cfg: Indicator1DConfig) -> Smoothness:
-    omega = omega_field_1d(field, cfg)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        omega = omega_field_1d(field, cfg)
     refuse_unusable_weight(field, omega, sigma_h=cfg.sigma * field.grid.dx ** 2)
     return Smoothness(omega=omega, phi=phi_1d(omega, cfg))

@@ -19,7 +19,8 @@ four quadrants (z1, z2) in {-1, +1}^2:
 Every difference in it comes from the first differences of the field's
 padded copy, Fx(m) = u(m + x) - u(m) and Fy(m) = u(m + y) - u(m), and each
 is one subtraction of two arrays: D(n) = Fx(n) - Fx(n - x) and E(n) =
-Fy(n) - Fy(n - y); the cell cross difference C(m) = Fx(m + y) - Fx(m);
+Fy(n) - Fy(n - y), the field's second differences (the 1D betas' and the
+time curvature's too); the cell cross difference C(m) = Fx(m + y) - Fx(m);
 P(m) = D(m + y) - D(m) and Q(m) = E(m + x) - E(m); G(n) = P(n) - P(n - y).
 Then u20 = D(n + z2 y), u21 = -P(n) for z2 = +1 and P(n - y) for
 z2 = -1, u02 and u12 the same with E, Q and z1, u11 = +-C on the
@@ -67,11 +68,12 @@ one result, :class:`hjaf.indicators1d.Smoothness`.
 What a step computes: an adaptive step reads the trust mask alone.  g is
 non-decreasing, so where the rounded test g(w) >= M is w >= w* on every
 double w (:func:`weight_threshold`, certified once per M at first use),
-the mask is the threshold of g at the smallest raw quadrant weight: one
-g pass instead of four, bitwise the same mask.  The combined weight
-omega is then built only when it is read (the written maps, ``hjaf
-indicators``).  An M that is not certified (such as 0.49, near the flat
-point of g) and the splitting baseline build omega on every step.
+the mask is the smallest raw quadrant weight thresholded at w*: no g
+pass, bitwise the same mask.  The combined weight omega is then built
+only when it is read (the written maps, ``hjaf indicators``).  An M
+that is not certified (such as 0.49, near the flat point of g) and the
+splitting baseline build omega on every step, and threshold it
+(:func:`phi_2d`).
 A dimensional-splitting baseline built from the remapped 1D indicator is
 included for comparison; it is blind to singularities whose axis
 restrictions look smooth (e.g. a non-differentiable point with vanishing
@@ -142,23 +144,22 @@ def _forward(a: np.ndarray, s: int) -> np.ndarray:
     return d
 
 
-def _axis_parts(second, third, c21_third, g6, g12, along, across):
+def _axis_parts(second, third, c21_third, g6, g12, across):
     """{z: u20 (u20 + u21 - u22/6) + u21 (c21 u21 - u22/12)} for z = +1, -1,
     runs over the grid grown by one node: the part of the inner beta that
     reads one axis, for the quadrants on the z side of the node across it.
 
-    ``second`` holds the axis's second difference one node ``along`` the
-    axis, D(m + along), and ``third`` the difference across it, P(m +
-    along) with P(m) = D(m + across) - D(m); ``c21_third`` holds c21 P.
-    u20 is D(n + z across) and u21 is -z P(n + min(z, 0) across): the sign
-    goes into the two operations that read u21, so no run is negated and
-    every result is bitwise the one from the negated operand."""
-    (aj, ai), (cj, ci), parts = along, across, {}
+    ``second`` holds the axis's second difference D, ``third`` P(m) =
+    D(m + across) - D(m) and ``c21_third`` c21 P, laid out like the padded
+    copy.  u20 is D(n + z across) and u21 is -z P(n + min(z, 0) across):
+    the sign goes into the two operations that read u21, so no run is
+    negated and every result is bitwise the one from the negated operand."""
+    (cj, ci), parts = across, {}
     for z in (1, -1):
         b = min(z, 0)
-        u20 = second(z * cj - aj, z * ci - ai, grow=1)
-        p = third(b * cj - aj, b * ci - ai, grow=1)
-        cp = c21_third(b * cj - aj, b * ci - ai, grow=1)
+        u20 = second(z * cj, z * ci, grow=1)
+        p = third(b * cj, b * ci, grow=1)
+        cp = c21_third(b * cj, b * ci, grow=1)
         t = (np.subtract if z > 0 else np.add)(u20, p)  # u20 + u21
         t -= g6
         t *= u20
@@ -185,32 +186,24 @@ def quadrant_beta_fields(field: GridField, formula: Formula2D = Formula2D.FULL,
     if coeffs is None:     # the split baseline, or not a formula at all
         raise ValueError(f"the formula {formula!r} has no quadrant betas")
     c21, c22 = coeffs
-    at = field.neighbors()
-    u, row = at.flat, at.row
-    # Every difference is one forward subtraction laid out like the padded
-    # copy (_forward), kept under the node it belongs to: d(m) = D(m + x),
-    # p(m) = P(m + x), e(m) = E(m + y), q(m) = Q(m + y).  The inner betas
-    # are runs over the grid grown by one node, each reading a difference
-    # at most one node away.
-    fx = _forward(u, 1)
-    cells = _forward(fx, row)               # C(m) = Fx(m + y) - Fx(m)
+    at, (d, e) = field.neighbors(), field.second_differences()
+    # D and E are the field's second differences, every other difference
+    # one forward subtraction laid out like the padded copy (_forward); the
+    # inner betas, runs over the grid grown by one node, read each at most
+    # one node away.
+    cells = _forward(_forward(at.flat, 1), at.row)  # C(m) = Fx(m + y) - Fx(m)
     np.square(cells, out=cells)
-    d = _forward(fx, 1)
-    del fx
-    p = _forward(d, row)
+    p = _forward(d, at.row)
     third = at.of(p)
-    g = np.subtract(third(-1, 0, grow=1), third(-1, -1, grow=1))  # G(n)
+    g = np.subtract(third(grow=1), third(0, -1, grow=1))  # G(n)
     g6, g12 = g / 6.0, g / 12.0
     g2 = np.square(g)
     g2 *= c22
-    x_parts = _axis_parts(at.of(d), third, at.of(c21 * p), g6, g12,
-                          (1, 0), (0, 1))
-    del d, p, third
-    e = _forward(_forward(u, row), row)
+    x_parts = _axis_parts(at.of(d), third, at.of(c21 * p), g6, g12, (0, 1))
+    del p, third
     q = _forward(e, 1)
-    y_parts = _axis_parts(at.of(e), at.of(q), at.of(c21 * q), g6, g12,
-                          (0, 1), (1, 0))
-    del e, q
+    y_parts = _axis_parts(at.of(e), at.of(q), at.of(c21 * q), g6, g12, (1, 0))
+    del q
     cells, dxdy, inner = at.of(cells), field.grid.dx * field.grid.dy, {}
     for z1, z2 in QUADRANTS.values():
         beta = np.add(x_parts[z2], y_parts[z1])
@@ -254,10 +247,11 @@ def omega_field_2d(field: GridField, cfg: Indicator2DConfig) -> np.ndarray:
     """Combined smoothness weight at every node: min over the four
     remapped quadrant weights g(w(beta0, beta1)) (splitting baseline when
     so configured)."""
-    if cfg.variant is Formula2D.SPLIT:
-        return omega_split_field(field, cfg)
-    return field.neighbors().grid(
-        _least(map_g(w) for w in _quadrant_weights(field, cfg)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if cfg.variant is Formula2D.SPLIT:
+            return omega_split_field(field, cfg)
+        return field.neighbors().grid(
+            _least(map_g(w) for w in _quadrant_weights(field, cfg)))
 
 
 def omega_split_field(field: GridField, cfg: Indicator2DConfig) -> np.ndarray:
@@ -336,26 +330,27 @@ def smoothness_2d(field: GridField, cfg: Indicator2DConfig) -> Smoothness:
     """Weight and trust mask of ``field``.
 
     Where the threshold is certified (:func:`weight_threshold`), the mask
-    is taken from the smallest raw quadrant weight, one map_g pass instead
-    of four, and is bitwise the threshold of the combined weight; that
-    weight is then built only when ``omega`` is read.  The splitting
-    baseline and an uncertified M threshold the combined weight.  A NaN in
-    the weight thresholded, or a sigma_h too small for two WENO terms to
-    sum, raises ValueError (:func:`refuse_unusable_weight`).
+    is the smallest raw quadrant weight thresholded at w*, the
+    certificate's own statement and bitwise the threshold of the combined
+    weight; that weight is then built only when ``omega`` is read.  The
+    splitting baseline and an uncertified M threshold the combined weight.
+    A NaN in the weight thresholded, or a sigma_h too small for two WENO
+    terms to sum, raises ValueError (:func:`refuse_unusable_weight`).
     """
     grid = field.grid
-    if cfg.variant is Formula2D.SPLIT:
-        omega = omega_split_field(field, cfg)
-        refuse_unusable_weight(field, omega,
-                               sigma_h_x=cfg.sigma * grid.dx ** 2,
-                               sigma_h_y=cfg.sigma * grid.dy ** 2)
-        return Smoothness(omega=omega, phi=phi_2d(omega, cfg))
-    sigma_h = cfg.sigma * grid.delta ** 2
-    if weight_threshold(cfg.M) is None:
-        omega = omega_field_2d(field, cfg)
-        refuse_unusable_weight(field, omega, sigma_h=sigma_h)
-        return Smoothness(omega=omega, phi=phi_2d(omega, cfg))
-    least = field.neighbors().grid(_least(_quadrant_weights(field, cfg)))
-    refuse_unusable_weight(field, least, sigma_h=sigma_h)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if cfg.variant is Formula2D.SPLIT:
+            omega = omega_split_field(field, cfg)
+            refuse_unusable_weight(field, omega,
+                                   sigma_h_x=cfg.sigma * grid.dx ** 2,
+                                   sigma_h_y=cfg.sigma * grid.dy ** 2)
+            return Smoothness(omega=omega, phi=phi_2d(omega, cfg))
+        sigma_h, w_star = cfg.sigma * grid.delta ** 2, weight_threshold(cfg.M)
+        if w_star is None:
+            omega = omega_field_2d(field, cfg)
+            refuse_unusable_weight(field, omega, sigma_h=sigma_h)
+            return Smoothness(omega=omega, phi=phi_2d(omega, cfg))
+        least = field.neighbors().grid(_least(_quadrant_weights(field, cfg)))
+        refuse_unusable_weight(field, least, sigma_h=sigma_h)
     return Smoothness(omega=functools.partial(omega_field_2d, field, cfg),
-                      phi=phi_2d(map_g(least), cfg))
+                      phi=least >= w_star)

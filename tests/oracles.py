@@ -404,8 +404,8 @@ def view_stencils(field: GridField) -> dict[str, tuple[np.ndarray, ...]]:
                       (u - at(0, -1)) / dy, (at(0, 1) - u) / dy),
         "centered": ((at(1, 0) - at(-1, 0)) / (2.0 * dx),
                      (at(0, 1) - at(0, -1)) / (2.0 * dy)),
-        "second": ((at(1, 0) - 2.0 * u + at(-1, 0)) / dx ** 2,
-                   (at(0, 1) - 2.0 * u + at(0, -1)) / dy ** 2),
+        "second": (((at(1, 0) - u) - (u - at(-1, 0))) / dx ** 2,
+                   ((at(0, 1) - u) - (u - at(0, -1))) / dy ** 2),
         "cross": ((at(1, 1) - at(-1, 1) - at(1, -1) + at(-1, -1)) / (4.0 * dx * dy),),
         "fourth": ((at(-2, 0) - 8.0 * at(-1, 0) + 8.0 * at(1, 0) - at(2, 0)) / (12.0 * dx),
                    (at(0, -2) - 8.0 * at(0, -1) + 8.0 * at(0, 1) - at(0, 2)) / (12.0 * dy)),
@@ -459,7 +459,7 @@ def _view_omega_1d(field: GridField, sigma: float, axis: str) -> np.ndarray:
     sigma_h = sigma * h ** 2
     at = view_neighbors(field, 2)
     u = [at(k * dj, k * di) for k in (-2, -1, 0, 1, 2)]
-    s = [((u[c + 1] - 2.0 * u[c] + u[c - 1]) / h) ** 2 for c in (1, 2, 3)]
+    s = [(((u[c + 1] - u[c]) - (u[c] - u[c - 1])) / h) ** 2 for c in (1, 2, 3)]
     b0m, b1m, b0p, b1p = s[0], s[1], s[1], s[2]
     return np.minimum(quadrant_min_weight({"-": (b1m, b0m)}, sigma_h),
                       quadrant_min_weight({"+": (b0p, b1p)}, sigma_h))

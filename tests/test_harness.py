@@ -1,7 +1,9 @@
 import csv
 import importlib.util
 import io
+import os
 import re
+import subprocess
 import sys
 import types
 from dataclasses import fields
@@ -399,6 +401,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert re.match(rf"error: {used} is too small: the sum of two WENO "
                         r"terms .* overflows", err), err
+
+    # the kernels whose weight is checked run without numpy's overflow
+    # and 0/0 warnings: a refused sigma prints its error line alone
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--test", "8", "--scheme", "af-rkc4", "--refinements", "1",
+         "--sigma", "1e300"],
+        ["indicators", "--test", "2", "--sigma", "1e300"],
+        ["indicators", "--test", "2", "--sigma", "3.2e-152"],
+    ], ids=["solve-overflow", "indicators-overflow", "indicators-tiny"])
+    def test_refused_sigma_prints_one_line(self, argv):
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = os.environ | {"PYTHONPATH": src}
+        env.pop("PYTHONWARNINGS", None)
+        done = subprocess.run([sys.executable, "-m", "hjaf.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: "), done.stderr
+        assert len(done.stderr.splitlines()) == 1, done.stderr
+
+    def test_refused_final_maps_leave_no_file(self, tmp_path, capsys):
+        # a non-adaptive scheme meets the NaN weight only in the final
+        # maps, which are built before any file of the study is opened
+        out = tmp_path / "out"
+        assert cli_main(["solve", "--test", "8", "--scheme", "monotone",
+                         "--refinements", "1", "--sigma", "1e300",
+                         "--out", str(out)]) == 1
+        assert "NaN smoothness weight" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("eps", ["-1", "0", "nan"])
     def test_invalid_fixed_scale_fails_cleanly(self, eps, capsys):

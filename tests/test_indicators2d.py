@@ -1,10 +1,11 @@
 
 import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import hjaf.indicators2d as indicators2d
@@ -271,6 +272,38 @@ class TestBetaAccuracy:
                     err = abs(Fraction(value) - exact)
                     assert err <= gamma * bound + abs(rounded - exact), (
                         key, k_, i, j, float(err), float(gamma * bound))
+
+
+class TestSecondDifferenceAccuracy:
+    """Every element of both second-difference listings (the one the 1D
+    and quadrant betas and the time curvature read) against its exact
+    value on the padded copy's doubles.  Each first difference rounds once
+    and D once more, so an element is within its first differences' own
+    rounding, taken exactly, plus u |D| of the D that the rounded first
+    differences give exactly.  The symmetric sum (u[+1] - 2 u) + u[-1]
+    rounds relative to |u| instead, and fails on near-affine data."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(accuracy_patches())
+    @example((patch_field(50.0 - 2.5 * np.add.outer(np.arange(4.0),
+                                                    2.0 * np.arange(5.0))
+                          + 1e-6 * np.sin(np.arange(20.0)).reshape(4, 5)),
+              True))
+    def test_within_the_first_difference_rounding(self, case):
+        f, _ = case
+        at = f.neighbors()
+        u = at.flat.tolist()
+        for d, s in zip(f.second_differences(), (1, at.row), strict=True):
+            assert np.isnan(d[:s]).all() and np.isnan(d[-s:]).all()
+            for m in range(s, len(u) - s):
+                fwd, bwd = u[m + s] - u[m], u[m] - u[m - s]   # rounded
+                exact_fwd = Fraction(u[m + s]) - Fraction(u[m])
+                exact_bwd = Fraction(u[m]) - Fraction(u[m - s])
+                bound = (abs(Fraction(fwd) - exact_fwd)
+                         + abs(Fraction(bwd) - exact_bwd)
+                         + UNIT_ROUNDOFF * abs(Fraction(fwd) - Fraction(bwd)))
+                err = abs(Fraction(float(d[m])) - (exact_fwd - exact_bwd))
+                assert err <= bound, (s, m, float(err), float(bound))
 
 
 class TestOmega2D:
@@ -551,6 +584,44 @@ class TestMaskFromLeastWeight:
             assert np.array_equal(sm.phi, view_phi_2d(view, M))
             assert np.array_equal(sm.omega, omega)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 9), st.integers(3, 9), st.sampled_from([PER, NEU]),
+           st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+           st.booleans(), st.data())
+    @example(3, 7, PER, 0.2, True, None)
+    @example(8, 3, NEU, 0.2, False, None)
+    def test_raw_threshold_is_the_mapped_one(self, ny, nx, bc, M, finite,
+                                             data):
+        # the quadrant weights are drawn at w*, at its neighbouring doubles
+        # and anywhere in [0, 1] (NaN too, on a field with a NaN, which is
+        # not refused), laid out in runs whose throw-away elements are NaN
+        w_star = weight_threshold(M)
+        assume(w_star is not None)
+        near = double(np.arange(bits(w_star) - 3, bits(w_star) + 4)).tolist()
+        element = st.one_of(st.sampled_from(near), st.floats(0.0, 1.0),
+                            *(() if finite else (st.just(np.nan),)))
+        if data is None:    # an @example: every weight at w* and next to it
+            weights = [np.resize(near[k:] + near[:k], (ny, nx))
+                       for k in range(4)]
+        else:
+            weights = [data.draw(arrays(np.float64, (ny, nx), elements=element))
+                       for _ in range(4)]
+        values = np.zeros((ny, nx))
+        values[-1, -1] = 0.0 if finite else np.nan
+        f = GridField(Grid2D(0.0, 0.0, 0.1, 0.2, nx, ny), values, bc,
+                      validate=False)
+        at = f.neighbors()
+        runs = []
+        for w in weights:
+            run = np.full(at(0, 0).size, np.nan)
+            at.grid(run)[...] = w
+            runs.append(run)
+        with mock.patch.object(indicators2d, "_quadrant_weights",
+                               lambda field, cfg: iter(runs)):
+            phi = smoothness_2d(f, Indicator2DConfig(M=M)).phi
+        assert phi.dtype == np.bool_
+        assert np.array_equal(phi, map_g(np.minimum.reduce(weights)) >= M)
+
     @pytest.mark.parametrize("M", [0.2, 0.49])
     def test_overflowed_nodes_are_refused(self, M):
         # 1e200 squared overflows: some quadrant's betas are both inf, and
@@ -604,7 +675,7 @@ class TestMaskFromLeastWeight:
         assert indicators2d._g_clears(w, M, 1) == (
             g * (1 - rel) - absolute >= M)
 
-    @pytest.mark.parametrize("M, calls", [(0.2, 1), (0.49, 4)])
+    @pytest.mark.parametrize("M, calls", [(0.2, 0), (0.49, 4)])
     def test_map_g_calls_per_step(self, monkeypatch, M, calls):
         prob = make_test("8")
         cfg = CliConfig(test_id="8", scheme="af-rkc4", refinements=1, M=M)
