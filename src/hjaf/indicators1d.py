@@ -79,14 +79,23 @@ class Smoothness:
 
 
 def map_g(omega):
-    """Accuracy remapping g(w) = 4 w (3/4 - 3/2 w + w^2).
+    """Accuracy remapping g(w) = 1/2 + 4 (w - 1/2)^3, Henrick, Aslam &
+    Powers' mapping with d = 1/2 (equal to 4 w (3/4 - 3/2 w + w^2)).
 
     Fixed points at 0, 1/2, 1 with g'(1/2) = g''(1/2) = 0, so deviations
     of order eps around 1/2 shrink to order eps^3.  Inputs are clamped to
-    [0, 1] defensively.
+    [0, 1] defensively; NaN stays NaN.
+
+    The rounded g is non-decreasing on every double: the clip, t = w - 1/2,
+    t * t * t (t*t falls as t rises to 0 and rises after, and the second
+    product carries t's sign), 4 x and 1/2 + x are each monotone under
+    round-to-nearest, which is symmetric.  So min(g(a), g(b)) is g(min(a, b))
+    and g(w) >= M is w >= w* bitwise.  On [0, 1] it is within 2^-52 of the
+    exact g (t is exact for w >= 1/4 and within 2^-55 below it; the cube
+    rounds twice, 4 x is exact and the sum rounds once).
     """
-    w = np.clip(omega, 0.0, 1.0)
-    return 4.0 * w * (0.75 - 1.5 * w + w * w)
+    t = np.clip(omega, 0.0, 1.0) - 0.5
+    return 0.5 + 4.0 * (t * t * t)
 
 
 def _axis_step(field: GridField, axis: str):
@@ -129,12 +138,8 @@ def weno_weight(b, b_other, sigma_h):
 
 
 def _combine_sides(b0m, b1m, b0p, b1p, sigma_h, variant):
-    if variant in (Variant1D.RAW, Variant1D.MAPPED_G):
-        wm = weno_weight(b1m, b0m, sigma_h)
-        wp = weno_weight(b0p, b1p, sigma_h)
-        if variant is Variant1D.MAPPED_G:
-            wm, wp = map_g(wm), map_g(wp)
-        return wm, wp
+    if variant in (Variant1D.RAW, Variant1D.MAPPED_G):    # raw side weights
+        return weno_weight(b1m, b0m, sigma_h), weno_weight(b0p, b1p, sigma_h)
     if variant is Variant1D.WENO_Z:
         tau_m = np.abs(b0m - b1m)
         tau_p = np.abs(b0p - b1p)
@@ -150,11 +155,13 @@ def _combine_sides(b0m, b1m, b0p, b1p, sigma_h, variant):
 def omega_field_1d(field: GridField, cfg: Indicator1DConfig,
                    axis: str = "x") -> np.ndarray:
     """Smoothness weight omega at every node (min of the two sides), along
-    ``axis`` with sigma_h = sigma * h**2 for that axis's spacing h."""
+    ``axis`` with sigma_h = sigma * h**2 for that axis's spacing h.  g is
+    non-decreasing (:func:`map_g`), so MAPPED_G maps the smaller side once."""
     sigma_h = cfg.sigma * _axis_step(field, axis)[1] ** 2
     wm, wp = _combine_sides(*beta_fields_1d(field, axis), sigma_h,
                             cfg.variant)
-    return np.minimum(wm, wp)
+    least = np.minimum(wm, wp)
+    return map_g(least) if cfg.variant is Variant1D.MAPPED_G else least
 
 
 def refuse_unusable_weight(field: GridField, weight: np.ndarray,

@@ -65,15 +65,13 @@ quadrant are read as slices of them.  The trust mask is the 1D one, the
 plain threshold omega >= M (:func:`phi_2d`), and both dimensions return
 one result, :class:`hjaf.indicators1d.Smoothness`.
 
-What a step computes: an adaptive step reads the trust mask alone.  g is
-non-decreasing, so where the rounded test g(w) >= M is w >= w* on every
-double w (:func:`weight_threshold`, certified once per M at first use),
-the mask is the smallest raw quadrant weight thresholded at w*: no g
-pass, bitwise the same mask.  The combined weight omega is then built
-only when it is read (the written maps, ``hjaf indicators``).  An M
-that is not certified (such as 0.49, near the flat point of g) and the
-splitting baseline build omega on every step, and threshold it
-(:func:`phi_2d`).
+What a step computes: an adaptive step reads the trust mask alone.  The
+rounded g is non-decreasing on every double (:func:`map_g`), so the
+minimum of the remapped quadrant weights is g of the smallest raw one,
+and the mask is that raw weight thresholded at w*, the smallest double
+with g(w*) >= M (:func:`weight_threshold`): no g pass, bitwise the same
+mask.  The combined weight omega is g of that same smallest weight,
+built only when it is read (the written maps, ``hjaf indicators``).
 A dimensional-splitting baseline built from the remapped 1D indicator is
 included for comparison; it is blind to singularities whose axis
 restrictions look smooth (e.g. a non-differentiable point with vanishing
@@ -245,13 +243,13 @@ def _least(runs):
 
 def omega_field_2d(field: GridField, cfg: Indicator2DConfig) -> np.ndarray:
     """Combined smoothness weight at every node: min over the four
-    remapped quadrant weights g(w(beta0, beta1)) (splitting baseline when
-    so configured)."""
+    remapped quadrant weights g(w(beta0, beta1)), which is g of the
+    smallest raw one (splitting baseline when so configured)."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if cfg.variant is Formula2D.SPLIT:
             return omega_split_field(field, cfg)
-        return field.neighbors().grid(
-            _least(map_g(w) for w in _quadrant_weights(field, cfg)))
+        return map_g(field.neighbors().grid(
+            _least(_quadrant_weights(field, cfg))))
 
 
 def omega_split_field(field: GridField, cfg: Indicator2DConfig) -> np.ndarray:
@@ -267,31 +265,13 @@ def omega_split_field(field: GridField, cfg: Indicator2DConfig) -> np.ndarray:
 phi_2d = phi_1d
 
 
-# The crossing of a threshold M is checked double by double over this many
-# doubles on each side of it (a 32 KB band), and by the rounding error of
-# map_g beyond them.
-CROSSING_BAND = 2048
-
-
 @functools.lru_cache(maxsize=16)
-def weight_threshold(M: float) -> float | None:
-    """The smallest double w* with map_g(w*) >= M, if the rounded test
-    map_g(w) >= M is w >= w* on every double w; else None.
+def weight_threshold(M: float) -> float:
+    """The smallest double w* with map_g(w*) >= M, for M in (0, 1/2).
 
-    The exact g is non-decreasing, but its rounded value wobbles where g'
-    is small, near w = 1/2 (M = 0.49 is refused).  Certified in three
-    steps:
-
-    - bisect the doubles of [0, 1/2], which map_g takes to 0 and 1/2, for
-      a crossing w*;
-    - the test must read w >= w* on each of the ``CROSSING_BAND`` doubles
-      on either side of it;
-    - beyond the band, the rounding error of map_g as written decides: on
-      [0, 1], where map_g clips every input, it lies within
-      23 u g(w) + 12 eta of the exact g(w) (u = 2^-53, eta = 2^-1075 for
-      underflow; 4 w is exact, five operations round, and
-      3/4 - 3/2 w + w^2 >= 3/16).  The exact g at each end of the band
-      must clear M by 2^-48 g + 2^-1071 (:func:`_g_clears`).
+    The rounded g is non-decreasing (:func:`map_g`), so map_g(w) >= M is
+    w >= w* on every double w.  Bisected over the bit patterns of the
+    doubles of [0, 1/2], which map_g takes to 0 and 1/2.
     """
     def double(bits):
         return np.int64(bits).view(np.float64)
@@ -303,38 +283,17 @@ def weight_threshold(M: float) -> float | None:
             hi = mid
         else:
             lo = mid
-    w_star = double(hi)
-    band = np.arange(max(hi - CROSSING_BAND, 0), hi + CROSSING_BAND,
-                     dtype=np.int64).view(np.float64)
-    certified = (np.array_equal(map_g(band) >= M, band >= w_star)
-                 and _g_clears(band[0], M, -1) and _g_clears(band[-1], M, 1))
-    return float(w_star) if certified else None
-
-
-def _g_clears(w: float, M: float, side: int) -> bool:
-    """Whether the exact g(w), moved towards M by map_g's rounding bound
-    2^-48 g + 2^-1071, stays below M (``side`` -1) or at or above it (+1).
-
-    Exact: with w = n/d and M = p/q, g(w) = (3 n d^2 - 6 n^2 d + 4 n^3)/d^3,
-    and both sides are integers once scaled by 2^1071 d^3 q.
-    """
-    n, d = float(w).as_integer_ratio()
-    p, q = float(M).as_integer_ratio()
-    g_num, g_den = 3 * n * d * d - 6 * n * n * d + 4 * n ** 3, d ** 3
-    moved = g_num * q * (2 ** 1071 - side * 2 ** 1023) - side * g_den * q
-    bar = p * g_den * 2 ** 1071
-    return moved < bar if side < 0 else moved >= bar
+    return float(double(hi))
 
 
 def smoothness_2d(field: GridField, cfg: Indicator2DConfig) -> Smoothness:
     """Weight and trust mask of ``field``.
 
-    Where the threshold is certified (:func:`weight_threshold`), the mask
-    is the smallest raw quadrant weight thresholded at w*, the
-    certificate's own statement and bitwise the threshold of the combined
-    weight; that weight is then built only when ``omega`` is read.  The
-    splitting baseline and an uncertified M threshold the combined weight.
-    A NaN in the weight thresholded, or a sigma_h too small for two WENO
+    The mask is the smallest raw quadrant weight thresholded at w*
+    (:func:`weight_threshold`), bitwise the threshold of the combined
+    weight, which is g of that smallest weight, built only when ``omega``
+    is read.  The splitting baseline thresholds its combined weight.  A
+    NaN in the weight thresholded, or a sigma_h too small for two WENO
     terms to sum, raises ValueError (:func:`refuse_unusable_weight`).
     """
     grid = field.grid
@@ -345,12 +304,7 @@ def smoothness_2d(field: GridField, cfg: Indicator2DConfig) -> Smoothness:
                                    sigma_h_x=cfg.sigma * grid.dx ** 2,
                                    sigma_h_y=cfg.sigma * grid.dy ** 2)
             return Smoothness(omega=omega, phi=phi_2d(omega, cfg))
-        sigma_h, w_star = cfg.sigma * grid.delta ** 2, weight_threshold(cfg.M)
-        if w_star is None:
-            omega = omega_field_2d(field, cfg)
-            refuse_unusable_weight(field, omega, sigma_h=sigma_h)
-            return Smoothness(omega=omega, phi=phi_2d(omega, cfg))
         least = field.neighbors().grid(_least(_quadrant_weights(field, cfg)))
-        refuse_unusable_weight(field, least, sigma_h=sigma_h)
-    return Smoothness(omega=functools.partial(omega_field_2d, field, cfg),
-                      phi=least >= w_star)
+        refuse_unusable_weight(field, least, sigma_h=cfg.sigma * grid.delta ** 2)
+    return Smoothness(omega=functools.partial(map_g, least),
+                      phi=least >= weight_threshold(cfg.M))

@@ -367,13 +367,13 @@ def quadrant_min_weight(betas: dict[str, tuple[np.ndarray, np.ndarray]],
                         sigma_h: float) -> np.ndarray:
     """Minimum over the quadrants of the remapped WENO weight
     g(a0 / (a0 + a1)), a_k = 1 / (beta_k + sigma_h)**2, with
-    g(w) = 4 w (3/4 - 3/2 w + w^2) on w clamped to [0, 1]."""
+    g(w) = 1/2 + 4 (w - 1/2)^3 on w clamped to [0, 1]."""
     omega = None
     for b0, b1 in betas.values():
         a0 = 1.0 / (b0 + sigma_h) ** 2
         a1 = 1.0 / (b1 + sigma_h) ** 2
-        w = np.clip(a0 / (a0 + a1), 0.0, 1.0)
-        w = 4.0 * w * (0.75 - 1.5 * w + w * w)
+        t = np.clip(a0 / (a0 + a1), 0.0, 1.0) - 0.5
+        w = 0.5 + 4.0 * (t * t * t)
         omega = w if omega is None else np.minimum(omega, w)
     return omega
 

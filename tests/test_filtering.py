@@ -515,7 +515,7 @@ def test_fixed_cost_of_a_step(scheme):
             sys.setprofile(previous)
         return count
 
-    calls(2)    # warm-up: the threshold certificate is built once per M
+    calls(2)    # warm-up: the threshold w* is bisected once per M
     per_step = (calls(5) - calls(2)) / 3
     assert per_step <= STEP_CALLS[scheme]
 

@@ -367,7 +367,7 @@ class TestCli:
         (["indicators", "--test", "1", "--sigma", "1e300"],
          r"node j = 0, x = -1.5, with sigma_h = 2.5e\+297"),
     ], ids=["solve-8-overflow", "solve-7b-underflow", "indicators-2d",
-            "indicators-2d-uncertified-M", "indicators-split",
+            "indicators-2d-M-near-half", "indicators-split",
             "indicators-1d"])
     def test_nan_weight_is_refused(self, argv, where, capsys):
         if argv[0] == "solve":
@@ -393,7 +393,7 @@ class TestCli:
          "sigma_h = 1e-154"),
         (["solve", "--test", "8", "--scheme", "af-rkc4", "--sigma", "1e-153",
           "--refinements", "1"], r"step 1 \(t = .*\): sigma_h = 1e-155"),
-    ], ids=["indicators-2d", "indicators-2d-uncertified-M",
+    ], ids=["indicators-2d", "indicators-2d-M-near-half",
             "indicators-split", "indicators-1d", "solve-8"])
     def test_tiny_sigma_h_is_refused(self, argv, used, capsys):
         with np.errstate(all="ignore"):

@@ -1,11 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hjaf.grids import BoundaryCondition, Grid1D, GridField
 from hjaf.indicators1d import (Indicator1DConfig, Variant1D, beta_fields_1d,
                                map_g, omega_field_1d, phi_1d, smoothness_1d,
                                weno_weight)
-from hjaf.indicators2d import Indicator2DConfig
+from hjaf.indicators2d import Indicator2DConfig, weight_threshold
 from hjaf.problems import make_test
 
 from oracles import divided_difference, flagged_cells_1d, ghost_value
@@ -16,6 +19,16 @@ PER = BoundaryCondition.PERIODIC
 def betas_at(field, j):
     """(beta0-, beta1-, beta0+, beta1+) at node j of the field kernel."""
     return tuple(b[j] for b in beta_fields_1d(field))
+
+
+def doubles_around(center, n):
+    """The 2n + 1 consecutive doubles from n steps below ``center`` to n
+    steps above it, in increasing order (crossing zero if they reach it;
+    -0.0 is skipped)."""
+    b = np.float64(center).view(np.int64)
+    key = int(b) if center >= 0 else -int(b & np.int64(2 ** 63 - 1))
+    k = np.arange(key - n, key + n + 1, dtype=np.int64)
+    return np.where(k < 0, -np.abs(k).view(np.float64), k.view(np.float64))
 
 
 def sampled(fn, x0, dx, n, bc=PER):
@@ -95,9 +108,33 @@ class TestMapping:
         assert map_g(-0.3) == 0.0
         assert map_g(1.7) == 1.0
 
-    def test_monotone_on_unit_interval(self):
-        w = np.linspace(0, 1, 201)
-        assert (np.diff(map_g(w)) >= 0).all()
+    @pytest.mark.parametrize("center", [
+        0.0, 0.25, 0.5, 1.0,
+        *(weight_threshold(M) for M in (0.1, 0.2, 0.49))])
+    def test_monotone_on_adjacent_doubles(self, center):
+        # every double within 2^20 steps of the center, on both sides, in
+        # order: the rounded g never steps down (the expanded form
+        # 4 w (3/4 - 3/2 w + w^2) does, near 1/4 and 1/2)
+        scan = doubles_around(center, 2 ** 20)
+        assert scan.size >= 2 ** 21 and (np.diff(scan) > 0).all()
+        assert (np.diff(map_g(scan)) >= 0).all()
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=False), st.floats(allow_nan=False))
+    @example(0.4999999999999999, 0.5)
+    def test_monotone_on_pairs(self, w, w_other):
+        lo, hi = sorted((w, w_other))
+        assert map_g(lo) <= map_g(hi)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(0.0, 1.0))
+    @example(0.0)
+    @example(np.nextafter(0.25, 0.0))
+    def test_error_at_most_2_to_the_minus_52(self, w):
+        # |map_g(w) - g(w)| <= 2^-52 against exact rationals
+        t = Fraction(w) - Fraction(1, 2)
+        exact = Fraction(1, 2) + 4 * t ** 3
+        assert abs(Fraction(float(map_g(w))) - exact) <= Fraction(1, 2 ** 52)
 
 
 class TestOmega:

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import hjaf.indicators2d as indicators2d
@@ -555,9 +555,9 @@ def scaled_fields(draw):
 
 
 class TestMaskFromLeastWeight:
-    """A certified threshold takes the trust mask from the smallest raw
-    quadrant weight; the mask and the maps stay bitwise those of the
-    combined remapped weight."""
+    """The trust mask is the smallest raw quadrant weight thresholded at
+    w*; the mask and the maps stay bitwise those of the combined remapped
+    weight."""
 
     @settings(max_examples=200, deadline=None)
     @given(scaled_fields(),
@@ -596,7 +596,6 @@ class TestMaskFromLeastWeight:
         # and anywhere in [0, 1] (NaN too, on a field with a NaN, which is
         # not refused), laid out in runs whose throw-away elements are NaN
         w_star = weight_threshold(M)
-        assume(w_star is not None)
         near = double(np.arange(bits(w_star) - 3, bits(w_star) + 4)).tolist()
         element = st.one_of(st.sampled_from(near), st.floats(0.0, 1.0),
                             *(() if finite else (st.just(np.nan),)))
@@ -638,51 +637,26 @@ class TestMaskFromLeastWeight:
                     f"{cfg.sigma * f.grid.delta ** 2:.6g}: ")):
                 smoothness_2d(f, cfg)
 
-    def test_default_threshold_is_certified(self):
-        # an independent scan, 32 times wider than the certificate's band,
-        # finds the rounded test map_g(w) >= M to be w >= w* around w*
-        M = Indicator2DConfig().M
+    @pytest.mark.parametrize("M", [0.1, 0.2, 0.49])
+    def test_threshold_is_the_crossing(self, M):
+        # w* is the first double that g takes to M or above, and a scan of
+        # 2^17 doubles around it reads g(w) >= M as w >= w* (also at 0.49,
+        # near the flat point of g)
         w_star = weight_threshold(M)
-        assert w_star is not None and 0.0 < w_star < 0.5
+        assert 0.0 < w_star < 0.5
         assert map_g(np.nextafter(w_star, 0.0)) < M <= map_g(w_star)
         n = 2 ** 16
-        assert n >= 32 * indicators2d.CROSSING_BAND
         scan = double(np.arange(bits(w_star) - n, bits(w_star) + n))
         assert np.array_equal(map_g(scan) >= M, scan >= w_star)
 
-    def test_threshold_near_one_half_is_refused(self):
-        # g' vanishes at 1/2: near its crossing the rounded test wobbles
-        assert weight_threshold(0.49) is None
-        lo, hi = 0, bits(0.5)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if map_g(double(mid)) >= 0.49 else (mid, hi)
-        scan = double(np.arange(hi - 2 ** 16, hi + 2 ** 16))
-        flips = np.count_nonzero(np.diff(map_g(scan) >= 0.49))
-        assert flips > 1
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.floats(0.0, 1.0), st.floats(0.0, 0.5, exclude_min=True,
-                                          exclude_max=True))
-    @example(0.07828366734912538, 0.2)
-    def test_bound_check_is_exact(self, w, M):
-        # the integer form of the check against rationals
-        g = 4 * Fraction(w) * (Fraction(3, 4) - Fraction(3, 2) * Fraction(w)
-                               + Fraction(w) ** 2)
-        rel, absolute = Fraction(1, 2 ** 48), Fraction(1, 2 ** 1071)
-        assert indicators2d._g_clears(w, M, -1) == (
-            g * (1 + rel) + absolute < M)
-        assert indicators2d._g_clears(w, M, 1) == (
-            g * (1 - rel) - absolute >= M)
-
-    @pytest.mark.parametrize("M, calls", [(0.2, 0), (0.49, 4)])
-    def test_map_g_calls_per_step(self, monkeypatch, M, calls):
+    @pytest.mark.parametrize("M", [0.2, 0.49])
+    def test_map_g_calls_per_step(self, monkeypatch, M):
         prob = make_test("8")
         cfg = CliConfig(test_id="8", scheme="af-rkc4", refinements=1, M=M)
         sc = solver_config(cfg, prob, 0)
         u = prob.initial_field(0)
         dt = prob.T_final / prob.n_steps(0)
-        weight_threshold(M)     # certified once per M, at first use
+        weight_threshold(M)     # bisected once per M, at first use
         counted = []
 
         def counting(w):
@@ -691,24 +665,24 @@ class TestMaskFromLeastWeight:
 
         monkeypatch.setattr(indicators2d, "map_g", counting)
         _adaptive_step(u, sc, high_order_step("rkc4"), dt)
-        assert len(counted) == calls
+        assert counted == []
 
     @pytest.mark.parametrize("M", [0.2, 0.49])
     def test_study_builds_the_combined_weight_only_when_read(
             self, monkeypatch, tmp_path, M):
-        # an uncertified M builds it on every step, a certified one only
-        # for the final maps
+        # one beta pass per step and one for the final maps, whose omega
+        # is g of the final mask's smallest raw weight, not a second pass
         built = []
 
-        def spy(field, cfg):
-            built.append(cfg.M)
-            return omega_field_2d(field, cfg)
+        def spy(field, formula):
+            built.append(formula)
+            return quadrant_beta_fields(field, formula)
 
-        monkeypatch.setattr(indicators2d, "omega_field_2d", spy)
+        monkeypatch.setattr(indicators2d, "quadrant_beta_fields", spy)
         assert main(["solve", "--test", "8", "--scheme", "af-rkc4",
                      "--refinements", "1", "--M", str(M),
                      "--out", str(tmp_path)]) == 0
         steps = make_test("8").n_steps(0)
-        assert built == [M] * (steps + 1 if M == 0.49 else 1)
+        assert len(built) == steps + 1
         for name in ("omega.csv", "phi.csv", "epsilon.csv"):
             assert (tmp_path / name).stat().st_size > 0

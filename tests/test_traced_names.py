@@ -18,8 +18,8 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Spans a one-level af-hc study with an output directory opens.  The
 # tracer also wraps GridField.shifted, which no solver path calls, and
-# indicators2d.phi_2d, which the default (certified) threshold never calls:
-# its mask is the smallest raw weight thresholded at w*.
+# indicators2d.phi_2d, which only the splitting baseline calls: every
+# other mask is the smallest raw weight thresholded at w*.
 REACHED = {"filtering.evolve", "reporting.norms", "harness.write",
            "indicators2d.smoothness", "indicators2d.beta",
            "filtering.epsilon", "filtering.select", "monotone.step",

@@ -72,8 +72,8 @@ FULL = (
     _solve("8", "af-rkc4", 2, "--indicator", "partial"),
     _solve("8", "af-lw2", 2, "--lw2-corrected"),
     _solve("8", "rkc4", 1, "--K", "5"),
-    # either side of the trust mask's path: an uncertified threshold
-    # (mapped weights) and a certified one other than the default
+    # the raw threshold w* near the flat point of g (M = 0.49) and away
+    # from it (M = 0.1), besides the default
     _solve("8", "af-rkc4", 2, "--M", "0.49"),
     _solve("8", "af-rkc4", 2, "--M", "0.1"),
     *(_indicators("1", v, p) for v in ("raw", "mapped-g", "weno-z",
