@@ -11,13 +11,14 @@ like a padded copy instead, and read the same way.
 
 A field's values are read-only, and :meth:`GridField.memo` keeps what
 is built from them: the padded copy (:meth:`GridField.neighbors`,
-``STENCIL_REACH`` ghost nodes wide), its undivided second differences
-(:meth:`GridField.second_differences`, one listing per axis, read by the
-time curvature and the 1D and quadrant betas), the slopes several kernels
-read and, per hamiltonian, the time curvature.
-So no kernel pads its own input, and one step of the solver pads its
-field once.  A multi-stage step makes each later stage a field of its
-own, which pads itself the same way.
+``STENCIL_REACH`` ghost nodes wide), its undivided first and second
+differences (:meth:`GridField.first_differences`, read by the one-sided
+slopes and the quadrant betas, and :meth:`GridField.second_differences`,
+read by the time curvature and the 1D and quadrant betas), one listing
+per axis each, the slopes several kernels read and, per hamiltonian, the
+time curvature.  So no kernel pads its own input, and one step of the
+solver pads its field once.  A multi-stage step makes each later stage a
+field of its own, which pads itself the same way.
 
 Whole-grid stencils read a padded copy in the *run layout*
 (:class:`Neighbors`).  The copy, padded by ``w`` ghost nodes, is read as
@@ -33,10 +34,8 @@ grid row, and cut only their result back to the (ny, nx) interior
 are throw-away values computed from ghost columns; only the cut reaches
 a reduction, a selection or a hamiltonian.  A 1D field is one row: its
 runs are the grid-shaped arrays themselves.  Flat positions are computed
-by :class:`Neighbors` and by the kernels that difference a whole flat
-array laid out like the padded copy, slicing it by its row length
-themselves: :func:`_second_differences` and the quadrant betas' other
-differences (:mod:`hjaf.indicators2d`).
+by :class:`Neighbors` alone: its runs, and the one difference of a whole
+flat array laid out like the padded copy (:meth:`Neighbors.difference`).
 """
 from __future__ import annotations
 
@@ -141,26 +140,22 @@ def pad_ghosts(values: np.ndarray, bc: BoundaryCondition,
     the boundary rule: a ghost node holds the value at its index wrapped
     around the grid (periodic) or clamped to its edge (Neumann-zero).
     ``width`` is at most the node count of every axis."""
-    if any(width > n for n in values.shape):
+    if width > min(values.shape):
         raise ValueError(f"ghost width {width} exceeds the grid {values.shape}")
-    out = np.empty(tuple(n + 2 * width for n in values.shape), values.dtype)
-    out[tuple(slice(width, width + n) for n in values.shape)] = values
-    # Axis by axis, each ghost slab copies the slab the rule maps it to; a
-    # later axis copies whole slabs, ghosts of earlier axes included, so
-    # corners follow the rule on both axes.
+    out = np.empty(tuple(map((2 * width).__add__, values.shape)), values.dtype)
+    out[(slice(width, -width or None),) * values.ndim] = values
+    # Axis by axis, the low and then the high ghost slab copies the slab the
+    # rule maps it to; a later axis copies whole slabs, ghosts of earlier
+    # axes included, so corners follow the rule on both axes.
     for axis, n in enumerate(values.shape):
         lead = (slice(None),) * axis
-
-        def copy(dst, src):
-            out[lead + (slice(*dst),)] = out[lead + (slice(*src),)]
-
         if bc is BoundaryCondition.PERIODIC:
             # ghost p holds padded node p + n below the grid, p - n above it
-            copy((0, width), (n, n + width))
-            copy((n + width, n + 2 * width), (width, 2 * width))
+            low, high = slice(n, n + width), slice(width, 2 * width)
         else:
-            copy((0, width), (width, width + 1))
-            copy((n + width, n + 2 * width), (n + width - 1, n + width))
+            low, high = slice(width, width + 1), slice(n + width - 1, n + width)
+        out[lead + (slice(0, width),)] = out[lead + (low,)]
+        out[lead + (slice(n + width, None),)] = out[lead + (high,)]
     return out
 
 
@@ -174,7 +169,8 @@ class Neighbors:
     one laid out like a run over the grid grown by ``width`` nodes per side
     (by default the padded copy's own ``width``, so an array laid out like
     the copy itself).  :meth:`grid` cuts a run over the grid back to the
-    grid's shape.  ``flat`` is the array read, ``row`` its row length.
+    grid's shape, and :meth:`difference` differences an array laid out
+    like the copy.  ``flat`` is the array read, ``row`` its row length.
     """
 
     __slots__ = ("flat", "width", "shape", "row")
@@ -192,6 +188,20 @@ class Neighbors:
         other.flat, other.shape, other.row = array, self.shape, self.row
         other.width = self.width if width is None else width
         return other
+
+    def difference(self, array: np.ndarray, dj: int = 0,
+                   di: int = 0) -> np.ndarray:
+        """At each position m of ``array``, a flat array laid out like the
+        padded copy, its difference across node offset o = (dj, di), later
+        position minus earlier: a(m + o) - a(m), or a(m) - a(m + o) for an
+        o before m.  Laid out like ``array``, NaN where m + o leaves it."""
+        s = dj + di * self.row
+        t, d = abs(s), np.empty_like(array)
+        ends, inner = ((slice(-t, None), slice(None, -t)) if s > 0
+                       else (slice(None, t), slice(t, None)))
+        d[ends] = np.nan
+        np.subtract(array[t:], array[:-t], out=d[inner])
+        return d
 
     def __call__(self, dj: int = 0, di: int = 0, grow: int = 0) -> np.ndarray:
         reach = self.width - grow
@@ -225,18 +235,17 @@ def _padded(field: "GridField") -> Neighbors:
     return Neighbors(field.values, field.bc, STENCIL_REACH)
 
 
-def _second_differences(field: "GridField") -> tuple[np.ndarray, ...]:
+def _first_differences(field: "GridField") -> tuple[np.ndarray, ...]:
+    # F(m) = u(m + s) - u(m) per axis
     at = field.neighbors()
-    u, n, axes = at.flat, at.flat.size, []
-    for s in (1,) if field.ndim == 1 else (1, at.row):
-        # laid out like u; the s end elements have no second difference
-        d = np.empty(n)
-        d[:s] = d[n - s:] = np.nan
-        # D(m) = F(m) - F(m - s), F(m) = u[m + s] - u[m]
-        f = np.subtract(u[s:], u[:n - s])
-        np.subtract(f[s:], f[:n - 2 * s], out=d[s:n - s])
-        axes.append(read_only(d)[0])
-    return tuple(axes)
+    return read_only(*map(at.difference, (at.flat,) * field.values.ndim,
+                          (1, 0), (0, 1)))
+
+
+def _second_differences(field: "GridField") -> tuple[np.ndarray, ...]:
+    # D(m) = F(m) - F(m - s) per axis
+    return read_only(*map(field.neighbors().difference,
+                          field.first_differences(), (-1, 0), (0, -1)))
 
 
 class GridField:
@@ -286,12 +295,18 @@ class GridField:
         ``|dj|, |di| <= STENCIL_REACH`` (a :meth:`memo` entry)."""
         return self.memo(_padded)
 
+    def first_differences(self) -> tuple[np.ndarray, ...]:
+        """Per axis (x, y), ``u[+1] - u``, laid out and read like the padded
+        copy (a :meth:`memo` entry); NaN where the stencil leaves the copy:
+        its last element (x), its last row (y)."""
+        return self.memo(_first_differences)
+
     def second_differences(self) -> tuple[np.ndarray, ...]:
-        """Per axis (x, y), ``(u[+1] - u) - (u - u[-1])``: each first
-        difference rounds relative to itself, not to |u|.  Laid out like the
-        padded copy and read like it, ``at.of(d)(dj, di)`` (a :meth:`memo`
-        entry).  An element whose stencil leaves the copy holds NaN: the
-        copy's first and last element (x), its first and last row (y)."""
+        """Per axis (x, y), ``(u[+1] - u) - (u - u[-1])``, a difference of
+        :meth:`first_differences` (each rounds relative to itself, not to
+        |u|), laid out and read like them (a :meth:`memo` entry).  An
+        element whose stencil leaves the copy holds NaN: the copy's first
+        and last element (x), its first and last row (y)."""
         return self.memo(_second_differences)
 
     def shifted(self, dj: int = 0, di: int = 0) -> np.ndarray:

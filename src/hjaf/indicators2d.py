@@ -16,9 +16,10 @@ four quadrants (z1, z2) in {-1, +1}^2:
             + u20 u21 + u02 u12 - (u20 + u02) u22 / 6
             - (u21 + u12) u22 / 12) / (dx dy).
 
-Every difference in it comes from the first differences of the field's
-padded copy, Fx(m) = u(m + x) - u(m) and Fy(m) = u(m + y) - u(m), and each
-is one subtraction of two arrays: D(n) = Fx(n) - Fx(n - x) and E(n) =
+Every difference in it comes from the field's first differences, Fx(m) =
+u(m + x) - u(m) and Fy(m) = u(m + y) - u(m), and each is one subtraction
+of two arrays laid out like the padded copy (:meth:`Neighbors.difference
+<hjaf.grids.Neighbors.difference>`): D(n) = Fx(n) - Fx(n - x) and E(n) =
 Fy(n) - Fy(n - y), the field's second differences (the 1D betas' and the
 time curvature's too); the cell cross difference C(m) = Fx(m + y) - Fx(m);
 P(m) = D(m + y) - D(m) and Q(m) = E(m + x) - E(m); G(n) = P(n) - P(n - y).
@@ -86,7 +87,7 @@ from enum import Enum
 import numpy as np
 
 from .grids import GridField
-from .indicators1d import (Indicator1DConfig, Smoothness, map_g,
+from .indicators1d import (Indicator1DConfig, Smoothness, Variant1D, map_g,
                            normalized_weight, omega_field_1d, phi_1d,
                            refuse_unusable_weight, weno_term)
 
@@ -132,16 +133,6 @@ class Indicator2DConfig:
             raise ValueError(f"variant must be a Formula2D member, got {self.variant!r}")
 
 
-def _forward(a: np.ndarray, s: int) -> np.ndarray:
-    """``a[p + s] - a[p]`` at every position p of ``a``, a flat array laid
-    out like the padded copy; the last s positions, whose stencil leaves
-    the copy, hold NaN."""
-    d = np.empty_like(a)
-    d[a.size - s:] = np.nan
-    np.subtract(a[s:], a[:-s], out=d[:-s])
-    return d
-
-
 def _axis_parts(second, third, c21_third, g6, g12, across):
     """{z: u20 (u20 + u21 - u22/6) + u21 (c21 u21 - u22/12)} for z = +1, -1,
     runs over the grid grown by one node: the part of the inner beta that
@@ -185,13 +176,12 @@ def quadrant_beta_fields(field: GridField, formula: Formula2D = Formula2D.FULL,
         raise ValueError(f"the formula {formula!r} has no quadrant betas")
     c21, c22 = coeffs
     at, (d, e) = field.neighbors(), field.second_differences()
-    # D and E are the field's second differences, every other difference
-    # one forward subtraction laid out like the padded copy (_forward); the
-    # inner betas, runs over the grid grown by one node, read each at most
-    # one node away.
-    cells = _forward(_forward(at.flat, 1), at.row)  # C(m) = Fx(m + y) - Fx(m)
+    # Fx, D and E are memo entries of the field, every other difference one
+    # subtraction of them (at.difference); the inner betas, runs over the
+    # grid grown by one node, read each at most one node away.
+    cells = at.difference(field.first_differences()[0], 0, 1)  # C(m)
     np.square(cells, out=cells)
-    p = _forward(d, at.row)
+    p = at.difference(d, 0, 1)
     third = at.of(p)
     g = np.subtract(third(grow=1), third(0, -1, grow=1))  # G(n)
     g6, g12 = g / 6.0, g / 12.0
@@ -199,7 +189,7 @@ def quadrant_beta_fields(field: GridField, formula: Formula2D = Formula2D.FULL,
     g2 *= c22
     x_parts = _axis_parts(at.of(d), third, at.of(c21 * p), g6, g12, (0, 1))
     del p, third
-    q = _forward(e, 1)
+    q = at.difference(e, 1)
     y_parts = _axis_parts(at.of(e), at.of(q), at.of(c21 * q), g6, g12, (1, 0))
     del q
     cells, dxdy, inner = at.of(cells), field.grid.dx * field.grid.dy, {}
@@ -214,31 +204,24 @@ def quadrant_beta_fields(field: GridField, formula: Formula2D = Formula2D.FULL,
             for key, (z1, z2) in QUADRANTS.items()}
 
 
-def _quadrant_weights(field: GridField, cfg: Indicator2DConfig):
-    """The raw weight w(beta0, beta1) of each quadrant in turn, a run over
-    the grid in the layout of ``field.neighbors()``."""
+def _least_weight(field: GridField, cfg: Indicator2DConfig) -> np.ndarray:
+    """The smallest raw quadrant weight w(beta0, beta1) at every node, in
+    the grid's shape (a NaN weight gives NaN)."""
     sigma_h = cfg.sigma * field.grid.delta ** 2
     betas = quadrant_beta_fields(field, cfg.variant)
     # Every beta0 views its quadrant's inner beta run, which the opposite
     # quadrant's beta1 shares: one WENO term per inner run, taken for one
     # opposite pair at a time and laid out like the run, over the grid
     # grown by one node per side.
-    at = field.neighbors()
+    at, least = field.neighbors(), None
     for pair in (("--", "++"), ("+-", "-+")):
         terms = {key: at.of(weno_term(betas[key][0].base, sigma_h), 1)
                  for key in pair}
         for key, opposite in (pair, pair[::-1]):
             z1, z2 = QUADRANTS[key]
-            yield normalized_weight(terms[key](), terms[opposite](z1, z2))
-
-
-def _least(runs):
-    """Elementwise minimum of fresh arrays, kept in the first (a NaN
-    anywhere gives NaN)."""
-    least = None
-    for run in runs:
-        least = run if least is None else np.minimum(least, run, out=least)
-    return least
+            w = normalized_weight(terms[key](), terms[opposite](z1, z2))
+            least = w if least is None else np.minimum(least, w, out=least)
+    return at.grid(least)
 
 
 def omega_field_2d(field: GridField, cfg: Indicator2DConfig) -> np.ndarray:
@@ -248,17 +231,16 @@ def omega_field_2d(field: GridField, cfg: Indicator2DConfig) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if cfg.variant is Formula2D.SPLIT:
             return omega_split_field(field, cfg)
-        return map_g(field.neighbors().grid(
-            _least(_quadrant_weights(field, cfg))))
+        return map_g(_least_weight(field, cfg))
 
 
 def omega_split_field(field: GridField, cfg: Indicator2DConfig) -> np.ndarray:
     """Dimensional-splitting baseline: min of the two axis-wise remapped
     1D weights (the 1D config's default variant), each with the other axis
-    frozen."""
-    axis_cfg = Indicator1DConfig(sigma=cfg.sigma, M=cfg.M)
-    return np.minimum(omega_field_1d(field, axis_cfg, "x"),
-                      omega_field_1d(field, axis_cfg, "y"))
+    frozen, which is g of the smallest raw side weight."""
+    axis_cfg = Indicator1DConfig(sigma=cfg.sigma, M=cfg.M, variant=Variant1D.RAW)
+    return map_g(np.minimum(omega_field_1d(field, axis_cfg, "x"),
+                            omega_field_1d(field, axis_cfg, "y")))
 
 
 # The trust mask is the plain threshold omega >= M in 2D as in 1D.
@@ -304,7 +286,7 @@ def smoothness_2d(field: GridField, cfg: Indicator2DConfig) -> Smoothness:
                                    sigma_h_x=cfg.sigma * grid.dx ** 2,
                                    sigma_h_y=cfg.sigma * grid.dy ** 2)
             return Smoothness(omega=omega, phi=phi_2d(omega, cfg))
-        least = field.neighbors().grid(_least(_quadrant_weights(field, cfg)))
+        least = _least_weight(field, cfg)
         refuse_unusable_weight(field, least, sigma_h=cfg.sigma * grid.delta ** 2)
     return Smoothness(omega=functools.partial(map_g, least),
                       phi=least >= weight_threshold(cfg.M))

@@ -1,10 +1,11 @@
 """Monotone one-step schemes in differenced form.
 
 The update is u - dt * h(x, y, Dx-, Dx+, Dy-, Dy+) with one-sided slope
-quotients.  Two numerical hamiltonians are provided: the upwind form for
-the eikonal equation, and the local Lax-Friedrichs form for general H.
-Both reproduce H exactly on matched slopes, and both are monotone under
-the step restriction max(lam_x * ax, lam_y * ay) <= 1/2 on the speeds
+quotients, the field's first differences over the spacing.  Two
+numerical hamiltonians are provided: the upwind form for the eikonal
+equation, and the local Lax-Friedrichs form for general H.  Both
+reproduce H exactly on matched slopes, and both are monotone under the
+step restriction max(lam_x * ax, lam_y * ay) <= 1/2 on the speeds
 (ax, ay) the update used.  The local Lax-Friedrichs dissipation on each
 axis is the exact maximum of |H_p| (|H_q|) between the two slopes, in
 either order, which the hamiltonian supplies in closed form
@@ -107,9 +108,10 @@ def htilde_differences(kind: MonotoneKind, H: Hamiltonian,
 def _one_sided_slopes(field: GridField):
     dx, dy = field.grid.dx, field.grid.dy
     at = field.neighbors()
-    u = at()
-    return read_only(at.grid(u - at(-1, 0)) / dx, at.grid(at(1, 0) - u) / dx,
-                     at.grid(u - at(0, -1)) / dy, at.grid(at(0, 1) - u) / dy)
+    # u - u(-x) is Fx one node back, u(+x) - u is Fx here; y alike
+    fx, fy = map(at.of, field.first_differences())
+    return read_only(at.grid(fx(-1, 0)) / dx, at.grid(fx()) / dx,
+                     at.grid(fy(0, -1)) / dy, at.grid(fy()) / dy)
 
 
 def one_sided_slopes(field: GridField):

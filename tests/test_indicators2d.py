@@ -615,8 +615,9 @@ class TestMaskFromLeastWeight:
             run = np.full(at(0, 0).size, np.nan)
             at.grid(run)[...] = w
             runs.append(run)
-        with mock.patch.object(indicators2d, "_quadrant_weights",
-                               lambda field, cfg: iter(runs)):
+        weight = iter(runs).__next__
+        with mock.patch.object(indicators2d, "normalized_weight",
+                               lambda a, a_other: weight()):
             phi = smoothness_2d(f, Indicator2DConfig(M=M)).phi
         assert phi.dtype == np.bool_
         assert np.array_equal(phi, map_g(np.minimum.reduce(weights)) >= M)

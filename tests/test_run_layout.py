@@ -99,16 +99,19 @@ class TestIndicator:
 
 
 class TestSecondDifferenceEnds:
-    """The second differences, one listing per axis, and the quadrant
-    betas' forward differences are laid out like the padded copy, and each
-    element whose stencil leaves the copy holds NaN.  On finite data no
-    kernel that reads them returns a NaN, not even in the throw-away
-    elements of an inner beta run."""
+    """The first and second differences, one listing per axis, and the
+    quadrant betas' other differences are laid out like the padded copy,
+    and each element whose stencil leaves the copy holds NaN.  On finite
+    data no kernel that reads them returns a NaN, not even in the
+    throw-away elements of an inner beta run."""
 
     @settings(max_examples=100, deadline=None)
     @given(fields())
     def test_readers_return_finite_arrays(self, f):
         at = f.neighbors()
+        for d, s in zip(f.first_differences(), (1, at.row), strict=True):
+            assert np.isnan(d[-s:]).all()
+            assert np.isfinite(d[:-s]).all()
         for d, s in zip(f.second_differences(), (1, at.row), strict=True):
             assert np.isnan(d[:s]).all() and np.isnan(d[-s:]).all()
             assert np.isfinite(d[s:-s]).all()
@@ -287,12 +290,14 @@ class TestGhostFills:
 
 
 class TestSharedStencils:
-    """The slopes, second differences and time curvature several kernels of
-    a step read are memo entries of the field: one adaptive step takes u's
-    one-sided and centered slopes, its second differences (read by the
-    indicator, full or split, and the time curvature) and its time
-    curvature once each (af-lw reads the curvature in the switching scale
-    and in lw_step), and hands them out read-only."""
+    """The slopes, differences and time curvature several kernels of a
+    step read are memo entries of the field: one adaptive step takes u's
+    first differences (read by the one-sided slopes, the second
+    differences and the quadrant betas), its one-sided and centered
+    slopes, its second differences (read by the indicator, full or split,
+    and the time curvature) and its time curvature once each (af-lw reads
+    the curvature in the switching scale and in lw_step), and hands them
+    out read-only."""
 
     @pytest.mark.parametrize("scheme", sorted(TestGhostFills.STAGE_FILLS))
     @pytest.mark.parametrize("variant", ["full", "split"])
@@ -305,6 +310,7 @@ class TestSharedStencils:
         runs = []
         for module, name in ((monotone, "_one_sided_slopes"),
                              (highorder, "_centered_slopes"),
+                             (grids, "_first_differences"),
                              (grids, "_second_differences"),
                              (highorder, "_time_curvature")):
             def counting(field, *args, kernel=getattr(module, name), name=name):
@@ -315,8 +321,9 @@ class TestSharedStencils:
         _, eps, _ = _adaptive_step(u, sc, high_order_step(scheme),
                                    prob.T_final / prob.n_steps(0))
         assert eps > EPS_FLOOR          # the high-order step ran
-        assert sorted(runs) == ["_centered_slopes", "_one_sided_slopes",
-                                "_second_differences", "_time_curvature"]
+        assert sorted(runs) == ["_centered_slopes", "_first_differences",
+                                "_one_sided_slopes", "_second_differences",
+                                "_time_curvature"]
 
     def test_time_curvature_is_kept_per_hamiltonian(self):
         f = jump_field(PER)
@@ -335,10 +342,11 @@ class TestSharedStencils:
     def test_memo_arrays_are_shared_and_read_only(self):
         f = jump_field(PER)
         for kernel in (one_sided_slopes, centered_slopes,
+                       GridField.first_differences,
                        GridField.second_differences):
             assert kernel(f) is kernel(f)
         for a in (*one_sided_slopes(f), *centered_slopes(f),
-                  *f.second_differences()):
+                  *f.first_differences(), *f.second_differences()):
             with pytest.raises(ValueError):
                 a[0] = 1.0
             with pytest.raises(ValueError):
